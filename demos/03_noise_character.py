@@ -19,18 +19,18 @@ from ghostsim import (
     GridSpec,
     NoiseModel,
     ProtocolConfig,
+    basis_plan,
     basis_processed_image,
     canonical_basis,
-    decompose_basis,
     derive_seed,
     edge_detect_kernel,
     kernel_autocorrelation,
-    modify_basis,
     noise_autocorrelation,
+    post_plan,
     post_process,
     predicted_amplification,
     reconstruct,
-    run_post_protocol,
+    run_basis_protocol,
 )
 
 LAGS = ((0, 1), (1, 0), (1, 1), (1, -1), (0, 2))
@@ -42,7 +42,8 @@ def main(side=32, trials=10):
     dark = np.zeros((side, side))
     protocol = ProtocolConfig(1.0)
     parent = canonical_basis(grid)
-    decomposed = decompose_basis(modify_basis(parent, kernel))
+    plain_plan = post_plan(dark, parent, protocol.repeats_per_pattern)
+    modified_plan = basis_plan(dark, parent, kernel)
 
     corr = {"basis-processed": np.zeros((side, side)),
             "post-processed": np.zeros((side, side))}
@@ -50,8 +51,8 @@ def main(side=32, trials=10):
     for i in range(trials):
         noise = NoiseModel(detector_sigma=1.0, seed=derive_seed(11, i))
         basis_img = basis_processed_image(dark, kernel, noise, protocol,
-                                          decomposed=decomposed).image
-        plain = reconstruct(run_post_protocol(dark, parent, noise, protocol), parent)
+                                          plan=modified_plan).image
+        plain = reconstruct(run_basis_protocol(plain_plan, noise, protocol), parent)
         post_img = post_process(plain, kernel)
         corr["basis-processed"] += noise_autocorrelation(basis_img) / trials
         corr["post-processed"] += noise_autocorrelation(post_img) / trials

@@ -43,19 +43,17 @@ from .bench import (
     BASIS_PROCESSED,
     METHODS,
     POST_PROCESSED,
-    CoefficientRecord,
+    MeasurementPlan,
     NoiseModel,
     ProtocolConfig,
     as_transmission,
-    bucket_read,
+    coefficients_from_draws,
     lamp_intensity,
     load_object,
-    normalization_read,
-    read_stream,
+    part_plan,
+    repeat_plan,
     run_basis_protocol,
-    run_post_protocol,
     synth_bar_target,
-    write_coefficients_csv,
 )
 from .config import ENV_PREFIX, ExperimentConfig, default_config, load_config, parse_config
 from .core import (
@@ -94,8 +92,10 @@ from .pgmio import (
 )
 from .reconstruct import (
     ReconstructionResult,
+    basis_plan,
     basis_processed_image,
     hadamard_inverse_scale,
+    post_plan,
     post_process,
     post_processed_image,
     reconstruct,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bases import PatternBasis, canonical_basis, decompose_basis, modify_basis
+from .bases import PatternBasis, canonical_basis
 from .bench import (
     BASIS_PROCESSED,
     METHODS,
@@ -36,7 +36,13 @@ from .errors import (
     NormalizationError,
 )
 from .pgmio import atomic_write_text
-from .reconstruct import ReconstructionResult, basis_processed_image, post_processed_image
+from .reconstruct import (
+    ReconstructionResult,
+    basis_plan,
+    basis_processed_image,
+    post_plan,
+    post_processed_image,
+)
 
 __all__ = [
     "RegionMask",
@@ -253,10 +259,11 @@ def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
 
     Masks are fixed once, from the noiseless filtered object: the peak from
     its top absolute values, the background from its flattest region (or from
-    ``background_rect`` when configured).  Each cell runs with its own
-    sub-seed derived from ``noise.seed``, so the sweep is reproducible and
-    order-independent; SNR is computed on the magnitude image because the
-    filtered signal is signed.
+    ``background_rect`` when configured).  The measurement plan of each route
+    is also built once, so a cell only draws noise and rebuilds.  Each cell
+    runs with its own sub-seed derived from ``noise.seed``, so the sweep is
+    reproducible and order-independent; SNR is computed on the magnitude
+    image because the filtered signal is signed.
     """
     o = np.asarray(obj, dtype=float)
     if o.ndim != 2 or o.shape[0] != o.shape[1]:
@@ -279,7 +286,10 @@ def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
             reference, background_fraction, mask_border, exclude=peak.indices
         )
 
-    decomposed = decompose_basis(modify_basis(parent, kernel))
+    # the basis plan first: its dense modified stack is the run's peak memory,
+    # and the parts the post plan decomposes would otherwise still sit in the heap
+    plans = {BASIS_PROCESSED: basis_plan(o, parent, kernel),
+             POST_PROCESSED: post_plan(o, parent, repeats_per_pattern)}
     specs = [
         (method, ti, rep)
         for method in METHODS
@@ -293,11 +303,9 @@ def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
             noise, seed=derive_seed(noise.seed, METHODS.index(method), ti, rep)
         )
         protocol = ProtocolConfig(times[ti], repeats_per_pattern, method)
-        if method == POST_PROCESSED:
-            result = post_processed_image(o, kernel, cell_noise, protocol, parent)
-        else:
-            result = basis_processed_image(o, kernel, cell_noise, protocol,
-                                           parent, decomposed)
+        route = (post_processed_image if method == POST_PROCESSED
+                 else basis_processed_image)
+        result = route(o, kernel, cell_noise, protocol, parent, plan=plans[method])
         report = compute_snr(np.abs(result.image), peak, background)
         return SweepCell(method, times[ti], rep, result, report)
 

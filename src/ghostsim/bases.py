@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hadamard as _sylvester_hadamard
 
 from .core import GridSpec, Kernel, _require_fits
 from .errors import DimensionError, UnsupportedSizeError
@@ -83,7 +82,9 @@ def hadamard_basis(grid: GridSpec) -> PatternBasis:
         raise UnsupportedSizeError(
             f"Hadamard basis needs a power-of-two grid side, got {n}"
         )
-    h = _sylvester_hadamard(grid.pixel_count, dtype=np.int8)
+    h = np.ones((1, 1), dtype=np.int8)
+    while h.shape[0] < grid.pixel_count:  # Sylvester doubling: [[H, H], [H, -H]]
+        h = np.block([[h, h], [h, -h]])
     return PatternBasis(grid, h.reshape(grid.pixel_count, n, n), HADAMARD)
 
 

@@ -6,27 +6,31 @@ that monitors the lamp.  Every detector sample picks up additive Gaussian
 read noise plus a constant background, and the bucket signal is divided by
 the normalization sample to cancel lamp fluctuations.
 
-Two acquisition protocols are provided:
+There is one acquisition protocol, the weighted one.  Each pattern ``j`` is
+projected as a list of binary parts, each part is read once by the bucket
+detector, and the reads are combined with the part weights and divided by
+one normalization read:
 
-* the repeat protocol projects each binary pattern several times and
-  averages the reads (``run_post_protocol``), and
-* the weighted protocol projects the binary parts of a multi-level pattern
-  once each and recombines them with their weights (``run_basis_protocol``).
+    coef_j = sum_p w_p * (a_j * S_p + bg + sigma * z_p) / (a_j + bg_n + sigma_n * z_j)
 
-Both share one lamp sample and one normalization read per pattern, so a
-coefficient record always carries a single normalization value.
+with ``S_p = <part_p, object>`` and ``a_j`` the lamp power at step ``j``.
+Repeating a binary pattern ``R`` times is the same formula with ``R``
+identical parts of weight ``1/R``; a multi-level pattern has one part per
+distinct level.
 
-Signal scales linearly with the detector integration time while per-read
-noise stays fixed (a read-noise-dominated detector).  Every read draws from
-its own random substream keyed by ``(seed, pattern_index, read_index)``, so
-coefficient streams are bit-identical regardless of evaluation order and
-safe to compute in parallel.
+The overlaps do not depend on the integration time, the repeat or the
+seed, so they are computed once per sweep and route into a
+:class:`MeasurementPlan` (``repeat_plan`` or ``part_plan``), which is also
+where the object and the binarity of every part are checked.  A cell then
+costs array arithmetic: :func:`run_basis_protocol` draws all of its noise
+from one counter-based Philox stream keyed by the cell seed, and
+:func:`coefficients_from_draws` turns the draws into coefficients.  Signal
+scales linearly with the integration time while per-read noise stays fixed
+(a read-noise-dominated detector).
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -35,7 +39,7 @@ import numpy as np
 from .bases import PatternBasis, SubPatternSet
 from .core import GridSpec
 from .errors import ConfigError, DimensionError, ProtocolError
-from .pgmio import atomic_write_text, read_pgm
+from .pgmio import read_pgm
 
 __all__ = [
     "POST_PROCESSED",
@@ -43,17 +47,15 @@ __all__ = [
     "METHODS",
     "NoiseModel",
     "ProtocolConfig",
-    "CoefficientRecord",
-    "read_stream",
+    "MeasurementPlan",
     "synth_bar_target",
     "as_transmission",
     "load_object",
     "lamp_intensity",
-    "bucket_read",
-    "normalization_read",
-    "run_post_protocol",
+    "repeat_plan",
+    "part_plan",
+    "coefficients_from_draws",
     "run_basis_protocol",
-    "write_coefficients_csv",
 ]
 
 POST_PROCESSED = "post-processed"
@@ -71,7 +73,7 @@ class NoiseModel:
     ``detector_sigma`` is the std of each bucket read, ``normalization_sigma``
     the std of each normalization read, and the two backgrounds are constant
     offsets added to every read of the respective photodiode (stray light).
-    ``seed`` keys every random substream of a run.
+    ``seed`` keys the one Philox stream that an acquisition draws from.
     """
 
     lamp_base: float = 1.0
@@ -115,27 +117,6 @@ class ProtocolConfig:
             raise ConfigError("repeats_per_pattern must be >= 1")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-
-
-@dataclass(frozen=True)
-class CoefficientRecord:
-    """One measured expansion coefficient with its raw detector reads."""
-
-    pattern_index: int
-    coefficient: float
-    raw_reads: tuple[float, ...]
-    normalization_read: float
-
-
-def read_stream(seed: int, pattern_index: int, read_index: int) -> np.random.Generator:
-    """Independent random substream for one detector read.
-
-    Streams are keyed, not sequential, so any evaluation order (or degree of
-    parallelism) reproduces the same draws.
-    """
-    if pattern_index < 0 or read_index < 0:
-        raise ValueError("pattern_index and read_index must be >= 0")
-    return np.random.default_rng([int(seed), int(pattern_index), int(read_index)])
 
 
 def synth_bar_target(grid: GridSpec, bar_groups: int = 3) -> np.ndarray:
@@ -186,63 +167,67 @@ def load_object(path) -> np.ndarray:
     return as_transmission(gray / maxval)
 
 
-def lamp_intensity(step: int, noise: NoiseModel, protocol: ProtocolConfig) -> float:
-    """Integrated lamp power at a measurement step.
+def lamp_intensity(step, noise: NoiseModel, protocol: ProtocolConfig):
+    """Integrated lamp power at a measurement step, or at an array of steps.
 
     ``A(step) = integration_time * lamp_base * (1 + amplitude *
     sin(2*pi*step/period))``; the drift is a deterministic slow sinusoid so
-    runs stay reproducible.
+    runs stay reproducible.  A scalar step gives a float, an array of steps
+    an array.
     """
-    if step < 0:
+    steps = np.asarray(step)
+    if np.any(steps < 0):
         raise ValueError(f"step must be >= 0, got {step}")
-    phase = 2.0 * math.pi * step / noise.lamp_drift_period
+    phase = 2.0 * math.pi * steps / noise.lamp_drift_period
     a = (protocol.integration_time_ms * noise.lamp_base
-         * (1.0 + noise.lamp_drift_amplitude * math.sin(phase)))
-    if a <= 0:
+         * (1.0 + noise.lamp_drift_amplitude * np.sin(phase)))
+    if np.any(a <= 0):
         raise ConfigError(
-            f"lamp intensity is non-positive at step {step}; "
+            "lamp intensity is non-positive at some step; "
             "lamp_drift_amplitude must stay below 1"
         )
-    return float(a)
+    return float(a) if steps.ndim == 0 else a
 
 
-def _check_pair(pattern: np.ndarray, obj: np.ndarray):
-    if pattern.shape != obj.shape:
-        raise DimensionError(
-            f"pattern shape {pattern.shape} does not match object shape {obj.shape}"
-        )
+@dataclass(frozen=True, eq=False)
+class MeasurementPlan:
+    """The noiseless part of one route's acquisition, as flat arrays.
 
-
-def bucket_read(pattern, obj, a: float, noise: NoiseModel,
-                rng: np.random.Generator) -> float:
-    """One bucket-photodiode sample for a projected pattern.
-
-    Returns ``a * <pattern, obj> + background_measure + N(0, detector_sigma^2)``.
-    The pattern is expected to be binary (decompose multi-level patterns
-    first); reads may go negative when the noise is large, by design of the
-    additive model.
+    Part ``p`` belongs to pattern ``owner[p]``, enters its coefficient with
+    weight ``weight[p]`` and overlaps the object by ``overlap[p]``.  Parts
+    of one pattern are listed in projection order.  Every pattern of the
+    grid owns at least one part.  The arrays are read-only, so one plan
+    serves every cell of a sweep, from any thread.
     """
-    pat = np.asarray(pattern, dtype=float)
-    o = np.asarray(obj, dtype=float)
-    _check_pair(pat, o)
-    value = a * float(np.dot(pat.ravel(), o.ravel())) + noise.background_measure
-    if noise.detector_sigma > 0:
-        value += noise.detector_sigma * rng.standard_normal()
-    return float(value)
 
+    grid: GridSpec
+    owner: np.ndarray
+    weight: np.ndarray
+    overlap: np.ndarray
 
-def normalization_read(a: float, noise: NoiseModel,
-                       rng: np.random.Generator) -> float:
-    """One normalization-photodiode sample:
-    ``a + background_norm + N(0, normalization_sigma^2)``."""
-    value = a + noise.background_norm
-    if noise.normalization_sigma > 0:
-        value += noise.normalization_sigma * rng.standard_normal()
-    return float(value)
+    def __post_init__(self):
+        owner = np.asarray(self.owner, dtype=np.intp)
+        weight = np.asarray(self.weight, dtype=float)
+        overlap = np.asarray(self.overlap, dtype=float)
+        if owner.ndim != 1 or weight.shape != owner.shape or overlap.shape != owner.shape:
+            raise DimensionError("plan arrays must be 1-D and of equal length")
+        m = self.pattern_count
+        if (owner.size == 0 or owner.min() < 0 or owner.max() >= m
+                or not np.all(np.bincount(owner, minlength=m))):
+            raise DimensionError(f"plan parts must cover each of the {m} patterns")
+        for name, arr in (("owner", owner), ("weight", weight), ("overlap", overlap)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
+    @property
+    def pattern_count(self) -> int:
+        """Patterns, and so normalization reads, per acquisition."""
+        return self.grid.pixel_count
 
-def _is_binary(arr: np.ndarray) -> bool:
-    return bool(np.all((arr == 0) | (arr == 1)))
+    @property
+    def bucket_reads(self) -> int:
+        """Binary frames, and so bucket reads, per acquisition."""
+        return int(self.owner.size)
 
 
 def _check_object(obj) -> np.ndarray:
@@ -256,88 +241,104 @@ def _check_object(obj) -> np.ndarray:
     return o
 
 
-def run_post_protocol(obj, basis: PatternBasis, noise: NoiseModel,
-                      protocol: ProtocolConfig) -> list[CoefficientRecord]:
-    """Acquire plain-basis coefficients: per pattern, ``repeats_per_pattern``
-    bucket reads sharing one lamp value, averaged and divided by a single
-    normalization read.
+def _overlaps(parts, o: np.ndarray) -> list[float]:
+    """``<part, o>`` for float parts of the object's shape, one dot product
+    per part, as a single bucket read computes it."""
+    flat = o.ravel()
+    return [float(np.dot(part.ravel(), flat)) for part in parts]
 
-    The basis must be binary (e.g. canonical); multi-level patterns belong in
-    :func:`run_basis_protocol` after decomposition.
+
+def _is_binary(arr: np.ndarray) -> bool:
+    return bool(np.all((arr == 0) | (arr == 1)))
+
+
+def repeat_plan(obj, basis: PatternBasis, repeats: int) -> MeasurementPlan:
+    """Plan for projecting every pattern of a binary basis ``repeats``
+    times, the reads averaged (``repeats`` identical parts of weight
+    ``1/repeats``).
+
+    Multi-level patterns belong in :func:`part_plan` after decomposition.
     """
     o = _check_object(obj)
     if o.shape != (basis.grid.side, basis.grid.side):
         raise DimensionError("object grid does not match basis grid")
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     if not _is_binary(basis.stack):
         raise ProtocolError(
             "repeat protocol needs binary patterns; decompose multi-level "
-            "patterns and use run_basis_protocol instead"
+            "patterns and use part_plan instead"
         )
-    repeats = protocol.repeats_per_pattern
-    records = []
-    for j, pattern in enumerate(basis):
-        a = lamp_intensity(j, noise, protocol)
-        reads = [
-            bucket_read(pattern, o, a, noise, read_stream(noise.seed, j, i))
-            for i in range(repeats)
-        ]
-        norm = normalization_read(a, noise, read_stream(noise.seed, j, repeats))
-        coefficient = float(sum(reads) / repeats / norm)
-        records.append(CoefficientRecord(j, coefficient, tuple(reads), norm))
-    return records
+    overlap = _overlaps((np.asarray(p, dtype=float) for p in basis), o)
+    m = len(basis)
+    return MeasurementPlan(basis.grid, np.repeat(np.arange(m), repeats),
+                           np.full(m * repeats, 1.0 / repeats),
+                           np.repeat(overlap, repeats))
 
 
-def run_basis_protocol(obj, decomposed: list[SubPatternSet], noise: NoiseModel,
-                       protocol: ProtocolConfig) -> list[CoefficientRecord]:
-    """Acquire modified-basis coefficients from binary sub-patterns.
+def part_plan(obj, decomposed: list[SubPatternSet]) -> MeasurementPlan:
+    """Plan for projecting the binary parts of decomposed patterns once
+    each, recombined with their weights.
 
-    Per parent pattern: one bucket read per binary part (each with its own
-    noise draw), combined with the part weights and divided by a single
-    shared normalization read.  The weighted combination reproduces the
-    multi-level pattern's overlap with the object, so the coefficient of the
-    modified pattern is measured without ever projecting a multi-level frame.
+    ``decomposed`` must hold exactly one :class:`SubPatternSet` per pattern
+    of the object's grid, in any order.
     """
     o = _check_object(obj)
-    records = []
+    grid = GridSpec(o.shape[0])
+    owner, weight, overlap = [], [], []
     for sub in decomposed:
         j = sub.parent_index
-        a = lamp_intensity(j, noise, protocol)
-        reads = []
-        combined = 0.0
-        for i, (part, weight) in enumerate(sub.parts):
-            p = np.asarray(part)
-            if not _is_binary(p):
-                raise ProtocolError(
-                    f"sub-pattern {i} of pattern {j} is not binary; "
-                    "decompose patterns with binary_decompose first"
-                )
-            value = bucket_read(p, o, a, noise, read_stream(noise.seed, j, i))
-            reads.append(value)
-            combined += weight * value
-        norm = normalization_read(a, noise,
-                                  read_stream(noise.seed, j, len(sub.parts)))
-        records.append(CoefficientRecord(j, float(combined / norm),
-                                         tuple(reads), norm))
-    return records
+        if any(np.shape(part) != o.shape for part, _ in sub.parts):
+            raise DimensionError(
+                f"sub-patterns of pattern {j} do not match object shape {o.shape}"
+            )
+        parts = np.array([part for part, _ in sub.parts], dtype=float)
+        if not _is_binary(parts):
+            raise ProtocolError(
+                f"pattern {j} has a sub-pattern that is not binary; "
+                "decompose patterns with binary_decompose first"
+            )
+        owner += [j] * len(parts)
+        weight += [w for _, w in sub.parts]
+        overlap += _overlaps(parts, o)
+    if len(decomposed) != grid.pixel_count:
+        raise DimensionError(
+            f"{len(decomposed)} decomposed patterns for a grid of "
+            f"{grid.pixel_count} patterns"
+        )
+    return MeasurementPlan(grid, np.array(owner, dtype=np.intp), weight, overlap)
 
 
-def write_coefficients_csv(records: list[CoefficientRecord], path):
-    """Write a coefficient stream as CSV.
+def coefficients_from_draws(plan: MeasurementPlan, lamp: np.ndarray,
+                            noise: NoiseModel, bucket_draws: np.ndarray,
+                            norm_draws: np.ndarray) -> np.ndarray:
+    """Coefficient vector of one acquisition, given its standard-normal
+    draws: ``bucket_draws[p]`` for the read of part ``p`` and
+    ``norm_draws[j]`` for the normalization read of pattern ``j``;
+    ``lamp[j]`` is the lamp power while pattern ``j`` is projected.
 
-    Columns are ``pattern_index, read_1, .., read_k, norm_read, coefficient``
-    with ``k`` the largest read count in the stream; shorter rows leave the
-    extra read columns empty.
+    Reads may go negative when the noise is large, by design of the
+    additive model.
     """
-    k = max((len(r.raw_reads) for r in records), default=0)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["pattern_index"]
-                    + [f"read_{i + 1}" for i in range(k)]
-                    + ["norm_read", "coefficient"])
-    for r in records:
-        reads = [repr(float(x)) for x in r.raw_reads]
-        reads += [""] * (k - len(reads))
-        writer.writerow([r.pattern_index, *reads,
-                         repr(float(r.normalization_read)),
-                         repr(float(r.coefficient))])
-    atomic_write_text(path, buf.getvalue())
+    reads = lamp[plan.owner] * plan.overlap + noise.background_measure
+    reads += noise.detector_sigma * bucket_draws
+    norm = lamp + noise.background_norm
+    norm += noise.normalization_sigma * norm_draws
+    combined = np.bincount(plan.owner, plan.weight * reads, plan.pattern_count)
+    return combined / norm
+
+
+def run_basis_protocol(plan: MeasurementPlan, noise: NoiseModel,
+                       protocol: ProtocolConfig) -> np.ndarray:
+    """Acquire one cell: the coefficient of every pattern of the plan.
+
+    All draws come from one Philox stream keyed by ``noise.seed``: one per
+    bucket read in plan order, then one per normalization read in pattern
+    order.  The cell is therefore reproducible on its own, in any order and
+    from any thread.
+    """
+    lamp = lamp_intensity(np.arange(plan.pattern_count), noise, protocol)
+    rng = np.random.Generator(np.random.Philox(noise.seed))
+    bucket_draws = rng.standard_normal(plan.bucket_reads)
+    norm_draws = rng.standard_normal(plan.pattern_count)
+    return coefficients_from_draws(plan, lamp, noise, bucket_draws, norm_draws)

@@ -53,13 +53,11 @@ def _parent_basis(config: ExperimentConfig):
 
 def _manifest_text(config: ExperimentConfig) -> str:
     import numpy
-    import scipy
 
     lines = [
         "# ghostsim run manifest (re-parseable as a config file)",
         f"# ghostsim_version = {__version__}",
         f"# numpy_version = {numpy.__version__}",
-        f"# scipy_version = {scipy.__version__}",
     ]
     return "\n".join(lines) + "\n" + config.to_text()
 

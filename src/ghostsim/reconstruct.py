@@ -1,15 +1,19 @@
-"""Rebuilding images from coefficient streams, and the two filter routes.
+"""Rebuilding images from coefficient vectors, and the two filter routes.
 
 The measured weight of each pattern multiplies that pattern in the
-reconstruction sum; for the canonical basis this reduces to a reshape of the
+reconstruction sum; for the canonical basis this is a reshape of the
 coefficient vector.  Reconstruction always uses the *parent* (unmodified)
 basis, also when the coefficients were acquired with a filter-modified
 illumination set: that is exactly what makes the modified-basis route return
 the filtered image directly.
 
-``post_processed_image`` and ``basis_processed_image`` run the full
-acquire-and-rebuild pipelines and return images that, in the noiseless
-limit, are equal.
+Both routes acquire through the one weighted protocol of
+:mod:`ghostsim.bench`.  A route's :class:`~ghostsim.bench.MeasurementPlan`
+is built once per sweep by :func:`post_plan` or :func:`basis_plan` and
+passed to every cell through ``plan=``; each cell then draws its noise from
+one Philox stream keyed by its seed.  ``post_processed_image`` and
+``basis_processed_image`` run the full acquire-and-rebuild pipelines and
+return images that, in the noiseless limit, are equal.
 """
 
 from __future__ import annotations
@@ -29,11 +33,12 @@ from .bases import (
 from .bench import (
     BASIS_PROCESSED,
     POST_PROCESSED,
-    CoefficientRecord,
+    MeasurementPlan,
     NoiseModel,
     ProtocolConfig,
+    part_plan,
+    repeat_plan,
     run_basis_protocol,
-    run_post_protocol,
 )
 from .core import GridSpec, Kernel, cyclic_correlate
 from .errors import DimensionError
@@ -43,40 +48,26 @@ __all__ = [
     "reconstruct",
     "post_process",
     "hadamard_inverse_scale",
+    "post_plan",
+    "basis_plan",
     "post_processed_image",
     "basis_processed_image",
 ]
 
 
 def reconstruct(coefficients, recon_basis: PatternBasis) -> np.ndarray:
-    """Sum of ``coefficient_j * pattern_j`` over the reconstruction basis.
+    """Sum of ``coefficient_j * pattern_j`` over the reconstruction basis,
+    for a coefficient vector ordered by pattern index.
 
-    ``coefficients`` is either a sequence of :class:`CoefficientRecord` (each
-    pattern index must appear exactly once) or a plain vector ordered by
-    pattern index.
+    A canonical basis needs no sum: the image is the vector reshaped.
     """
     m = len(recon_basis)
-    if len(coefficients) and isinstance(coefficients[0], CoefficientRecord):
-        vec = np.zeros(m)
-        seen = np.zeros(m, dtype=bool)
-        for rec in coefficients:
-            j = rec.pattern_index
-            if not 0 <= j < m:
-                raise DimensionError(f"pattern index {j} outside basis of size {m}")
-            if seen[j]:
-                raise DimensionError(f"duplicate coefficient for pattern {j}")
-            seen[j] = True
-            vec[j] = rec.coefficient
-        if not seen.all():
-            raise DimensionError(
-                f"coefficient stream covers {int(seen.sum())} of {m} patterns"
-            )
-    else:
-        vec = np.asarray(coefficients, dtype=float)
-        if vec.shape != (m,):
-            raise DimensionError(
-                f"expected {m} coefficients, got shape {vec.shape}"
-            )
+    vec = np.asarray(coefficients, dtype=float)
+    if vec.shape != (m,):
+        raise DimensionError(f"expected {m} coefficients, got shape {vec.shape}")
+    if recon_basis.label == CANONICAL:
+        side = recon_basis.grid.side
+        return vec.reshape(side, side).copy()
     return np.tensordot(vec, recon_basis.stack, axes=(0, 0))
 
 
@@ -114,37 +105,61 @@ class ReconstructionResult:
     provenance: tuple[str, str, int]
 
 
-def _grid_of(obj: np.ndarray) -> GridSpec:
-    if obj.ndim != 2 or obj.shape[0] != obj.shape[1]:
-        raise DimensionError(f"object must be a square 2-D image, got {obj.shape}")
-    return GridSpec(obj.shape[0])
-
-
-def _rebuild(records, parent: PatternBasis) -> np.ndarray:
-    raw = reconstruct(records, parent)
+def _rebuild(coefficients: np.ndarray, parent: PatternBasis) -> np.ndarray:
+    raw = reconstruct(coefficients, parent)
     if parent.label == HADAMARD:
         raw = hadamard_inverse_scale(raw, parent.grid)
     return raw
 
 
+def post_plan(obj, parent: PatternBasis, repeats_per_pattern: int) -> MeasurementPlan:
+    """Plan of the post-processed route: a canonical (binary) parent is
+    repeated ``repeats_per_pattern`` times per pattern, any other parent is
+    projected through its binary sub-patterns, which costs the same number
+    of frames per +/-1 pattern."""
+    if parent.label == CANONICAL:
+        return repeat_plan(obj, parent, repeats_per_pattern)
+    return part_plan(obj, decompose_basis(parent))
+
+
+def basis_plan(obj, parent: PatternBasis, kernel: Kernel) -> MeasurementPlan:
+    """Plan of the basis-processed route: the binary parts of the
+    filter-modified parent."""
+    return part_plan(obj, decompose_basis(modify_basis(parent, kernel)))
+
+
+def _setup(obj, parent: PatternBasis | None) -> tuple[np.ndarray, PatternBasis]:
+    """The object as floats, and the parent basis (canonical by default)."""
+    o = np.asarray(obj, dtype=float)
+    if o.ndim != 2 or o.shape[0] != o.shape[1]:
+        raise DimensionError(f"object must be a square 2-D image, got {o.shape}")
+    return o, parent if parent is not None else canonical_basis(GridSpec(o.shape[0]))
+
+
+def _check_plan(plan: MeasurementPlan, parent: PatternBasis):
+    if plan.grid != parent.grid:
+        raise DimensionError(
+            f"plan grid side {plan.grid.side} does not match basis grid side "
+            f"{parent.grid.side}"
+        )
+
+
 def post_processed_image(obj, kernel: Kernel, noise: NoiseModel,
                          protocol: ProtocolConfig,
-                         parent: PatternBasis | None = None) -> ReconstructionResult:
+                         parent: PatternBasis | None = None,
+                         plan: MeasurementPlan | None = None) -> ReconstructionResult:
     """Measure in the plain basis, reconstruct, then filter the image.
 
-    Canonical (binary) bases are acquired with the repeat protocol; a
-    Hadamard parent is acquired through its binary sub-patterns, which costs
-    the same number of frames per +/-1 pattern.
+    ``plan`` may carry a precomputed :func:`post_plan` so sweeps build it
+    once; the plan then fixes the frames and ``repeats_per_pattern`` of
+    ``protocol`` is not consulted.
     """
-    o = np.asarray(obj, dtype=float)
-    grid = _grid_of(o)
-    if parent is None:
-        parent = canonical_basis(grid)
-    if parent.label == CANONICAL:
-        records = run_post_protocol(o, parent, noise, protocol)
-    else:
-        records = run_basis_protocol(o, decompose_basis(parent), noise, protocol)
-    image = post_process(_rebuild(records, parent), kernel)
+    o, parent = _setup(obj, parent)
+    if plan is None:
+        plan = post_plan(o, parent, protocol.repeats_per_pattern)
+    _check_plan(plan, parent)
+    coefficients = run_basis_protocol(plan, noise, protocol)
+    image = post_process(_rebuild(coefficients, parent), kernel)
     return ReconstructionResult(
         image, POST_PROCESSED, (parent.label, kernel.name or "custom", noise.seed)
     )
@@ -153,22 +168,19 @@ def post_processed_image(obj, kernel: Kernel, noise: NoiseModel,
 def basis_processed_image(obj, kernel: Kernel, noise: NoiseModel,
                           protocol: ProtocolConfig,
                           parent: PatternBasis | None = None,
-                          decomposed=None) -> ReconstructionResult:
+                          plan: MeasurementPlan | None = None) -> ReconstructionResult:
     """Measure with the filter-modified basis; the reconstruction in the
     parent basis is already the filtered image.
 
-    ``decomposed`` may carry a precomputed
-    ``decompose_basis(modify_basis(parent, kernel))`` so sweeps do not rebuild
-    the modified patterns for every run.
+    ``plan`` may carry a precomputed :func:`basis_plan` so sweeps do not
+    rebuild the modified patterns for every run.
     """
-    o = np.asarray(obj, dtype=float)
-    grid = _grid_of(o)
-    if parent is None:
-        parent = canonical_basis(grid)
-    if decomposed is None:
-        decomposed = decompose_basis(modify_basis(parent, kernel))
-    records = run_basis_protocol(o, decomposed, noise, protocol)
-    image = _rebuild(records, parent)
+    o, parent = _setup(obj, parent)
+    if plan is None:
+        plan = basis_plan(o, parent, kernel)
+    _check_plan(plan, parent)
+    coefficients = run_basis_protocol(plan, noise, protocol)
+    image = _rebuild(coefficients, parent)
     return ReconstructionResult(
         image, BASIS_PROCESSED, (parent.label, kernel.name or "custom", noise.seed)
     )

@@ -14,6 +14,7 @@ from ghostsim import (
     GridSpec,
     NoiseModel,
     ProtocolConfig,
+    basis_plan,
     basis_processed_image,
     build_operator_matrix,
     canonical_basis,
@@ -28,9 +29,10 @@ from ghostsim import (
     modify_basis,
     noise_autocorrelation,
     parse_config,
+    part_plan,
+    post_plan,
     post_processed_image,
     run_basis_protocol,
-    run_post_protocol,
     snr_sweep,
     summarize_sweep,
     synth_bar_target,
@@ -71,14 +73,15 @@ def test_criterion_1_operator_equivalence(rng):
     op = build_operator_matrix(EDGE, grid)
     quiet = NoiseModel()
     protocol = ProtocolConfig(1.0)
-    decomposed = decompose_basis(modify_basis(canonical_basis(grid), EDGE))
+    parent = canonical_basis(grid)
+    modified = decompose_basis(modify_basis(parent, EDGE))
     worst = 0.0
     for _ in range(50):
         obj = rng.uniform(0.0, 1.0, size=(8, 8))
         oracle = unflatten(op.T @ flatten(obj), grid)
         scale = np.abs(oracle).max()
-        basis_img = basis_processed_image(obj, EDGE, quiet, protocol,
-                                          decomposed=decomposed).image
+        basis_img = basis_processed_image(obj, EDGE, quiet, protocol, parent,
+                                          plan=part_plan(obj, modified)).image
         post_img = post_processed_image(obj, EDGE, quiet, protocol).image
         worst = max(worst,
                     np.abs(basis_img - oracle).max() / scale,
@@ -108,17 +111,18 @@ def test_criterion_3_measurement_parity():
     obj = synth_bar_target(grid, 3)
     noise = NoiseModel(detector_sigma=0.5, seed=3)
     protocol = ProtocolConfig(1.0, repeats_per_pattern=2)
-    post_records = run_post_protocol(obj, canonical_basis(grid), noise, protocol)
-    decomposed = decompose_basis(modify_basis(canonical_basis(grid), EDGE))
-    basis_records = run_basis_protocol(obj, decomposed, noise, protocol)
-    post_reads = sum(len(r.raw_reads) for r in post_records)
-    basis_reads = sum(len(r.raw_reads) for r in basis_records)
-    ok = (post_reads == 2 * 64 * 64 == basis_reads
-          and len(post_records) == 64 * 64 == len(basis_records))
+    parent = canonical_basis(grid)
+    post = post_plan(obj, parent, protocol.repeats_per_pattern)
+    basis = basis_plan(obj, parent, EDGE)
+    post_coefficients = run_basis_protocol(post, noise, protocol)
+    basis_coefficients = run_basis_protocol(basis, noise, protocol)
+    ok = (post.bucket_reads == 2 * 64 * 64 == basis.bucket_reads
+          and post.pattern_count == 64 * 64 == basis.pattern_count
+          and post_coefficients.shape == (64 * 64,) == basis_coefficients.shape)
     assert report(
         f"criterion 3: measurement parity at side 64 "
-        f"(bucket reads {post_reads}/{basis_reads}, "
-        f"normalization reads {len(post_records)}/{len(basis_records)})", ok)
+        f"(bucket reads {post.bucket_reads}/{basis.bucket_reads}, "
+        f"normalization reads {post.pattern_count}/{basis.pattern_count})", ok)
 
 
 def test_criterion_4_noise_character():
@@ -127,16 +131,19 @@ def test_criterion_4_noise_character():
     grid = GridSpec(side)
     zero = np.zeros((side, side))
     protocol = ProtocolConfig(1.0)
-    decomposed = decompose_basis(modify_basis(canonical_basis(grid), EDGE))
+    parent = canonical_basis(grid)
+    plans = post_plan(zero, parent, protocol.repeats_per_pattern), \
+        basis_plan(zero, parent, EDGE)
     acc_basis = np.zeros((side, side))
     acc_post = np.zeros((side, side))
     for i in range(trials):
         noise = NoiseModel(detector_sigma=1.0, seed=derive_seed(2026, i))
         acc_basis += noise_autocorrelation(
-            basis_processed_image(zero, EDGE, noise, protocol,
-                                  decomposed=decomposed).image)
+            basis_processed_image(zero, EDGE, noise, protocol, parent,
+                                  plan=plans[1]).image)
         acc_post += noise_autocorrelation(
-            post_processed_image(zero, EDGE, noise, protocol).image)
+            post_processed_image(zero, EDGE, noise, protocol, parent,
+                                 plan=plans[0]).image)
     acc_basis /= trials
     acc_post /= trials
 

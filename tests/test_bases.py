@@ -63,6 +63,14 @@ class TestHadamardBasis:
         with pytest.raises(UnsupportedSizeError):
             hadamard_basis(GridSpec(side))
 
+    @pytest.mark.parametrize("side", [1, 2, 4, 8, 16])
+    def test_matches_scipy_sylvester_matrix(self, side):
+        linalg = pytest.importorskip("scipy.linalg")
+        basis = hadamard_basis(GridSpec(side))
+        expected = linalg.hadamard(side * side, dtype=np.int8)
+        assert basis.stack.dtype == np.int8
+        assert np.array_equal(basis.stack.reshape(side * side, -1), expected)
+
     def test_entries_are_plus_minus_one(self):
         basis = hadamard_basis(GridSpec(4))
         assert set(np.unique(basis.stack)) == {-1, 1}

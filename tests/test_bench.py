@@ -1,6 +1,6 @@
-"""Virtual bench: target synthesis, lamp model, detector reads, protocols."""
+"""Virtual bench: target synthesis, lamp model, measurement plans, the protocol."""
 
-import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,18 +12,17 @@ from ghostsim import (
     NoiseModel,
     ProtocolConfig,
     ProtocolError,
-    bucket_read,
+    SubPatternSet,
     canonical_basis,
+    coefficients_from_draws,
     decompose_basis,
     hadamard_basis,
     lamp_intensity,
     modify_basis,
-    normalization_read,
-    read_stream,
+    part_plan,
+    repeat_plan,
     run_basis_protocol,
-    run_post_protocol,
     synth_bar_target,
-    write_coefficients_csv,
 )
 
 QUIET = NoiseModel()  # all noise and backgrounds off, lamp base 1
@@ -91,166 +90,201 @@ class TestLampIntensity:
         noise = NoiseModel(lamp_drift_amplitude=2.0, lamp_drift_period=4.0)
         with pytest.raises(ConfigError):
             lamp_intensity(3, noise, ProtocolConfig(1.0))  # trough: 1 + 2*sin(3pi/2) < 0
+        with pytest.raises(ConfigError):
+            lamp_intensity(np.arange(4), noise, ProtocolConfig(1.0))
+
+    def test_array_matches_scalar_steps(self):
+        noise = NoiseModel(lamp_base=1.5, lamp_drift_amplitude=0.4,
+                           lamp_drift_period=37.0)
+        protocol = ProtocolConfig(3.0)
+        steps = np.arange(100)
+        expected = [lamp_intensity(int(s), noise, protocol) for s in steps]
+        assert lamp_intensity(steps, noise, protocol).tolist() == expected
+
+
+def plan_noise_samples(plan, noise, seeds, protocol=None):
+    """Coefficient vectors of one plan over many cell seeds, stacked."""
+    protocol = protocol or ProtocolConfig(1.0)
+    return np.stack([
+        run_basis_protocol(plan, replace(noise, seed=seed), protocol)
+        for seed in seeds
+    ])
 
 
 class TestBucketRead:
+    """The bucket read of a part is ``a * <part, O> + background + noise``."""
+
     def test_noiseless_overlap(self):
-        pattern = np.ones((2, 2))
         obj = np.full((2, 2), 0.5)
-        value = bucket_read(pattern, obj, 1.0, QUIET, read_stream(0, 0, 0))
-        assert value == 2.0
+        plan = repeat_plan(obj, canonical_basis(GridSpec(2)), 1)
+        assert plan.overlap.tolist() == [0.5] * 4
+        sub = SubPatternSet(0, ((np.ones((2, 2), dtype=np.uint8), 1.0),))
+        rest = decompose_basis(canonical_basis(GridSpec(2)))[1:]
+        assert part_plan(obj, [sub, *rest]).overlap[0] == 2.0
 
     def test_zero_pattern_gives_background(self):
         noise = NoiseModel(background_measure=3.25)
-        value = bucket_read(np.zeros((2, 2)), np.ones((2, 2)), 5.0, noise,
-                            read_stream(0, 0, 0))
-        assert value == 3.25
+        zero = [SubPatternSet(j, ((np.zeros((2, 2), dtype=np.uint8), 1.0),))
+                for j in range(4)]
+        plan = part_plan(np.ones((2, 2)), zero)
+        coefficients = run_basis_protocol(plan, noise, ProtocolConfig(5.0))
+        assert coefficients.tolist() == [3.25 / 5.0] * 4
 
     def test_grid_mismatch(self):
+        wrong = [SubPatternSet(j, ((np.zeros((2, 2), dtype=np.uint8), 1.0),))
+                 for j in range(9)]
         with pytest.raises(DimensionError):
-            bucket_read(np.zeros((2, 2)), np.zeros((3, 3)), 1.0, QUIET,
-                        read_stream(0, 0, 0))
+            part_plan(np.zeros((3, 3)), wrong)
+        with pytest.raises(DimensionError):
+            repeat_plan(np.zeros((3, 3)), canonical_basis(GridSpec(2)), 1)
 
     def test_noise_std(self):
-        # sample std over 1e5 reads of fixed inputs matches detector_sigma
+        # sample std over ~1e5 single reads of fixed inputs matches detector_sigma
         noise = NoiseModel(detector_sigma=0.7)
-        rng = read_stream(noise.seed, 0, 0)
-        pattern = np.ones((2, 2))
-        obj = np.full((2, 2), 0.25)
-        reads = np.array([bucket_read(pattern, obj, 1.0, noise, rng)
-                          for _ in range(100_000)])
+        plan = repeat_plan(np.full((32, 32), 0.25), canonical_basis(GridSpec(32)), 1)
+        reads = plan_noise_samples(plan, noise, range(100)).ravel()
         assert reads.std() == pytest.approx(0.7, rel=0.02)
-        assert reads.mean() == pytest.approx(1.0, abs=5 * 0.7 / np.sqrt(100_000))
+        assert reads.mean() == pytest.approx(0.25, abs=5 * 0.7 / np.sqrt(reads.size))
 
 
 class TestNormalizationRead:
-    def test_noiseless(self):
+    """The normalization read of a pattern is ``a + background_norm + noise``."""
+
+    def test_noiseless(self, rng):
+        obj = rng.uniform(0.0, 1.0, size=(2, 2))
+        plan = repeat_plan(obj, canonical_basis(GridSpec(2)), 1)
         noise = NoiseModel(background_norm=0.5)
-        assert normalization_read(4.0, noise, read_stream(0, 0, 0)) == 4.5
-        assert normalization_read(4.0, QUIET, read_stream(0, 0, 0)) == 4.0
+        got = run_basis_protocol(plan, noise, ProtocolConfig(4.0))
+        assert got.tolist() == (4.0 * obj.ravel() / 4.5).tolist()
+        got = run_basis_protocol(plan, NoiseModel(), ProtocolConfig(4.0))
+        assert got.tolist() == (4.0 * obj.ravel() / 4.0).tolist()
 
     def test_sample_mean(self):
+        # a clear object gives coefficient a / norm_read, so norm_read = 2 / coefficient
         noise = NoiseModel(normalization_sigma=0.3, background_norm=1.0)
-        rng = read_stream(noise.seed, 0, 0)
-        reads = np.array([normalization_read(2.0, noise, rng)
-                          for _ in range(100_000)])
-        stderr = 0.3 / np.sqrt(100_000)
+        plan = repeat_plan(np.ones((32, 32)), canonical_basis(GridSpec(32)), 1)
+        reads = 2.0 / plan_noise_samples(plan, noise, range(100),
+                                         ProtocolConfig(2.0)).ravel()
+        stderr = 0.3 / np.sqrt(reads.size)
         assert abs(reads.mean() - 3.0) < 3 * stderr
 
 
 class TestReadStream:
+    """All draws of a cell come from one stream keyed by the cell seed."""
+
     def test_keyed_streams_are_reproducible(self):
-        a = read_stream(7, 3, 1).standard_normal()
-        b = read_stream(7, 3, 1).standard_normal()
-        c = read_stream(7, 3, 2).standard_normal()
-        assert a == b
-        assert a != c
+        plan = repeat_plan(np.full((4, 4), 0.5), canonical_basis(GridSpec(4)), 2)
+        noise = NoiseModel(detector_sigma=1.0, normalization_sigma=0.1)
+        a, b, c = plan_noise_samples(plan, noise, (7, 7, 8))
+        assert np.array_equal(a, b)
+        assert not np.any(a == c)
 
     def test_negative_keys_rejected(self):
-        with pytest.raises(ValueError):
-            read_stream(1, -1, 0)
+        with pytest.raises(ConfigError):
+            NoiseModel(seed=-1)
+        with pytest.raises(ConfigError):
+            NoiseModel(seed=2**64)
 
 
 class TestPostProtocol:
+    """The repeat route: a binary basis, each pattern read several times."""
+
     def test_noiseless_coefficients(self, rng):
         grid = GridSpec(4)
         obj = rng.uniform(0.0, 1.0, size=(4, 4))
-        basis = canonical_basis(grid)
-        records = run_post_protocol(obj, basis, QUIET, ProtocolConfig(1.0))
-        coeffs = np.array([r.coefficient for r in records])
+        plan = repeat_plan(obj, canonical_basis(grid), 2)
+        coeffs = run_basis_protocol(plan, QUIET, ProtocolConfig(1.0))
         assert np.array_equal(coeffs, obj.ravel())
 
     def test_read_counts(self):
-        grid = GridSpec(8)
-        obj = np.zeros((8, 8))
-        records = run_post_protocol(obj, canonical_basis(grid), QUIET,
-                                    ProtocolConfig(1.0, repeats_per_pattern=2))
-        assert sum(len(r.raw_reads) for r in records) == 2 * 64
-        assert len(records) == 64  # one normalization read per pattern
+        plan = repeat_plan(np.zeros((8, 8)), canonical_basis(GridSpec(8)), 2)
+        assert plan.bucket_reads == 2 * 64
+        assert plan.pattern_count == 64  # one normalization read per pattern
+        assert np.array_equal(np.bincount(plan.owner), np.full(64, 2))
+        assert np.all(plan.weight == 0.5)
 
     def test_deterministic_for_fixed_seed(self):
         grid = GridSpec(4)
-        obj = synth_bar_target(GridSpec(16), 1)[:4, :4] * 0 + 0.5
+        obj = np.full((4, 4), 0.5)
         noise = NoiseModel(detector_sigma=0.5, normalization_sigma=0.1, seed=11)
         protocol = ProtocolConfig(2.0)
-        first = run_post_protocol(obj, canonical_basis(grid), noise, protocol)
-        second = run_post_protocol(obj, canonical_basis(grid), noise, protocol)
-        assert first == second
+        first = run_basis_protocol(repeat_plan(obj, canonical_basis(grid), 2),
+                                   noise, protocol)
+        second = run_basis_protocol(repeat_plan(obj, canonical_basis(grid), 2),
+                                    noise, protocol)
+        assert np.array_equal(first, second)
 
     def test_rejects_non_binary_basis(self):
-        grid = GridSpec(4)
-        basis = hadamard_basis(grid)
+        basis = hadamard_basis(GridSpec(4))
         with pytest.raises(ProtocolError):
-            run_post_protocol(np.zeros((4, 4)), basis, QUIET, ProtocolConfig(1.0))
+            repeat_plan(np.zeros((4, 4)), basis, 2)
 
     def test_rejects_out_of_range_object(self):
-        grid = GridSpec(2)
         with pytest.raises(ProtocolError):
-            run_post_protocol(np.full((2, 2), 1.5), canonical_basis(grid),
-                              QUIET, ProtocolConfig(1.0))
+            repeat_plan(np.full((2, 2), 1.5), canonical_basis(GridSpec(2)), 2)
+        with pytest.raises(ProtocolError):
+            part_plan(np.full((2, 2), -0.5),
+                      decompose_basis(canonical_basis(GridSpec(2))))
+        with pytest.raises(DimensionError):
+            repeat_plan(np.full((2, 2), np.nan), canonical_basis(GridSpec(2)), 2)
 
 
 class TestBasisProtocol:
-    def setup_decomposed(self, side, kernel):
-        grid = GridSpec(side)
-        basis = canonical_basis(grid)
-        return decompose_basis(modify_basis(basis, kernel))
+    """The part route: binary parts of multi-level patterns, read once each."""
+
+    def setup_plan(self, side, kernel, obj):
+        modified = modify_basis(canonical_basis(GridSpec(side)), kernel)
+        return part_plan(obj, decompose_basis(modified))
 
     def test_noiseless_coefficients(self, rng, edge_kernel):
         obj = rng.uniform(0.0, 1.0, size=(4, 4))
         modified = modify_basis(canonical_basis(GridSpec(4)), edge_kernel)
-        records = run_basis_protocol(obj, decompose_basis(modified), QUIET,
-                                     ProtocolConfig(1.0))
+        got = run_basis_protocol(part_plan(obj, decompose_basis(modified)), QUIET,
+                                 ProtocolConfig(1.0))
         expected = np.array([
             float(np.sum(np.asarray(modified.pattern(j)) * obj))
             for j in range(len(modified))
         ])
-        got = np.array([r.coefficient for r in records])
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_read_parity_with_post_protocol(self, edge_kernel):
-        decomposed = self.setup_decomposed(8, edge_kernel)
         obj = np.full((8, 8), 0.5)
-        records = run_basis_protocol(obj, decomposed, QUIET, ProtocolConfig(1.0))
-        assert sum(len(r.raw_reads) for r in records) == 2 * 64
-        assert len(records) == 64
+        plan = self.setup_plan(8, edge_kernel, obj)
+        repeated = repeat_plan(obj, canonical_basis(GridSpec(8)), 2)
+        assert plan.bucket_reads == repeated.bucket_reads == 2 * 64
+        assert plan.pattern_count == repeated.pattern_count == 64
 
     def test_combined_noise_is_root_two_sigma(self, edge_kernel):
-        # two unit-weight reads combine in quadrature
+        # two unit-weight reads per pattern combine in quadrature
         sigma = 0.5
-        noise = NoiseModel(detector_sigma=sigma, seed=21)
-        decomposed = self.setup_decomposed(4, edge_kernel)
-        sub = decomposed[5]
-        obj = np.full((4, 4), 0.5)
-        combos = []
-        rng = read_stream(noise.seed, 0, 0)
-        for _ in range(100_000):
-            reads = [bucket_read(part, obj, 1.0, noise, rng) for part, _ in sub.parts]
-            combos.append(sum(w * r for (_, w), r in zip(sub.parts, reads)))
-        assert np.std(combos) == pytest.approx(np.sqrt(2) * sigma, rel=0.02)
+        noise = NoiseModel(detector_sigma=sigma)
+        obj = np.full((32, 32), 0.5)
+        plan = self.setup_plan(32, edge_kernel, obj)
+        assert np.array_equal(np.abs(plan.weight), np.ones(2 * 1024))
+        combos = plan_noise_samples(plan, noise, range(100))
+        clean = run_basis_protocol(plan, QUIET, ProtocolConfig(1.0))
+        assert np.std(combos - clean) == pytest.approx(np.sqrt(2) * sigma, rel=0.02)
 
     def test_rejects_non_binary_parts(self):
-        from ghostsim import SubPatternSet
-
         bad = SubPatternSet(0, ((np.full((2, 2), 0.5), 1.0),))
         with pytest.raises(ProtocolError):
-            run_basis_protocol(np.zeros((2, 2)), [bad], QUIET, ProtocolConfig(1.0))
+            part_plan(np.zeros((2, 2)), [bad])
 
     def test_deterministic_for_fixed_seed(self, edge_kernel):
-        decomposed = self.setup_decomposed(4, edge_kernel)
         obj = np.full((4, 4), 0.25)
+        plan = self.setup_plan(4, edge_kernel, obj)
         noise = NoiseModel(detector_sigma=0.3, normalization_sigma=0.05, seed=9)
-        first = run_basis_protocol(obj, decomposed, noise, ProtocolConfig(3.0))
-        second = run_basis_protocol(obj, decomposed, noise, ProtocolConfig(3.0))
-        assert first == second
+        first = run_basis_protocol(plan, noise, ProtocolConfig(3.0))
+        second = run_basis_protocol(plan, noise, ProtocolConfig(3.0))
+        assert np.array_equal(first, second)
 
 
 class TestNormalizationSusceptibility:
-    """First-order effect of normalization noise on the two protocols.
+    """First-order effect of normalization noise on the two routes.
 
     With only normalization noise on, the measured coefficient error is the
-    clean coefficient times -eps3/A to first order; the drawn eps3 is
-    recovered from the stored normalization read.
+    clean coefficient times -eps3/A to first order; the draws are given, so
+    eps3 is known exactly.
     """
 
     def test_first_order_error_both_protocols(self, rng, edge_kernel):
@@ -259,44 +293,20 @@ class TestNormalizationSusceptibility:
         obj = rng.uniform(0.2, 1.0, size=(side, side))
         a = 1.0  # integration time 1, lamp base 1, no drift
         sigma3 = 1e-3 * a
-        noise = NoiseModel(normalization_sigma=sigma3, seed=5)
-        protocol = ProtocolConfig(1.0)
-
-        records = run_post_protocol(obj, canonical_basis(grid), noise, protocol)
-        clean = obj.ravel()
-        for rec, o_j in zip(records, clean):
-            eps3 = rec.normalization_read - a
-            predicted = -o_j * eps3 / a
-            simulated = rec.coefficient - o_j
-            assert simulated == pytest.approx(predicted, rel=0.1)
+        noise = NoiseModel(normalization_sigma=sigma3)
+        lamp = np.full(grid.pixel_count, a)
+        z_norm = rng.standard_normal(grid.pixel_count)
+        eps3 = sigma3 * z_norm
 
         modified = modify_basis(canonical_basis(grid), edge_kernel)
-        records = run_basis_protocol(obj, decompose_basis(modified), noise, protocol)
-        for rec in records:
-            m_j = float(np.sum(np.asarray(modified.pattern(rec.pattern_index)) * obj))
-            if abs(m_j) < 1e-6:
-                continue
-            eps3 = rec.normalization_read - a
-            predicted = -m_j * eps3 / a
-            simulated = rec.coefficient - m_j
-            assert simulated == pytest.approx(predicted, rel=0.1)
-
-
-def test_coefficients_csv_round_trip(tmp_path, edge_kernel):
-    grid = GridSpec(4)
-    obj = np.full((4, 4), 0.5)
-    noise = NoiseModel(detector_sigma=0.2, seed=3)
-    decomposed = decompose_basis(modify_basis(canonical_basis(grid), edge_kernel))
-    records = run_basis_protocol(obj, decomposed, noise, ProtocolConfig(1.0))
-    path = tmp_path / "coeffs.csv"
-    write_coefficients_csv(records, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["pattern_index", "read_1", "read_2", "norm_read", "coefficient"]
-    assert len(rows) == 1 + len(records)
-    for row, rec in zip(rows[1:], records):
-        assert int(row[0]) == rec.pattern_index
-        assert float(row[1]) == rec.raw_reads[0]
-        assert float(row[2]) == rec.raw_reads[1]
-        assert float(row[3]) == rec.normalization_read
-        assert float(row[4]) == rec.coefficient
+        routes = (
+            (repeat_plan(obj, canonical_basis(grid), 2), obj.ravel()),
+            (part_plan(obj, decompose_basis(modified)),
+             np.array([float(np.sum(np.asarray(p) * obj)) for p in modified])),
+        )
+        for plan, clean in routes:
+            got = coefficients_from_draws(plan, lamp, noise,
+                                          np.zeros(plan.bucket_reads), z_norm)
+            keep = np.abs(clean) >= 1e-6
+            predicted = -clean * eps3 / a
+            assert (got - clean)[keep] == pytest.approx(predicted[keep], rel=0.1)

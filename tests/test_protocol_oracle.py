@@ -1,0 +1,190 @@
+"""The vectorised protocol against the per-read loop it replaces, and against
+the dense operator.
+
+The reference below is the acquisition as one read at a time: a keyed
+random substream per detector read, one bucket read per binary part (or per
+repeat) and one normalization read per pattern.  Fed the same draws, the
+plan-based cell must reproduce it bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from ghostsim import (
+    GridSpec,
+    NoiseModel,
+    ProtocolConfig,
+    build_operator_matrix,
+    canonical_basis,
+    coefficients_from_draws,
+    decompose_basis,
+    edge_detect_kernel,
+    hadamard_basis,
+    lamp_intensity,
+    modify_basis,
+    part_plan,
+    repeat_plan,
+    run_basis_protocol,
+)
+
+EDGE = edge_detect_kernel()
+ALL_NOISE = NoiseModel(lamp_base=1.3, lamp_drift_amplitude=0.2, lamp_drift_period=37.0,
+                       detector_sigma=0.5, normalization_sigma=0.05,
+                       background_measure=0.1, background_norm=0.02, seed=20261018)
+PROTOCOL = ProtocolConfig(3.0)
+
+
+# ------------------------------------------------------------ reference
+
+def read_stream(seed: int, pattern_index: int, read_index: int) -> np.random.Generator:
+    """Independent random substream for one detector read."""
+    if pattern_index < 0 or read_index < 0:
+        raise ValueError("pattern_index and read_index must be >= 0")
+    return np.random.default_rng([int(seed), int(pattern_index), int(read_index)])
+
+
+def bucket_read(pattern, obj, a, noise, rng) -> float:
+    """``a * <pattern, obj> + background_measure + N(0, detector_sigma^2)``."""
+    pat = np.asarray(pattern, dtype=float)
+    o = np.asarray(obj, dtype=float)
+    value = a * float(np.dot(pat.ravel(), o.ravel())) + noise.background_measure
+    if noise.detector_sigma > 0:
+        value += noise.detector_sigma * rng.standard_normal()
+    return float(value)
+
+
+def normalization_read(a, noise, rng) -> float:
+    """``a + background_norm + N(0, normalization_sigma^2)``."""
+    value = a + noise.background_norm
+    if noise.normalization_sigma > 0:
+        value += noise.normalization_sigma * rng.standard_normal()
+    return float(value)
+
+
+def loop_post_protocol(obj, basis, noise, protocol) -> np.ndarray:
+    """Repeat protocol: ``repeats`` reads per pattern, averaged, divided by
+    one normalization read."""
+    repeats = protocol.repeats_per_pattern
+    out = np.zeros(len(basis))
+    for j, pattern in enumerate(basis):
+        a = lamp_intensity(j, noise, protocol)
+        reads = [bucket_read(pattern, obj, a, noise, read_stream(noise.seed, j, i))
+                 for i in range(repeats)]
+        norm = normalization_read(a, noise, read_stream(noise.seed, j, repeats))
+        out[j] = float(sum(reads) / repeats / norm)
+    return out
+
+
+def loop_basis_protocol(obj, decomposed, noise, protocol) -> np.ndarray:
+    """Weighted protocol: one read per binary part, weighted sum, divided by
+    one normalization read."""
+    out = np.zeros(len(decomposed))
+    for sub in decomposed:
+        j = sub.parent_index
+        a = lamp_intensity(j, noise, protocol)
+        combined = 0.0
+        for i, (part, weight) in enumerate(sub.parts):
+            combined += weight * bucket_read(part, obj, a, noise,
+                                             read_stream(noise.seed, j, i))
+        norm = normalization_read(a, noise, read_stream(noise.seed, j, len(sub.parts)))
+        out[j] = float(combined / norm)
+    return out
+
+
+def reference_draws(plan, seed):
+    """The reference's draws laid out for the plan: part ``i`` of pattern
+    ``j`` reads substream ``(j, i)``; the normalization read of ``j`` reads
+    ``(j, parts of j)``."""
+    owner = plan.owner.tolist()
+    index, seen = [], {}
+    for j in owner:
+        index.append(seen.get(j, 0))
+        seen[j] = index[-1] + 1
+    bucket = np.array([read_stream(seed, j, i).standard_normal()
+                       for j, i in zip(owner, index)])
+    norm = np.array([read_stream(seed, j, seen[j]).standard_normal()
+                     for j in range(plan.pattern_count)])
+    return bucket, norm
+
+
+def plan_cell(plan, noise, protocol):
+    lamp = lamp_intensity(np.arange(plan.pattern_count), noise, protocol)
+    return coefficients_from_draws(plan, lamp, noise, *reference_draws(plan, noise.seed))
+
+
+# ------------------------------------------------------------ exact oracle
+
+@pytest.fixture(scope="module")
+def side8_object():
+    return np.random.default_rng(8).uniform(0.0, 1.0, size=(8, 8))
+
+
+@pytest.mark.parametrize("repeats", [1, 2])
+def test_canonical_repeats_match_loop(side8_object, repeats):
+    basis = canonical_basis(GridSpec(8))
+    protocol = ProtocolConfig(PROTOCOL.integration_time_ms, repeats)
+    plan = repeat_plan(side8_object, basis, repeats)
+    want = loop_post_protocol(side8_object, basis, ALL_NOISE, protocol)
+    assert np.array_equal(plan_cell(plan, ALL_NOISE, protocol), want)
+
+
+DECOMPOSED_BASES = {
+    "modified-canonical": lambda grid: modify_basis(canonical_basis(grid), EDGE),
+    "hadamard": hadamard_basis,
+    "modified-hadamard": lambda grid: modify_basis(hadamard_basis(grid), EDGE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSED_BASES))
+def test_decomposed_bases_match_loop(side8_object, name):
+    decomposed = decompose_basis(DECOMPOSED_BASES[name](GridSpec(8)))
+    plan = part_plan(side8_object, decomposed)
+    want = loop_basis_protocol(side8_object, decomposed, ALL_NOISE, PROTOCOL)
+    assert np.array_equal(plan_cell(plan, ALL_NOISE, PROTOCOL), want)
+
+
+def test_reference_streams_are_keyed():
+    a = read_stream(7, 3, 1).standard_normal()
+    assert a == read_stream(7, 3, 1).standard_normal()
+    assert a != read_stream(7, 3, 2).standard_normal()
+    with pytest.raises(ValueError):
+        read_stream(1, -1, 0)
+
+
+# ------------------------------------------------------------ dense oracle
+
+@st.composite
+def basis_and_object(draw):
+    label = draw(st.sampled_from(["canonical", "hadamard"]))
+    side = draw(st.sampled_from([4, 8]) if label == "hadamard"
+                else st.integers(min_value=3, max_value=9))
+    obj = draw(arrays(float, (side, side),
+                      elements=st.floats(0.0, 1.0, allow_subnormal=False)))
+    return label, side, obj
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=basis_and_object(),
+       time_ms=st.floats(0.5, 50.0),
+       drift=st.floats(0.0, 0.9))
+def test_noiseless_coefficients_match_dense_operator(case, time_ms, drift):
+    label, side, obj = case
+    grid = GridSpec(side)
+    parent = canonical_basis(grid) if label == "canonical" else hadamard_basis(grid)
+    rows = parent.stack.reshape(len(parent), -1).astype(float)
+    op = build_operator_matrix(EDGE, grid)
+    noise = NoiseModel(lamp_drift_amplitude=drift, lamp_drift_period=7.0, seed=1)
+    protocol = ProtocolConfig(time_ms)
+
+    # modified pattern j is op @ row_j, so its coefficient is row_j . (op^T o)
+    basis_route = run_basis_protocol(
+        part_plan(obj, decompose_basis(modify_basis(parent, EDGE))), noise, protocol)
+    np.testing.assert_allclose(basis_route, rows @ (op.T @ obj.ravel()),
+                               rtol=1e-10, atol=1e-10)
+    plain = (repeat_plan(obj, parent, 2) if label == "canonical"
+             else part_plan(obj, decompose_basis(parent)))
+    np.testing.assert_allclose(run_basis_protocol(plain, noise, protocol),
+                               rows @ obj.ravel(), rtol=1e-10, atol=1e-10)

@@ -10,6 +10,7 @@ from ghostsim import (
     GridSpec,
     NoiseModel,
     ProtocolConfig,
+    basis_plan,
     basis_processed_image,
     build_operator_matrix,
     canonical_basis,
@@ -23,10 +24,11 @@ from ghostsim import (
     kernel_autocorrelation,
     modify_basis,
     noise_autocorrelation,
+    part_plan,
+    post_plan,
     post_process,
     post_processed_image,
     reconstruct,
-    run_basis_protocol,
     unflatten,
 )
 
@@ -67,15 +69,22 @@ class TestReconstruct:
             reconstruct(np.zeros(5), canonical_basis(GridSpec(2)))
 
     def test_records_must_cover_all_patterns(self, edge_kernel):
+        # coverage is checked once, when the plan is built
         grid = GridSpec(4)
-        modified = modify_basis(canonical_basis(grid), edge_kernel)
-        records = run_basis_protocol(np.full((4, 4), 0.5),
-                                     decompose_basis(modified), QUIET,
-                                     ProtocolConfig(1.0))
+        obj = np.full((4, 4), 0.5)
+        decomposed = decompose_basis(modify_basis(canonical_basis(grid), edge_kernel))
         with pytest.raises(DimensionError):
-            reconstruct(records[:-1], canonical_basis(grid))
+            part_plan(obj, decomposed[:-1])
         with pytest.raises(DimensionError):
-            reconstruct(records + [records[0]], canonical_basis(grid))
+            part_plan(obj, decomposed + [decomposed[0]])
+        with pytest.raises(DimensionError):
+            part_plan(obj, decomposed[:-1] + [decomposed[0]])
+
+    def test_canonical_reconstruction_is_a_copy(self):
+        vec = np.arange(4.0)
+        image = reconstruct(vec, canonical_basis(GridSpec(2)))
+        image[0, 0] = 9.0
+        assert vec[0] == 0.0
 
 
 class TestPostProcess:
@@ -146,6 +155,13 @@ class TestPipelineEquality:
         assert relative_error(post.image, oracle) < 1e-10
         assert relative_error(basis.image, oracle) < 1e-10
 
+    def test_plan_must_match_parent_grid(self, edge_kernel):
+        obj = np.full((4, 4), 0.5)
+        plan = post_plan(np.full((2, 2), 0.5), canonical_basis(GridSpec(2)), 2)
+        with pytest.raises(DimensionError):
+            post_processed_image(obj, edge_kernel, QUIET, ProtocolConfig(1.0),
+                                 plan=plan)
+
     def test_provenance_and_method_tags(self, edge_kernel):
         obj = np.full((4, 4), 0.5)
         protocol = ProtocolConfig(1.0)
@@ -166,13 +182,13 @@ class TestNoiseCharacter:
         grid = GridSpec(side)
         zero = np.zeros((side, side))
         protocol = ProtocolConfig(1.0)
-        decomposed = decompose_basis(modify_basis(canonical_basis(grid), edge_kernel))
+        plan = basis_plan(zero, canonical_basis(grid), edge_kernel)
         acc = np.zeros((side, side))
         for i in range(trials):
             noise = NoiseModel(detector_sigma=1.0, seed=derive_seed(404, i))
             if method == BASIS_PROCESSED:
                 image = basis_processed_image(zero, edge_kernel, noise, protocol,
-                                              decomposed=decomposed).image
+                                              plan=plan).image
             else:
                 image = post_processed_image(zero, edge_kernel, noise, protocol).image
             acc += noise_autocorrelation(image)
