@@ -84,10 +84,8 @@ from .errors import (
 )
 from .pgmio import (
     PGM_MAXVAL,
-    read_image_csv,
     read_pgm,
     read_pgm_values,
-    write_image_csv,
     write_pgm,
 )
 from .reconstruct import (

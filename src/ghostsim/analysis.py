@@ -117,6 +117,11 @@ class SweepCell:
     result: ReconstructionResult
     report: SNRReport
 
+    @property
+    def row(self) -> SweepRow:
+        return SweepRow(self.method, self.integration_time_ms, self.repeat,
+                        self.report.snr)
+
 
 @dataclass(frozen=True)
 class SweepSummary:
@@ -319,10 +324,7 @@ def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
 def snr_sweep(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
               **kwargs) -> list[SweepRow]:
     """The sweep table: one row per (method, integration time, repeat)."""
-    return [
-        SweepRow(c.method, c.integration_time_ms, c.repeat, c.report.snr)
-        for c in sweep_cells(obj, kernel, noise, times_ms, repeats, **kwargs)
-    ]
+    return [c.row for c in sweep_cells(obj, kernel, noise, times_ms, repeats, **kwargs)]
 
 
 def summarize_sweep(rows: list[SweepRow]) -> list[SweepSummary]:

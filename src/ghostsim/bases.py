@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, Kernel, _require_fits
+from .core import GridSpec, Kernel, _stencil
 from .errors import DimensionError, UnsupportedSizeError
 
 __all__ = [
@@ -74,14 +74,18 @@ def canonical_basis(grid: GridSpec) -> PatternBasis:
     return PatternBasis(grid, stack, CANONICAL)
 
 
+def _require_power_of_two(side: int):
+    if side & (side - 1) != 0:
+        raise UnsupportedSizeError(
+            f"Hadamard basis needs a power-of-two grid side, got {side}"
+        )
+
+
 def hadamard_basis(grid: GridSpec) -> PatternBasis:
     """Rows of the Sylvester-ordered Hadamard matrix of side ``side**2``,
     reshaped row-major; entries are exactly +/-1."""
     n = grid.side
-    if n & (n - 1) != 0:
-        raise UnsupportedSizeError(
-            f"Hadamard basis needs a power-of-two grid side, got {n}"
-        )
+    _require_power_of_two(n)
     h = np.ones((1, 1), dtype=np.int8)
     while h.shape[0] < grid.pixel_count:  # Sylvester doubling: [[H, H], [H, -H]]
         h = np.block([[h, h], [h, -h]])
@@ -95,10 +99,7 @@ def modify_basis(basis: PatternBasis, kernel: Kernel) -> PatternBasis:
     modified basis can always be traced back to the set used for
     reconstruction.
     """
-    _require_fits(kernel, basis.grid.side)
-    out = np.zeros(basis.stack.shape, dtype=float)
-    for dr, dc, v in kernel.offsets():
-        out += v * np.roll(basis.stack, (dr, dc), axis=(1, 2))
+    out = _stencil(basis.stack, kernel, 1)
     label = f"modified({basis.label},{kernel.name or 'custom'})"
     return PatternBasis(basis.grid, out, label)
 

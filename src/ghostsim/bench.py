@@ -89,15 +89,17 @@ class NoiseModel:
         if not self.lamp_base > 0:
             raise ConfigError(f"lamp_base must be positive, got {self.lamp_base}")
         if self.lamp_drift_amplitude < 0:
-            raise ConfigError("lamp_drift_amplitude must be >= 0")
+            raise ConfigError(
+                f"lamp_drift_amplitude must be >= 0, got {self.lamp_drift_amplitude}")
         if not self.lamp_drift_period > 0:
-            raise ConfigError("lamp_drift_period must be positive")
+            raise ConfigError(
+                f"lamp_drift_period must be positive, got {self.lamp_drift_period}")
         for field in ("detector_sigma", "normalization_sigma",
                       "background_measure", "background_norm"):
             if getattr(self, field) < 0:
-                raise ConfigError(f"{field} must be >= 0")
+                raise ConfigError(f"{field} must be >= 0, got {getattr(self, field)}")
         if not (0 <= int(self.seed) < _MAX_SEED):
-            raise ConfigError("seed must be a 64-bit unsigned integer")
+            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
 
 

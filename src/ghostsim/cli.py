@@ -20,7 +20,6 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import summarize_sweep, sweep_cells, write_summary_csv, write_sweep_csv
-from .analysis import SweepRow
 from .bases import HADAMARD, canonical_basis, hadamard_basis, modify_basis
 from .bench import load_object, synth_bar_target
 from .config import ExperimentConfig, load_config
@@ -65,10 +64,12 @@ def _manifest_text(config: ExperimentConfig) -> str:
 def run_experiment(config: ExperimentConfig, out_dir=None) -> list[Path]:
     """Run the full sweep and write every output file; returns the paths.
 
-    All computation happens before any file is written, and each file goes
-    through a temp-name-then-rename step, so a failed run leaves no partial
-    outputs.  Outputs are byte-identical for identical (config, seed),
-    whatever the thread count.
+    All computation happens before any file is written, so a failure in
+    the sweep writes nothing.  Each file goes through a temp-name-then-rename
+    step, so no file is ever left truncated; the set is not atomic, though: a
+    write that fails part way leaves the files written before it, next to
+    any older files in the directory.  Outputs are byte-identical for
+    identical (config, seed), whatever the thread count.
     """
     out = Path(out_dir if out_dir is not None else config.output_dir)
     obj = build_scene(config)
@@ -86,8 +87,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[Path]:
         background_rect=config.background_rect,
         threads=config.threads,
     )
-    rows = [SweepRow(c.method, c.integration_time_ms, c.repeat, c.report.snr)
-            for c in cells]
+    rows = [c.row for c in cells]
 
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

@@ -6,17 +6,27 @@ name the field.  Every key can also be overridden through an environment
 variable named ``GHOSTSIM_<KEY>`` (e.g. ``GHOSTSIM_GRID_SIDE``), and
 ``ExperimentConfig.to_text`` echoes a fully resolved config that parses back
 to an equal object.
+
+Each key is one row of ``_FIELDS``: its default text, its parser and its
+echo format.  A value from a file, the environment or an override goes
+through the same row.  Rules the domain types already own (the noise
+bounds, the Hadamard side, the kernel and rectangle fits) are checked by
+calling them; a row's parser keeps only the rules that config alone owns.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import os
 from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
-from .bases import CANONICAL, HADAMARD
+from .analysis import mask_from_rect
+from .bases import CANONICAL, HADAMARD, _require_power_of_two
 from .bench import NoiseModel
-from .core import KERNEL_PRESETS, Kernel, kernel_preset
-from .errors import ConfigError, DimensionError
+from .core import KERNEL_PRESETS, GridSpec, Kernel, _require_fits, kernel_preset
+from .errors import ConfigError
 
 __all__ = [
     "ENV_PREFIX",
@@ -28,35 +38,6 @@ __all__ = [
 
 ENV_PREFIX = "GHOSTSIM_"
 
-_BASES = (CANONICAL, HADAMARD)
-
-# key -> default value string ("auto"/"synthetic" are explicit sentinels)
-_DEFAULTS: dict[str, str] = {
-    "grid_side": "64",
-    "basis": CANONICAL,
-    "kernel": "edge-eq3",
-    "lamp_base": "1.0",
-    "lamp_drift_amplitude": "0.05",
-    "lamp_drift_period": "auto",
-    "detector_sigma": "1.5",
-    "normalization_sigma": "1.5",
-    "background_measure": "60.0",
-    "background_norm": "5.0",
-    "seed": "7321",
-    "integration_times_ms": "20 100 220",
-    "repeats": "3",
-    "repeats_per_pattern": "2",
-    "bar_groups": "3",
-    "object_path": "synthetic",
-    "peak_fraction": "0.1",
-    "background_fraction": "0.3",
-    "mask_border": "1",
-    "background_rect": "auto",
-    "gallery_indices": "auto",
-    "output_dir": "runs",
-    "threads": "1",
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -65,7 +46,6 @@ class ExperimentConfig:
     grid_side: int
     basis: str
     kernel: Kernel
-    kernel_spec: str
     lamp_base: float
     lamp_drift_amplitude: float
     lamp_drift_period: float
@@ -88,47 +68,183 @@ class ExperimentConfig:
     threads: int
 
     def to_noise_model(self) -> NoiseModel:
-        return NoiseModel(
-            lamp_base=self.lamp_base,
-            lamp_drift_amplitude=self.lamp_drift_amplitude,
-            lamp_drift_period=self.lamp_drift_period,
-            detector_sigma=self.detector_sigma,
-            normalization_sigma=self.normalization_sigma,
-            background_measure=self.background_measure,
-            background_norm=self.background_norm,
-            seed=self.seed,
-        )
+        return NoiseModel(**{f.name: getattr(self, f.name)
+                             for f in dataclasses.fields(NoiseModel)})
 
     def to_text(self) -> str:
-        """Canonical config echo; parsing it reproduces this object."""
-        values = {
-            "grid_side": str(self.grid_side),
-            "basis": self.basis,
-            "kernel": self.kernel_spec,
-            "lamp_base": repr(self.lamp_base),
-            "lamp_drift_amplitude": repr(self.lamp_drift_amplitude),
-            "lamp_drift_period": repr(self.lamp_drift_period),
-            "detector_sigma": repr(self.detector_sigma),
-            "normalization_sigma": repr(self.normalization_sigma),
-            "background_measure": repr(self.background_measure),
-            "background_norm": repr(self.background_norm),
-            "seed": str(self.seed),
-            "integration_times_ms": " ".join(repr(t) for t in self.integration_times_ms),
-            "repeats": str(self.repeats),
-            "repeats_per_pattern": str(self.repeats_per_pattern),
-            "bar_groups": str(self.bar_groups),
-            "object_path": self.object_path or "synthetic",
-            "peak_fraction": repr(self.peak_fraction),
-            "background_fraction": repr(self.background_fraction),
-            "mask_border": str(self.mask_border),
-            "background_rect": (" ".join(str(v) for v in self.background_rect)
-                                if self.background_rect else "auto"),
-            "gallery_indices": (" ".join(str(v) for v in self.gallery_indices)
-                                if self.gallery_indices else "auto"),
-            "output_dir": self.output_dir,
-            "threads": str(self.threads),
-        }
-        return "".join(f"{key} = {values[key]}\n" for key in _DEFAULTS)
+        """Canonical config echo; parsing it reproduces this object.
+
+        A value of ``None`` echoes as its field's default text (``auto`` or
+        ``synthetic``)."""
+        lines = []
+        for field in _FIELDS:
+            value = getattr(self, field.name)
+            text = field.default if value is None else field.format(value)
+            lines.append(f"{field.name} = {text}\n")
+        return "".join(lines)
+
+
+# ---------------------------------------------------------------- parsers
+# Each takes the value text and the already parsed grid side (None while
+# grid_side itself is parsed) and raises ValueError with a message that the
+# caller prefixes with the field name.
+
+def _integer(text: str, side=None) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+
+
+def _count(minimum: int):
+    def parse(text: str, side=None) -> int:
+        value = _integer(text)
+        if value < minimum:
+            raise ValueError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _real(text: str, side=None) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _drift_amplitude(text: str, side=None) -> float:
+    value = _real(text)
+    if value >= 1.0:
+        raise ValueError("must be < 1 so the lamp intensity stays positive")
+    return value
+
+
+def _drift_period(text: str, side: int) -> float:
+    return 10.0 * side * side if text == "auto" else _real(text)
+
+
+def _fraction(text: str, side=None) -> float:
+    value = _real(text)
+    if not 0 < value < 1:
+        raise ValueError(f"must be in (0, 1), got {value}")
+    return value
+
+
+def _times(text: str, side=None) -> tuple[float, ...]:
+    times = tuple(_real(tok) for tok in text.replace(",", " ").split())
+    if not times or any(t <= 0 for t in times):
+        raise ValueError("needs at least one positive time")
+    return times
+
+
+def _basis(text: str, side: int) -> str:
+    if text not in (CANONICAL, HADAMARD):
+        raise ValueError(f"must be one of {(CANONICAL, HADAMARD)}, got {text!r}")
+    if text == HADAMARD:
+        _require_power_of_two(side)
+    return text
+
+
+def _kernel(text: str, side: int) -> Kernel:
+    if text in KERNEL_PRESETS:
+        kernel = kernel_preset(text)
+    else:
+        try:
+            taps = [[float(tok) for tok in row.split()] for row in text.split(";")]
+        except ValueError:
+            known = ", ".join(sorted(KERNEL_PRESETS))
+            raise ValueError(f"expected a preset ({known}) or inline taps like "
+                             f"'0 -1 0; -1 0 1; 0 1 0', got {text!r}") from None
+        widths = {len(row) for row in taps}
+        if len(widths) != 1 or 0 in widths:
+            raise ValueError("inline taps must form a rectangular grid")
+        kernel = Kernel(taps)
+    _require_fits(kernel, side)
+    return kernel
+
+
+def _kernel_text(kernel: Kernel) -> str:
+    # float() first: numpy scalars repr as np.float64(...)
+    return kernel.name or "; ".join(" ".join(repr(float(v)) for v in row)
+                                    for row in kernel.taps)
+
+
+def _rect(text: str, side: int) -> tuple[int, int, int, int] | None:
+    if text == "auto":
+        return None
+    try:
+        rect = tuple(int(tok) for tok in text.split())
+    except ValueError:
+        rect = ()
+    if len(rect) != 4:
+        raise ValueError(f"expected 'row0 col0 height width' or 'auto', got {text!r}")
+    mask_from_rect(GridSpec(side), rect)
+    return rect
+
+
+def _gallery(text: str, side: int) -> tuple[int, ...] | None:
+    if text == "auto":
+        return None
+    try:
+        indices = tuple(int(tok) for tok in text.split())
+    except ValueError:
+        raise ValueError(f"expected integers or 'auto', got {text!r}") from None
+    if any(not 0 <= g < side * side for g in indices):
+        raise ValueError(f"indices must lie in [0, {side * side}), got {text!r}")
+    return indices
+
+
+def _words(values) -> str:
+    return " ".join(str(v) for v in values)
+
+
+class _Field(NamedTuple):
+    name: str
+    default: str
+    parse: Callable[[str, Any], Any]
+    format: Callable[[Any], str] = str
+
+
+# One row per key, in echo order.  grid_side comes first: later parsers
+# check their value against it.
+_FIELDS = (
+    _Field("grid_side", "64", _count(1)),
+    _Field("basis", CANONICAL, _basis),
+    _Field("kernel", "edge-eq3", _kernel, _kernel_text),
+    _Field("lamp_base", "1.0", _real),
+    _Field("lamp_drift_amplitude", "0.05", _drift_amplitude),
+    _Field("lamp_drift_period", "auto", _drift_period),
+    _Field("detector_sigma", "1.5", _real),
+    _Field("normalization_sigma", "1.5", _real),
+    _Field("background_measure", "60.0", _real),
+    _Field("background_norm", "5.0", _real),
+    _Field("seed", "7321", _integer),
+    _Field("integration_times_ms", "20 100 220", _times, _words),
+    _Field("repeats", "3", _count(1)),
+    _Field("repeats_per_pattern", "2", _count(1)),
+    _Field("bar_groups", "3", _count(1)),
+    _Field("object_path", "synthetic",
+           lambda text, side: None if text == "synthetic" else text),
+    _Field("peak_fraction", "0.1", _fraction),
+    _Field("background_fraction", "0.3", _fraction),
+    _Field("mask_border", "1", _count(0)),
+    _Field("background_rect", "auto", _rect, _words),
+    _Field("gallery_indices", "auto", _gallery, _words),
+    _Field("output_dir", "runs", lambda text, side: text),
+    _Field("threads", "1", _count(0)),
+)
+_KEYS = frozenset(field.name for field in _FIELDS)
+# fields whose bounds NoiseModel owns; each is checked there as it is parsed
+_NOISE_KEYS = frozenset(f.name for f in dataclasses.fields(NoiseModel))
+
+
+def _known(key: str, what: str, line: int | None = None) -> str:
+    if key not in _KEYS:
+        raise ConfigError(f"unknown {what}", line=line)
+    return key
 
 
 def _parse_items(text: str) -> dict[str, tuple[str, int]]:
@@ -142,211 +258,34 @@ def _parse_items(text: str) -> dict[str, tuple[str, int]]:
                               line=lineno)
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _DEFAULTS:
-            raise ConfigError(f"unknown key {key!r}", line=lineno)
+        _known(key, f"key {key!r}", lineno)
         if key in items:
             raise ConfigError(f"duplicate key {key!r}", line=lineno)
-        if not value:
-            raise ConfigError(f"{key}: empty value", line=lineno)
         items[key] = (value, lineno)
     return items
 
 
-def _fail(key: str, message: str, line: int | None) -> ConfigError:
-    return ConfigError(f"{key}: {message}", line=line)
-
-
-def _as_int(key, value, line, minimum=None, maximum=None) -> int:
-    try:
-        out = int(value)
-    except ValueError:
-        raise _fail(key, f"expected an integer, got {value!r}", line) from None
-    if minimum is not None and out < minimum:
-        raise _fail(key, f"must be >= {minimum}, got {out}", line)
-    if maximum is not None and out > maximum:
-        raise _fail(key, f"must be <= {maximum}, got {out}", line)
-    return out
-
-
-def _as_float(key, value, line, minimum=None, strict_min=None) -> float:
-    try:
-        out = float(value)
-    except ValueError:
-        raise _fail(key, f"expected a number, got {value!r}", line) from None
-    if minimum is not None and out < minimum:
-        raise _fail(key, f"must be >= {minimum}, got {out}", line)
-    if strict_min is not None and out <= strict_min:
-        raise _fail(key, f"must be > {strict_min}, got {out}", line)
-    return out
-
-
-def _parse_kernel(value: str, line) -> tuple[Kernel, str]:
-    if value in KERNEL_PRESETS:
-        return kernel_preset(value), value
-    rows = [r.strip() for r in value.split(";")]
-    try:
-        taps = [[float(tok) for tok in row.split()] for row in rows]
-    except ValueError:
-        known = ", ".join(sorted(KERNEL_PRESETS))
-        raise _fail("kernel",
-                    f"expected a preset ({known}) or inline taps like "
-                    f"'0 -1 0; -1 0 1; 0 1 0', got {value!r}", line) from None
-    widths = {len(r) for r in taps}
-    if len(widths) != 1 or 0 in widths:
-        raise _fail("kernel", "inline taps must form a rectangular grid", line)
-    try:
-        kernel = Kernel(taps)
-    except DimensionError as exc:
-        raise _fail("kernel", str(exc), line) from None
-    spec = "; ".join(" ".join(repr(v) for v in row) for row in taps)
-    return kernel, spec
-
-
-def _build(items: dict[str, tuple[str, int]]) -> ExperimentConfig:
-    def get(key):
-        if key in items:
-            return items[key]
-        return _DEFAULTS[key], None
-
-    grid_side = _as_int("grid_side", *get("grid_side"), minimum=1)
-
-    basis_value, basis_line = get("basis")
-    if basis_value not in _BASES:
-        raise _fail("basis", f"must be one of {_BASES}, got {basis_value!r}",
-                    basis_line)
-    if basis_value == HADAMARD and grid_side & (grid_side - 1) != 0:
-        raise _fail("basis",
-                    f"hadamard needs a power-of-two grid_side, got {grid_side}",
-                    basis_line)
-
-    kernel_value, kernel_line = get("kernel")
-    kernel, kernel_spec = _parse_kernel(kernel_value, kernel_line)
-    if kernel.height > grid_side or kernel.width > grid_side:
-        raise _fail("kernel",
-                    f"{kernel.height}x{kernel.width} kernel does not fit a "
-                    f"{grid_side}x{grid_side} grid", kernel_line)
-
-    lamp_base = _as_float("lamp_base", *get("lamp_base"), strict_min=0.0)
-    drift_amp_value, drift_amp_line = get("lamp_drift_amplitude")
-    lamp_drift_amplitude = _as_float("lamp_drift_amplitude", drift_amp_value,
-                                     drift_amp_line, minimum=0.0)
-    if lamp_drift_amplitude >= 1.0:
-        raise _fail("lamp_drift_amplitude",
-                    "must be < 1 so the lamp intensity stays positive",
-                    drift_amp_line)
-
-    period_value, period_line = get("lamp_drift_period")
-    if period_value == "auto":
-        lamp_drift_period = 10.0 * grid_side * grid_side
-    else:
-        lamp_drift_period = _as_float("lamp_drift_period", period_value,
-                                      period_line, strict_min=0.0)
-
-    detector_sigma = _as_float("detector_sigma", *get("detector_sigma"), minimum=0.0)
-    normalization_sigma = _as_float("normalization_sigma",
-                                    *get("normalization_sigma"), minimum=0.0)
-    background_measure = _as_float("background_measure",
-                                   *get("background_measure"), minimum=0.0)
-    background_norm = _as_float("background_norm", *get("background_norm"),
-                                minimum=0.0)
-    seed = _as_int("seed", *get("seed"), minimum=0, maximum=2**64 - 1)
-
-    times_value, times_line = get("integration_times_ms")
-    try:
-        times = tuple(float(tok) for tok in times_value.replace(",", " ").split())
-    except ValueError:
-        raise _fail("integration_times_ms",
-                    f"expected numbers, got {times_value!r}", times_line) from None
-    if not times or any(t <= 0 for t in times):
-        raise _fail("integration_times_ms",
-                    "needs at least one positive time", times_line)
-
-    repeats = _as_int("repeats", *get("repeats"), minimum=1)
-    repeats_per_pattern = _as_int("repeats_per_pattern",
-                                  *get("repeats_per_pattern"), minimum=1)
-    bar_groups = _as_int("bar_groups", *get("bar_groups"), minimum=1)
-
-    object_value, _ = get("object_path")
-    object_path = None if object_value == "synthetic" else object_value
-
-    peak_fraction = _as_float("peak_fraction", *get("peak_fraction"))
-    if not 0 < peak_fraction < 1:
-        raise _fail("peak_fraction", f"must be in (0, 1), got {peak_fraction}",
-                    get("peak_fraction")[1])
-    background_fraction = _as_float("background_fraction",
-                                    *get("background_fraction"))
-    if not 0 < background_fraction < 1:
-        raise _fail("background_fraction",
-                    f"must be in (0, 1), got {background_fraction}",
-                    get("background_fraction")[1])
-    mask_border = _as_int("mask_border", *get("mask_border"), minimum=0)
-
-    rect_value, rect_line = get("background_rect")
-    if rect_value == "auto":
-        background_rect = None
-    else:
+def _build(items: dict[str, tuple[str, int | None]]) -> ExperimentConfig:
+    """Parse every field from ``items`` (key -> (text, line)), defaults
+    filling the gaps; a failure names the field and, for a file value, its
+    line."""
+    values: dict[str, Any] = {}
+    for field in _FIELDS:
+        text, line = items.get(field.name, (field.default, None))
+        text = text.strip()
         try:
-            parts = tuple(int(tok) for tok in rect_value.split())
-        except ValueError:
-            parts = ()
-        if len(parts) != 4:
-            raise _fail("background_rect",
-                        "expected 'row0 col0 height width' or 'auto', got "
-                        f"{rect_value!r}", rect_line)
-        r0, c0, h, w = parts
-        if h < 1 or w < 1 or r0 < 0 or c0 < 0 or r0 + h > grid_side or c0 + w > grid_side:
-            raise _fail("background_rect",
-                        f"rectangle {parts} does not fit a {grid_side}x{grid_side} grid",
-                        rect_line)
-        background_rect = parts
-
-    gallery_value, gallery_line = get("gallery_indices")
-    if gallery_value == "auto":
-        gallery_indices = None
-    else:
-        try:
-            gallery_indices = tuple(int(tok) for tok in gallery_value.split())
-        except ValueError:
-            raise _fail("gallery_indices",
-                        f"expected integers or 'auto', got {gallery_value!r}",
-                        gallery_line) from None
-        pixel_count = grid_side * grid_side
-        bad = [g for g in gallery_indices if not 0 <= g < pixel_count]
-        if bad or not gallery_indices:
-            raise _fail("gallery_indices",
-                        f"indices must lie in [0, {pixel_count}), got {gallery_value!r}",
-                        gallery_line)
-
-    output_dir, _ = get("output_dir")
-    threads = _as_int("threads", *get("threads"), minimum=0)
-
-    return ExperimentConfig(
-        grid_side=grid_side,
-        basis=basis_value,
-        kernel=kernel,
-        kernel_spec=kernel_spec,
-        lamp_base=lamp_base,
-        lamp_drift_amplitude=lamp_drift_amplitude,
-        lamp_drift_period=lamp_drift_period,
-        detector_sigma=detector_sigma,
-        normalization_sigma=normalization_sigma,
-        background_measure=background_measure,
-        background_norm=background_norm,
-        seed=seed,
-        integration_times_ms=times,
-        repeats=repeats,
-        repeats_per_pattern=repeats_per_pattern,
-        bar_groups=bar_groups,
-        object_path=object_path,
-        peak_fraction=peak_fraction,
-        background_fraction=background_fraction,
-        mask_border=mask_border,
-        background_rect=background_rect,
-        gallery_indices=gallery_indices,
-        output_dir=output_dir,
-        threads=threads,
-    )
+            if not text:
+                raise ValueError("empty value")
+            value = field.parse(text, values.get("grid_side"))
+            if field.name in _NOISE_KEYS:
+                NoiseModel(**{field.name: value})
+        except ValueError as exc:  # the domain errors are ValueErrors too
+            message = str(exc)
+            if not message.startswith(field.name):
+                message = f"{field.name}: {message}"
+            raise ConfigError(message, line=line) from None
+        values[field.name] = value
+    return ExperimentConfig(**values)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -356,18 +295,6 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def default_config() -> ExperimentConfig:
     return parse_config("")
-
-
-def _env_items(environ) -> dict[str, tuple[str, int | None]]:
-    items: dict[str, tuple[str, int | None]] = {}
-    for name, value in environ.items():
-        if not name.startswith(ENV_PREFIX):
-            continue
-        key = name[len(ENV_PREFIX):].lower()
-        if key not in _DEFAULTS:
-            raise ConfigError(f"unknown environment override {name}")
-        items[key] = (value.strip(), None)
-    return items
 
 
 def load_config(path=None, environ=None, overrides=None) -> ExperimentConfig:
@@ -388,9 +315,10 @@ def load_config(path=None, environ=None, overrides=None) -> ExperimentConfig:
         items = {}
     if environ is None:
         environ = os.environ
-    items.update(_env_items(environ))
+    for name, value in environ.items():
+        if name.startswith(ENV_PREFIX):
+            key = name[len(ENV_PREFIX):].lower()
+            items[_known(key, f"environment override {name}")] = (value, None)
     for key, value in (overrides or {}).items():
-        if key not in _DEFAULTS:
-            raise ConfigError(f"unknown override {key!r}")
-        items[key] = (str(value), None)
+        items[_known(key, f"override {key!r}")] = (str(value), None)
     return _build(items)

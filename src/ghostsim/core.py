@@ -144,6 +144,20 @@ def _require_fits(kernel: Kernel, side: int):
         )
 
 
+def _stencil(images: np.ndarray, kernel: Kernel, sign: int) -> np.ndarray:
+    """Sum of ``tap * roll(images, sign * offset)`` over the kernel taps, on
+    the last two axes: ``sign = 1`` convolves, ``sign = -1`` correlates.
+
+    ``images`` keeps its dtype (an int8 basis stack is never copied to
+    float whole); the sum is float.
+    """
+    _require_fits(kernel, images.shape[-1])
+    out = np.zeros(images.shape, dtype=float)
+    for dr, dc, v in kernel.offsets():
+        out += v * np.roll(images, (sign * dr, sign * dc), axis=(-2, -1))
+    return out
+
+
 def flatten(image) -> np.ndarray:
     """Row-major vector of a square image."""
     return _as_square(image).reshape(-1)
@@ -167,12 +181,7 @@ def cyclic_convolve(image, kernel: Kernel) -> np.ndarray:
     the kernel support centred on zero (true convolution: the kernel is
     flipped relative to correlation).
     """
-    img = _as_square(image)
-    _require_fits(kernel, img.shape[0])
-    out = np.zeros_like(img)
-    for dr, dc, v in kernel.offsets():
-        out += v * np.roll(img, (dr, dc), axis=(0, 1))
-    return out
+    return _stencil(_as_square(image), kernel, 1)
 
 
 def cyclic_correlate(image, kernel: Kernel) -> np.ndarray:
@@ -182,12 +191,7 @@ def cyclic_correlate(image, kernel: Kernel) -> np.ndarray:
     orientations are needed because the dense operator and its transpose
     differ by exactly this rotation.
     """
-    img = _as_square(image)
-    _require_fits(kernel, img.shape[0])
-    out = np.zeros_like(img)
-    for dr, dc, v in kernel.offsets():
-        out += v * np.roll(img, (-dr, -dc), axis=(0, 1))
-    return out
+    return _stencil(_as_square(image), kernel, -1)
 
 
 def build_operator_matrix(kernel: Kernel, grid: GridSpec) -> np.ndarray:

@@ -1,10 +1,8 @@
-"""Plain-text image files: 16-bit portable graymaps with an affine sidecar,
-plus lossless CSV grids.
+"""Plain-text image files: 16-bit portable graymaps with an affine sidecar.
 
 Graymaps are written as ASCII ``P2`` with maxval 65535.  Pixel values are
 affinely mapped onto the gray range and the map is recorded next to the
 image in a ``.meta`` sidecar, so the original value range can be recovered.
-CSV grids store full-precision ``repr`` floats and round-trip exactly.
 
 All writers go through a temp-file-then-rename step, so a failed write never
 leaves a truncated output behind.
@@ -25,8 +23,6 @@ __all__ = [
     "write_pgm",
     "read_pgm",
     "read_pgm_values",
-    "write_image_csv",
-    "read_image_csv",
 ]
 
 PGM_MAXVAL = 65535
@@ -133,24 +129,3 @@ def read_pgm_values(path) -> np.ndarray:
         raise FormatError(f"{sidecar}: malformed sidecar") from exc
     return vmin + gray * ((vmax - vmin) / side_max)
 
-
-def write_image_csv(path, image):
-    """Write a 2-D array as CSV with full-precision floats (exact round-trip)."""
-    img = np.asarray(image, dtype=float)
-    if img.ndim != 2:
-        raise DimensionError(f"CSV grid must be 2-D, got shape {img.shape}")
-    rows = (",".join(repr(float(v)) for v in row) for row in img)
-    atomic_write_text(path, "\n".join(rows) + "\n")
-
-
-def read_image_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.strip() for line in fh if line.strip()]
-    try:
-        data = [[float(tok) for tok in row.split(",")] for row in rows]
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed CSV grid") from exc
-    widths = {len(r) for r in data}
-    if not data or len(widths) != 1:
-        raise FormatError(f"{path}: ragged or empty CSV grid")
-    return np.array(data, dtype=float)

@@ -1,11 +1,11 @@
 """Rebuilding images from coefficient vectors, and the two filter routes.
 
 The measured weight of each pattern multiplies that pattern in the
-reconstruction sum; for the canonical basis this is a reshape of the
-coefficient vector.  Reconstruction always uses the *parent* (unmodified)
-basis, also when the coefficients were acquired with a filter-modified
-illumination set: that is exactly what makes the modified-basis route return
-the filtered image directly.
+reconstruction sum; for both parent bases the sum is a product of
+``side x side`` matrices.  Reconstruction always uses the *parent*
+(unmodified) basis, also when the coefficients were acquired with a
+filter-modified illumination set: that is exactly what makes the
+modified-basis route return the filtered image directly.
 
 Both routes acquire through the one weighted protocol of
 :mod:`ghostsim.bench`.  A route's :class:`~ghostsim.bench.MeasurementPlan`
@@ -59,15 +59,22 @@ def reconstruct(coefficients, recon_basis: PatternBasis) -> np.ndarray:
     """Sum of ``coefficient_j * pattern_j`` over the reconstruction basis,
     for a coefficient vector ordered by pattern index.
 
-    A canonical basis needs no sum: the image is the vector reshaped.
+    Both parent bases are separable: pattern ``j = r * side + c`` is the
+    outer product ``f_r f_c^T`` of rows of a ``side x side`` matrix ``F``
+    (the identity for canonical; ``H_side`` for Hadamard, as ``H_{side^2} =
+    H_side (x) H_side``), so the sum is ``F^T C F`` with ``C`` the
+    coefficients reshaped to ``side x side``.  Row ``r`` of ``F`` is column
+    0 of pattern ``r * side``, because ``f_0`` is ``e_0`` or all ones.  Any
+    other basis takes the full sum.
     """
     m = len(recon_basis)
     vec = np.asarray(coefficients, dtype=float)
     if vec.shape != (m,):
         raise DimensionError(f"expected {m} coefficients, got shape {vec.shape}")
-    if recon_basis.label == CANONICAL:
+    if recon_basis.label in (CANONICAL, HADAMARD):
         side = recon_basis.grid.side
-        return vec.reshape(side, side).copy()
+        f = recon_basis.stack[::side, :, 0].astype(float)
+        return f.T @ vec.reshape(side, side) @ f
     return np.tensordot(vec, recon_basis.stack, axes=(0, 0))
 
 

@@ -1,5 +1,6 @@
 """Command-line verbs, output files, exit codes, and full-run determinism."""
 
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from ghostsim import parse_config, read_pgm, read_pgm_values
 from ghostsim.cli import main
+from ghostsim.config import ENV_PREFIX
 
 SMALL = (
     "grid_side = 16\n"
@@ -20,6 +22,71 @@ SMALL = (
     "background_norm = 0.5\n"
     "seed = 123\n"
 )
+
+# the config of tests/test_config.py::TestEcho::test_round_trip_custom
+CUSTOM = (
+    "grid_side = 16\n"
+    "basis = hadamard\n"
+    "kernel = 0 -1 0; -1 0 1; 0 1 0\n"
+    "lamp_base = 2.5\n"
+    "integration_times_ms = 7.5 80\n"
+    "background_rect = 1 2 3 4\n"
+    "gallery_indices = 0 85 255\n"
+    "object_path = some/object.pgm\n"
+    "threads = 0\n"
+)
+
+DEFAULT_ECHO = """\
+grid_side = 64
+basis = canonical
+kernel = edge-eq3
+lamp_base = 1.0
+lamp_drift_amplitude = 0.05
+lamp_drift_period = 40960.0
+detector_sigma = 1.5
+normalization_sigma = 1.5
+background_measure = 60.0
+background_norm = 5.0
+seed = 7321
+integration_times_ms = 20.0 100.0 220.0
+repeats = 3
+repeats_per_pattern = 2
+bar_groups = 3
+object_path = synthetic
+peak_fraction = 0.1
+background_fraction = 0.3
+mask_border = 1
+background_rect = auto
+gallery_indices = auto
+output_dir = runs
+threads = 1
+"""
+
+CUSTOM_ECHO = """\
+grid_side = 16
+basis = hadamard
+kernel = 0.0 -1.0 0.0; -1.0 0.0 1.0; 0.0 1.0 0.0
+lamp_base = 2.5
+lamp_drift_amplitude = 0.05
+lamp_drift_period = 2560.0
+detector_sigma = 1.5
+normalization_sigma = 1.5
+background_measure = 60.0
+background_norm = 5.0
+seed = 7321
+integration_times_ms = 7.5 80.0
+repeats = 3
+repeats_per_pattern = 2
+bar_groups = 3
+object_path = some/object.pgm
+peak_fraction = 0.1
+background_fraction = 0.3
+mask_border = 1
+background_rect = 1 2 3 4
+gallery_indices = 0 85 255
+output_dir = runs
+threads = 0
+"""
 
 
 @pytest.fixture
@@ -45,6 +112,23 @@ class TestValidate:
 
     def test_missing_config_file_is_config_error(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 1
+
+    @pytest.mark.parametrize("config, expected", [
+        (None, DEFAULT_ECHO),
+        (CUSTOM, CUSTOM_ECHO),
+    ], ids=["defaults", "custom"])
+    def test_echo_bytes_are_pinned(self, config, expected, tmp_path, monkeypatch,
+                                   capsys):
+        # the echo is also the body of manifest.txt, so its bytes must not drift
+        for name in [n for n in os.environ if n.startswith(ENV_PREFIX)]:
+            monkeypatch.delenv(name)
+        argv = ["validate"]
+        if config is not None:
+            path = tmp_path / "pinned.cfg"
+            path.write_text(config)
+            argv += ["--config", str(path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestRun:

@@ -1,10 +1,14 @@
 """Config parsing, validation, env overrides, and the manifest echo."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghostsim import ConfigError, default_config, load_config, parse_config
-from ghostsim.config import ENV_PREFIX
+from ghostsim.config import ENV_PREFIX, ExperimentConfig
 
 
 class TestParseConfig:
@@ -132,3 +136,89 @@ class TestLoadConfig:
 
     def test_defaults_without_file(self):
         assert load_config(None, environ={}) == default_config()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("detector_sigma", "nan"),
+    ("lamp_drift_amplitude", "nan"),
+    ("background_measure", "inf"),
+    ("integration_times_ms", "20 inf"),
+])
+def test_non_finite_values_rejected(key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"seed = 5\n{key} = {value}\n")
+    assert str(err.value).startswith(f"line 2: {key}: ")
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("source", [
+    {"environ": {f"{ENV_PREFIX}OUTPUT_DIR": ""}},
+    {"environ": {}, "overrides": {"output_dir": ""}},
+])
+def test_empty_values_rejected_from_every_source(source):
+    with pytest.raises(ConfigError) as err:
+        load_config(None, **source)
+    assert str(err.value) == "output_dir: empty value"
+    assert err.value.line is None
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_PATHS = st.from_regex(r"[A-Za-z0-9_./-]+", fullmatch=True)
+
+
+def _positive(**kwargs):
+    return st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, **kwargs)
+
+
+@st.composite
+def config_texts(draw):
+    """Config text that sets every key to a random valid value."""
+    side = draw(st.integers(min_value=3, max_value=40))
+    pixels = side * side
+    odd = st.sampled_from([k for k in (1, 3, 5) if k <= side])
+    height, width = draw(odd), draw(odd)
+    taps = draw(st.lists(_FLOATS, min_size=height * width, max_size=height * width))
+    inline = "; ".join(" ".join(repr(t) for t in taps[r * width:(r + 1) * width])
+                       for r in range(height))
+    r0, c0 = draw(st.integers(0, side - 1)), draw(st.integers(0, side - 1))
+    rect = (f"{r0} {c0} {draw(st.integers(1, side - r0))} "
+            f"{draw(st.integers(1, side - c0))}")
+    gallery = " ".join(str(g) for g in draw(
+        st.lists(st.integers(0, pixels - 1), min_size=1, max_size=4)))
+    times = " ".join(repr(t) for t in draw(st.lists(_positive(), min_size=1, max_size=4)))
+    fraction = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    bases = ["canonical"] + (["hadamard"] if side & (side - 1) == 0 else [])
+    values = {
+        "grid_side": str(side),
+        "basis": draw(st.sampled_from(bases)),
+        "kernel": draw(st.sampled_from(["edge-eq3", "identity", inline])),
+        "lamp_base": repr(draw(_positive())),
+        "lamp_drift_amplitude": repr(draw(st.floats(0.0, 1.0, exclude_max=True))),
+        "lamp_drift_period": draw(st.sampled_from(["auto", repr(draw(_positive()))])),
+        "detector_sigma": repr(draw(st.floats(min_value=0.0, allow_infinity=False))),
+        "normalization_sigma": repr(draw(st.floats(min_value=0.0, allow_infinity=False))),
+        "background_measure": repr(draw(st.floats(min_value=0.0, allow_infinity=False))),
+        "background_norm": repr(draw(st.floats(min_value=0.0, allow_infinity=False))),
+        "seed": str(draw(st.integers(0, 2**64 - 1))),
+        "integration_times_ms": times,
+        "repeats": str(draw(st.integers(1, 9))),
+        "repeats_per_pattern": str(draw(st.integers(1, 9))),
+        "bar_groups": str(draw(st.integers(1, 9))),
+        "object_path": draw(st.sampled_from(["synthetic", draw(_PATHS)])),
+        "peak_fraction": repr(draw(fraction)),
+        "background_fraction": repr(draw(fraction)),
+        "mask_border": str(draw(st.integers(0, 9))),
+        "background_rect": draw(st.sampled_from(["auto", rect])),
+        "gallery_indices": draw(st.sampled_from(["auto", gallery])),
+        "output_dir": draw(_PATHS),
+        "threads": str(draw(st.integers(0, 9))),
+    }
+    assert set(values) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=config_texts())
+def test_echo_round_trips_random_valid_configs(text):
+    cfg = parse_config(text)
+    assert parse_config(cfg.to_text()) == cfg

@@ -1,4 +1,4 @@
-"""Graymap and CSV grid round-trips."""
+"""Graymap round-trips."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,8 @@ import pytest
 from ghostsim import (
     FormatError,
     PGM_MAXVAL,
-    read_image_csv,
     read_pgm,
     read_pgm_values,
-    write_image_csv,
     write_pgm,
 )
 
@@ -76,16 +74,3 @@ class TestPgm:
         leftovers = [p for p in tmp_path.iterdir() if "tmp" in p.name]
         assert leftovers == []
 
-
-class TestImageCsv:
-    def test_lossless_round_trip(self, tmp_path, rng):
-        path = tmp_path / "grid.csv"
-        image = rng.normal(size=(7, 7))
-        write_image_csv(path, image)
-        assert np.array_equal(read_image_csv(path), image)
-
-    def test_rejects_ragged(self, tmp_path):
-        path = tmp_path / "ragged.csv"
-        path.write_text("1.0,2.0\n3.0\n")
-        with pytest.raises(FormatError):
-            read_image_csv(path)

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ghostsim import (
     BASIS_PROCESSED,
+    HADAMARD,
     POST_PROCESSED,
     DimensionError,
     GridSpec,
@@ -85,6 +89,31 @@ class TestReconstruct:
         image = reconstruct(vec, canonical_basis(GridSpec(2)))
         image[0, 0] = 9.0
         assert vec[0] == 0.0
+
+
+@st.composite
+def parent_and_coefficients(draw):
+    hadamard = draw(st.booleans())
+    side = draw(st.sampled_from([1, 2, 4, 8, 16]) if hadamard
+                else st.integers(min_value=1, max_value=12))
+    basis = (hadamard_basis if hadamard else canonical_basis)(GridSpec(side))
+    coefficients = draw(arrays(float, side * side,
+                               elements=st.floats(-1e6, 1e6, allow_subnormal=False)))
+    return basis, coefficients
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=parent_and_coefficients())
+def test_separable_reconstruction_matches_full_sum(case):
+    # oracle: the sum of coefficient_j * pattern_j over the whole float stack
+    basis, coefficients = case
+    want = np.tensordot(coefficients, basis.stack.astype(float), axes=(0, 0))
+    got = reconstruct(coefficients, basis)
+    if basis.label == HADAMARD:
+        bound = 1e-12 * max(1.0, float(np.abs(coefficients).sum()))
+        assert np.abs(got - want).max() <= bound
+    else:  # the identity factor keeps a canonical reconstruction exact
+        assert np.array_equal(got, want)
 
 
 class TestPostProcess:
