@@ -15,7 +15,6 @@ the matching model prediction from the kernel alone.
 from __future__ import annotations
 
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -258,8 +257,7 @@ def derive_seed(base_seed: int, *components: int) -> int:
 def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
                 *, parent: PatternBasis | None = None, repeats_per_pattern: int = 2,
                 peak_fraction: float = 0.1, background_fraction: float = 0.3,
-                mask_border: int = 1, background_rect=None,
-                threads: int = 1) -> list[SweepCell]:
+                mask_border: int = 1, background_rect=None) -> list[SweepCell]:
     """Run both pipelines over every (integration time, repeat) cell.
 
     Masks are fixed once, from the noiseless filtered object: the peak from
@@ -307,18 +305,14 @@ def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
         cell_noise = replace(
             noise, seed=derive_seed(noise.seed, METHODS.index(method), ti, rep)
         )
-        protocol = ProtocolConfig(times[ti], repeats_per_pattern, method)
+        protocol = ProtocolConfig(times[ti], repeats_per_pattern)
         route = (post_processed_image if method == POST_PROCESSED
                  else basis_processed_image)
         result = route(o, kernel, cell_noise, protocol, parent, plan=plans[method])
         report = compute_snr(np.abs(result.image), peak, background)
         return SweepCell(method, times[ti], rep, result, report)
 
-    if threads == 1:
-        return [run_cell(s) for s in specs]
-    workers = threads if threads > 0 else None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_cell, specs))
+    return [run_cell(s) for s in specs]
 
 
 def snr_sweep(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,

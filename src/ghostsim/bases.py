@@ -36,8 +36,8 @@ class PatternBasis:
     """Ordered, complete set of ``side**2`` patterns sharing one grid.
 
     ``stack`` has shape ``(pixel_count, side, side)``; pattern ``j`` is
-    ``stack[j]``.  The stack is frozen after construction so bases can be
-    shared between threads.
+    ``stack[j]``.  The stack is frozen after construction, so one basis
+    serves every cell of a sweep unchanged, in any order.
     """
 
     grid: GridSpec

@@ -105,20 +105,17 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Acquisition settings: detector integration time (ms), how many times a
-    single-part pattern is repeated, and which pipeline the run feeds."""
+    """Acquisition settings: detector integration time (ms) and how many
+    times a single-part pattern is repeated."""
 
     integration_time_ms: float
     repeats_per_pattern: int = 2
-    method: str = POST_PROCESSED
 
     def __post_init__(self):
         if not self.integration_time_ms > 0:
             raise ConfigError("integration_time_ms must be positive")
         if self.repeats_per_pattern < 1:
             raise ConfigError("repeats_per_pattern must be >= 1")
-        if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
 
 
 def synth_bar_target(grid: GridSpec, bar_groups: int = 3) -> np.ndarray:
@@ -199,7 +196,7 @@ class MeasurementPlan:
     weight ``weight[p]`` and overlaps the object by ``overlap[p]``.  Parts
     of one pattern are listed in projection order.  Every pattern of the
     grid owns at least one part.  The arrays are read-only, so one plan
-    serves every cell of a sweep, from any thread.
+    serves every cell of a sweep, in any order.
     """
 
     grid: GridSpec
@@ -336,8 +333,7 @@ def run_basis_protocol(plan: MeasurementPlan, noise: NoiseModel,
 
     All draws come from one Philox stream keyed by ``noise.seed``: one per
     bucket read in plan order, then one per normalization read in pattern
-    order.  The cell is therefore reproducible on its own, in any order and
-    from any thread.
+    order.  The cell is therefore reproducible on its own, in any order.
     """
     lamp = lamp_intensity(np.arange(plan.pattern_count), noise, protocol)
     rng = np.random.Generator(np.random.Philox(noise.seed))

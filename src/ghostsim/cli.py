@@ -68,8 +68,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[Path]:
     the sweep writes nothing.  Each file goes through a temp-name-then-rename
     step, so no file is ever left truncated; the set is not atomic, though: a
     write that fails part way leaves the files written before it, next to
-    any older files in the directory.  Outputs are byte-identical for
-    identical (config, seed), whatever the thread count.
+    any older files in the directory.  A given (config, seed) always gives
+    byte-identical outputs: each cell draws from its own sub-seed, so the
+    result does not depend on the order the cells run in.
     """
     out = Path(out_dir if out_dir is not None else config.output_dir)
     obj = build_scene(config)
@@ -85,7 +86,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[Path]:
         background_fraction=config.background_fraction,
         mask_border=config.mask_border,
         background_rect=config.background_rect,
-        threads=config.threads,
     )
     rows = [c.row for c in cells]
 
@@ -143,8 +143,6 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="override the config seed")
     parser.add_argument("--out", metavar="DIR", default=None,
                         help="override the config output directory")
-    parser.add_argument("--threads", metavar="N", default=None,
-                        help="worker threads for sweep cells (0 = auto)")
 
 
 def _overrides(args) -> dict[str, str]:
@@ -153,8 +151,6 @@ def _overrides(args) -> dict[str, str]:
         over["seed"] = args.seed
     if args.out is not None:
         over["output_dir"] = args.out
-    if args.threads is not None:
-        over["threads"] = args.threads
     return over
 
 

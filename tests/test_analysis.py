@@ -1,10 +1,13 @@
 """Region masks, the SNR metric, noise statistics, and the sweep."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ghostsim import (
     BASIS_PROCESSED,
+    METHODS,
     POST_PROCESSED,
     DegenerateBackgroundError,
     GridSpec,
@@ -12,13 +15,20 @@ from ghostsim import (
     MaskError,
     NoiseModel,
     NormalizationError,
+    ProtocolConfig,
+    basis_plan,
+    basis_processed_image,
+    canonical_basis,
     compute_snr,
     cyclic_convolve,
+    derive_seed,
     filter_energy,
     identity_kernel,
     kernel_autocorrelation,
     mask_from_rect,
     noise_autocorrelation,
+    post_plan,
+    post_processed_image,
     predicted_amplification,
     select_background_mask,
     select_peak_mask,
@@ -228,15 +238,31 @@ class TestSnrSweep:
         for key, value in post.items():
             assert basis[key] == pytest.approx(value, rel=1e-8)
 
-    def test_deterministic_and_thread_invariant(self, edge_kernel):
+    def test_deterministic_and_cells_reproducible_alone(self, edge_kernel):
         obj = synth_bar_target(GridSpec(16), 2)
         noise = NoiseModel(detector_sigma=0.5, normalization_sigma=0.2,
                            background_measure=1.0, seed=77)
-        serial = snr_sweep(obj, edge_kernel, noise, (2.0, 5.0), 2)
-        again = snr_sweep(obj, edge_kernel, noise, (2.0, 5.0), 2)
-        threaded = snr_sweep(obj, edge_kernel, noise, (2.0, 5.0), 2, threads=4)
+        times = (2.0, 5.0)
+        serial = snr_sweep(obj, edge_kernel, noise, times, 2)
+        again = snr_sweep(obj, edge_kernel, noise, times, 2)
         assert serial == again
-        assert serial == threaded
+        # each cell depends only on its own sub-seed and the sweep's plan, so
+        # the sweep's result does not depend on the order its cells run in
+        parent = canonical_basis(GridSpec(16))
+        plans = {POST_PROCESSED: post_plan(obj, parent, 2),
+                 BASIS_PROCESSED: basis_plan(obj, parent, edge_kernel)}
+        routes = {POST_PROCESSED: post_processed_image,
+                  BASIS_PROCESSED: basis_processed_image}
+        cells = sweep_cells(obj, edge_kernel, noise, times, 2)
+        assert len(cells) == 8
+        for cell in cells:
+            seed = derive_seed(noise.seed, METHODS.index(cell.method),
+                               times.index(cell.integration_time_ms), cell.repeat)
+            alone = routes[cell.method](
+                obj, edge_kernel, replace(noise, seed=seed),
+                ProtocolConfig(cell.integration_time_ms), parent,
+                plan=plans[cell.method])
+            assert np.array_equal(cell.result.image, alone.image)
 
     def test_background_rect_is_used(self, edge_kernel):
         obj = synth_bar_target(GridSpec(16), 2)

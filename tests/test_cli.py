@@ -33,7 +33,6 @@ CUSTOM = (
     "background_rect = 1 2 3 4\n"
     "gallery_indices = 0 85 255\n"
     "object_path = some/object.pgm\n"
-    "threads = 0\n"
 )
 
 DEFAULT_ECHO = """\
@@ -59,7 +58,6 @@ mask_border = 1
 background_rect = auto
 gallery_indices = auto
 output_dir = runs
-threads = 1
 """
 
 CUSTOM_ECHO = """\
@@ -85,7 +83,6 @@ mask_border = 1
 background_rect = 1 2 3 4
 gallery_indices = 0 85 255
 output_dir = runs
-threads = 0
 """
 
 
@@ -163,8 +160,7 @@ class TestRun:
     def test_rerun_is_byte_identical(self, small_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--config", str(small_config), "--out", str(out1)]) == 0
-        assert main(["run", "--config", str(small_config), "--out", str(out2),
-                     "--threads", "3"]) == 0
+        assert main(["run", "--config", str(small_config), "--out", str(out2)]) == 0
         for name in ("snr_sweep.csv", "snr_summary.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         for path in out1.glob("recon_*.pgm"):

@@ -27,10 +27,12 @@ class TestParseConfig:
         assert cfg == default_config()
         assert cfg.grid_side == 64
 
-    def test_unknown_key_named_and_line_numbered(self):
+    # threads: a key that older manifests still carry; it must fail loudly
+    @pytest.mark.parametrize("key", ["sigma4", "threads"])
+    def test_unknown_key_named_and_line_numbered(self, key):
         with pytest.raises(ConfigError) as err:
-            parse_config("grid_side = 8\nsigma4 = 1.0\n")
-        assert "sigma4" in str(err.value)
+            parse_config(f"grid_side = 8\n{key} = 1\n")
+        assert key in str(err.value)
         assert err.value.line == 2
 
     def test_duplicate_key_rejected(self):
@@ -61,6 +63,13 @@ class TestParseConfig:
     def test_kernel_must_fit_grid(self):
         with pytest.raises(ConfigError):
             parse_config("grid_side = 1\nkernel = edge-eq3\n")
+
+    @pytest.mark.parametrize("side", [1, 2])
+    def test_side_too_small_for_default_kernel_charged_to_grid_side(self, side):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"seed = 5\ngrid_side = {side}\n")
+        assert str(err.value).startswith("line 2: grid_side: ")
+        assert err.value.line == 2
 
     def test_hadamard_needs_power_of_two(self):
         with pytest.raises(ConfigError) as err:
@@ -105,7 +114,6 @@ class TestEcho:
             "background_rect = 1 2 3 4\n"
             "gallery_indices = 0 85 255\n"
             "object_path = some/object.pgm\n"
-            "threads = 0\n"
         )
         cfg = parse_config(text)
         assert parse_config(cfg.to_text()) == cfg
@@ -119,12 +127,13 @@ class TestEcho:
 class TestLoadConfig:
     def test_file_plus_env_plus_overrides(self, tmp_path):
         path = tmp_path / "exp.cfg"
-        path.write_text("grid_side = 32\nseed = 5\nthreads = 2\n")
-        environ = {f"{ENV_PREFIX}SEED": "6", "UNRELATED": "x"}
-        cfg = load_config(path, environ=environ, overrides={"threads": "4"})
+        path.write_text("grid_side = 32\nseed = 5\nrepeats = 2\n")
+        environ = {f"{ENV_PREFIX}SEED": "6", f"{ENV_PREFIX}REPEATS": "3",
+                   "UNRELATED": "x"}
+        cfg = load_config(path, environ=environ, overrides={"repeats": "4"})
         assert cfg.grid_side == 32   # from file
         assert cfg.seed == 6         # env beats file
-        assert cfg.threads == 4      # override beats env
+        assert cfg.repeats == 4      # override beats env
 
     def test_unknown_env_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -133,6 +142,12 @@ class TestLoadConfig:
     def test_env_values_are_validated(self):
         with pytest.raises(ConfigError):
             load_config(None, environ={f"{ENV_PREFIX}GRID_SIDE": "zero"})
+
+    def test_env_side_too_small_for_default_kernel_charged_to_grid_side(self):
+        with pytest.raises(ConfigError) as err:
+            load_config(None, environ={f"{ENV_PREFIX}GRID_SIDE": "2"})
+        assert str(err.value).startswith("grid_side: ")
+        assert err.value.line is None
 
     def test_defaults_without_file(self):
         assert load_config(None, environ={}) == default_config()
@@ -211,7 +226,6 @@ def config_texts(draw):
         "background_rect": draw(st.sampled_from(["auto", rect])),
         "gallery_indices": draw(st.sampled_from(["auto", gallery])),
         "output_dir": draw(_PATHS),
-        "threads": str(draw(st.integers(0, 9))),
     }
     assert set(values) == {f.name for f in dataclasses.fields(ExperimentConfig)}
     return "".join(f"{key} = {value}\n" for key, value in values.items())
