@@ -43,7 +43,8 @@ def main(out_dir="demo_out/patterns"):
         modified_frames = projection_count(modified, 1)
         parts_85 = binary_decompose(modified.pattern(85), 85).part_count
         print(f"{parent.label:>9} basis: {len(parent)} patterns, "
-              f"{plain_frames} frames with 2 repeats each")
+              f"{plain_frames} frames on the plain route "
+              f"(a canonical pattern is repeated twice, a +/-1 one split in two)")
         print(f"{'':>9} edge-modified: {modified_frames} binary frames "
               f"(pattern 85 splits into {parts_85} parts)")
 

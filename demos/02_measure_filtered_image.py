@@ -18,11 +18,13 @@ import numpy as np
 from ghostsim import (
     GridSpec,
     NoiseModel,
-    ProtocolConfig,
+    basis_plan,
     basis_processed_image,
     build_operator_matrix,
+    canonical_basis,
     edge_detect_kernel,
     flatten,
+    post_plan,
     post_processed_image,
     synth_bar_target,
     unflatten,
@@ -34,10 +36,11 @@ def main():
     obj = synth_bar_target(grid, 2)
     kernel = edge_detect_kernel()
     quiet = NoiseModel()  # no noise, no backgrounds, steady lamp
-    protocol = ProtocolConfig(integration_time_ms=1.0)
+    parent = canonical_basis(grid)
 
-    direct = basis_processed_image(obj, kernel, quiet, protocol).image
-    filtered_after = post_processed_image(obj, kernel, quiet, protocol).image
+    direct = basis_processed_image(basis_plan(obj, parent, kernel), parent, quiet, 1.0)
+    filtered_after = post_processed_image(post_plan(obj, parent, 2), parent, kernel,
+                                          quiet, 1.0)
     operator = build_operator_matrix(kernel, grid)
     oracle = unflatten(operator.T @ flatten(obj), grid)
 
@@ -49,7 +52,8 @@ def main():
           f"[{direct.min():+.1f}, {direct.max():+.1f}]")
     rng = np.random.default_rng(7)
     obj2 = rng.uniform(0.0, 1.0, size=(16, 16))
-    direct2 = basis_processed_image(obj2, kernel, quiet, protocol).image
+    direct2 = basis_processed_image(basis_plan(obj2, parent, kernel), parent,
+                                    quiet, 1.0)
     oracle2 = unflatten(operator.T @ flatten(obj2), grid)
     print("same identity on a random object :",
           f"{np.abs(direct2 - oracle2).max():.3e}")

@@ -18,7 +18,6 @@ import numpy as np
 from ghostsim import (
     GridSpec,
     NoiseModel,
-    ProtocolConfig,
     basis_plan,
     basis_processed_image,
     canonical_basis,
@@ -40,9 +39,8 @@ def main(side=32, trials=10):
     grid = GridSpec(side)
     kernel = edge_detect_kernel()
     dark = np.zeros((side, side))
-    protocol = ProtocolConfig(1.0)
     parent = canonical_basis(grid)
-    plain_plan = post_plan(dark, parent, protocol.repeats_per_pattern)
+    plain_plan = post_plan(dark, parent, 2)
     modified_plan = basis_plan(dark, parent, kernel)
 
     corr = {"basis-processed": np.zeros((side, side)),
@@ -50,9 +48,8 @@ def main(side=32, trials=10):
     std_plain = std_filtered = std_basis = 0.0
     for i in range(trials):
         noise = NoiseModel(detector_sigma=1.0, seed=derive_seed(11, i))
-        basis_img = basis_processed_image(dark, kernel, noise, protocol,
-                                          plan=modified_plan).image
-        plain = reconstruct(run_basis_protocol(plain_plan, noise, protocol), parent)
+        basis_img = basis_processed_image(modified_plan, parent, noise, 1.0)
+        plain = reconstruct(run_basis_protocol(plain_plan, noise, 1.0), parent)
         post_img = post_process(plain, kernel)
         corr["basis-processed"] += noise_autocorrelation(basis_img) / trials
         corr["post-processed"] += noise_autocorrelation(post_img) / trials

@@ -12,7 +12,6 @@ from .analysis import (
     RegionMask,
     SNRReport,
     SweepCell,
-    SweepRow,
     SweepSummary,
     compute_snr,
     derive_seed,
@@ -21,7 +20,6 @@ from .analysis import (
     predicted_amplification,
     select_background_mask,
     select_peak_mask,
-    snr_sweep,
     summarize_sweep,
     sweep_cells,
     write_summary_csv,
@@ -45,7 +43,6 @@ from .bench import (
     POST_PROCESSED,
     MeasurementPlan,
     NoiseModel,
-    ProtocolConfig,
     as_transmission,
     coefficients_from_draws,
     lamp_intensity,
@@ -89,7 +86,6 @@ from .pgmio import (
     write_pgm,
 )
 from .reconstruct import (
-    ReconstructionResult,
     basis_plan,
     basis_processed_image,
     hadamard_inverse_scale,

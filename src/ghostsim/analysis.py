@@ -20,13 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bases import PatternBasis, canonical_basis
-from .bench import (
-    BASIS_PROCESSED,
-    METHODS,
-    POST_PROCESSED,
-    NoiseModel,
-    ProtocolConfig,
-)
+from .bench import BASIS_PROCESSED, METHODS, POST_PROCESSED, NoiseModel
 from .core import GridSpec, Kernel, cyclic_correlate, filter_energy
 from .errors import (
     DegenerateBackgroundError,
@@ -36,7 +30,6 @@ from .errors import (
 )
 from .pgmio import atomic_write_text
 from .reconstruct import (
-    ReconstructionResult,
     basis_plan,
     basis_processed_image,
     post_plan,
@@ -46,7 +39,6 @@ from .reconstruct import (
 __all__ = [
     "RegionMask",
     "SNRReport",
-    "SweepRow",
     "SweepCell",
     "SweepSummary",
     "select_peak_mask",
@@ -57,7 +49,6 @@ __all__ = [
     "noise_autocorrelation",
     "derive_seed",
     "sweep_cells",
-    "snr_sweep",
     "summarize_sweep",
     "write_sweep_csv",
     "write_summary_csv",
@@ -98,28 +89,19 @@ class SNRReport:
     snr: float
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    method: str
-    integration_time_ms: float
-    repeat: int
-    snr: float
-
-
 @dataclass(frozen=True, eq=False)
 class SweepCell:
-    """One sweep cell: the reconstruction and its score."""
+    """One sweep cell: the reconstructed image and its score."""
 
     method: str
     integration_time_ms: float
     repeat: int
-    result: ReconstructionResult
+    image: np.ndarray
     report: SNRReport
 
     @property
-    def row(self) -> SweepRow:
-        return SweepRow(self.method, self.integration_time_ms, self.repeat,
-                        self.report.snr)
+    def snr(self) -> float:
+        return self.report.snr
 
 
 @dataclass(frozen=True)
@@ -258,15 +240,18 @@ def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
                 *, parent: PatternBasis | None = None, repeats_per_pattern: int = 2,
                 peak_fraction: float = 0.1, background_fraction: float = 0.3,
                 mask_border: int = 1, background_rect=None) -> list[SweepCell]:
-    """Run both pipelines over every (integration time, repeat) cell.
+    """Run both routes over every (method, integration time, repeat) cell,
+    in that order.
 
     Masks are fixed once, from the noiseless filtered object: the peak from
     its top absolute values, the background from its flattest region (or from
     ``background_rect`` when configured).  The measurement plan of each route
-    is also built once, so a cell only draws noise and rebuilds.  Each cell
-    runs with its own sub-seed derived from ``noise.seed``, so the sweep is
-    reproducible and order-independent; SNR is computed on the magnitude
-    image because the filtered signal is signed.
+    is also built once (``parent`` defaults to the canonical basis, and
+    ``repeats_per_pattern`` sets the frames of a canonical post plan), so a
+    cell only draws noise and rebuilds.  Each cell runs with its own
+    sub-seed ``derive_seed(noise.seed, method index, time index, repeat)``,
+    so the sweep is reproducible and order-independent; SNR is computed on
+    the magnitude image because the filtered signal is signed.
     """
     o = np.asarray(obj, dtype=float)
     if o.ndim != 2 or o.shape[0] != o.shape[1]:
@@ -305,39 +290,34 @@ def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
         cell_noise = replace(
             noise, seed=derive_seed(noise.seed, METHODS.index(method), ti, rep)
         )
-        protocol = ProtocolConfig(times[ti], repeats_per_pattern)
-        route = (post_processed_image if method == POST_PROCESSED
-                 else basis_processed_image)
-        result = route(o, kernel, cell_noise, protocol, parent, plan=plans[method])
-        report = compute_snr(np.abs(result.image), peak, background)
-        return SweepCell(method, times[ti], rep, result, report)
+        if method == POST_PROCESSED:
+            image = post_processed_image(plans[method], parent, kernel, cell_noise,
+                                         times[ti])
+        else:
+            image = basis_processed_image(plans[method], parent, cell_noise, times[ti])
+        report = compute_snr(np.abs(image), peak, background)
+        return SweepCell(method, times[ti], rep, image, report)
 
     return [run_cell(s) for s in specs]
 
 
-def snr_sweep(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
-              **kwargs) -> list[SweepRow]:
-    """The sweep table: one row per (method, integration time, repeat)."""
-    return [c.row for c in sweep_cells(obj, kernel, noise, times_ms, repeats, **kwargs)]
-
-
-def summarize_sweep(rows: list[SweepRow]) -> list[SweepSummary]:
-    """Mean and population std of SNR per (method, integration time) cell,
+def summarize_sweep(cells: list[SweepCell]) -> list[SweepSummary]:
+    """Mean and population std of SNR per (method, integration time) group,
     in first-appearance order."""
     groups: dict[tuple[str, float], list[float]] = {}
-    for row in rows:
-        groups.setdefault((row.method, row.integration_time_ms), []).append(row.snr)
+    for cell in cells:
+        groups.setdefault((cell.method, cell.integration_time_ms), []).append(cell.snr)
     return [
         SweepSummary(method, t, float(np.mean(v)), float(np.std(v)))
         for (method, t), v in groups.items()
     ]
 
 
-def write_sweep_csv(rows: list[SweepRow], path):
+def write_sweep_csv(cells: list[SweepCell], path):
     buf = io.StringIO()
     buf.write("method,integration_time_ms,repeat,snr\n")
-    for r in rows:
-        buf.write(f"{r.method},{r.integration_time_ms!r},{r.repeat},{r.snr!r}\n")
+    for c in cells:
+        buf.write(f"{c.method},{c.integration_time_ms!r},{c.repeat},{c.snr!r}\n")
     atomic_write_text(path, buf.getvalue())
 
 

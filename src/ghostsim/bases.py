@@ -160,18 +160,16 @@ def decompose_basis(basis: PatternBasis) -> list[SubPatternSet]:
 
 
 def projection_count(basis: PatternBasis, repeats_per_pattern: int) -> int:
-    """Total binary frames needed to project the whole basis.
+    """Total binary frames projected to acquire the whole basis once, as
+    the measurement plans project them.
 
-    Each pattern costs ``max(number of binary parts, repeats_per_pattern)``
-    frames: multi-level patterns need one frame per part, while already-binary
-    patterns are repeated so both acquisition styles consume the same frame
-    budget.
+    A canonical basis is binary, so each pattern is repeated
+    ``repeats_per_pattern`` times; any other basis is projected through its
+    binary parts, one frame per distinct nonzero level of a pattern (one for
+    an all-zero pattern), and ``repeats_per_pattern`` is not used.
     """
     if repeats_per_pattern < 1:
         raise ValueError("repeats_per_pattern must be >= 1")
-    total = 0
-    for pat in basis:
-        vals = np.unique(np.asarray(pat, dtype=float))
-        n_parts = max(1, int(np.count_nonzero(vals)))
-        total += max(n_parts, repeats_per_pattern)
-    return total
+    if basis.label == CANONICAL:
+        return len(basis) * repeats_per_pattern
+    return sum(max(1, int(np.count_nonzero(np.unique(pat)))) for pat in basis)

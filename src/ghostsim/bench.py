@@ -21,9 +21,11 @@ distinct level.
 The overlaps do not depend on the integration time, the repeat or the
 seed, so they are computed once per sweep and route into a
 :class:`MeasurementPlan` (``repeat_plan`` or ``part_plan``), which is also
-where the object and the binarity of every part are checked.  A cell then
-costs array arithmetic: :func:`run_basis_protocol` draws all of its noise
-from one counter-based Philox stream keyed by the cell seed, and
+where the object and the binarity of every part are checked.  A cell is
+then ``run_basis_protocol(plan, noise, integration_time_ms)``: the plan
+fixes the frames, the noise model the noise levels and the seed, and the
+integration time the signal scale.  It draws all of its noise from one
+counter-based Philox stream keyed by the cell seed, and
 :func:`coefficients_from_draws` turns the draws into coefficients.  Signal
 scales linearly with the integration time while per-read noise stays fixed
 (a read-noise-dominated detector).
@@ -46,7 +48,6 @@ __all__ = [
     "BASIS_PROCESSED",
     "METHODS",
     "NoiseModel",
-    "ProtocolConfig",
     "MeasurementPlan",
     "synth_bar_target",
     "as_transmission",
@@ -103,21 +104,6 @@ class NoiseModel:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """Acquisition settings: detector integration time (ms) and how many
-    times a single-part pattern is repeated."""
-
-    integration_time_ms: float
-    repeats_per_pattern: int = 2
-
-    def __post_init__(self):
-        if not self.integration_time_ms > 0:
-            raise ConfigError("integration_time_ms must be positive")
-        if self.repeats_per_pattern < 1:
-            raise ConfigError("repeats_per_pattern must be >= 1")
-
-
 def synth_bar_target(grid: GridSpec, bar_groups: int = 3) -> np.ndarray:
     """Deterministic binary bar target: three-bar groups of halving pitch
     stacked below each other, inside a clear border margin.
@@ -166,19 +152,22 @@ def load_object(path) -> np.ndarray:
     return as_transmission(gray / maxval)
 
 
-def lamp_intensity(step, noise: NoiseModel, protocol: ProtocolConfig):
+def lamp_intensity(step, noise: NoiseModel, integration_time_ms: float):
     """Integrated lamp power at a measurement step, or at an array of steps.
 
     ``A(step) = integration_time * lamp_base * (1 + amplitude *
     sin(2*pi*step/period))``; the drift is a deterministic slow sinusoid so
     runs stay reproducible.  A scalar step gives a float, an array of steps
-    an array.
+    an array.  The integration time (ms) must be positive.
     """
+    if not integration_time_ms > 0:
+        raise ConfigError(
+            f"integration_time_ms must be positive, got {integration_time_ms}")
     steps = np.asarray(step)
     if np.any(steps < 0):
         raise ValueError(f"step must be >= 0, got {step}")
     phase = 2.0 * math.pi * steps / noise.lamp_drift_period
-    a = (protocol.integration_time_ms * noise.lamp_base
+    a = (integration_time_ms * noise.lamp_base
          * (1.0 + noise.lamp_drift_amplitude * np.sin(phase)))
     if np.any(a <= 0):
         raise ConfigError(
@@ -328,14 +317,15 @@ def coefficients_from_draws(plan: MeasurementPlan, lamp: np.ndarray,
 
 
 def run_basis_protocol(plan: MeasurementPlan, noise: NoiseModel,
-                       protocol: ProtocolConfig) -> np.ndarray:
-    """Acquire one cell: the coefficient of every pattern of the plan.
+                       integration_time_ms: float) -> np.ndarray:
+    """Acquire one cell: the coefficient of every pattern of the plan, each
+    read integrated for ``integration_time_ms``.
 
     All draws come from one Philox stream keyed by ``noise.seed``: one per
     bucket read in plan order, then one per normalization read in pattern
     order.  The cell is therefore reproducible on its own, in any order.
     """
-    lamp = lamp_intensity(np.arange(plan.pattern_count), noise, protocol)
+    lamp = lamp_intensity(np.arange(plan.pattern_count), noise, integration_time_ms)
     rng = np.random.Generator(np.random.Philox(noise.seed))
     bucket_draws = rng.standard_normal(plan.bucket_reads)
     norm_draws = rng.standard_normal(plan.pattern_count)

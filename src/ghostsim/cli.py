@@ -20,10 +20,10 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import summarize_sweep, sweep_cells, write_summary_csv, write_sweep_csv
-from .bases import HADAMARD, canonical_basis, hadamard_basis, modify_basis
+from .bases import HADAMARD, canonical_basis, hadamard_basis
 from .bench import load_object, synth_bar_target
 from .config import ExperimentConfig, load_config
-from .core import GridSpec
+from .core import GridSpec, cyclic_convolve
 from .errors import ConfigError, GhostSimError
 from .pgmio import atomic_write_text, write_pgm
 
@@ -87,21 +87,20 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[Path]:
         mask_border=config.mask_border,
         background_rect=config.background_rect,
     )
-    rows = [c.row for c in cells]
 
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for cell in cells:
         name = f"recon_{cell.method}_t{cell.integration_time_ms:g}ms_rep{cell.repeat}.pgm"
         path = out / name
-        write_pgm(path, cell.result.image)
+        write_pgm(path, cell.image)
         written.append(path)
 
     sweep_path = out / "snr_sweep.csv"
-    write_sweep_csv(rows, sweep_path)
+    write_sweep_csv(cells, sweep_path)
     written.append(sweep_path)
     summary_path = out / "snr_summary.csv"
-    write_summary_csv(summarize_sweep(rows), summary_path)
+    write_summary_csv(summarize_sweep(cells), summary_path)
     written.append(summary_path)
 
     manifest_path = out / "manifest.txt"
@@ -125,13 +124,15 @@ def emit_pattern_gallery(config: ExperimentConfig, out_dir=None) -> list[Path]:
     filter modification, as graymaps."""
     out = Path(out_dir if out_dir is not None else config.output_dir)
     parent = _parent_basis(config)
-    modified = modify_basis(parent, config.kernel)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for index in _gallery_indices(config):
-        for tag, basis in (("original", parent), ("modified", modified)):
+        # one modified pattern, as modify_basis would compute it, without the stack
+        pattern = parent.pattern(index)
+        for tag, image in (("original", pattern),
+                           ("modified", cyclic_convolve(pattern, config.kernel))):
             path = out / f"pattern_{tag}_{index:05d}.pgm"
-            write_pgm(path, basis.pattern(index))
+            write_pgm(path, image)
             written.append(path)
     return written
 

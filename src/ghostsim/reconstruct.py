@@ -9,16 +9,15 @@ modified-basis route return the filtered image directly.
 
 Both routes acquire through the one weighted protocol of
 :mod:`ghostsim.bench`.  A route's :class:`~ghostsim.bench.MeasurementPlan`
-is built once per sweep by :func:`post_plan` or :func:`basis_plan` and
-passed to every cell through ``plan=``; each cell then draws its noise from
-one Philox stream keyed by its seed.  ``post_processed_image`` and
-``basis_processed_image`` run the full acquire-and-rebuild pipelines and
-return images that, in the noiseless limit, are equal.
+is built once per sweep by :func:`post_plan` or :func:`basis_plan`.  A cell
+is then ``post_processed_image(plan, parent, kernel, noise, time)`` or
+``basis_processed_image(plan, parent, noise, time)``: it draws its noise
+from one Philox stream keyed by the noise seed, rebuilds in the parent
+basis and returns the image.  In the noiseless limit the two images are
+equal.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,16 +25,12 @@ from .bases import (
     CANONICAL,
     HADAMARD,
     PatternBasis,
-    canonical_basis,
     decompose_basis,
     modify_basis,
 )
 from .bench import (
-    BASIS_PROCESSED,
-    POST_PROCESSED,
     MeasurementPlan,
     NoiseModel,
-    ProtocolConfig,
     part_plan,
     repeat_plan,
     run_basis_protocol,
@@ -44,7 +39,6 @@ from .core import GridSpec, Kernel, cyclic_correlate
 from .errors import DimensionError
 
 __all__ = [
-    "ReconstructionResult",
     "reconstruct",
     "post_process",
     "hadamard_inverse_scale",
@@ -100,18 +94,6 @@ def hadamard_inverse_scale(image, grid: GridSpec) -> np.ndarray:
     return img / grid.pixel_count
 
 
-@dataclass(frozen=True, eq=False)
-class ReconstructionResult:
-    """A rebuilt image tagged with how it was produced.
-
-    ``provenance`` is ``(basis label, kernel name, noise seed)``.
-    """
-
-    image: np.ndarray
-    method: str
-    provenance: tuple[str, str, int]
-
-
 def _rebuild(coefficients: np.ndarray, parent: PatternBasis) -> np.ndarray:
     raw = reconstruct(coefficients, parent)
     if parent.label == HADAMARD:
@@ -135,14 +117,6 @@ def basis_plan(obj, parent: PatternBasis, kernel: Kernel) -> MeasurementPlan:
     return part_plan(obj, decompose_basis(modify_basis(parent, kernel)))
 
 
-def _setup(obj, parent: PatternBasis | None) -> tuple[np.ndarray, PatternBasis]:
-    """The object as floats, and the parent basis (canonical by default)."""
-    o = np.asarray(obj, dtype=float)
-    if o.ndim != 2 or o.shape[0] != o.shape[1]:
-        raise DimensionError(f"object must be a square 2-D image, got {o.shape}")
-    return o, parent if parent is not None else canonical_basis(GridSpec(o.shape[0]))
-
-
 def _check_plan(plan: MeasurementPlan, parent: PatternBasis):
     if plan.grid != parent.grid:
         raise DimensionError(
@@ -151,43 +125,19 @@ def _check_plan(plan: MeasurementPlan, parent: PatternBasis):
         )
 
 
-def post_processed_image(obj, kernel: Kernel, noise: NoiseModel,
-                         protocol: ProtocolConfig,
-                         parent: PatternBasis | None = None,
-                         plan: MeasurementPlan | None = None) -> ReconstructionResult:
-    """Measure in the plain basis, reconstruct, then filter the image.
-
-    ``plan`` may carry a precomputed :func:`post_plan` so sweeps build it
-    once; the plan then fixes the frames and ``repeats_per_pattern`` of
-    ``protocol`` is not consulted.
-    """
-    o, parent = _setup(obj, parent)
-    if plan is None:
-        plan = post_plan(o, parent, protocol.repeats_per_pattern)
+def post_processed_image(plan: MeasurementPlan, parent: PatternBasis,
+                         kernel: Kernel, noise: NoiseModel,
+                         integration_time_ms: float) -> np.ndarray:
+    """Measure in the plain basis with a :func:`post_plan`, reconstruct in
+    ``parent``, then filter the image."""
     _check_plan(plan, parent)
-    coefficients = run_basis_protocol(plan, noise, protocol)
-    image = post_process(_rebuild(coefficients, parent), kernel)
-    return ReconstructionResult(
-        image, POST_PROCESSED, (parent.label, kernel.name or "custom", noise.seed)
-    )
+    coefficients = run_basis_protocol(plan, noise, integration_time_ms)
+    return post_process(_rebuild(coefficients, parent), kernel)
 
 
-def basis_processed_image(obj, kernel: Kernel, noise: NoiseModel,
-                          protocol: ProtocolConfig,
-                          parent: PatternBasis | None = None,
-                          plan: MeasurementPlan | None = None) -> ReconstructionResult:
-    """Measure with the filter-modified basis; the reconstruction in the
-    parent basis is already the filtered image.
-
-    ``plan`` may carry a precomputed :func:`basis_plan` so sweeps do not
-    rebuild the modified patterns for every run.
-    """
-    o, parent = _setup(obj, parent)
-    if plan is None:
-        plan = basis_plan(o, parent, kernel)
+def basis_processed_image(plan: MeasurementPlan, parent: PatternBasis,
+                          noise: NoiseModel, integration_time_ms: float) -> np.ndarray:
+    """Measure with the filter-modified basis of a :func:`basis_plan`; the
+    reconstruction in ``parent`` is already the filtered image."""
     _check_plan(plan, parent)
-    coefficients = run_basis_protocol(plan, noise, protocol)
-    image = _rebuild(coefficients, parent)
-    return ReconstructionResult(
-        image, BASIS_PROCESSED, (parent.label, kernel.name or "custom", noise.seed)
-    )
+    return _rebuild(run_basis_protocol(plan, noise, integration_time_ms), parent)

@@ -13,7 +13,6 @@ from ghostsim import (
     POST_PROCESSED,
     GridSpec,
     NoiseModel,
-    ProtocolConfig,
     basis_plan,
     basis_processed_image,
     build_operator_matrix,
@@ -33,8 +32,8 @@ from ghostsim import (
     post_plan,
     post_processed_image,
     run_basis_protocol,
-    snr_sweep,
     summarize_sweep,
+    sweep_cells,
     synth_bar_target,
     unflatten,
 )
@@ -55,15 +54,15 @@ def default_sweep():
     cfg = parse_config("")  # the shipped defaults
     obj = synth_bar_target(GridSpec(cfg.grid_side), cfg.bar_groups)
     start = time.perf_counter()
-    rows = snr_sweep(obj, cfg.kernel, cfg.to_noise_model(),
-                     cfg.integration_times_ms, cfg.repeats,
-                     repeats_per_pattern=cfg.repeats_per_pattern,
-                     peak_fraction=cfg.peak_fraction,
-                     background_fraction=cfg.background_fraction,
-                     mask_border=cfg.mask_border)
+    cells = sweep_cells(obj, cfg.kernel, cfg.to_noise_model(),
+                        cfg.integration_times_ms, cfg.repeats,
+                        repeats_per_pattern=cfg.repeats_per_pattern,
+                        peak_fraction=cfg.peak_fraction,
+                        background_fraction=cfg.background_fraction,
+                        mask_border=cfg.mask_border)
     elapsed = time.perf_counter() - start
     means = {(s.method, s.integration_time_ms): s.mean_snr
-             for s in summarize_sweep(rows)}
+             for s in summarize_sweep(cells)}
     return means, elapsed
 
 
@@ -72,7 +71,6 @@ def test_criterion_1_operator_equivalence(rng):
     grid = GridSpec(8)
     op = build_operator_matrix(EDGE, grid)
     quiet = NoiseModel()
-    protocol = ProtocolConfig(1.0)
     parent = canonical_basis(grid)
     modified = decompose_basis(modify_basis(parent, EDGE))
     worst = 0.0
@@ -80,9 +78,9 @@ def test_criterion_1_operator_equivalence(rng):
         obj = rng.uniform(0.0, 1.0, size=(8, 8))
         oracle = unflatten(op.T @ flatten(obj), grid)
         scale = np.abs(oracle).max()
-        basis_img = basis_processed_image(obj, EDGE, quiet, protocol, parent,
-                                          plan=part_plan(obj, modified)).image
-        post_img = post_processed_image(obj, EDGE, quiet, protocol).image
+        basis_img = basis_processed_image(part_plan(obj, modified), parent, quiet, 1.0)
+        post_img = post_processed_image(post_plan(obj, parent, 2), parent, EDGE,
+                                        quiet, 1.0)
         worst = max(worst,
                     np.abs(basis_img - oracle).max() / scale,
                     np.abs(basis_img - post_img).max() / scale)
@@ -110,12 +108,12 @@ def test_criterion_3_measurement_parity():
     grid = GridSpec(64)
     obj = synth_bar_target(grid, 3)
     noise = NoiseModel(detector_sigma=0.5, seed=3)
-    protocol = ProtocolConfig(1.0, repeats_per_pattern=2)
+    repeats_per_pattern = 2
     parent = canonical_basis(grid)
-    post = post_plan(obj, parent, protocol.repeats_per_pattern)
+    post = post_plan(obj, parent, repeats_per_pattern)
     basis = basis_plan(obj, parent, EDGE)
-    post_coefficients = run_basis_protocol(post, noise, protocol)
-    basis_coefficients = run_basis_protocol(basis, noise, protocol)
+    post_coefficients = run_basis_protocol(post, noise, 1.0)
+    basis_coefficients = run_basis_protocol(basis, noise, 1.0)
     ok = (post.bucket_reads == 2 * 64 * 64 == basis.bucket_reads
           and post.pattern_count == 64 * 64 == basis.pattern_count
           and post_coefficients.shape == (64 * 64,) == basis_coefficients.shape)
@@ -130,20 +128,16 @@ def test_criterion_4_noise_character():
     side, trials = 64, 8
     grid = GridSpec(side)
     zero = np.zeros((side, side))
-    protocol = ProtocolConfig(1.0)
     parent = canonical_basis(grid)
-    plans = post_plan(zero, parent, protocol.repeats_per_pattern), \
-        basis_plan(zero, parent, EDGE)
+    post, basis = post_plan(zero, parent, 2), basis_plan(zero, parent, EDGE)
     acc_basis = np.zeros((side, side))
     acc_post = np.zeros((side, side))
     for i in range(trials):
         noise = NoiseModel(detector_sigma=1.0, seed=derive_seed(2026, i))
         acc_basis += noise_autocorrelation(
-            basis_processed_image(zero, EDGE, noise, protocol, parent,
-                                  plan=plans[1]).image)
+            basis_processed_image(basis, parent, noise, 1.0))
         acc_post += noise_autocorrelation(
-            post_processed_image(zero, EDGE, noise, protocol, parent,
-                                 plan=plans[0]).image)
+            post_processed_image(post, parent, EDGE, noise, 1.0))
     acc_basis /= trials
     acc_post /= trials
 
@@ -171,10 +165,10 @@ def test_criterion_5_snr_comparison(default_sweep):
     # (a) detector noise only: the two routes are statistically equivalent
     start = time.perf_counter()
     sigma_only = NoiseModel(lamp_base=1.0, detector_sigma=2.0, seed=99)
-    rows = snr_sweep(obj, EDGE, sigma_only, TIMES, 3)
+    cells = sweep_cells(obj, EDGE, sigma_only, TIMES, 3)
     elapsed = elapsed_default + (time.perf_counter() - start)
     means_sigma = {(s.method, s.integration_time_ms): s.mean_snr
-                   for s in summarize_sweep(rows)}
+                   for s in summarize_sweep(cells)}
     agree = all(
         abs(means_sigma[(BASIS_PROCESSED, t)] - means_sigma[(POST_PROCESSED, t)])
         <= 0.10 * means_sigma[(POST_PROCESSED, t)]

@@ -15,7 +15,6 @@ from ghostsim import (
     MaskError,
     NoiseModel,
     NormalizationError,
-    ProtocolConfig,
     basis_plan,
     basis_processed_image,
     canonical_basis,
@@ -32,7 +31,6 @@ from ghostsim import (
     predicted_amplification,
     select_background_mask,
     select_peak_mask,
-    snr_sweep,
     summarize_sweep,
     sweep_cells,
     synth_bar_target,
@@ -216,13 +214,13 @@ class TestSnrSweep:
     def test_row_count_and_grouping(self, rng, edge_kernel):
         obj = rng.uniform(0.0, 1.0, size=(16, 16))
         noise = NoiseModel(detector_sigma=0.5, seed=2)
-        rows = snr_sweep(obj, edge_kernel, noise, (1.0, 2.0, 3.0), 3)
-        assert len(rows) == 18
-        summaries = summarize_sweep(rows)
+        cells = sweep_cells(obj, edge_kernel, noise, (1.0, 2.0, 3.0), 3)
+        assert len(cells) == 18
+        summaries = summarize_sweep(cells)
         assert len(summaries) == 6
         for summary in summaries:
-            group = [r.snr for r in rows
-                     if (r.method, r.integration_time_ms)
+            group = [c.snr for c in cells
+                     if (c.method, c.integration_time_ms)
                      == (summary.method, summary.integration_time_ms)]
             assert len(group) == 3
             assert summary.mean_snr == pytest.approx(np.mean(group))
@@ -230,11 +228,11 @@ class TestSnrSweep:
 
     def test_noiseless_rows_match_across_methods(self, rng, edge_kernel):
         obj = rng.uniform(0.0, 1.0, size=(8, 8))
-        rows = snr_sweep(obj, edge_kernel, NoiseModel(), (1.0, 2.0), 2)
-        post = {(r.integration_time_ms, r.repeat): r.snr
-                for r in rows if r.method == POST_PROCESSED}
-        basis = {(r.integration_time_ms, r.repeat): r.snr
-                 for r in rows if r.method == BASIS_PROCESSED}
+        cells = sweep_cells(obj, edge_kernel, NoiseModel(), (1.0, 2.0), 2)
+        post = {(c.integration_time_ms, c.repeat): c.snr
+                for c in cells if c.method == POST_PROCESSED}
+        basis = {(c.integration_time_ms, c.repeat): c.snr
+                 for c in cells if c.method == BASIS_PROCESSED}
         for key, value in post.items():
             assert basis[key] == pytest.approx(value, rel=1e-8)
 
@@ -243,26 +241,31 @@ class TestSnrSweep:
         noise = NoiseModel(detector_sigma=0.5, normalization_sigma=0.2,
                            background_measure=1.0, seed=77)
         times = (2.0, 5.0)
-        serial = snr_sweep(obj, edge_kernel, noise, times, 2)
-        again = snr_sweep(obj, edge_kernel, noise, times, 2)
-        assert serial == again
+        cells = sweep_cells(obj, edge_kernel, noise, times, 2)
+        again = sweep_cells(obj, edge_kernel, noise, times, 2)
+
+        def table(sweep):
+            return [(c.method, c.integration_time_ms, c.repeat, c.snr) for c in sweep]
+
+        assert table(cells) == table(again)
+        assert all(np.array_equal(a.image, b.image) for a, b in zip(cells, again))
         # each cell depends only on its own sub-seed and the sweep's plan, so
         # the sweep's result does not depend on the order its cells run in
         parent = canonical_basis(GridSpec(16))
-        plans = {POST_PROCESSED: post_plan(obj, parent, 2),
-                 BASIS_PROCESSED: basis_plan(obj, parent, edge_kernel)}
-        routes = {POST_PROCESSED: post_processed_image,
-                  BASIS_PROCESSED: basis_processed_image}
-        cells = sweep_cells(obj, edge_kernel, noise, times, 2)
+        post = post_plan(obj, parent, 2)
+        basis = basis_plan(obj, parent, edge_kernel)
         assert len(cells) == 8
         for cell in cells:
             seed = derive_seed(noise.seed, METHODS.index(cell.method),
                                times.index(cell.integration_time_ms), cell.repeat)
-            alone = routes[cell.method](
-                obj, edge_kernel, replace(noise, seed=seed),
-                ProtocolConfig(cell.integration_time_ms), parent,
-                plan=plans[cell.method])
-            assert np.array_equal(cell.result.image, alone.image)
+            cell_noise = replace(noise, seed=seed)
+            if cell.method == POST_PROCESSED:
+                alone = post_processed_image(post, parent, edge_kernel, cell_noise,
+                                             cell.integration_time_ms)
+            else:
+                alone = basis_processed_image(basis, parent, cell_noise,
+                                              cell.integration_time_ms)
+            assert np.array_equal(cell.image, alone)
 
     def test_background_rect_is_used(self, edge_kernel):
         obj = synth_bar_target(GridSpec(16), 2)
@@ -280,8 +283,8 @@ class TestSnrSweep:
         obj = synth_bar_target(GridSpec(32), 2)
         noise = NoiseModel(detector_sigma=0.75, normalization_sigma=1.5,
                            background_measure=30.0, seed=31)
-        rows = snr_sweep(obj, edge_kernel, noise, (10.0, 30.0), 3)
+        cells = sweep_cells(obj, edge_kernel, noise, (10.0, 30.0), 3)
         summaries = {(s.method, s.integration_time_ms): s.mean_snr
-                     for s in summarize_sweep(rows)}
+                     for s in summarize_sweep(cells)}
         for t in (10.0, 30.0):
             assert summaries[(BASIS_PROCESSED, t)] > summaries[(POST_PROCESSED, t)]

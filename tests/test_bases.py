@@ -7,6 +7,7 @@ from ghostsim import (
     GridSpec,
     Kernel,
     UnsupportedSizeError,
+    basis_plan,
     binary_decompose,
     build_operator_matrix,
     canonical_basis,
@@ -16,6 +17,7 @@ from ghostsim import (
     hadamard_basis,
     identity_kernel,
     modify_basis,
+    post_plan,
     projection_count,
     unflatten,
 )
@@ -178,6 +180,18 @@ class TestProjectionCount:
     def test_identity_modified(self):
         modified = modify_basis(canonical_basis(GridSpec(8)), identity_kernel())
         assert projection_count(modified, 1) == 64
+
+    @pytest.mark.parametrize("repeats", [1, 2, 3])
+    @pytest.mark.parametrize("build", [canonical_basis, hadamard_basis])
+    def test_counts_the_frames_the_plans_project(self, build, repeats, edge_kernel):
+        grid = GridSpec(4)
+        parent = build(grid)
+        obj = np.linspace(0.0, 1.0, 16).reshape(4, 4)
+        post = post_plan(obj, parent, repeats)
+        basis = basis_plan(obj, parent, edge_kernel)
+        assert projection_count(parent, repeats) == post.bucket_reads
+        assert (projection_count(modify_basis(parent, edge_kernel), repeats)
+                == basis.bucket_reads)
 
     def test_invalid_repeats(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from ghostsim import (
     DimensionError,
     GridSpec,
     NoiseModel,
-    ProtocolConfig,
     ProtocolError,
     SubPatternSet,
     canonical_basis,
@@ -22,6 +21,7 @@ from ghostsim import (
     part_plan,
     repeat_plan,
     run_basis_protocol,
+    sweep_cells,
     synth_bar_target,
 )
 
@@ -64,49 +64,56 @@ class TestSynthBarTarget:
 class TestLampIntensity:
     def test_no_drift_is_constant(self):
         noise = NoiseModel(lamp_base=2.0)
-        protocol = ProtocolConfig(10.0)
-        values = {lamp_intensity(s, noise, protocol) for s in range(50)}
+        values = {lamp_intensity(s, noise, 10.0) for s in range(50)}
         assert values == {20.0}
 
     def test_quarter_period_peak(self):
         noise = NoiseModel(lamp_base=1.0, lamp_drift_amplitude=0.25,
                            lamp_drift_period=8.0)
-        protocol = ProtocolConfig(2.0)
-        assert lamp_intensity(2, noise, protocol) == pytest.approx(2.0 * 1.25)
+        assert lamp_intensity(2, noise, 2.0) == pytest.approx(2.0 * 1.25)
 
     def test_linear_in_integration_time(self):
         noise = NoiseModel(lamp_base=1.0, lamp_drift_amplitude=0.3,
                            lamp_drift_period=100.0)
         for step in (0, 7, 31):
-            a1 = lamp_intensity(step, noise, ProtocolConfig(5.0))
-            a2 = lamp_intensity(step, noise, ProtocolConfig(10.0))
+            a1 = lamp_intensity(step, noise, 5.0)
+            a2 = lamp_intensity(step, noise, 10.0)
             assert a2 == pytest.approx(2.0 * a1, rel=1e-12)
 
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
-            lamp_intensity(-1, QUIET, ProtocolConfig(1.0))
+            lamp_intensity(-1, QUIET, 1.0)
 
     def test_non_positive_intensity_rejected(self):
         noise = NoiseModel(lamp_drift_amplitude=2.0, lamp_drift_period=4.0)
         with pytest.raises(ConfigError):
-            lamp_intensity(3, noise, ProtocolConfig(1.0))  # trough: 1 + 2*sin(3pi/2) < 0
+            lamp_intensity(3, noise, 1.0)  # trough: 1 + 2*sin(3pi/2) < 0
         with pytest.raises(ConfigError):
-            lamp_intensity(np.arange(4), noise, ProtocolConfig(1.0))
+            lamp_intensity(np.arange(4), noise, 1.0)
 
     def test_array_matches_scalar_steps(self):
         noise = NoiseModel(lamp_base=1.5, lamp_drift_amplitude=0.4,
                            lamp_drift_period=37.0)
-        protocol = ProtocolConfig(3.0)
+        time_ms = 3.0
         steps = np.arange(100)
-        expected = [lamp_intensity(int(s), noise, protocol) for s in steps]
-        assert lamp_intensity(steps, noise, protocol).tolist() == expected
+        expected = [lamp_intensity(int(s), noise, time_ms) for s in steps]
+        assert lamp_intensity(steps, noise, time_ms).tolist() == expected
 
 
-def plan_noise_samples(plan, noise, seeds, protocol=None):
+@pytest.mark.parametrize("time_ms", [0.0, -1.0, float("nan")])
+def test_non_positive_integration_time_rejected(time_ms, edge_kernel):
+    obj = np.linspace(0.0, 1.0, 64).reshape(8, 8)
+    plan = repeat_plan(obj, canonical_basis(GridSpec(8)), 1)
+    with pytest.raises(ConfigError, match="integration_time_ms"):
+        run_basis_protocol(plan, QUIET, time_ms)
+    with pytest.raises(ConfigError, match="integration_time_ms"):
+        sweep_cells(obj, edge_kernel, QUIET, (1.0, time_ms), 1)
+
+
+def plan_noise_samples(plan, noise, seeds, time_ms=1.0):
     """Coefficient vectors of one plan over many cell seeds, stacked."""
-    protocol = protocol or ProtocolConfig(1.0)
     return np.stack([
-        run_basis_protocol(plan, replace(noise, seed=seed), protocol)
+        run_basis_protocol(plan, replace(noise, seed=seed), time_ms)
         for seed in seeds
     ])
 
@@ -127,7 +134,7 @@ class TestBucketRead:
         zero = [SubPatternSet(j, ((np.zeros((2, 2), dtype=np.uint8), 1.0),))
                 for j in range(4)]
         plan = part_plan(np.ones((2, 2)), zero)
-        coefficients = run_basis_protocol(plan, noise, ProtocolConfig(5.0))
+        coefficients = run_basis_protocol(plan, noise, 5.0)
         assert coefficients.tolist() == [3.25 / 5.0] * 4
 
     def test_grid_mismatch(self):
@@ -154,17 +161,16 @@ class TestNormalizationRead:
         obj = rng.uniform(0.0, 1.0, size=(2, 2))
         plan = repeat_plan(obj, canonical_basis(GridSpec(2)), 1)
         noise = NoiseModel(background_norm=0.5)
-        got = run_basis_protocol(plan, noise, ProtocolConfig(4.0))
+        got = run_basis_protocol(plan, noise, 4.0)
         assert got.tolist() == (4.0 * obj.ravel() / 4.5).tolist()
-        got = run_basis_protocol(plan, NoiseModel(), ProtocolConfig(4.0))
+        got = run_basis_protocol(plan, NoiseModel(), 4.0)
         assert got.tolist() == (4.0 * obj.ravel() / 4.0).tolist()
 
     def test_sample_mean(self):
         # a clear object gives coefficient a / norm_read, so norm_read = 2 / coefficient
         noise = NoiseModel(normalization_sigma=0.3, background_norm=1.0)
         plan = repeat_plan(np.ones((32, 32)), canonical_basis(GridSpec(32)), 1)
-        reads = 2.0 / plan_noise_samples(plan, noise, range(100),
-                                         ProtocolConfig(2.0)).ravel()
+        reads = 2.0 / plan_noise_samples(plan, noise, range(100), 2.0).ravel()
         stderr = 0.3 / np.sqrt(reads.size)
         assert abs(reads.mean() - 3.0) < 3 * stderr
 
@@ -193,7 +199,7 @@ class TestPostProtocol:
         grid = GridSpec(4)
         obj = rng.uniform(0.0, 1.0, size=(4, 4))
         plan = repeat_plan(obj, canonical_basis(grid), 2)
-        coeffs = run_basis_protocol(plan, QUIET, ProtocolConfig(1.0))
+        coeffs = run_basis_protocol(plan, QUIET, 1.0)
         assert np.array_equal(coeffs, obj.ravel())
 
     def test_read_counts(self):
@@ -207,11 +213,11 @@ class TestPostProtocol:
         grid = GridSpec(4)
         obj = np.full((4, 4), 0.5)
         noise = NoiseModel(detector_sigma=0.5, normalization_sigma=0.1, seed=11)
-        protocol = ProtocolConfig(2.0)
+        time_ms = 2.0
         first = run_basis_protocol(repeat_plan(obj, canonical_basis(grid), 2),
-                                   noise, protocol)
+                                   noise, time_ms)
         second = run_basis_protocol(repeat_plan(obj, canonical_basis(grid), 2),
-                                    noise, protocol)
+                                    noise, time_ms)
         assert np.array_equal(first, second)
 
     def test_rejects_non_binary_basis(self):
@@ -239,8 +245,7 @@ class TestBasisProtocol:
     def test_noiseless_coefficients(self, rng, edge_kernel):
         obj = rng.uniform(0.0, 1.0, size=(4, 4))
         modified = modify_basis(canonical_basis(GridSpec(4)), edge_kernel)
-        got = run_basis_protocol(part_plan(obj, decompose_basis(modified)), QUIET,
-                                 ProtocolConfig(1.0))
+        got = run_basis_protocol(part_plan(obj, decompose_basis(modified)), QUIET, 1.0)
         expected = np.array([
             float(np.sum(np.asarray(modified.pattern(j)) * obj))
             for j in range(len(modified))
@@ -262,7 +267,7 @@ class TestBasisProtocol:
         plan = self.setup_plan(32, edge_kernel, obj)
         assert np.array_equal(np.abs(plan.weight), np.ones(2 * 1024))
         combos = plan_noise_samples(plan, noise, range(100))
-        clean = run_basis_protocol(plan, QUIET, ProtocolConfig(1.0))
+        clean = run_basis_protocol(plan, QUIET, 1.0)
         assert np.std(combos - clean) == pytest.approx(np.sqrt(2) * sigma, rel=0.02)
 
     def test_rejects_non_binary_parts(self):
@@ -274,8 +279,8 @@ class TestBasisProtocol:
         obj = np.full((4, 4), 0.25)
         plan = self.setup_plan(4, edge_kernel, obj)
         noise = NoiseModel(detector_sigma=0.3, normalization_sigma=0.05, seed=9)
-        first = run_basis_protocol(plan, noise, ProtocolConfig(3.0))
-        second = run_basis_protocol(plan, noise, ProtocolConfig(3.0))
+        first = run_basis_protocol(plan, noise, 3.0)
+        second = run_basis_protocol(plan, noise, 3.0)
         assert np.array_equal(first, second)
 
 

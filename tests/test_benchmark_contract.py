@@ -72,7 +72,8 @@ def test_public_names_on_the_run_path(tmp_path):
     decomposed = bases.decompose_basis(modified)
     assert len(decomposed) == 16
     assert all(isinstance(sub, bases.SubPatternSet) for sub in decomposed)
-    assert bases.projection_count(hadamard, 2) == 32
+    # one frame per part: 15 +/-1 patterns in two parts, the all-ones one in one
+    assert bases.projection_count(hadamard, 2) == 31
     assert np.array_equal(
         np.asarray(bases.canonical_basis(grid).stack).reshape(16, 16), np.eye(16))
 

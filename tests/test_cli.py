@@ -7,7 +7,15 @@ import sys
 import numpy as np
 import pytest
 
-from ghostsim import parse_config, read_pgm, read_pgm_values
+from ghostsim import (
+    GridSpec,
+    hadamard_basis,
+    modify_basis,
+    parse_config,
+    read_pgm,
+    read_pgm_values,
+    write_pgm,
+)
 from ghostsim.cli import main
 from ghostsim.config import ENV_PREFIX
 
@@ -206,6 +214,21 @@ class TestGallery:
         for original in out.glob("pattern_original_*.pgm"):
             modified = out / original.name.replace("original", "modified")
             assert original.read_bytes() == modified.read_bytes()
+
+    def test_modified_patterns_match_the_modified_basis(self, tmp_path):
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("grid_side = 16\nbasis = hadamard\n")
+        out = tmp_path / "gallery"
+        assert main(["gallery", "--config", str(cfg), "--out", str(out)]) == 0
+        modified = modify_basis(hadamard_basis(GridSpec(16)),
+                                parse_config(cfg.read_text()).kernel)
+        written = sorted(out.glob("pattern_modified_*.pgm"))
+        assert len(written) == 4
+        for path in written:
+            index = int(path.stem.rsplit("_", 1)[1])
+            want = tmp_path / path.name
+            write_pgm(want, modified.pattern(index))
+            assert path.read_bytes() == want.read_bytes()
 
 
 def test_console_script_installed():

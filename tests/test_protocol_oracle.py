@@ -16,7 +16,6 @@ from hypothesis.extra.numpy import arrays
 from ghostsim import (
     GridSpec,
     NoiseModel,
-    ProtocolConfig,
     build_operator_matrix,
     canonical_basis,
     coefficients_from_draws,
@@ -34,7 +33,7 @@ EDGE = edge_detect_kernel()
 ALL_NOISE = NoiseModel(lamp_base=1.3, lamp_drift_amplitude=0.2, lamp_drift_period=37.0,
                        detector_sigma=0.5, normalization_sigma=0.05,
                        background_measure=0.1, background_norm=0.02, seed=20261018)
-PROTOCOL = ProtocolConfig(3.0)
+TIME_MS = 3.0
 
 
 # ------------------------------------------------------------ reference
@@ -64,13 +63,12 @@ def normalization_read(a, noise, rng) -> float:
     return float(value)
 
 
-def loop_post_protocol(obj, basis, noise, protocol) -> np.ndarray:
+def loop_post_protocol(obj, basis, noise, time_ms, repeats) -> np.ndarray:
     """Repeat protocol: ``repeats`` reads per pattern, averaged, divided by
     one normalization read."""
-    repeats = protocol.repeats_per_pattern
     out = np.zeros(len(basis))
     for j, pattern in enumerate(basis):
-        a = lamp_intensity(j, noise, protocol)
+        a = lamp_intensity(j, noise, time_ms)
         reads = [bucket_read(pattern, obj, a, noise, read_stream(noise.seed, j, i))
                  for i in range(repeats)]
         norm = normalization_read(a, noise, read_stream(noise.seed, j, repeats))
@@ -78,13 +76,13 @@ def loop_post_protocol(obj, basis, noise, protocol) -> np.ndarray:
     return out
 
 
-def loop_basis_protocol(obj, decomposed, noise, protocol) -> np.ndarray:
+def loop_basis_protocol(obj, decomposed, noise, time_ms) -> np.ndarray:
     """Weighted protocol: one read per binary part, weighted sum, divided by
     one normalization read."""
     out = np.zeros(len(decomposed))
     for sub in decomposed:
         j = sub.parent_index
-        a = lamp_intensity(j, noise, protocol)
+        a = lamp_intensity(j, noise, time_ms)
         combined = 0.0
         for i, (part, weight) in enumerate(sub.parts):
             combined += weight * bucket_read(part, obj, a, noise,
@@ -110,8 +108,8 @@ def reference_draws(plan, seed):
     return bucket, norm
 
 
-def plan_cell(plan, noise, protocol):
-    lamp = lamp_intensity(np.arange(plan.pattern_count), noise, protocol)
+def plan_cell(plan, noise, time_ms):
+    lamp = lamp_intensity(np.arange(plan.pattern_count), noise, time_ms)
     return coefficients_from_draws(plan, lamp, noise, *reference_draws(plan, noise.seed))
 
 
@@ -125,10 +123,9 @@ def side8_object():
 @pytest.mark.parametrize("repeats", [1, 2])
 def test_canonical_repeats_match_loop(side8_object, repeats):
     basis = canonical_basis(GridSpec(8))
-    protocol = ProtocolConfig(PROTOCOL.integration_time_ms, repeats)
     plan = repeat_plan(side8_object, basis, repeats)
-    want = loop_post_protocol(side8_object, basis, ALL_NOISE, protocol)
-    assert np.array_equal(plan_cell(plan, ALL_NOISE, protocol), want)
+    want = loop_post_protocol(side8_object, basis, ALL_NOISE, TIME_MS, repeats)
+    assert np.array_equal(plan_cell(plan, ALL_NOISE, TIME_MS), want)
 
 
 DECOMPOSED_BASES = {
@@ -142,8 +139,8 @@ DECOMPOSED_BASES = {
 def test_decomposed_bases_match_loop(side8_object, name):
     decomposed = decompose_basis(DECOMPOSED_BASES[name](GridSpec(8)))
     plan = part_plan(side8_object, decomposed)
-    want = loop_basis_protocol(side8_object, decomposed, ALL_NOISE, PROTOCOL)
-    assert np.array_equal(plan_cell(plan, ALL_NOISE, PROTOCOL), want)
+    want = loop_basis_protocol(side8_object, decomposed, ALL_NOISE, TIME_MS)
+    assert np.array_equal(plan_cell(plan, ALL_NOISE, TIME_MS), want)
 
 
 def test_reference_streams_are_keyed():
@@ -177,14 +174,13 @@ def test_noiseless_coefficients_match_dense_operator(case, time_ms, drift):
     rows = parent.stack.reshape(len(parent), -1).astype(float)
     op = build_operator_matrix(EDGE, grid)
     noise = NoiseModel(lamp_drift_amplitude=drift, lamp_drift_period=7.0, seed=1)
-    protocol = ProtocolConfig(time_ms)
 
     # modified pattern j is op @ row_j, so its coefficient is row_j . (op^T o)
     basis_route = run_basis_protocol(
-        part_plan(obj, decompose_basis(modify_basis(parent, EDGE))), noise, protocol)
+        part_plan(obj, decompose_basis(modify_basis(parent, EDGE))), noise, time_ms)
     np.testing.assert_allclose(basis_route, rows @ (op.T @ obj.ravel()),
                                rtol=1e-10, atol=1e-10)
     plain = (repeat_plan(obj, parent, 2) if label == "canonical"
              else part_plan(obj, decompose_basis(parent)))
-    np.testing.assert_allclose(run_basis_protocol(plain, noise, protocol),
+    np.testing.assert_allclose(run_basis_protocol(plain, noise, time_ms),
                                rows @ obj.ravel(), rtol=1e-10, atol=1e-10)

@@ -13,7 +13,6 @@ from ghostsim import (
     DimensionError,
     GridSpec,
     NoiseModel,
-    ProtocolConfig,
     basis_plan,
     basis_processed_image,
     build_operator_matrix,
@@ -163,44 +162,35 @@ class TestPipelineEquality:
     @pytest.mark.parametrize("side", [4, 8])
     def test_noiseless_equality_canonical(self, side, rng, edge_kernel):
         obj = rng.uniform(0.0, 1.0, size=(side, side))
-        protocol = ProtocolConfig(1.0)
-        post = post_processed_image(obj, edge_kernel, QUIET, protocol)
-        basis = basis_processed_image(obj, edge_kernel, QUIET, protocol)
-        assert relative_error(basis.image, post.image) < 1e-10
-        # dense-operator oracle for the shared target
         grid = GridSpec(side)
+        parent = canonical_basis(grid)
+        post = post_processed_image(post_plan(obj, parent, 2), parent, edge_kernel,
+                                    QUIET, 1.0)
+        basis = basis_processed_image(basis_plan(obj, parent, edge_kernel), parent,
+                                      QUIET, 1.0)
+        assert relative_error(basis, post) < 1e-10
+        # dense-operator oracle for the shared target
         op = build_operator_matrix(edge_kernel, grid)
         oracle = unflatten(op.T @ flatten(obj), grid)
-        assert relative_error(basis.image, oracle) < 1e-10
+        assert relative_error(basis, oracle) < 1e-10
         assert relative_error(oracle, cyclic_correlate(obj, edge_kernel)) < 1e-12
 
     def test_noiseless_equality_hadamard(self, rng, edge_kernel):
         obj = rng.uniform(0.0, 1.0, size=(4, 4))
-        protocol = ProtocolConfig(1.0)
         parent = hadamard_basis(GridSpec(4))
-        post = post_processed_image(obj, edge_kernel, QUIET, protocol, parent)
-        basis = basis_processed_image(obj, edge_kernel, QUIET, protocol, parent)
+        post = post_processed_image(post_plan(obj, parent, 2), parent, edge_kernel,
+                                    QUIET, 1.0)
+        basis = basis_processed_image(basis_plan(obj, parent, edge_kernel), parent,
+                                      QUIET, 1.0)
         oracle = cyclic_correlate(obj, edge_kernel)
-        assert relative_error(post.image, oracle) < 1e-10
-        assert relative_error(basis.image, oracle) < 1e-10
+        assert relative_error(post, oracle) < 1e-10
+        assert relative_error(basis, oracle) < 1e-10
 
     def test_plan_must_match_parent_grid(self, edge_kernel):
-        obj = np.full((4, 4), 0.5)
         plan = post_plan(np.full((2, 2), 0.5), canonical_basis(GridSpec(2)), 2)
         with pytest.raises(DimensionError):
-            post_processed_image(obj, edge_kernel, QUIET, ProtocolConfig(1.0),
-                                 plan=plan)
-
-    def test_provenance_and_method_tags(self, edge_kernel):
-        obj = np.full((4, 4), 0.5)
-        protocol = ProtocolConfig(1.0)
-        noise = NoiseModel(seed=17)
-        post = post_processed_image(obj, edge_kernel, noise, protocol)
-        basis = basis_processed_image(obj, edge_kernel, noise, protocol)
-        assert post.method == POST_PROCESSED
-        assert basis.method == BASIS_PROCESSED
-        assert post.provenance == ("canonical", "edge-eq3", 17)
-        assert basis.provenance == ("canonical", "edge-eq3", 17)
+            post_processed_image(plan, canonical_basis(GridSpec(4)), edge_kernel,
+                                 QUIET, 1.0)
 
 
 class TestNoiseCharacter:
@@ -210,16 +200,18 @@ class TestNoiseCharacter:
     def run_pure_noise(self, method, side, trials, edge_kernel):
         grid = GridSpec(side)
         zero = np.zeros((side, side))
-        protocol = ProtocolConfig(1.0)
-        plan = basis_plan(zero, canonical_basis(grid), edge_kernel)
+        parent = canonical_basis(grid)
+        if method == BASIS_PROCESSED:
+            plan = basis_plan(zero, parent, edge_kernel)
+        else:
+            plan = post_plan(zero, parent, 2)
         acc = np.zeros((side, side))
         for i in range(trials):
             noise = NoiseModel(detector_sigma=1.0, seed=derive_seed(404, i))
             if method == BASIS_PROCESSED:
-                image = basis_processed_image(zero, edge_kernel, noise, protocol,
-                                              plan=plan).image
+                image = basis_processed_image(plan, parent, noise, 1.0)
             else:
-                image = post_processed_image(zero, edge_kernel, noise, protocol).image
+                image = post_processed_image(plan, parent, edge_kernel, noise, 1.0)
             acc += noise_autocorrelation(image)
         return acc / trials
 
