@@ -36,8 +36,10 @@ class PatternBasis:
     """Ordered, complete set of ``side**2`` patterns sharing one grid.
 
     ``stack`` has shape ``(pixel_count, side, side)``; pattern ``j`` is
-    ``stack[j]``.  The stack is frozen after construction, so one basis
-    serves every cell of a sweep unchanged, in any order.
+    ``stack[j]``.  Its dtype may be integer (the int8 parents and their
+    exact filter-modified sets) or float; a float stack must be finite.
+    The stack is frozen after construction, so one basis serves every cell
+    of a sweep unchanged, in any order.
     """
 
     grid: GridSpec
@@ -52,7 +54,9 @@ class PatternBasis:
             raise DimensionError(
                 f"basis stack must have shape {expected}, got {stack.shape}"
             )
-        if not np.all(np.isfinite(stack)):
+        # an integer stack is finite by construction; skip the scan
+        if (not np.issubdtype(stack.dtype, np.integer)
+                and not np.all(np.isfinite(stack))):
             raise DimensionError("basis patterns must be finite")
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
@@ -95,9 +99,12 @@ def hadamard_basis(grid: GridSpec) -> PatternBasis:
 def modify_basis(basis: PatternBasis, kernel: Kernel) -> PatternBasis:
     """Cyclically convolve every pattern with ``kernel``.
 
-    Pattern order is preserved and the label records parentage, so a
-    modified basis can always be traced back to the set used for
-    reconstruction.
+    An integer stack filtered by integral taps stays integer, in the
+    stack's dtype widened only where the sum could overflow it (int8 for
+    the edge stencil on either parent); the values equal the float64
+    sum's.  Any other stack or kernel gives float64.  Pattern order is
+    preserved and the label records parentage, so a modified basis can
+    always be traced back to the set used for reconstruction.
     """
     out = _stencil(basis.stack, kernel, 1)
     label = f"modified({basis.label},{kernel.name or 'custom'})"

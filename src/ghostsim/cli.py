@@ -25,7 +25,7 @@ from .bench import load_object, synth_bar_target
 from .config import ExperimentConfig, load_config
 from .core import GridSpec, cyclic_convolve
 from .errors import ConfigError, GhostSimError
-from .pgmio import atomic_write_text, write_pgm
+from .pgmio import atomic_write_text, pgm_files, write_pgm
 
 __all__ = ["main", "run_experiment", "emit_pattern_gallery", "build_scene"]
 
@@ -62,7 +62,8 @@ def _manifest_text(config: ExperimentConfig) -> str:
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> list[Path]:
-    """Run the full sweep and write every output file; returns the paths.
+    """Run the full sweep and write every output file; returns the path of
+    each file written, every graymap's ``.meta`` sidecar included.
 
     All computation happens before any file is written, so a failure in
     the sweep writes nothing.  Each file goes through a temp-name-then-rename
@@ -94,7 +95,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[Path]:
         name = f"recon_{cell.method}_t{cell.integration_time_ms:g}ms_rep{cell.repeat}.pgm"
         path = out / name
         write_pgm(path, cell.image)
-        written.append(path)
+        written += pgm_files(path)
 
     sweep_path = out / "snr_sweep.csv"
     write_sweep_csv(cells, sweep_path)
@@ -121,7 +122,8 @@ def _gallery_indices(config: ExperimentConfig) -> list[int]:
 
 def emit_pattern_gallery(config: ExperimentConfig, out_dir=None) -> list[Path]:
     """Write selected patterns of the configured basis, before and after the
-    filter modification, as graymaps."""
+    filter modification, as graymaps; returns the path of each file
+    written, sidecars included."""
     out = Path(out_dir if out_dir is not None else config.output_dir)
     parent = _parent_basis(config)
     out.mkdir(parents=True, exist_ok=True)
@@ -133,7 +135,7 @@ def emit_pattern_gallery(config: ExperimentConfig, out_dir=None) -> list[Path]:
                            ("modified", cyclic_convolve(pattern, config.kernel))):
             path = out / f"pattern_{tag}_{index:05d}.pgm"
             write_pgm(path, image)
-            written.append(path)
+            written += pgm_files(path)
     return written
 
 

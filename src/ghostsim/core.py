@@ -144,17 +144,45 @@ def _require_fits(kernel: Kernel, side: int):
         )
 
 
+def _stencil_dtype(images: np.ndarray, taps: list[float]) -> np.dtype:
+    """Integer dtype of an exact stencil sum, or float64.
+
+    The sum stays integer when ``images`` is integer, every tap is integral
+    and the bound ``sum(|taps|) * max|entry|`` is at most 2**53, so the
+    float64 sum would hold the same integers exactly.  The dtype is the
+    input's, promoted until it holds both ``-bound`` and ``+bound``: int8
+    for the edge stencil on a one-hot or +/-1 stack.
+    """
+    if (not np.issubdtype(images.dtype, np.integer)
+            or any(v != int(v) for v in taps)):
+        return np.dtype(float)
+    # at least 1, so the dtype is signed and holds every tap
+    peak = max(1, -int(images.min()), int(images.max()))
+    bound = sum(abs(int(v)) for v in taps) * peak
+    if bound > 2**53:  # past float64's exact integers
+        return np.dtype(float)
+    # -bound - 1 so the type also holds +bound: int8 stops at 127, not 128
+    return np.promote_types(images.dtype, np.min_scalar_type(-bound - 1))
+
+
 def _stencil(images: np.ndarray, kernel: Kernel, sign: int) -> np.ndarray:
     """Sum of ``tap * roll(images, sign * offset)`` over the kernel taps, on
     the last two axes: ``sign = 1`` convolves, ``sign = -1`` correlates.
 
-    ``images`` keeps its dtype (an int8 basis stack is never copied to
-    float whole); the sum is float.
+    An integer ``images`` with integral taps gives an integer sum when it
+    is exact (see :func:`_stencil_dtype`): an int8 basis stack filtered by
+    the edge stencil stays int8.  Any other input gives a float64 sum.
+    Each tap adds one rolled term, scaled in place.
     """
     _require_fits(kernel, images.shape[-1])
-    out = np.zeros(images.shape, dtype=float)
-    for dr, dc, v in kernel.offsets():
-        out += v * np.roll(images, (sign * dr, sign * dc), axis=(-2, -1))
+    offsets = list(kernel.offsets())
+    dtype = _stencil_dtype(images, [v for _, _, v in offsets])
+    out = np.zeros(images.shape, dtype=dtype)
+    for dr, dc, v in offsets:
+        term = np.roll(images, (sign * dr, sign * dc), axis=(-2, -1))
+        term = term.astype(dtype, copy=False)
+        term *= int(v) if dtype.kind == "i" else v
+        out += term
     return out
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "PGM_MAXVAL",
     "atomic_write_text",
     "write_pgm",
+    "pgm_files",
     "read_pgm",
     "read_pgm_values",
 ]
@@ -44,6 +45,12 @@ def atomic_write_text(path, text: str):
 
 def _sidecar_path(path) -> Path:
     return Path(path).with_suffix(".meta")
+
+
+def pgm_files(path) -> list[Path]:
+    """The files ``write_pgm(path, ...)`` writes: the graymap, then its
+    sidecar."""
+    return [Path(path), _sidecar_path(path)]
 
 
 def write_pgm(path, image) -> tuple[float, float]:

@@ -1,9 +1,14 @@
 """Pattern generation, filter modification, and binary decomposition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghostsim import (
+    DimensionError,
     GridSpec,
     Kernel,
     UnsupportedSizeError,
@@ -17,6 +22,7 @@ from ghostsim import (
     hadamard_basis,
     identity_kernel,
     modify_basis,
+    PatternBasis,
     post_plan,
     projection_count,
     unflatten,
@@ -76,6 +82,96 @@ class TestHadamardBasis:
     def test_entries_are_plus_minus_one(self):
         basis = hadamard_basis(GridSpec(4))
         assert set(np.unique(basis.stack)) == {-1, 1}
+
+
+def float_stencil(stack: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """Reference: the all-float64 roll sum, one ``tap * roll`` term per tap."""
+    out = np.zeros(stack.shape, dtype=float)
+    for dr, dc, v in kernel.offsets():
+        out += v * np.roll(stack, (dr, dc), axis=(-2, -1))
+    return out
+
+
+@st.composite
+def parent_and_integer_kernel(draw):
+    build = draw(st.sampled_from([canonical_basis, hadamard_basis]))
+    side = draw(st.sampled_from([2, 4, 8]) if build is hadamard_basis
+                else st.integers(1, 7))
+    h = draw(st.sampled_from([h for h in (1, 3, 5) if h <= side]))
+    w = draw(st.sampled_from([w for w in (1, 3, 5) if w <= side]))
+    taps = draw(st.lists(st.integers(-300, 300), min_size=h * w, max_size=h * w))
+    # or taps whose absolute sum sits at the edge of an integer type
+    target = draw(st.sampled_from([None, 127, 128, 32767, 32768]))
+    if target is not None:
+        weights = [abs(v) for v in taps]
+        weights[draw(st.integers(0, h * w - 1))] += 1
+        parts = [target * wt // sum(weights) for wt in weights]
+        parts[weights.index(max(weights))] += target - sum(parts)
+        signs = draw(st.sampled_from(["+", "-", "mixed"]))
+        taps = [p if signs == "+" or (signs == "mixed" and v >= 0) else -p
+                for p, v in zip(parts, taps)]
+    return build(GridSpec(side)), Kernel(np.reshape(taps, (h, w)))
+
+
+class TestModifyBasisDtype:
+    @settings(max_examples=60, deadline=None)
+    @given(case=parent_and_integer_kernel())
+    def test_integer_kernel_keeps_an_exact_integer_stack(self, case):
+        parent, kernel = case
+        modified = modify_basis(parent, kernel).stack
+        assert np.issubdtype(modified.dtype, np.integer)
+        assert np.array_equal(modified, float_stencil(parent.stack, kernel))
+        op = build_operator_matrix(kernel, parent.grid)
+        rows = parent.stack.reshape(len(parent), -1).astype(float)
+        assert np.array_equal(modified.reshape(len(parent), -1), rows @ op.T)
+
+    def test_edge_stencil_stays_int8_on_both_parents(self, edge_kernel):
+        for build in (canonical_basis, hadamard_basis):
+            assert modify_basis(build(GridSpec(8)), edge_kernel).stack.dtype == np.int8
+
+    @pytest.mark.parametrize("build, taps, dtype", [
+        (hadamard_basis, [[64, 0, 63]], np.int8),
+        (hadamard_basis, [[64, 0, 64]], np.int16),
+        (canonical_basis, [[127]], np.int8),
+        (canonical_basis, [[128]], np.int16),
+        (hadamard_basis, [[16384, 0, 16383]], np.int16),
+        (hadamard_basis, [[16384, 0, 16384]], np.int32),
+    ])
+    def test_sum_at_the_edge_of_a_type_is_widened(self, build, taps, dtype):
+        # the all-ones Hadamard row and a one-hot pattern both reach +bound
+        parent, kernel = build(GridSpec(4)), Kernel(taps)
+        modified = modify_basis(parent, kernel).stack
+        assert modified.dtype == dtype
+        assert np.array_equal(modified, float_stencil(parent.stack, kernel))
+        assert modified.max() == np.abs(taps).sum()
+
+    @pytest.mark.parametrize("taps", [[[0.5, -1.0, 0.25]], [[1e-3]], [[2.0**60, -1.0, 3.0]]])
+    def test_other_kernels_give_the_float64_sum(self, taps, rng):
+        parent = hadamard_basis(GridSpec(4))
+        kernel = Kernel(taps)
+        modified = modify_basis(parent, kernel).stack
+        assert modified.dtype == np.float64
+        assert np.array_equal(modified, float_stencil(parent.stack, kernel))
+        image = rng.normal(size=(4, 4))
+        assert np.array_equal(cyclic_convolve(image, kernel), float_stencil(image, kernel))
+
+    def test_large_integral_taps_do_not_overflow(self):
+        parent = hadamard_basis(GridSpec(4))
+        kernel = Kernel([[2.0**40, -(2.0**40), 2.0**40]])
+        modified = modify_basis(parent, kernel).stack
+        assert modified.dtype == np.int64
+        assert np.array_equal(modified, float_stencil(parent.stack, kernel))
+        assert np.abs(modified).max() == 3 * 2**40
+
+    def test_peak_memory_stays_near_the_parent_size(self, edge_kernel):
+        parent = canonical_basis(GridSpec(32))
+        tracemalloc.start()
+        try:
+            modify_basis(parent, edge_kernel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * parent.stack.nbytes
 
 
 class TestModifyBasis:
@@ -196,6 +292,15 @@ class TestProjectionCount:
     def test_invalid_repeats(self):
         with pytest.raises(ValueError):
             projection_count(canonical_basis(GridSpec(2)), 0)
+
+
+def test_float_stack_must_be_finite():
+    stack = np.eye(4).reshape(4, 2, 2)
+    stack[1, 0, 0] = np.nan
+    with pytest.raises(DimensionError):
+        PatternBasis(GridSpec(2), stack, "custom")
+    assert PatternBasis(GridSpec(2), np.eye(4, dtype=np.int8).reshape(4, 2, 2),
+                        "custom").stack.dtype == np.int8
 
 
 def test_basis_stack_is_frozen():

@@ -16,7 +16,7 @@ from ghostsim import (
     read_pgm_values,
     write_pgm,
 )
-from ghostsim.cli import main
+from ghostsim.cli import emit_pattern_gallery, main, run_experiment
 from ghostsim.config import ENV_PREFIX
 
 SMALL = (
@@ -154,6 +154,12 @@ class TestRun:
         assert len(sweep) == 1 + 8
         assert not list(out.glob("*tmp*"))
 
+    def test_returns_every_file_written(self, small_config, tmp_path):
+        out = tmp_path / "out"
+        paths = run_experiment(parse_config(small_config.read_text()), out)
+        assert len(paths) == len(set(paths)) == 2 * 8 + 3
+        assert set(paths) == set(out.iterdir())
+
     def test_manifest_round_trip(self, small_config, tmp_path):
         out = tmp_path / "out"
         assert main(["run", "--config", str(small_config),
@@ -205,6 +211,12 @@ class TestGallery:
         values = read_pgm_values(modified)
         # three levels, recovered to within one 16-bit quantization step
         assert sorted(set(np.round(values, 4).ravel().tolist())) == [-1.0, 0.0, 1.0]
+
+    def test_returns_every_file_written(self, tmp_path):
+        out = tmp_path / "gallery"
+        paths = emit_pattern_gallery(parse_config("grid_side = 16\n"), out)
+        assert len(paths) == len(set(paths)) == 4 * 2 * 2
+        assert set(paths) == set(out.iterdir())
 
     def test_identity_kernel_gallery_is_unchanged(self, tmp_path):
         cfg = tmp_path / "g.cfg"

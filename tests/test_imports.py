@@ -2,6 +2,9 @@
 
 import subprocess
 import sys
+import types
+
+import ghostsim
 
 
 def test_import_loads_neither_scipy_nor_a_thread_pool():
@@ -14,3 +17,10 @@ def test_import_loads_neither_scipy_nor_a_thread_pool():
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == ""
+
+
+def test_package_all_names_public_objects_not_submodules():
+    assert len(ghostsim.__all__) == len(set(ghostsim.__all__))
+    for name in ghostsim.__all__:
+        assert hasattr(ghostsim, name), name
+        assert not isinstance(getattr(ghostsim, name), types.ModuleType), name
