@@ -161,9 +161,66 @@ def binary_decompose(pattern, parent_index: int = 0) -> SubPatternSet:
     return SubPatternSet(parent_index, parts)
 
 
+# Pattern entries per row block of the level scan (64 patterns at side 64):
+# its ``block == level`` mask is 256 KiB.
+_SCAN_ELEMENTS = 1 << 18
+# Widest integer span ``[min, max]`` a row block is scanned for as a whole; a
+# wider block is split pattern by pattern, as binary_decompose does.
+_SCAN_LEVELS = 64
+
+
+def _level_blocks(stack: np.ndarray):
+    """Yield ``(start, block, levels)`` over row blocks of a pattern stack.
+
+    ``block`` holds patterns ``start, start + 1, ...`` flattened to rows.
+    ``levels`` lists the integers of the block's ``[min, max]`` but zero,
+    descending, when the block is integer, exact in float64 (so that ``==``
+    agrees with :func:`binary_decompose`'s float64 comparison) and spans at
+    most ``_SCAN_LEVELS``; a level no pattern holds matches no row.
+    ``levels`` is None for every other block.
+    """
+    m = stack.shape[0]
+    flat = stack.reshape(m, -1)
+    step = max(1, _SCAN_ELEMENTS // flat.shape[1])
+    for start in range(0, m, step):
+        block = flat[start:start + step]
+        levels = None
+        if np.issubdtype(block.dtype, np.integer):
+            lo, hi = int(block.min()), int(block.max())
+            if max(-lo, hi) <= 2**53 and hi - lo <= _SCAN_LEVELS:
+                levels = [v for v in range(hi, lo - 1, -1) if v != 0]
+        yield start, block, levels
+
+
 def decompose_basis(basis: PatternBasis) -> list[SubPatternSet]:
-    """Decompose every pattern of a basis, preserving order."""
-    return [binary_decompose(basis.pattern(j), j) for j in range(len(basis))]
+    """Decompose every pattern of a basis, preserving order.
+
+    The parts, their weights and their order are exactly those of
+    :func:`binary_decompose` for each pattern, but they are found a row
+    block and a level at a time: one ``block == level`` mask per level, the
+    rows that hold the level kept in one read-only ``uint8`` array, of which
+    each part is a view.  All-zero patterns share one all-zero part.
+    """
+    shape = (basis.grid.side, basis.grid.side)
+    parts = [[] for _ in range(len(basis))]
+    for start, block, levels in _level_blocks(basis.stack):
+        if levels is None:
+            for i, row in enumerate(block, start):
+                parts[i] = list(binary_decompose(row.reshape(shape), i).parts)
+            continue
+        for level in levels:
+            mask = block == level
+            has = mask.any(axis=1)
+            rows = np.flatnonzero(has)
+            found = mask[has].view(np.uint8).reshape(rows.size, *shape)
+            found.setflags(write=False)
+            weight = float(level)
+            for i, part in zip((rows + start).tolist(), found):
+                parts[i].append((part, weight))
+    zero = np.zeros(shape, dtype=np.uint8)
+    zero.setflags(write=False)
+    return [SubPatternSet(j, tuple(p) if p else ((zero, 0.0),))
+            for j, p in enumerate(parts)]
 
 
 def projection_count(basis: PatternBasis, repeats_per_pattern: int) -> int:
@@ -179,4 +236,4 @@ def projection_count(basis: PatternBasis, repeats_per_pattern: int) -> int:
         raise ValueError("repeats_per_pattern must be >= 1")
     if basis.label == CANONICAL:
         return len(basis) * repeats_per_pattern
-    return sum(max(1, int(np.count_nonzero(np.unique(pat)))) for pat in basis)
+    return sum(sub.part_count for sub in decompose_basis(basis))

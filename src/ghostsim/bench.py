@@ -21,10 +21,13 @@ distinct level.
 The overlaps do not depend on the integration time, the repeat or the
 seed, so they are computed once per sweep and route into a
 :class:`MeasurementPlan` (``repeat_plan`` or ``part_plan``), which is also
-where the object and the binarity of every part are checked.  A cell is
-then ``run_basis_protocol(plan, noise, integration_time_ms)``: the plan
-fixes the frames, the noise model the noise levels and the seed, and the
-integration time the signal scale.  It draws all of its noise from one
+where the object and the binarity of every part are checked.  A plan is
+built a block of patterns or parts at a time: each block is checked in its
+own dtype, cast to float64 once, and meets the object in one batched
+product whose every row is the same dot product, bit for bit, that a single
+bucket read computes.  A cell is then ``run_basis_protocol(plan, noise,
+integration_time_ms)``: the plan fixes the frames, the noise model the
+noise levels and the seed, and the integration time the signal scale.  It draws all of its noise from one
 counter-based Philox stream keyed by the cell seed, and
 :func:`coefficients_from_draws` turns the draws into coefficients.  Signal
 scales linearly with the integration time while per-read noise stays fixed
@@ -229,15 +232,31 @@ def _check_object(obj) -> np.ndarray:
     return o
 
 
-def _overlaps(parts, o: np.ndarray) -> list[float]:
-    """``<part, o>`` for float parts of the object's shape, one dot product
-    per part, as a single bucket read computes it."""
-    flat = o.ravel()
-    return [float(np.dot(part.ravel(), flat)) for part in parts]
+# Pattern entries per float block of the overlap pass: 512 KiB, which is 16
+# patterns or parts at side 64.
+_PLAN_ELEMENTS = 1 << 16
 
 
 def _is_binary(arr: np.ndarray) -> bool:
+    if arr.dtype.kind in "biu":  # integers: the range decides, in one pass each
+        return bool(arr.min() >= 0 and arr.max() <= 1)
     return bool(np.all((arr == 0) | (arr == 1)))
+
+
+def _block_overlaps(rows: np.ndarray, flat: np.ndarray, buf: np.ndarray,
+                    out: np.ndarray):
+    """Write ``<row, flat>`` for each row of a 2-D block into ``out``, bit
+    for bit what one bucket read's ``float(np.dot(row, flat))`` gives.
+
+    The rows are cast into the float buffer ``buf``, and each then meets
+    the object as a ``(1, n) @ (n, 1)`` product, which numpy evaluates with
+    the same dot kernel as ``np.dot`` of two vectors.  A matrix-vector
+    product (``rows @ flat``) sums in another order and can differ in the
+    last bits.
+    """
+    block = buf[:len(rows)]
+    block[...] = rows
+    np.matmul(block[:, None, :], flat[:, None], out=out[:, None, None])
 
 
 def repeat_plan(obj, basis: PatternBasis, repeats: int) -> MeasurementPlan:
@@ -245,23 +264,46 @@ def repeat_plan(obj, basis: PatternBasis, repeats: int) -> MeasurementPlan:
     times, the reads averaged (``repeats`` identical parts of weight
     ``1/repeats``).
 
-    Multi-level patterns belong in :func:`part_plan` after decomposition.
+    The patterns are taken a block at a time: each block is checked for
+    binarity in the stack's dtype, then meets the object in one batched
+    product.  Multi-level patterns belong in :func:`part_plan` after
+    decomposition.
     """
     o = _check_object(obj)
     if o.shape != (basis.grid.side, basis.grid.side):
         raise DimensionError("object grid does not match basis grid")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if not _is_binary(basis.stack):
-        raise ProtocolError(
-            "repeat protocol needs binary patterns; decompose multi-level "
-            "patterns and use part_plan instead"
-        )
-    overlap = _overlaps((np.asarray(p, dtype=float) for p in basis), o)
-    m = len(basis)
+    m, flat = len(basis), o.ravel()
+    rows = basis.stack.reshape(m, -1)
+    step = max(1, _PLAN_ELEMENTS // flat.size)
+    buf, overlap = np.empty((min(m, step), flat.size)), np.empty(m)
+    for start in range(0, m, step):
+        block = rows[start:start + step]
+        if not _is_binary(block):
+            raise ProtocolError(
+                "repeat protocol needs binary patterns; decompose multi-level "
+                "patterns and use part_plan instead"
+            )
+        _block_overlaps(block, flat, buf, overlap[start:start + len(block)])
     return MeasurementPlan(basis.grid, np.repeat(np.arange(m), repeats),
                            np.full(m * repeats, 1.0 / repeats),
                            np.repeat(overlap, repeats))
+
+
+def _first_fault(decomposed, shape) -> Exception:
+    """The error of the first pattern, in the order given, that has a part
+    of the wrong shape or a part that is not binary."""
+    for sub in decomposed:
+        j = sub.parent_index
+        if any(np.shape(part) != shape for part, _ in sub.parts):
+            return DimensionError(
+                f"sub-patterns of pattern {j} do not match object shape {shape}")
+        if not _is_binary(np.array([part for part, _ in sub.parts], dtype=float)):
+            return ProtocolError(
+                f"pattern {j} has a sub-pattern that is not binary; "
+                "decompose patterns with binary_decompose first")
+    raise AssertionError("no faulty sub-pattern found")
 
 
 def part_plan(obj, decomposed: list[SubPatternSet]) -> MeasurementPlan:
@@ -269,31 +311,34 @@ def part_plan(obj, decomposed: list[SubPatternSet]) -> MeasurementPlan:
     each, recombined with their weights.
 
     ``decomposed`` must hold exactly one :class:`SubPatternSet` per pattern
-    of the object's grid, in any order.
+    of the object's grid, in any order.  The parts are stacked a block at a
+    time: each block is checked for shape, and for binarity in the parts'
+    own dtype, then meets the object in one batched product.  A faulty
+    block is checked again pattern by pattern, so the error names the first
+    faulty pattern in the order given.
     """
     o = _check_object(obj)
     grid = GridSpec(o.shape[0])
-    owner, weight, overlap = [], [], []
-    for sub in decomposed:
-        j = sub.parent_index
-        if any(np.shape(part) != o.shape for part, _ in sub.parts):
-            raise DimensionError(
-                f"sub-patterns of pattern {j} do not match object shape {o.shape}"
-            )
-        parts = np.array([part for part, _ in sub.parts], dtype=float)
-        if not _is_binary(parts):
-            raise ProtocolError(
-                f"pattern {j} has a sub-pattern that is not binary; "
-                "decompose patterns with binary_decompose first"
-            )
-        owner += [j] * len(parts)
-        weight += [w for _, w in sub.parts]
-        overlap += _overlaps(parts, o)
+    parts = [part for sub in decomposed for part, _ in sub.parts]
+    flat = o.ravel()
+    step = max(1, _PLAN_ELEMENTS // flat.size)
+    buf, overlap = np.empty((min(len(parts), step), flat.size)), np.empty(len(parts))
+    for start in range(0, len(parts), step):
+        try:
+            block = np.stack(parts[start:start + step])
+        except ValueError:  # parts of unequal shapes
+            raise _first_fault(decomposed, o.shape) from None
+        if block.shape[1:] != o.shape or not _is_binary(block):
+            raise _first_fault(decomposed, o.shape)
+        _block_overlaps(block.reshape(len(block), -1), flat, buf,
+                        overlap[start:start + len(block)])
     if len(decomposed) != grid.pixel_count:
         raise DimensionError(
             f"{len(decomposed)} decomposed patterns for a grid of "
             f"{grid.pixel_count} patterns"
         )
+    owner = [sub.parent_index for sub in decomposed for _ in sub.parts]
+    weight = [w for sub in decomposed for _, w in sub.parts]
     return MeasurementPlan(grid, np.array(owner, dtype=np.intp), weight, overlap)
 
 

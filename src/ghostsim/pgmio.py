@@ -73,7 +73,7 @@ def write_pgm(path, image) -> tuple[float, float]:
         gray = np.zeros(img.shape, dtype=np.int64)
     h, w = img.shape
     lines = ["P2", f"{w} {h}", str(PGM_MAXVAL)]
-    lines.extend(" ".join(str(v) for v in row) for row in gray)
+    lines.extend(" ".join(map(str, row)) for row in gray.tolist())
     atomic_write_text(path, "\n".join(lines) + "\n")
     sidecar = (
         f"vmin = {vmin!r}\n"

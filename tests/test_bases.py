@@ -1,12 +1,15 @@
 """Pattern generation, filter modification, and binary decomposition."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import ghostsim.bases as bases_module
 from ghostsim import (
     DimensionError,
     GridSpec,
@@ -22,9 +25,11 @@ from ghostsim import (
     hadamard_basis,
     identity_kernel,
     modify_basis,
+    part_plan,
     PatternBasis,
     post_plan,
     projection_count,
+    synth_bar_target,
     unflatten,
 )
 
@@ -263,6 +268,91 @@ class TestBinaryDecompose:
                 assert np.array_equal(
                     sub.recombine(), np.asarray(modified.pattern(sub.parent_index))
                 )
+
+
+def assert_same_decomposition(got, want):
+    """``got`` holds exactly the parts, weights and order of ``want``; each
+    part is a read-only uint8 image and each weight a Python float."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.parent_index == w.parent_index
+        assert [wt for _, wt in g.parts] == [wt for _, wt in w.parts]
+        assert all(type(wt) is float for _, wt in g.parts)
+        for (g_part, _), (w_part, _) in zip(g.parts, w.parts):
+            assert g_part.dtype == np.uint8
+            assert not g_part.flags.writeable
+            assert np.array_equal(g_part, w_part)
+
+
+# value sets per stack kind: levels within the integer scan, an integer range
+# wider than it, integers past 2**53 that float64 merges, non-integral
+# floats, and many distinct floats; all but the first go pattern by pattern
+STACK_KINDS = {
+    "int8": (np.int8, st.integers(-5, 5)),
+    "int16-wide": (np.int16, st.integers(-300, 300)),
+    "int64-huge": (np.int64, st.sampled_from([0, 5, -7, -(2**55) - 3, 2**60, 2**60 + 1])),
+    "float-taps": (float, st.sampled_from([0.0, -0.0, 0.5, -1.25, 0.1 + 0.2, 0.3, 3.0])),
+    "float-many": (float, st.floats(-1e3, 1e3, allow_subnormal=False)),
+}
+
+
+@st.composite
+def pattern_stacks(draw):
+    side = draw(st.integers(1, 6))
+    dtype, elements = STACK_KINDS[draw(st.sampled_from(sorted(STACK_KINDS)))]
+    stack = draw(arrays(dtype, (side * side, side, side), elements=elements))
+    stack[draw(st.lists(st.integers(0, side * side - 1), max_size=side))] = 0
+    return PatternBasis(GridSpec(side), stack, "custom")
+
+
+class TestDecomposeBasis:
+    @settings(max_examples=150, deadline=None)
+    @given(basis=pattern_stacks(), scan_elements=st.sampled_from([1, 7, 40, 1 << 18]))
+    def test_matches_pattern_by_pattern(self, basis, scan_elements):
+        # small scan blocks split the stack into many row blocks
+        want = [binary_decompose(p, j) for j, p in enumerate(basis)]
+        with mock.patch.object(bases_module, "_SCAN_ELEMENTS", scan_elements):
+            got = decompose_basis(basis)
+            count = projection_count(basis, 1)
+        assert_same_decomposition(got, want)
+        assert count == sum(sub.part_count for sub in want)
+
+    @pytest.mark.parametrize("taps", [[[0, -1, 0], [-1, 0, 1], [0, 1, 0]],
+                                      [[0.5, -1.0, 0.25]], [[64, 0, 64]]])
+    @pytest.mark.parametrize("build", [canonical_basis, hadamard_basis])
+    def test_modified_bases(self, build, taps):
+        modified = modify_basis(build(GridSpec(8)), Kernel(taps))
+        want = [binary_decompose(p, j) for j, p in enumerate(modified)]
+        assert_same_decomposition(decompose_basis(modified), want)
+
+    @pytest.mark.parametrize("dtype", [float, np.int32])
+    def test_blocks_with_many_levels(self, dtype, rng):
+        # thousands of distinct values: each block is split pattern by pattern
+        stack = (rng.normal(size=(64, 8, 8)) * 1e4).astype(dtype)
+        stack[5] = 0
+        basis = PatternBasis(GridSpec(8), stack, "custom")
+        want = [binary_decompose(p, j) for j, p in enumerate(basis)]
+        assert_same_decomposition(decompose_basis(basis), want)
+        assert projection_count(basis, 1) == sum(sub.part_count for sub in want)
+
+    def test_working_memory_stays_below_one_stack_mask(self, edge_kernel):
+        # decompose + plan may hold little beyond what they return: the
+        # parts' bytes and their Python objects.  A whole-stack bool mask per
+        # level would add 1 MiB each at side 32.
+        grid = GridSpec(32)
+        modified = modify_basis(hadamard_basis(grid), edge_kernel)
+        obj = synth_bar_target(grid, 2)
+        tracemalloc.start()
+        try:
+            decomposed = decompose_basis(modified)
+            plan = part_plan(obj, decomposed)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        part_bytes = sum(p.nbytes for sub in decomposed for p, _ in sub.parts)
+        assert plan.bucket_reads == 3836
+        assert peak - held <= 2**20
+        assert held <= 1.5 * part_bytes
 
 
 class TestProjectionCount:

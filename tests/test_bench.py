@@ -4,17 +4,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ghostsim.bench as bench_module
 from ghostsim import (
     ConfigError,
     DimensionError,
     GridSpec,
+    Kernel,
     NoiseModel,
+    PatternBasis,
     ProtocolError,
     SubPatternSet,
     canonical_basis,
     coefficients_from_draws,
     decompose_basis,
+    edge_detect_kernel,
     hadamard_basis,
     lamp_intensity,
     modify_basis,
@@ -282,6 +288,100 @@ class TestBasisProtocol:
         first = run_basis_protocol(plan, noise, 3.0)
         second = run_basis_protocol(plan, noise, 3.0)
         assert np.array_equal(first, second)
+
+
+def per_part_overlaps(obj, decomposed):
+    """Each part's overlap as one bucket read computes it."""
+    flat = np.asarray(obj, dtype=float).ravel()
+    return [float(np.dot(np.asarray(part, dtype=float).ravel(), flat))
+            for sub in decomposed for part, _ in sub.parts]
+
+
+class TestPlanOverlaps:
+    """Block-wise plans give every overlap bit for bit as a per-part dot."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(side=st.integers(1, 12), repeats=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1),
+           plan_elements=st.sampled_from([1, 100, 1 << 16]))
+    def test_random_objects(self, side, repeats, seed, plan_elements):
+        rng = np.random.default_rng(seed)
+        obj = rng.uniform(0.0, 1.0, size=(side, side))
+        parent = canonical_basis(GridSpec(side))
+        taps = rng.integers(-2, 3, size=(1, 3 if side >= 3 else 1))
+        decomposed = decompose_basis(modify_basis(parent, Kernel(taps)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bench_module, "_PLAN_ELEMENTS", plan_elements)
+            repeated = repeat_plan(obj, parent, repeats)
+            parts = part_plan(obj, decomposed)
+        want = per_part_overlaps(obj, decompose_basis(parent))
+        assert np.array_equal(repeated.overlap, np.repeat(want, repeats))
+        assert np.array_equal(parts.overlap, per_part_overlaps(obj, decomposed))
+        assert parts.weight.tolist() == [w for sub in decomposed for _, w in sub.parts]
+        assert parts.owner.tolist() == [sub.parent_index for sub in decomposed
+                                        for _ in sub.parts]
+
+    @pytest.mark.parametrize("build", [canonical_basis, hadamard_basis])
+    def test_side_64(self, build, rng):
+        grid = GridSpec(64)
+        obj = rng.uniform(0.0, 1.0, size=(64, 64))
+        for decomposed in (decompose_basis(build(grid)),
+                           decompose_basis(modify_basis(build(grid), edge_detect_kernel()))):
+            plan = part_plan(obj, decomposed)
+            assert np.array_equal(plan.overlap, per_part_overlaps(obj, decomposed))
+
+    def test_decomposition_in_any_order(self, rng, edge_kernel):
+        obj = rng.uniform(0.0, 1.0, size=(4, 4))
+        decomposed = decompose_basis(modify_basis(canonical_basis(GridSpec(4)), edge_kernel))
+        shuffled = [decomposed[i] for i in rng.permutation(len(decomposed))]
+        plan = part_plan(obj, shuffled)
+        assert np.array_equal(plan.overlap, per_part_overlaps(obj, shuffled))
+        assert plan.owner.tolist() == [s.parent_index for s in shuffled for _ in s.parts]
+
+
+def faulty(side, faults):
+    """The decomposed canonical basis, with ``faults`` mapping a pattern
+    index to ``"shape"`` (a misshapen second part) or ``"binary"`` (a part
+    valued 0.5)."""
+    decomposed = decompose_basis(canonical_basis(GridSpec(side)))
+    for j, fault in faults.items():
+        bad = (np.ones((side + 1, side + 1)) if fault == "shape"
+               else np.full((side, side), 0.5))
+        decomposed[j] = SubPatternSet(j, (*decomposed[j].parts, (bad, 1.0)))
+    return decomposed
+
+
+@pytest.mark.parametrize("plan_elements", [16, 1 << 16])
+class TestPartPlanFaults:
+    """The error names the first faulty pattern in the order given, a
+    misshapen part before a non-binary one of the same pattern."""
+
+    @pytest.mark.parametrize("faults, error, j", [
+        ({9: "shape"}, DimensionError, 9),
+        ({9: "binary"}, ProtocolError, 9),
+        ({3: "binary", 9: "shape"}, ProtocolError, 3),
+        ({3: "shape", 9: "binary"}, DimensionError, 3),
+        ({14: "binary", 15: "shape"}, ProtocolError, 14),
+    ])
+    def test_first_fault_is_named(self, plan_elements, monkeypatch, faults, error, j):
+        monkeypatch.setattr(bench_module, "_PLAN_ELEMENTS", plan_elements)
+        with pytest.raises(error, match=f"pattern {j}\\b"):
+            part_plan(np.zeros((4, 4)), faulty(4, faults))
+
+    def test_same_pattern_shape_first(self, plan_elements, monkeypatch):
+        monkeypatch.setattr(bench_module, "_PLAN_ELEMENTS", plan_elements)
+        decomposed = faulty(4, {6: "binary"})
+        sub = decomposed[6]
+        decomposed[6] = SubPatternSet(6, (*sub.parts, (np.ones((5, 5)), 1.0)))
+        with pytest.raises(DimensionError, match="pattern 6\\b"):
+            part_plan(np.zeros((4, 4)), decomposed)
+
+    def test_non_binary_pattern_in_repeat_plan(self, plan_elements, monkeypatch):
+        monkeypatch.setattr(bench_module, "_PLAN_ELEMENTS", plan_elements)
+        stack = np.eye(16, dtype=np.int8).reshape(16, 4, 4)
+        stack[13, 0, 0] = 2
+        with pytest.raises(ProtocolError):
+            repeat_plan(np.zeros((4, 4)), PatternBasis(GridSpec(4), stack, "custom"), 1)
 
 
 class TestNormalizationSusceptibility:

@@ -49,6 +49,20 @@ class TestPgm:
         assert sorted(set(gray.ravel().tolist())) == [0, PGM_MAXVAL // 2 + 1, PGM_MAXVAL]
         assert read_pgm_values(path) == pytest.approx(image, abs=1e-4)
 
+    @pytest.mark.parametrize("image, pgm, meta", [
+        (np.array([[-1.5, 0.0, 0.1 + 0.2], [0.1, 0.25, -0.2]]),
+         b"P2\n3 2\n65535\n0 54612 65535\n58253 63715 47331\n",
+         b"vmin = -1.5\nvmax = 0.30000000000000004\nmaxval = 65535\n"),
+        (np.full((2, 3), -0.25),
+         b"P2\n3 2\n65535\n0 0 0\n0 0 0\n",
+         b"vmin = -0.25\nvmax = -0.25\nmaxval = 65535\n"),
+    ])
+    def test_exact_bytes(self, tmp_path, image, pgm, meta):
+        path = tmp_path / "img.pgm"
+        write_pgm(path, image)
+        assert path.read_bytes() == pgm
+        assert (tmp_path / "img.meta").read_bytes() == meta
+
     def test_rejects_non_pgm(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_text("P5 binary stuff")
