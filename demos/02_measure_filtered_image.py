@@ -18,13 +18,13 @@ import numpy as np
 from ghostsim import (
     GridSpec,
     NoiseModel,
-    basis_plan,
     basis_processed_image,
     build_operator_matrix,
     canonical_basis,
     edge_detect_kernel,
     flatten,
-    post_plan,
+    modify_basis,
+    plan_acquisition,
     post_processed_image,
     synth_bar_target,
     unflatten,
@@ -38,9 +38,10 @@ def main():
     quiet = NoiseModel()  # no noise, no backgrounds, steady lamp
     parent = canonical_basis(grid)
 
-    direct = basis_processed_image(basis_plan(obj, parent, kernel), parent, quiet, 1.0)
-    filtered_after = post_processed_image(post_plan(obj, parent, 2), parent, kernel,
-                                          quiet, 1.0)
+    modified = modify_basis(parent, kernel)
+    direct = basis_processed_image(plan_acquisition(obj, modified, 2), parent, quiet, 1.0)
+    filtered_after = post_processed_image(plan_acquisition(obj, parent, 2), parent,
+                                          kernel, quiet, 1.0)
     operator = build_operator_matrix(kernel, grid)
     oracle = unflatten(operator.T @ flatten(obj), grid)
 
@@ -52,7 +53,7 @@ def main():
           f"[{direct.min():+.1f}, {direct.max():+.1f}]")
     rng = np.random.default_rng(7)
     obj2 = rng.uniform(0.0, 1.0, size=(16, 16))
-    direct2 = basis_processed_image(basis_plan(obj2, parent, kernel), parent,
+    direct2 = basis_processed_image(plan_acquisition(obj2, modified, 2), parent,
                                     quiet, 1.0)
     oracle2 = unflatten(operator.T @ flatten(obj2), grid)
     print("same identity on a random object :",

@@ -18,14 +18,14 @@ import numpy as np
 from ghostsim import (
     GridSpec,
     NoiseModel,
-    basis_plan,
     basis_processed_image,
     canonical_basis,
     derive_seed,
     edge_detect_kernel,
     kernel_autocorrelation,
+    modify_basis,
     noise_autocorrelation,
-    post_plan,
+    plan_acquisition,
     post_process,
     predicted_amplification,
     reconstruct,
@@ -40,8 +40,8 @@ def main(side=32, trials=10):
     kernel = edge_detect_kernel()
     dark = np.zeros((side, side))
     parent = canonical_basis(grid)
-    plain_plan = post_plan(dark, parent, 2)
-    modified_plan = basis_plan(dark, parent, kernel)
+    plain_plan = plan_acquisition(dark, parent, 2)
+    modified_plan = plan_acquisition(dark, modify_basis(parent, kernel), 2)
 
     corr = {"basis-processed": np.zeros((side, side)),
             "post-processed": np.zeros((side, side))}

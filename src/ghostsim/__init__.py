@@ -47,8 +47,7 @@ from .bench import (
     coefficients_from_draws,
     lamp_intensity,
     load_object,
-    part_plan,
-    repeat_plan,
+    plan_acquisition,
     run_basis_protocol,
     synth_bar_target,
 )
@@ -86,10 +85,8 @@ from .pgmio import (
     write_pgm,
 )
 from .reconstruct import (
-    basis_plan,
     basis_processed_image,
     hadamard_inverse_scale,
-    post_plan,
     post_process,
     post_processed_image,
     reconstruct,

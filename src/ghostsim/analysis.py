@@ -19,8 +19,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bases import PatternBasis, canonical_basis
-from .bench import BASIS_PROCESSED, METHODS, POST_PROCESSED, NoiseModel
+from .bases import PatternBasis, canonical_basis, modify_basis
+from .bench import (
+    BASIS_PROCESSED,
+    METHODS,
+    POST_PROCESSED,
+    NoiseModel,
+    plan_acquisition,
+)
 from .core import GridSpec, Kernel, cyclic_correlate, filter_energy
 from .errors import (
     DegenerateBackgroundError,
@@ -29,12 +35,7 @@ from .errors import (
     NormalizationError,
 )
 from .pgmio import atomic_write_text
-from .reconstruct import (
-    basis_plan,
-    basis_processed_image,
-    post_plan,
-    post_processed_image,
-)
+from .reconstruct import basis_processed_image, post_processed_image
 
 __all__ = [
     "RegionMask",
@@ -176,6 +177,13 @@ def mask_from_rect(grid: GridSpec, rect: tuple[int, int, int, int],
     return RegionMask(grid, idx, role)
 
 
+def _check_disjoint(peak: RegionMask, background: RegionMask):
+    if peak.grid != background.grid:
+        raise MaskError("peak and background masks live on different grids")
+    if np.intersect1d(peak.indices, background.indices).size:
+        raise MaskError("peak and background masks overlap")
+
+
 def compute_snr(image, peak: RegionMask, background: RegionMask) -> SNRReport:
     """Contrast-over-spread score of an image for a fixed mask pair.
 
@@ -187,10 +195,7 @@ def compute_snr(image, peak: RegionMask, background: RegionMask) -> SNRReport:
         raise DimensionError(
             f"image shape {img.shape} does not match mask grid {peak.grid.side}"
         )
-    if peak.grid != background.grid:
-        raise MaskError("peak and background masks live on different grids")
-    if np.intersect1d(peak.indices, background.indices).size:
-        raise MaskError("peak and background masks overlap")
+    _check_disjoint(peak, background)
     vals = img.ravel()
     peak_mean = float(vals[peak.indices].mean())
     bg = vals[background.indices]
@@ -245,10 +250,13 @@ def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
 
     Masks are fixed once, from the noiseless filtered object: the peak from
     its top absolute values, the background from its flattest region (or from
-    ``background_rect`` when configured).  The measurement plan of each route
-    is also built once (``parent`` defaults to the canonical basis, and
-    ``repeats_per_pattern`` sets the frames of a canonical post plan), so a
-    cell only draws noise and rebuilds.  Each cell runs with its own
+    ``background_rect`` when configured).  Masks that overlap raise
+    :class:`MaskError` before any plan is built.  The measurement plan of
+    each route is also built once, by :func:`~ghostsim.bench.plan_acquisition`
+    of the filter-modified parent (basis route) and of ``parent`` itself
+    (post route); ``parent`` defaults to the canonical basis, and
+    ``repeats_per_pattern`` sets the frames of a canonical post plan.  A
+    cell then only draws noise and rebuilds.  Each cell runs with its own
     sub-seed ``derive_seed(noise.seed, method index, time index, repeat)``,
     so the sweep is reproducible and order-independent; SNR is computed on
     the magnitude image because the filtered signal is signed.
@@ -273,11 +281,15 @@ def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
         background = select_background_mask(
             reference, background_fraction, mask_border, exclude=peak.indices
         )
+    _check_disjoint(peak, background)  # before the plans, the costly part
 
     # the basis plan first: its dense modified stack is the run's peak memory,
     # and the parts the post plan decomposes would otherwise still sit in the heap
-    plans = {BASIS_PROCESSED: basis_plan(o, parent, kernel),
-             POST_PROCESSED: post_plan(o, parent, repeats_per_pattern)}
+    plans = {
+        BASIS_PROCESSED: plan_acquisition(o, modify_basis(parent, kernel),
+                                          repeats_per_pattern),
+        POST_PROCESSED: plan_acquisition(o, parent, repeats_per_pattern),
+    }
     specs = [
         (method, ti, rep)
         for method in METHODS

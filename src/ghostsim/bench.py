@@ -19,16 +19,16 @@ identical parts of weight ``1/R``; a multi-level pattern has one part per
 distinct level.
 
 The overlaps do not depend on the integration time, the repeat or the
-seed, so they are computed once per sweep and route into a
-:class:`MeasurementPlan` (``repeat_plan`` or ``part_plan``), which is also
-where the object and the binarity of every part are checked.  A plan is
-built a block of patterns or parts at a time: each block is checked in its
-own dtype, cast to float64 once, and meets the object in one batched
-product whose every row is the same dot product, bit for bit, that a single
-bucket read computes.  A cell is then ``run_basis_protocol(plan, noise,
-integration_time_ms)``: the plan fixes the frames, the noise model the
-noise levels and the seed, and the integration time the signal scale.  It draws all of its noise from one
-counter-based Philox stream keyed by the cell seed, and
+seed, so they are computed once per sweep and basis into a
+:class:`MeasurementPlan` by :func:`plan_acquisition`, which is also where
+the object is checked.  It repeats each pattern of a (binary) canonical
+basis and splits every other basis into binary parts, then meets the
+object a block of frames at a time, in one batched product whose every row
+is the same dot product, bit for bit, that a single bucket read computes.
+A cell is then ``run_basis_protocol(plan, noise, integration_time_ms)``:
+the plan fixes the frames, the noise model the noise levels and the seed,
+and the integration time the signal scale.  It draws all of its noise from
+one counter-based Philox stream keyed by the cell seed, and
 :func:`coefficients_from_draws` turns the draws into coefficients.  Signal
 scales linearly with the integration time while per-read noise stays fixed
 (a read-noise-dominated detector).
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import PatternBasis, SubPatternSet
+from .bases import CANONICAL, PatternBasis, decompose_basis
 from .core import GridSpec
 from .errors import ConfigError, DimensionError, ProtocolError
 from .pgmio import read_pgm
@@ -56,8 +56,7 @@ __all__ = [
     "as_transmission",
     "load_object",
     "lamp_intensity",
-    "repeat_plan",
-    "part_plan",
+    "plan_acquisition",
     "coefficients_from_draws",
     "run_basis_protocol",
 ]
@@ -243,103 +242,58 @@ def _is_binary(arr: np.ndarray) -> bool:
     return bool(np.all((arr == 0) | (arr == 1)))
 
 
-def _block_overlaps(rows: np.ndarray, flat: np.ndarray, buf: np.ndarray,
-                    out: np.ndarray):
-    """Write ``<row, flat>`` for each row of a 2-D block into ``out``, bit
-    for bit what one bucket read's ``float(np.dot(row, flat))`` gives.
+def plan_acquisition(obj, basis: PatternBasis,
+                     repeats_per_pattern: int) -> MeasurementPlan:
+    """Plan for acquiring every pattern of ``basis`` with a binary modulator.
 
-    The rows are cast into the float buffer ``buf``, and each then meets
-    the object as a ``(1, n) @ (n, 1)`` product, which numpy evaluates with
-    the same dot kernel as ``np.dot`` of two vectors.  A matrix-vector
-    product (``rows @ flat``) sums in another order and can differ in the
-    last bits.
-    """
-    block = buf[:len(rows)]
-    block[...] = rows
-    np.matmul(block[:, None, :], flat[:, None], out=out[:, None, None])
+    A canonical basis must be binary: each pattern is projected
+    ``repeats_per_pattern`` times and the reads averaged (that many
+    identical parts of weight ``1/repeats_per_pattern``).  Any other basis
+    is split by :func:`~ghostsim.bases.decompose_basis`, and each binary
+    part is projected once, weighted by its level; ``repeats_per_pattern``
+    is not used.  :func:`~ghostsim.bases.projection_count` counts frames by
+    the same rule.
 
-
-def repeat_plan(obj, basis: PatternBasis, repeats: int) -> MeasurementPlan:
-    """Plan for projecting every pattern of a binary basis ``repeats``
-    times, the reads averaged (``repeats`` identical parts of weight
-    ``1/repeats``).
-
-    The patterns are taken a block at a time: each block is checked for
-    binarity in the stack's dtype, then meets the object in one batched
-    product.  Multi-level patterns belong in :func:`part_plan` after
-    decomposition.
+    The frames meet the object a block at a time: each block is cast into
+    one reused float64 buffer, and each frame then meets the object as a
+    ``(1, n) @ (n, 1)`` product, which numpy evaluates with the same dot
+    kernel as one bucket read's ``float(np.dot(frame, object))``, bit for
+    bit.  A matrix-vector product sums in another order and can differ in
+    the last bits.
     """
     o = _check_object(obj)
-    if o.shape != (basis.grid.side, basis.grid.side):
+    side = basis.grid.side
+    if o.shape != (side, side):
         raise DimensionError("object grid does not match basis grid")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    m, flat = len(basis), o.ravel()
-    rows = basis.stack.reshape(m, -1)
-    step = max(1, _PLAN_ELEMENTS // flat.size)
-    buf, overlap = np.empty((min(m, step), flat.size)), np.empty(m)
-    for start in range(0, m, step):
-        block = rows[start:start + step]
-        if not _is_binary(block):
-            raise ProtocolError(
-                "repeat protocol needs binary patterns; decompose multi-level "
-                "patterns and use part_plan instead"
-            )
-        _block_overlaps(block, flat, buf, overlap[start:start + len(block)])
-    return MeasurementPlan(basis.grid, np.repeat(np.arange(m), repeats),
-                           np.full(m * repeats, 1.0 / repeats),
-                           np.repeat(overlap, repeats))
-
-
-def _first_fault(decomposed, shape) -> Exception:
-    """The error of the first pattern, in the order given, that has a part
-    of the wrong shape or a part that is not binary."""
-    for sub in decomposed:
-        j = sub.parent_index
-        if any(np.shape(part) != shape for part, _ in sub.parts):
-            return DimensionError(
-                f"sub-patterns of pattern {j} do not match object shape {shape}")
-        if not _is_binary(np.array([part for part, _ in sub.parts], dtype=float)):
-            return ProtocolError(
-                f"pattern {j} has a sub-pattern that is not binary; "
-                "decompose patterns with binary_decompose first")
-    raise AssertionError("no faulty sub-pattern found")
-
-
-def part_plan(obj, decomposed: list[SubPatternSet]) -> MeasurementPlan:
-    """Plan for projecting the binary parts of decomposed patterns once
-    each, recombined with their weights.
-
-    ``decomposed`` must hold exactly one :class:`SubPatternSet` per pattern
-    of the object's grid, in any order.  The parts are stacked a block at a
-    time: each block is checked for shape, and for binarity in the parts'
-    own dtype, then meets the object in one batched product.  A faulty
-    block is checked again pattern by pattern, so the error names the first
-    faulty pattern in the order given.
-    """
-    o = _check_object(obj)
-    grid = GridSpec(o.shape[0])
-    parts = [part for sub in decomposed for part, _ in sub.parts]
+    if repeats_per_pattern < 1:
+        raise ValueError("repeats_per_pattern must be >= 1")
+    canonical = basis.label == CANONICAL
+    if canonical:
+        frames = basis.stack
+    else:
+        subs = decompose_basis(basis)
+        frames = [part for sub in subs for part, _ in sub.parts]
     flat = o.ravel()
     step = max(1, _PLAN_ELEMENTS // flat.size)
-    buf, overlap = np.empty((min(len(parts), step), flat.size)), np.empty(len(parts))
-    for start in range(0, len(parts), step):
-        try:
-            block = np.stack(parts[start:start + step])
-        except ValueError:  # parts of unequal shapes
-            raise _first_fault(decomposed, o.shape) from None
-        if block.shape[1:] != o.shape or not _is_binary(block):
-            raise _first_fault(decomposed, o.shape)
-        _block_overlaps(block.reshape(len(block), -1), flat, buf,
-                        overlap[start:start + len(block)])
-    if len(decomposed) != grid.pixel_count:
-        raise DimensionError(
-            f"{len(decomposed)} decomposed patterns for a grid of "
-            f"{grid.pixel_count} patterns"
-        )
-    owner = [sub.parent_index for sub in decomposed for _ in sub.parts]
-    weight = [w for sub in decomposed for _, w in sub.parts]
-    return MeasurementPlan(grid, np.array(owner, dtype=np.intp), weight, overlap)
+    buf, overlap = np.empty((min(len(frames), step), flat.size)), np.empty(len(frames))
+    for start in range(0, len(frames), step):
+        chunk = frames[start:start + step]
+        # checked in the stack's own dtype, before the cast
+        if canonical and not _is_binary(chunk):
+            raise ProtocolError(
+                "a canonical basis must be binary; a multi-level basis is "
+                "split into binary parts when it has another label")
+        block = buf[:len(chunk)]
+        block.reshape(len(chunk), side, side)[...] = chunk
+        np.matmul(block[:, None, :], flat[:, None],
+                  out=overlap[start:start + len(chunk), None, None])
+    if canonical:
+        m, r = len(basis), repeats_per_pattern
+        return MeasurementPlan(basis.grid, np.repeat(np.arange(m), r),
+                               np.full(m * r, 1.0 / r), np.repeat(overlap, r))
+    return MeasurementPlan(basis.grid,
+                           [sub.parent_index for sub in subs for _ in sub.parts],
+                           [w for sub in subs for _, w in sub.parts], overlap)
 
 
 def coefficients_from_draws(plan: MeasurementPlan, lamp: np.ndarray,

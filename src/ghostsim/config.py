@@ -136,6 +136,11 @@ def _times(text: str, side=None) -> tuple[float, ...]:
     times = tuple(_real(tok) for tok in text.replace(",", " ").split())
     if not times or any(t <= 0 for t in times):
         raise ValueError("needs at least one positive time")
+    # each time names its images recon_<method>_t{time:g}ms_rep<r>.pgm
+    tags = [f"{t:g}" for t in times]
+    if len(set(tags)) < len(tags):
+        raise ValueError("times must differ in their first 6 significant digits, "
+                         f"which name the image files; got {text!r}")
     return times
 
 

@@ -9,32 +9,21 @@ modified-basis route return the filtered image directly.
 
 Both routes acquire through the one weighted protocol of
 :mod:`ghostsim.bench`.  A route's :class:`~ghostsim.bench.MeasurementPlan`
-is built once per sweep by :func:`post_plan` or :func:`basis_plan`.  A cell
-is then ``post_processed_image(plan, parent, kernel, noise, time)`` or
-``basis_processed_image(plan, parent, noise, time)``: it draws its noise
-from one Philox stream keyed by the noise seed, rebuilds in the parent
-basis and returns the image.  In the noiseless limit the two images are
-equal.
+is built once per sweep by :func:`~ghostsim.bench.plan_acquisition`: of
+the parent for the post-processed route, of the filter-modified parent for
+the basis-processed one.  A cell is then ``post_processed_image(plan,
+parent, kernel, noise, time)`` or ``basis_processed_image(plan, parent,
+noise, time)``: it draws its noise from one Philox stream keyed by the
+noise seed, rebuilds in the parent basis and returns the image.  In the
+noiseless limit the two images are equal.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bases import (
-    CANONICAL,
-    HADAMARD,
-    PatternBasis,
-    decompose_basis,
-    modify_basis,
-)
-from .bench import (
-    MeasurementPlan,
-    NoiseModel,
-    part_plan,
-    repeat_plan,
-    run_basis_protocol,
-)
+from .bases import CANONICAL, HADAMARD, PatternBasis
+from .bench import MeasurementPlan, NoiseModel, run_basis_protocol
 from .core import GridSpec, Kernel, cyclic_correlate
 from .errors import DimensionError
 
@@ -42,8 +31,6 @@ __all__ = [
     "reconstruct",
     "post_process",
     "hadamard_inverse_scale",
-    "post_plan",
-    "basis_plan",
     "post_processed_image",
     "basis_processed_image",
 ]
@@ -101,22 +88,6 @@ def _rebuild(coefficients: np.ndarray, parent: PatternBasis) -> np.ndarray:
     return raw
 
 
-def post_plan(obj, parent: PatternBasis, repeats_per_pattern: int) -> MeasurementPlan:
-    """Plan of the post-processed route: a canonical (binary) parent is
-    repeated ``repeats_per_pattern`` times per pattern, any other parent is
-    projected through its binary sub-patterns, which costs the same number
-    of frames per +/-1 pattern."""
-    if parent.label == CANONICAL:
-        return repeat_plan(obj, parent, repeats_per_pattern)
-    return part_plan(obj, decompose_basis(parent))
-
-
-def basis_plan(obj, parent: PatternBasis, kernel: Kernel) -> MeasurementPlan:
-    """Plan of the basis-processed route: the binary parts of the
-    filter-modified parent."""
-    return part_plan(obj, decompose_basis(modify_basis(parent, kernel)))
-
-
 def _check_plan(plan: MeasurementPlan, parent: PatternBasis):
     if plan.grid != parent.grid:
         raise DimensionError(
@@ -128,8 +99,8 @@ def _check_plan(plan: MeasurementPlan, parent: PatternBasis):
 def post_processed_image(plan: MeasurementPlan, parent: PatternBasis,
                          kernel: Kernel, noise: NoiseModel,
                          integration_time_ms: float) -> np.ndarray:
-    """Measure in the plain basis with a :func:`post_plan`, reconstruct in
-    ``parent``, then filter the image."""
+    """Measure with a plan of ``parent`` itself, reconstruct in ``parent``,
+    then filter the image."""
     _check_plan(plan, parent)
     coefficients = run_basis_protocol(plan, noise, integration_time_ms)
     return post_process(_rebuild(coefficients, parent), kernel)
@@ -137,7 +108,7 @@ def post_processed_image(plan: MeasurementPlan, parent: PatternBasis,
 
 def basis_processed_image(plan: MeasurementPlan, parent: PatternBasis,
                           noise: NoiseModel, integration_time_ms: float) -> np.ndarray:
-    """Measure with the filter-modified basis of a :func:`basis_plan`; the
+    """Measure with a plan of the filter-modified ``parent``; the
     reconstruction in ``parent`` is already the filtered image."""
     _check_plan(plan, parent)
     return _rebuild(run_basis_protocol(plan, noise, integration_time_ms), parent)

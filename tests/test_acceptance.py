@@ -13,7 +13,6 @@ from ghostsim import (
     POST_PROCESSED,
     GridSpec,
     NoiseModel,
-    basis_plan,
     basis_processed_image,
     build_operator_matrix,
     canonical_basis,
@@ -28,8 +27,7 @@ from ghostsim import (
     modify_basis,
     noise_autocorrelation,
     parse_config,
-    part_plan,
-    post_plan,
+    plan_acquisition,
     post_processed_image,
     run_basis_protocol,
     summarize_sweep,
@@ -72,14 +70,15 @@ def test_criterion_1_operator_equivalence(rng):
     op = build_operator_matrix(EDGE, grid)
     quiet = NoiseModel()
     parent = canonical_basis(grid)
-    modified = decompose_basis(modify_basis(parent, EDGE))
+    modified = modify_basis(parent, EDGE)
     worst = 0.0
     for _ in range(50):
         obj = rng.uniform(0.0, 1.0, size=(8, 8))
         oracle = unflatten(op.T @ flatten(obj), grid)
         scale = np.abs(oracle).max()
-        basis_img = basis_processed_image(part_plan(obj, modified), parent, quiet, 1.0)
-        post_img = post_processed_image(post_plan(obj, parent, 2), parent, EDGE,
+        basis_img = basis_processed_image(plan_acquisition(obj, modified, 2), parent,
+                                          quiet, 1.0)
+        post_img = post_processed_image(plan_acquisition(obj, parent, 2), parent, EDGE,
                                         quiet, 1.0)
         worst = max(worst,
                     np.abs(basis_img - oracle).max() / scale,
@@ -110,8 +109,8 @@ def test_criterion_3_measurement_parity():
     noise = NoiseModel(detector_sigma=0.5, seed=3)
     repeats_per_pattern = 2
     parent = canonical_basis(grid)
-    post = post_plan(obj, parent, repeats_per_pattern)
-    basis = basis_plan(obj, parent, EDGE)
+    post = plan_acquisition(obj, parent, repeats_per_pattern)
+    basis = plan_acquisition(obj, modify_basis(parent, EDGE), repeats_per_pattern)
     post_coefficients = run_basis_protocol(post, noise, 1.0)
     basis_coefficients = run_basis_protocol(basis, noise, 1.0)
     ok = (post.bucket_reads == 2 * 64 * 64 == basis.bucket_reads
@@ -129,7 +128,8 @@ def test_criterion_4_noise_character():
     grid = GridSpec(side)
     zero = np.zeros((side, side))
     parent = canonical_basis(grid)
-    post, basis = post_plan(zero, parent, 2), basis_plan(zero, parent, EDGE)
+    post = plan_acquisition(zero, parent, 2)
+    basis = plan_acquisition(zero, modify_basis(parent, EDGE), 2)
     acc_basis = np.zeros((side, side))
     acc_post = np.zeros((side, side))
     for i in range(trials):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ghostsim.analysis as analysis_module
 from ghostsim import (
     BASIS_PROCESSED,
     METHODS,
@@ -15,7 +16,6 @@ from ghostsim import (
     MaskError,
     NoiseModel,
     NormalizationError,
-    basis_plan,
     basis_processed_image,
     canonical_basis,
     compute_snr,
@@ -25,8 +25,9 @@ from ghostsim import (
     identity_kernel,
     kernel_autocorrelation,
     mask_from_rect,
+    modify_basis,
     noise_autocorrelation,
-    post_plan,
+    plan_acquisition,
     post_processed_image,
     predicted_amplification,
     select_background_mask,
@@ -252,8 +253,8 @@ class TestSnrSweep:
         # each cell depends only on its own sub-seed and the sweep's plan, so
         # the sweep's result does not depend on the order its cells run in
         parent = canonical_basis(GridSpec(16))
-        post = post_plan(obj, parent, 2)
-        basis = basis_plan(obj, parent, edge_kernel)
+        post = plan_acquisition(obj, parent, 2)
+        basis = plan_acquisition(obj, modify_basis(parent, edge_kernel), 2)
         assert len(cells) == 8
         for cell in cells:
             seed = derive_seed(noise.seed, METHODS.index(cell.method),
@@ -275,6 +276,17 @@ class TestSnrSweep:
         assert len(cells) == 2
         for cell in cells:
             assert cell.report.background_std > 0
+
+    def test_overlapping_background_rect_fails_before_any_plan(self, edge_kernel,
+                                                                monkeypatch):
+        built = []
+        monkeypatch.setattr(analysis_module, "plan_acquisition",
+                            lambda *args: built.append(args))
+        obj = synth_bar_target(GridSpec(16), 2)
+        with pytest.raises(MaskError, match="overlap"):
+            sweep_cells(obj, edge_kernel, NoiseModel(), (2.0,), 1,
+                        background_rect=(0, 0, 16, 16))
+        assert built == []
 
     def test_sigma3_dominated_config_prefers_basis_route(self, edge_kernel):
         # with strong normalization noise plus measurement background the

@@ -15,7 +15,6 @@ from ghostsim import (
     GridSpec,
     Kernel,
     UnsupportedSizeError,
-    basis_plan,
     binary_decompose,
     build_operator_matrix,
     canonical_basis,
@@ -25,9 +24,8 @@ from ghostsim import (
     hadamard_basis,
     identity_kernel,
     modify_basis,
-    part_plan,
     PatternBasis,
-    post_plan,
+    plan_acquisition,
     projection_count,
     synth_bar_target,
     unflatten,
@@ -336,23 +334,24 @@ class TestDecomposeBasis:
         assert projection_count(basis, 1) == sum(sub.part_count for sub in want)
 
     def test_working_memory_stays_below_one_stack_mask(self, edge_kernel):
-        # decompose + plan may hold little beyond what they return: the
-        # parts' bytes and their Python objects.  A whole-stack bool mask per
-        # level would add 1 MiB each at side 32.
+        # building the plan may peak at little beyond the parts it
+        # decomposes: their bytes and their Python objects.  A whole-stack
+        # bool mask per level would add 1 MiB each at side 32.
         grid = GridSpec(32)
         modified = modify_basis(hadamard_basis(grid), edge_kernel)
         obj = synth_bar_target(grid, 2)
+        part_bytes = sum(p.nbytes for sub in decompose_basis(modified)
+                         for p, _ in sub.parts)
         tracemalloc.start()
         try:
-            decomposed = decompose_basis(modified)
-            plan = part_plan(obj, decomposed)
+            plan = plan_acquisition(obj, modified, 1)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        part_bytes = sum(p.nbytes for sub in decomposed for p, _ in sub.parts)
         assert plan.bucket_reads == 3836
-        assert peak - held <= 2**20
-        assert held <= 1.5 * part_bytes
+        assert peak <= 1.5 * part_bytes + 2**20
+        # the plan keeps none of the parts (free lists make up most of held)
+        assert held <= 0.25 * part_bytes
 
 
 class TestProjectionCount:
@@ -373,11 +372,11 @@ class TestProjectionCount:
         grid = GridSpec(4)
         parent = build(grid)
         obj = np.linspace(0.0, 1.0, 16).reshape(4, 4)
-        post = post_plan(obj, parent, repeats)
-        basis = basis_plan(obj, parent, edge_kernel)
+        modified = modify_basis(parent, edge_kernel)
+        post = plan_acquisition(obj, parent, repeats)
+        basis = plan_acquisition(obj, modified, repeats)
         assert projection_count(parent, repeats) == post.bucket_reads
-        assert (projection_count(modify_basis(parent, edge_kernel), repeats)
-                == basis.bucket_reads)
+        assert projection_count(modified, repeats) == basis.bucket_reads
 
     def test_invalid_repeats(self):
         with pytest.raises(ValueError):

@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 
 import ghostsim.bench as bench_module
 from ghostsim import (
+    CANONICAL,
     ConfigError,
     DimensionError,
     GridSpec,
     Kernel,
+    MeasurementPlan,
     NoiseModel,
     PatternBasis,
     ProtocolError,
-    SubPatternSet,
+    binary_decompose,
     canonical_basis,
     coefficients_from_draws,
     decompose_basis,
@@ -24,8 +26,8 @@ from ghostsim import (
     hadamard_basis,
     lamp_intensity,
     modify_basis,
-    part_plan,
-    repeat_plan,
+    plan_acquisition,
+    projection_count,
     run_basis_protocol,
     sweep_cells,
     synth_bar_target,
@@ -109,7 +111,7 @@ class TestLampIntensity:
 @pytest.mark.parametrize("time_ms", [0.0, -1.0, float("nan")])
 def test_non_positive_integration_time_rejected(time_ms, edge_kernel):
     obj = np.linspace(0.0, 1.0, 64).reshape(8, 8)
-    plan = repeat_plan(obj, canonical_basis(GridSpec(8)), 1)
+    plan = plan_acquisition(obj, canonical_basis(GridSpec(8)), 1)
     with pytest.raises(ConfigError, match="integration_time_ms"):
         run_basis_protocol(plan, QUIET, time_ms)
     with pytest.raises(ConfigError, match="integration_time_ms"):
@@ -129,32 +131,30 @@ class TestBucketRead:
 
     def test_noiseless_overlap(self):
         obj = np.full((2, 2), 0.5)
-        plan = repeat_plan(obj, canonical_basis(GridSpec(2)), 1)
+        plan = plan_acquisition(obj, canonical_basis(GridSpec(2)), 1)
         assert plan.overlap.tolist() == [0.5] * 4
-        sub = SubPatternSet(0, ((np.ones((2, 2), dtype=np.uint8), 1.0),))
-        rest = decompose_basis(canonical_basis(GridSpec(2)))[1:]
-        assert part_plan(obj, [sub, *rest]).overlap[0] == 2.0
+        stack = np.eye(4, dtype=np.int8).reshape(4, 2, 2)
+        stack[0] = 1
+        custom = PatternBasis(GridSpec(2), stack, "custom")
+        assert plan_acquisition(obj, custom, 1).overlap[0] == 2.0
 
     def test_zero_pattern_gives_background(self):
         noise = NoiseModel(background_measure=3.25)
-        zero = [SubPatternSet(j, ((np.zeros((2, 2), dtype=np.uint8), 1.0),))
-                for j in range(4)]
-        plan = part_plan(np.ones((2, 2)), zero)
+        plan = MeasurementPlan(GridSpec(2), np.arange(4), np.ones(4), np.zeros(4))
         coefficients = run_basis_protocol(plan, noise, 5.0)
         assert coefficients.tolist() == [3.25 / 5.0] * 4
 
     def test_grid_mismatch(self):
-        wrong = [SubPatternSet(j, ((np.zeros((2, 2), dtype=np.uint8), 1.0),))
-                 for j in range(9)]
+        custom = PatternBasis(GridSpec(2), np.ones((4, 2, 2)), "custom")
         with pytest.raises(DimensionError):
-            part_plan(np.zeros((3, 3)), wrong)
+            plan_acquisition(np.zeros((3, 3)), custom, 1)
         with pytest.raises(DimensionError):
-            repeat_plan(np.zeros((3, 3)), canonical_basis(GridSpec(2)), 1)
+            plan_acquisition(np.zeros((3, 3)), canonical_basis(GridSpec(2)), 1)
 
     def test_noise_std(self):
         # sample std over ~1e5 single reads of fixed inputs matches detector_sigma
         noise = NoiseModel(detector_sigma=0.7)
-        plan = repeat_plan(np.full((32, 32), 0.25), canonical_basis(GridSpec(32)), 1)
+        plan = plan_acquisition(np.full((32, 32), 0.25), canonical_basis(GridSpec(32)), 1)
         reads = plan_noise_samples(plan, noise, range(100)).ravel()
         assert reads.std() == pytest.approx(0.7, rel=0.02)
         assert reads.mean() == pytest.approx(0.25, abs=5 * 0.7 / np.sqrt(reads.size))
@@ -165,7 +165,7 @@ class TestNormalizationRead:
 
     def test_noiseless(self, rng):
         obj = rng.uniform(0.0, 1.0, size=(2, 2))
-        plan = repeat_plan(obj, canonical_basis(GridSpec(2)), 1)
+        plan = plan_acquisition(obj, canonical_basis(GridSpec(2)), 1)
         noise = NoiseModel(background_norm=0.5)
         got = run_basis_protocol(plan, noise, 4.0)
         assert got.tolist() == (4.0 * obj.ravel() / 4.5).tolist()
@@ -175,7 +175,7 @@ class TestNormalizationRead:
     def test_sample_mean(self):
         # a clear object gives coefficient a / norm_read, so norm_read = 2 / coefficient
         noise = NoiseModel(normalization_sigma=0.3, background_norm=1.0)
-        plan = repeat_plan(np.ones((32, 32)), canonical_basis(GridSpec(32)), 1)
+        plan = plan_acquisition(np.ones((32, 32)), canonical_basis(GridSpec(32)), 1)
         reads = 2.0 / plan_noise_samples(plan, noise, range(100), 2.0).ravel()
         stderr = 0.3 / np.sqrt(reads.size)
         assert abs(reads.mean() - 3.0) < 3 * stderr
@@ -185,7 +185,7 @@ class TestReadStream:
     """All draws of a cell come from one stream keyed by the cell seed."""
 
     def test_keyed_streams_are_reproducible(self):
-        plan = repeat_plan(np.full((4, 4), 0.5), canonical_basis(GridSpec(4)), 2)
+        plan = plan_acquisition(np.full((4, 4), 0.5), canonical_basis(GridSpec(4)), 2)
         noise = NoiseModel(detector_sigma=1.0, normalization_sigma=0.1)
         a, b, c = plan_noise_samples(plan, noise, (7, 7, 8))
         assert np.array_equal(a, b)
@@ -204,12 +204,12 @@ class TestPostProtocol:
     def test_noiseless_coefficients(self, rng):
         grid = GridSpec(4)
         obj = rng.uniform(0.0, 1.0, size=(4, 4))
-        plan = repeat_plan(obj, canonical_basis(grid), 2)
+        plan = plan_acquisition(obj, canonical_basis(grid), 2)
         coeffs = run_basis_protocol(plan, QUIET, 1.0)
         assert np.array_equal(coeffs, obj.ravel())
 
     def test_read_counts(self):
-        plan = repeat_plan(np.zeros((8, 8)), canonical_basis(GridSpec(8)), 2)
+        plan = plan_acquisition(np.zeros((8, 8)), canonical_basis(GridSpec(8)), 2)
         assert plan.bucket_reads == 2 * 64
         assert plan.pattern_count == 64  # one normalization read per pattern
         assert np.array_equal(np.bincount(plan.owner), np.full(64, 2))
@@ -220,25 +220,38 @@ class TestPostProtocol:
         obj = np.full((4, 4), 0.5)
         noise = NoiseModel(detector_sigma=0.5, normalization_sigma=0.1, seed=11)
         time_ms = 2.0
-        first = run_basis_protocol(repeat_plan(obj, canonical_basis(grid), 2),
+        first = run_basis_protocol(plan_acquisition(obj, canonical_basis(grid), 2),
                                    noise, time_ms)
-        second = run_basis_protocol(repeat_plan(obj, canonical_basis(grid), 2),
+        second = run_basis_protocol(plan_acquisition(obj, canonical_basis(grid), 2),
                                     noise, time_ms)
         assert np.array_equal(first, second)
 
     def test_rejects_non_binary_basis(self):
-        basis = hadamard_basis(GridSpec(4))
+        # a basis labelled canonical is repeated, never split
+        grid = GridSpec(4)
+        for bad in (hadamard_basis(grid).stack, np.full((16, 4, 4), 0.5)):
+            with pytest.raises(ProtocolError):
+                plan_acquisition(np.zeros((4, 4)), PatternBasis(grid, bad, CANONICAL), 2)
+
+    @pytest.mark.parametrize("plan_elements", [16, 1 << 16])
+    def test_non_binary_pattern_in_any_block(self, plan_elements, monkeypatch):
+        monkeypatch.setattr(bench_module, "_PLAN_ELEMENTS", plan_elements)
+        stack = np.eye(16, dtype=np.int8).reshape(16, 4, 4)
+        stack[13, 0, 0] = 2
         with pytest.raises(ProtocolError):
-            repeat_plan(np.zeros((4, 4)), basis, 2)
+            plan_acquisition(np.zeros((4, 4)), PatternBasis(GridSpec(4), stack, CANONICAL), 1)
 
     def test_rejects_out_of_range_object(self):
         with pytest.raises(ProtocolError):
-            repeat_plan(np.full((2, 2), 1.5), canonical_basis(GridSpec(2)), 2)
+            plan_acquisition(np.full((2, 2), 1.5), canonical_basis(GridSpec(2)), 2)
         with pytest.raises(ProtocolError):
-            part_plan(np.full((2, 2), -0.5),
-                      decompose_basis(canonical_basis(GridSpec(2))))
+            plan_acquisition(np.full((2, 2), -0.5), hadamard_basis(GridSpec(2)), 2)
         with pytest.raises(DimensionError):
-            repeat_plan(np.full((2, 2), np.nan), canonical_basis(GridSpec(2)), 2)
+            plan_acquisition(np.full((2, 2), np.nan), canonical_basis(GridSpec(2)), 2)
+
+    def test_rejects_no_repeats(self):
+        with pytest.raises(ValueError):
+            plan_acquisition(np.zeros((2, 2)), canonical_basis(GridSpec(2)), 0)
 
 
 class TestBasisProtocol:
@@ -246,12 +259,12 @@ class TestBasisProtocol:
 
     def setup_plan(self, side, kernel, obj):
         modified = modify_basis(canonical_basis(GridSpec(side)), kernel)
-        return part_plan(obj, decompose_basis(modified))
+        return plan_acquisition(obj, modified, 1)
 
     def test_noiseless_coefficients(self, rng, edge_kernel):
         obj = rng.uniform(0.0, 1.0, size=(4, 4))
         modified = modify_basis(canonical_basis(GridSpec(4)), edge_kernel)
-        got = run_basis_protocol(part_plan(obj, decompose_basis(modified)), QUIET, 1.0)
+        got = run_basis_protocol(plan_acquisition(obj, modified, 1), QUIET, 1.0)
         expected = np.array([
             float(np.sum(np.asarray(modified.pattern(j)) * obj))
             for j in range(len(modified))
@@ -261,7 +274,7 @@ class TestBasisProtocol:
     def test_read_parity_with_post_protocol(self, edge_kernel):
         obj = np.full((8, 8), 0.5)
         plan = self.setup_plan(8, edge_kernel, obj)
-        repeated = repeat_plan(obj, canonical_basis(GridSpec(8)), 2)
+        repeated = plan_acquisition(obj, canonical_basis(GridSpec(8)), 2)
         assert plan.bucket_reads == repeated.bucket_reads == 2 * 64
         assert plan.pattern_count == repeated.pattern_count == 64
 
@@ -275,11 +288,6 @@ class TestBasisProtocol:
         combos = plan_noise_samples(plan, noise, range(100))
         clean = run_basis_protocol(plan, QUIET, 1.0)
         assert np.std(combos - clean) == pytest.approx(np.sqrt(2) * sigma, rel=0.02)
-
-    def test_rejects_non_binary_parts(self):
-        bad = SubPatternSet(0, ((np.full((2, 2), 0.5), 1.0),))
-        with pytest.raises(ProtocolError):
-            part_plan(np.zeros((2, 2)), [bad])
 
     def test_deterministic_for_fixed_seed(self, edge_kernel):
         obj = np.full((4, 4), 0.25)
@@ -309,11 +317,12 @@ class TestPlanOverlaps:
         obj = rng.uniform(0.0, 1.0, size=(side, side))
         parent = canonical_basis(GridSpec(side))
         taps = rng.integers(-2, 3, size=(1, 3 if side >= 3 else 1))
-        decomposed = decompose_basis(modify_basis(parent, Kernel(taps)))
+        modified = modify_basis(parent, Kernel(taps))
+        decomposed = decompose_basis(modified)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bench_module, "_PLAN_ELEMENTS", plan_elements)
-            repeated = repeat_plan(obj, parent, repeats)
-            parts = part_plan(obj, decomposed)
+            repeated = plan_acquisition(obj, parent, repeats)
+            parts = plan_acquisition(obj, modified, repeats)
         want = per_part_overlaps(obj, decompose_basis(parent))
         assert np.array_equal(repeated.overlap, np.repeat(want, repeats))
         assert np.array_equal(parts.overlap, per_part_overlaps(obj, decomposed))
@@ -325,63 +334,47 @@ class TestPlanOverlaps:
     def test_side_64(self, build, rng):
         grid = GridSpec(64)
         obj = rng.uniform(0.0, 1.0, size=(64, 64))
-        for decomposed in (decompose_basis(build(grid)),
-                           decompose_basis(modify_basis(build(grid), edge_detect_kernel()))):
-            plan = part_plan(obj, decomposed)
-            assert np.array_equal(plan.overlap, per_part_overlaps(obj, decomposed))
-
-    def test_decomposition_in_any_order(self, rng, edge_kernel):
-        obj = rng.uniform(0.0, 1.0, size=(4, 4))
-        decomposed = decompose_basis(modify_basis(canonical_basis(GridSpec(4)), edge_kernel))
-        shuffled = [decomposed[i] for i in rng.permutation(len(decomposed))]
-        plan = part_plan(obj, shuffled)
-        assert np.array_equal(plan.overlap, per_part_overlaps(obj, shuffled))
-        assert plan.owner.tolist() == [s.parent_index for s in shuffled for _ in s.parts]
+        for basis in (build(grid), modify_basis(build(grid), edge_detect_kernel())):
+            plan = plan_acquisition(obj, basis, 1)
+            assert np.array_equal(plan.overlap,
+                                  per_part_overlaps(obj, decompose_basis(basis)))
 
 
-def faulty(side, faults):
-    """The decomposed canonical basis, with ``faults`` mapping a pattern
-    index to ``"shape"`` (a misshapen second part) or ``"binary"`` (a part
-    valued 0.5)."""
-    decomposed = decompose_basis(canonical_basis(GridSpec(side)))
-    for j, fault in faults.items():
-        bad = (np.ones((side + 1, side + 1)) if fault == "shape"
-               else np.full((side, side), 0.5))
-        decomposed[j] = SubPatternSet(j, (*decomposed[j].parts, (bad, 1.0)))
-    return decomposed
+@st.composite
+def bases_and_objects(draw):
+    """A parent or a filter-modified parent (integer or non-integral taps)
+    of a random side, and a random object."""
+    hadamard = draw(st.booleans())
+    side = draw(st.sampled_from([1, 2, 4, 8]) if hadamard else st.integers(1, 9))
+    grid = GridSpec(side)
+    basis = (hadamard_basis if hadamard else canonical_basis)(grid)
+    width = draw(st.sampled_from([k for k in (1, 3) if k <= side]))
+    taps = draw(st.one_of(
+        st.none(),
+        st.lists(st.integers(-3, 3), min_size=width, max_size=width),
+        st.lists(st.sampled_from([-1.5, -0.25, 0.0, 0.5, 2.0]),
+                 min_size=width, max_size=width)))
+    if taps is not None:
+        basis = modify_basis(basis, Kernel([taps]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return basis, np.random.default_rng(seed).uniform(0.0, 1.0, size=(side, side))
 
 
-@pytest.mark.parametrize("plan_elements", [16, 1 << 16])
-class TestPartPlanFaults:
-    """The error names the first faulty pattern in the order given, a
-    misshapen part before a non-binary one of the same pattern."""
-
-    @pytest.mark.parametrize("faults, error, j", [
-        ({9: "shape"}, DimensionError, 9),
-        ({9: "binary"}, ProtocolError, 9),
-        ({3: "binary", 9: "shape"}, ProtocolError, 3),
-        ({3: "shape", 9: "binary"}, DimensionError, 3),
-        ({14: "binary", 15: "shape"}, ProtocolError, 14),
-    ])
-    def test_first_fault_is_named(self, plan_elements, monkeypatch, faults, error, j):
-        monkeypatch.setattr(bench_module, "_PLAN_ELEMENTS", plan_elements)
-        with pytest.raises(error, match=f"pattern {j}\\b"):
-            part_plan(np.zeros((4, 4)), faulty(4, faults))
-
-    def test_same_pattern_shape_first(self, plan_elements, monkeypatch):
-        monkeypatch.setattr(bench_module, "_PLAN_ELEMENTS", plan_elements)
-        decomposed = faulty(4, {6: "binary"})
-        sub = decomposed[6]
-        decomposed[6] = SubPatternSet(6, (*sub.parts, (np.ones((5, 5)), 1.0)))
-        with pytest.raises(DimensionError, match="pattern 6\\b"):
-            part_plan(np.zeros((4, 4)), decomposed)
-
-    def test_non_binary_pattern_in_repeat_plan(self, plan_elements, monkeypatch):
-        monkeypatch.setattr(bench_module, "_PLAN_ELEMENTS", plan_elements)
-        stack = np.eye(16, dtype=np.int8).reshape(16, 4, 4)
-        stack[13, 0, 0] = 2
-        with pytest.raises(ProtocolError):
-            repeat_plan(np.zeros((4, 4)), PatternBasis(GridSpec(4), stack, "custom"), 1)
+@settings(max_examples=60, deadline=None)
+@given(case=bases_and_objects(), repeats=st.integers(1, 3))
+def test_plan_frames_follow_projection_count_and_binary_decompose(case, repeats):
+    basis, obj = case
+    plan = plan_acquisition(obj, basis, repeats)
+    assert projection_count(basis, repeats) == plan.bucket_reads
+    if basis.label == CANONICAL:
+        owner = np.repeat(np.arange(len(basis)), repeats).tolist()
+        weight = [1.0 / repeats] * plan.bucket_reads
+    else:
+        subs = [binary_decompose(p, j) for j, p in enumerate(basis)]
+        owner = [sub.parent_index for sub in subs for _ in sub.parts]
+        weight = [w for sub in subs for _, w in sub.parts]
+    assert plan.owner.tolist() == owner
+    assert plan.weight.tolist() == weight
 
 
 class TestNormalizationSusceptibility:
@@ -405,8 +398,8 @@ class TestNormalizationSusceptibility:
 
         modified = modify_basis(canonical_basis(grid), edge_kernel)
         routes = (
-            (repeat_plan(obj, canonical_basis(grid), 2), obj.ravel()),
-            (part_plan(obj, decompose_basis(modified)),
+            (plan_acquisition(obj, canonical_basis(grid), 2), obj.ravel()),
+            (plan_acquisition(obj, modified, 1),
              np.array([float(np.sum(np.asarray(p) * obj)) for p in modified])),
         )
         for plan, clean in routes:

@@ -86,6 +86,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("integration_times_ms = 20 0 220\n")
 
+    def test_repeated_time_rejected(self):
+        # both cells of a repeated time would write the same image files
+        with pytest.raises(ConfigError, match="integration_times_ms"):
+            parse_config("integration_times_ms = 20 100 20\n")
+
+    def test_times_with_the_same_file_name_rejected(self):
+        # distinct values, both written as t20ms
+        with pytest.raises(ConfigError, match="integration_times_ms"):
+            parse_config("integration_times_ms = 20 20.0000001\n")
+        assert parse_config("integration_times_ms = 20 20.0001\n").integration_times_ms \
+            == (20.0, 20.0001)
+
     def test_background_rect_parse_and_bounds(self):
         cfg = parse_config("grid_side = 16\nbackground_rect = 2 11 12 3\n")
         assert cfg.background_rect == (2, 11, 12, 3)
@@ -200,7 +212,8 @@ def config_texts(draw):
             f"{draw(st.integers(1, side - c0))}")
     gallery = " ".join(str(g) for g in draw(
         st.lists(st.integers(0, pixels - 1), min_size=1, max_size=4)))
-    times = " ".join(repr(t) for t in draw(st.lists(_positive(), min_size=1, max_size=4)))
+    times = " ".join(repr(t) for t in draw(st.lists(
+        _positive(), min_size=1, max_size=4, unique_by=lambda t: f"{t:g}")))
     fraction = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
     bases = ["canonical"] + (["hadamard"] if side & (side - 1) == 0 else [])
     values = {

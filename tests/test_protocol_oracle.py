@@ -24,8 +24,7 @@ from ghostsim import (
     hadamard_basis,
     lamp_intensity,
     modify_basis,
-    part_plan,
-    repeat_plan,
+    plan_acquisition,
     run_basis_protocol,
 )
 
@@ -123,7 +122,7 @@ def side8_object():
 @pytest.mark.parametrize("repeats", [1, 2])
 def test_canonical_repeats_match_loop(side8_object, repeats):
     basis = canonical_basis(GridSpec(8))
-    plan = repeat_plan(side8_object, basis, repeats)
+    plan = plan_acquisition(side8_object, basis, repeats)
     want = loop_post_protocol(side8_object, basis, ALL_NOISE, TIME_MS, repeats)
     assert np.array_equal(plan_cell(plan, ALL_NOISE, TIME_MS), want)
 
@@ -137,9 +136,9 @@ DECOMPOSED_BASES = {
 
 @pytest.mark.parametrize("name", sorted(DECOMPOSED_BASES))
 def test_decomposed_bases_match_loop(side8_object, name):
-    decomposed = decompose_basis(DECOMPOSED_BASES[name](GridSpec(8)))
-    plan = part_plan(side8_object, decomposed)
-    want = loop_basis_protocol(side8_object, decomposed, ALL_NOISE, TIME_MS)
+    basis = DECOMPOSED_BASES[name](GridSpec(8))
+    plan = plan_acquisition(side8_object, basis, 2)
+    want = loop_basis_protocol(side8_object, decompose_basis(basis), ALL_NOISE, TIME_MS)
     assert np.array_equal(plan_cell(plan, ALL_NOISE, TIME_MS), want)
 
 
@@ -177,10 +176,9 @@ def test_noiseless_coefficients_match_dense_operator(case, time_ms, drift):
 
     # modified pattern j is op @ row_j, so its coefficient is row_j . (op^T o)
     basis_route = run_basis_protocol(
-        part_plan(obj, decompose_basis(modify_basis(parent, EDGE))), noise, time_ms)
+        plan_acquisition(obj, modify_basis(parent, EDGE), 2), noise, time_ms)
     np.testing.assert_allclose(basis_route, rows @ (op.T @ obj.ravel()),
                                rtol=1e-10, atol=1e-10)
-    plain = (repeat_plan(obj, parent, 2) if label == "canonical"
-             else part_plan(obj, decompose_basis(parent)))
+    plain = plan_acquisition(obj, parent, 2)
     np.testing.assert_allclose(run_basis_protocol(plain, noise, time_ms),
                                rows @ obj.ravel(), rtol=1e-10, atol=1e-10)

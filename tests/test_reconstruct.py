@@ -12,13 +12,12 @@ from ghostsim import (
     POST_PROCESSED,
     DimensionError,
     GridSpec,
+    MeasurementPlan,
     NoiseModel,
-    basis_plan,
     basis_processed_image,
     build_operator_matrix,
     canonical_basis,
     cyclic_correlate,
-    decompose_basis,
     derive_seed,
     flatten,
     hadamard_basis,
@@ -27,8 +26,7 @@ from ghostsim import (
     kernel_autocorrelation,
     modify_basis,
     noise_autocorrelation,
-    part_plan,
-    post_plan,
+    plan_acquisition,
     post_process,
     post_processed_image,
     reconstruct,
@@ -71,17 +69,13 @@ class TestReconstruct:
         with pytest.raises(DimensionError):
             reconstruct(np.zeros(5), canonical_basis(GridSpec(2)))
 
-    def test_records_must_cover_all_patterns(self, edge_kernel):
+    def test_records_must_cover_all_patterns(self):
         # coverage is checked once, when the plan is built
-        grid = GridSpec(4)
-        obj = np.full((4, 4), 0.5)
-        decomposed = decompose_basis(modify_basis(canonical_basis(grid), edge_kernel))
-        with pytest.raises(DimensionError):
-            part_plan(obj, decomposed[:-1])
-        with pytest.raises(DimensionError):
-            part_plan(obj, decomposed + [decomposed[0]])
-        with pytest.raises(DimensionError):
-            part_plan(obj, decomposed[:-1] + [decomposed[0]])
+        grid = GridSpec(2)
+        for owner in ([0, 1, 2], [0, 1, 2, 2], [0, 1, 2, 4], [-1, 0, 1, 2, 3]):
+            ones = np.ones(len(owner))
+            with pytest.raises(DimensionError):
+                MeasurementPlan(grid, owner, ones, ones)
 
     def test_canonical_reconstruction_is_a_copy(self):
         vec = np.arange(4.0)
@@ -164,10 +158,11 @@ class TestPipelineEquality:
         obj = rng.uniform(0.0, 1.0, size=(side, side))
         grid = GridSpec(side)
         parent = canonical_basis(grid)
-        post = post_processed_image(post_plan(obj, parent, 2), parent, edge_kernel,
-                                    QUIET, 1.0)
-        basis = basis_processed_image(basis_plan(obj, parent, edge_kernel), parent,
-                                      QUIET, 1.0)
+        post = post_processed_image(plan_acquisition(obj, parent, 2), parent,
+                                    edge_kernel, QUIET, 1.0)
+        basis = basis_processed_image(
+            plan_acquisition(obj, modify_basis(parent, edge_kernel), 2), parent,
+            QUIET, 1.0)
         assert relative_error(basis, post) < 1e-10
         # dense-operator oracle for the shared target
         op = build_operator_matrix(edge_kernel, grid)
@@ -178,16 +173,17 @@ class TestPipelineEquality:
     def test_noiseless_equality_hadamard(self, rng, edge_kernel):
         obj = rng.uniform(0.0, 1.0, size=(4, 4))
         parent = hadamard_basis(GridSpec(4))
-        post = post_processed_image(post_plan(obj, parent, 2), parent, edge_kernel,
-                                    QUIET, 1.0)
-        basis = basis_processed_image(basis_plan(obj, parent, edge_kernel), parent,
-                                      QUIET, 1.0)
+        post = post_processed_image(plan_acquisition(obj, parent, 2), parent,
+                                    edge_kernel, QUIET, 1.0)
+        basis = basis_processed_image(
+            plan_acquisition(obj, modify_basis(parent, edge_kernel), 2), parent,
+            QUIET, 1.0)
         oracle = cyclic_correlate(obj, edge_kernel)
         assert relative_error(post, oracle) < 1e-10
         assert relative_error(basis, oracle) < 1e-10
 
     def test_plan_must_match_parent_grid(self, edge_kernel):
-        plan = post_plan(np.full((2, 2), 0.5), canonical_basis(GridSpec(2)), 2)
+        plan = plan_acquisition(np.full((2, 2), 0.5), canonical_basis(GridSpec(2)), 2)
         with pytest.raises(DimensionError):
             post_processed_image(plan, canonical_basis(GridSpec(4)), edge_kernel,
                                  QUIET, 1.0)
@@ -202,9 +198,9 @@ class TestNoiseCharacter:
         zero = np.zeros((side, side))
         parent = canonical_basis(grid)
         if method == BASIS_PROCESSED:
-            plan = basis_plan(zero, parent, edge_kernel)
+            plan = plan_acquisition(zero, modify_basis(parent, edge_kernel), 2)
         else:
-            plan = post_plan(zero, parent, 2)
+            plan = plan_acquisition(zero, parent, 2)
         acc = np.zeros((side, side))
         for i in range(trials):
             noise = NoiseModel(detector_sigma=1.0, seed=derive_seed(404, i))
