@@ -113,15 +113,21 @@ class SweepSummary:
     std_snr: float
 
 
-def _candidates(reference: np.ndarray, border: int) -> np.ndarray:
-    n = reference.shape[0]
+def _candidates(reference, fraction: float, border: int):
+    """The reference as a float image, and the flat indices of its pixels at
+    least ``border`` from every edge, ascending."""
+    ref = np.asarray(reference, dtype=float)
+    if ref.ndim != 2 or ref.shape[0] != ref.shape[1]:
+        raise DimensionError(f"reference must be a square image, got {ref.shape}")
+    if not 0 < fraction < 1:
+        raise MaskError(f"fraction must be in (0, 1), got {fraction}")
+    n = ref.shape[0]
     if border < 0:
         raise MaskError("border must be >= 0")
     if 2 * border >= n:
         raise MaskError(f"border {border} leaves no candidate pixels on side {n}")
-    keep = np.zeros((n, n), dtype=bool)
-    keep[border:n - border, border:n - border] = True
-    return np.flatnonzero(keep.ravel())
+    idx = np.arange(n * n).reshape(n, n)
+    return ref, idx[border:n - border, border:n - border].ravel()
 
 
 def select_peak_mask(reference, fraction: float, border: int = 0) -> RegionMask:
@@ -130,12 +136,7 @@ def select_peak_mask(reference, fraction: float, border: int = 0) -> RegionMask:
     Ties break by ascending flattened index, so identical references always
     give identical masks.
     """
-    ref = np.asarray(reference, dtype=float)
-    if ref.ndim != 2 or ref.shape[0] != ref.shape[1]:
-        raise DimensionError(f"reference must be a square image, got {ref.shape}")
-    if not 0 < fraction < 1:
-        raise MaskError(f"fraction must be in (0, 1), got {fraction}")
-    cand = _candidates(ref, border)
+    ref, cand = _candidates(reference, fraction, border)
     k = int(np.ceil(fraction * cand.size))
     if k == 0:
         raise MaskError("fraction selects zero pixels")
@@ -148,12 +149,7 @@ def select_background_mask(reference, fraction: float, border: int = 0,
                            exclude=None) -> RegionMask:
     """Pixels with the bottom ``fraction`` of absolute values: the flattest
     region of the reference, disjoint from ``exclude`` if given."""
-    ref = np.asarray(reference, dtype=float)
-    if ref.ndim != 2 or ref.shape[0] != ref.shape[1]:
-        raise DimensionError(f"reference must be a square image, got {ref.shape}")
-    if not 0 < fraction < 1:
-        raise MaskError(f"fraction must be in (0, 1), got {fraction}")
-    cand = _candidates(ref, border)
+    ref, cand = _candidates(reference, fraction, border)
     if exclude is not None:
         cand = np.setdiff1d(cand, np.asarray(exclude, dtype=np.int64))
     if cand.size == 0:
@@ -180,7 +176,8 @@ def mask_from_rect(grid: GridSpec, rect: tuple[int, int, int, int],
 def _check_disjoint(peak: RegionMask, background: RegionMask):
     if peak.grid != background.grid:
         raise MaskError("peak and background masks live on different grids")
-    if np.intersect1d(peak.indices, background.indices).size:
+    # mask indices are sorted and unique by construction
+    if np.intersect1d(peak.indices, background.indices, assume_unique=True).size:
         raise MaskError("peak and background masks overlap")
 
 
@@ -241,6 +238,24 @@ def derive_seed(base_seed: int, *components: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _sweep_masks(obj: np.ndarray, kernel: Kernel, peak_fraction: float,
+                 background_fraction: float, mask_border: int,
+                 background_rect) -> tuple[RegionMask, RegionMask]:
+    """The sweep's fixed peak and background masks, from the noiseless
+    filtered object; raises :class:`MaskError` if they overlap."""
+    reference = cyclic_correlate(obj, kernel)
+    peak = select_peak_mask(reference, peak_fraction, mask_border)
+    if background_rect is not None:
+        background = mask_from_rect(GridSpec(obj.shape[0]), background_rect,
+                                    BACKGROUND)
+    else:
+        background = select_background_mask(
+            reference, background_fraction, mask_border, exclude=peak.indices
+        )
+    _check_disjoint(peak, background)
+    return peak, background
+
+
 def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
                 *, parent: PatternBasis | None = None, repeats_per_pattern: int = 2,
                 peak_fraction: float = 0.1, background_fraction: float = 0.3,
@@ -269,22 +284,14 @@ def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
     times = [float(t) for t in times_ms]
     if not times:
         raise ValueError("times_ms must not be empty")
-    grid = GridSpec(o.shape[0])
     if parent is None:
-        parent = canonical_basis(grid)
+        parent = canonical_basis(GridSpec(o.shape[0]))
+    # before the plans, the costly part
+    peak, background = _sweep_masks(o, kernel, peak_fraction, background_fraction,
+                                    mask_border, background_rect)
 
-    reference = cyclic_correlate(o, kernel)
-    peak = select_peak_mask(reference, peak_fraction, mask_border)
-    if background_rect is not None:
-        background = mask_from_rect(grid, background_rect, BACKGROUND)
-    else:
-        background = select_background_mask(
-            reference, background_fraction, mask_border, exclude=peak.indices
-        )
-    _check_disjoint(peak, background)  # before the plans, the costly part
-
-    # the basis plan first: its dense modified stack is the run's peak memory,
-    # and the parts the post plan decomposes would otherwise still sit in the heap
+    # the modified stack is freed once its plan is built, and neither plan
+    # keeps a frame image
     plans = {
         BASIS_PROCESSED: plan_acquisition(o, modify_basis(parent, kernel),
                                           repeats_per_pattern),

@@ -2,7 +2,9 @@
 
 Canonical (one-hot raster) and Hadamard generators, filter-modified variants
 of either, and the split of a multi-level pattern into weighted binary parts
-that a two-state amplitude modulator can actually project.
+that a two-state amplitude modulator can actually project.  A split is
+described by its levels alone: part ``k`` of pattern ``P`` is the frame
+``P == level_k``, so no part image is stored.
 """
 
 from __future__ import annotations
@@ -111,34 +113,30 @@ def modify_basis(basis: PatternBasis, kernel: Kernel) -> PatternBasis:
     return PatternBasis(basis.grid, out, label)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SubPatternSet:
-    """Binary split of one multi-level pattern.
+    """Binary split of one multi-level pattern, as its levels.
 
-    ``parts`` holds ``(binary image with entries in {0, 1}, weight)`` pairs;
-    the weighted sum of the parts reproduces the parent pattern exactly, one
-    part per distinct nonzero level.
+    ``weights`` lists the pattern's distinct nonzero values, descending, or
+    ``(0.0,)`` for an all-zero pattern.  Part ``k`` is the binary frame
+    ``pattern == weights[k]`` (all dark for weight 0), so the weighted sum of
+    the parts reproduces the pattern exactly, one part per weight.
     """
 
     parent_index: int
-    parts: tuple[tuple[np.ndarray, float], ...]
+    weights: tuple[float, ...]
 
     @property
     def part_count(self) -> int:
-        return len(self.parts)
-
-    def recombine(self) -> np.ndarray:
-        total = np.zeros(self.parts[0][0].shape, dtype=float)
-        for part, weight in self.parts:
-            total += weight * part
-        return total
+        return len(self.weights)
 
 
 def binary_decompose(pattern, parent_index: int = 0) -> SubPatternSet:
     """Split a pattern into weighted binary parts, one per distinct nonzero
     value (descending), so each part is projectable by a binary modulator.
 
-    An all-zero pattern yields a single all-zero part with weight 0.
+    Values are compared in float64.  An all-zero pattern yields a single
+    all-dark part with weight 0.
     """
     img = np.asarray(pattern, dtype=float)
     if img.ndim != 2:
@@ -146,19 +144,8 @@ def binary_decompose(pattern, parent_index: int = 0) -> SubPatternSet:
     if not np.all(np.isfinite(img)):
         raise DimensionError("pattern values must be finite")
     levels = np.unique(img)
-    levels = levels[levels != 0.0]
-    if levels.size == 0:
-        part = np.zeros(img.shape, dtype=np.uint8)
-        part.setflags(write=False)
-        parts = ((part, 0.0),)
-    else:
-        built = []
-        for level in levels[::-1]:  # descending: positive parts first
-            part = (img == level).astype(np.uint8)
-            part.setflags(write=False)
-            built.append((part, float(level)))
-        parts = tuple(built)
-    return SubPatternSet(parent_index, parts)
+    levels = levels[levels != 0.0][::-1]  # descending: positive parts first
+    return SubPatternSet(parent_index, tuple(levels.tolist()) or (0.0,))
 
 
 # Pattern entries per row block of the level scan (64 patterns at side 64):
@@ -169,71 +156,50 @@ _SCAN_ELEMENTS = 1 << 18
 _SCAN_LEVELS = 64
 
 
-def _level_blocks(stack: np.ndarray):
-    """Yield ``(start, block, levels)`` over row blocks of a pattern stack.
-
-    ``block`` holds patterns ``start, start + 1, ...`` flattened to rows.
-    ``levels`` lists the integers of the block's ``[min, max]`` but zero,
-    descending, when the block is integer, exact in float64 (so that ``==``
-    agrees with :func:`binary_decompose`'s float64 comparison) and spans at
-    most ``_SCAN_LEVELS``; a level no pattern holds matches no row.
-    ``levels`` is None for every other block.
-    """
-    m = stack.shape[0]
-    flat = stack.reshape(m, -1)
-    step = max(1, _SCAN_ELEMENTS // flat.shape[1])
-    for start in range(0, m, step):
-        block = flat[start:start + step]
-        levels = None
-        if np.issubdtype(block.dtype, np.integer):
-            lo, hi = int(block.min()), int(block.max())
-            if max(-lo, hi) <= 2**53 and hi - lo <= _SCAN_LEVELS:
-                levels = [v for v in range(hi, lo - 1, -1) if v != 0]
-        yield start, block, levels
+def _exact_in_float64(arr: np.ndarray) -> bool:
+    """Whether ``arr`` is integer with every entry exact in float64, so that
+    comparing it in its own dtype agrees with a float64 comparison."""
+    if not np.issubdtype(arr.dtype, np.integer):
+        return False
+    return arr.dtype.itemsize <= 4 or max(-int(arr.min()), int(arr.max())) <= 2**53
 
 
 def decompose_basis(basis: PatternBasis) -> list[SubPatternSet]:
     """Decompose every pattern of a basis, preserving order.
 
-    The parts, their weights and their order are exactly those of
+    The weights and their order are exactly those of
     :func:`binary_decompose` for each pattern, but they are found a row
-    block and a level at a time: one ``block == level`` mask per level, the
-    rows that hold the level kept in one read-only ``uint8`` array, of which
-    each part is a view.  All-zero patterns share one all-zero part.
+    block of the stack at a time.  A block that is exact in float64 and
+    spans at most ``_SCAN_LEVELS`` integers is scanned once per candidate
+    level, descending: ``block == level`` tells which patterns hold it.
+    Every other block is split pattern by pattern.  No part image is built;
+    a frame is ``pattern == weight`` wherever it is needed.
     """
-    shape = (basis.grid.side, basis.grid.side)
-    parts = [[] for _ in range(len(basis))]
-    for start, block, levels in _level_blocks(basis.stack):
-        if levels is None:
+    m, shape = len(basis), (basis.grid.side, basis.grid.side)
+    flat = basis.stack.reshape(m, -1)
+    step = max(1, _SCAN_ELEMENTS // flat.shape[1])
+    weights = [[] for _ in range(m)]
+    for start in range(0, m, step):
+        block = flat[start:start + step]
+        exact = _exact_in_float64(block)
+        lo, hi = (int(block.min()), int(block.max())) if exact else (0, 0)
+        if not exact or hi - lo > _SCAN_LEVELS:
             for i, row in enumerate(block, start):
-                parts[i] = list(binary_decompose(row.reshape(shape), i).parts)
+                weights[i] = binary_decompose(row.reshape(shape), i).weights
             continue
-        for level in levels:
-            mask = block == level
-            has = mask.any(axis=1)
-            rows = np.flatnonzero(has)
-            found = mask[has].view(np.uint8).reshape(rows.size, *shape)
-            found.setflags(write=False)
-            weight = float(level)
-            for i, part in zip((rows + start).tolist(), found):
-                parts[i].append((part, weight))
-    zero = np.zeros(shape, dtype=np.uint8)
-    zero.setflags(write=False)
-    return [SubPatternSet(j, tuple(p) if p else ((zero, 0.0),))
-            for j, p in enumerate(parts)]
+        for level in [v for v in range(hi, lo - 1, -1) if v != 0]:
+            for i in (np.flatnonzero((block == level).any(axis=1)) + start).tolist():
+                weights[i].append(float(level))
+    return [SubPatternSet(j, tuple(w) or (0.0,)) for j, w in enumerate(weights)]
 
 
 def projection_count(basis: PatternBasis, repeats_per_pattern: int) -> int:
     """Total binary frames projected to acquire the whole basis once, as
-    the measurement plans project them.
-
-    A canonical basis is binary, so each pattern is repeated
-    ``repeats_per_pattern`` times; any other basis is projected through its
-    binary parts, one frame per distinct nonzero level of a pattern (one for
-    an all-zero pattern), and ``repeats_per_pattern`` is not used.
+    the measurement plans project them: one per binary part (one per
+    distinct nonzero level of a pattern, one for an all-zero pattern), each
+    repeated ``repeats_per_pattern`` times for a canonical basis.
     """
     if repeats_per_pattern < 1:
         raise ValueError("repeats_per_pattern must be >= 1")
-    if basis.label == CANONICAL:
-        return len(basis) * repeats_per_pattern
-    return sum(sub.part_count for sub in decompose_basis(basis))
+    frames = sum(sub.part_count for sub in decompose_basis(basis))
+    return frames * repeats_per_pattern if basis.label == CANONICAL else frames

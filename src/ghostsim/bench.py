@@ -19,12 +19,8 @@ identical parts of weight ``1/R``; a multi-level pattern has one part per
 distinct level.
 
 The overlaps do not depend on the integration time, the repeat or the
-seed, so they are computed once per sweep and basis into a
-:class:`MeasurementPlan` by :func:`plan_acquisition`, which is also where
-the object is checked.  It repeats each pattern of a (binary) canonical
-basis and splits every other basis into binary parts, then meets the
-object a block of frames at a time, in one batched product whose every row
-is the same dot product, bit for bit, that a single bucket read computes.
+seed, so :func:`plan_acquisition` computes them once per sweep and basis
+into a :class:`MeasurementPlan`, and checks the object there.
 A cell is then ``run_basis_protocol(plan, noise, integration_time_ms)``:
 the plan fixes the frames, the noise model the noise levels and the seed,
 and the integration time the signal scale.  It draws all of its noise from
@@ -41,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import CANONICAL, PatternBasis, decompose_basis
+from .bases import CANONICAL, PatternBasis, _exact_in_float64, decompose_basis
 from .core import GridSpec
 from .errors import ConfigError, DimensionError, ProtocolError
 from .pgmio import read_pgm
@@ -232,34 +228,30 @@ def _check_object(obj) -> np.ndarray:
 
 
 # Pattern entries per float block of the overlap pass: 512 KiB, which is 16
-# patterns or parts at side 64.
+# frames at side 64.
 _PLAN_ELEMENTS = 1 << 16
-
-
-def _is_binary(arr: np.ndarray) -> bool:
-    if arr.dtype.kind in "biu":  # integers: the range decides, in one pass each
-        return bool(arr.min() >= 0 and arr.max() <= 1)
-    return bool(np.all((arr == 0) | (arr == 1)))
 
 
 def plan_acquisition(obj, basis: PatternBasis,
                      repeats_per_pattern: int) -> MeasurementPlan:
     """Plan for acquiring every pattern of ``basis`` with a binary modulator.
 
-    A canonical basis must be binary: each pattern is projected
-    ``repeats_per_pattern`` times and the reads averaged (that many
-    identical parts of weight ``1/repeats_per_pattern``).  Any other basis
-    is split by :func:`~ghostsim.bases.decompose_basis`, and each binary
-    part is projected once, weighted by its level; ``repeats_per_pattern``
-    is not used.  :func:`~ghostsim.bases.projection_count` counts frames by
-    the same rule.
+    Every basis is split by :func:`~ghostsim.bases.decompose_basis`.  A
+    canonical basis must split into weight-1 parts (an all-zero pattern's
+    dark part allowed): each part is projected ``repeats_per_pattern``
+    times and the reads averaged (that many identical parts of weight
+    ``1/repeats_per_pattern``).  Any other basis projects each part once,
+    weighted by its level; ``repeats_per_pattern`` is not used.
+    :func:`~ghostsim.bases.projection_count` counts frames by the same rule.
 
-    The frames meet the object a block at a time: each block is cast into
-    one reused float64 buffer, and each frame then meets the object as a
-    ``(1, n) @ (n, 1)`` product, which numpy evaluates with the same dot
-    kernel as one bucket read's ``float(np.dot(frame, object))``, bit for
-    bit.  A matrix-vector product sums in another order and can differ in
-    the last bits.
+    Frame ``p`` is ``pattern[owner[p]] == level[p]``, made straight from the
+    stack a block at a time, in the stack's own dtype when its entries are
+    exact in float64 and in float64 otherwise, as binary_decompose compares.
+    Each block is written into one reused float64 buffer, and each frame
+    then meets the object as a ``(1, n) @ (n, 1)`` product, which numpy
+    evaluates with the same dot kernel as one bucket read's
+    ``float(np.dot(frame, object))``, bit for bit.  A matrix-vector product
+    sums in another order and can differ in the last bits.
     """
     o = _check_object(obj)
     side = basis.grid.side
@@ -267,33 +259,30 @@ def plan_acquisition(obj, basis: PatternBasis,
         raise DimensionError("object grid does not match basis grid")
     if repeats_per_pattern < 1:
         raise ValueError("repeats_per_pattern must be >= 1")
+    subs = decompose_basis(basis)
+    owner = np.repeat(np.arange(len(subs)), [sub.part_count for sub in subs])
+    level = np.array([w for sub in subs for w in sub.weights])
     canonical = basis.label == CANONICAL
-    if canonical:
-        frames = basis.stack
-    else:
-        subs = decompose_basis(basis)
-        frames = [part for sub in subs for part, _ in sub.parts]
+    if canonical and not np.all((level == 1.0) | (level == 0.0)):
+        raise ProtocolError("a canonical basis must be binary; a multi-level "
+                            "basis is split into binary parts under another label")
+    stack = basis.stack.reshape(len(basis), -1)
+    # levels are values of the stack, so the cast is exact where it is made
+    key = level.astype(stack.dtype) if _exact_in_float64(stack) else level
     flat = o.ravel()
     step = max(1, _PLAN_ELEMENTS // flat.size)
-    buf, overlap = np.empty((min(len(frames), step), flat.size)), np.empty(len(frames))
-    for start in range(0, len(frames), step):
-        chunk = frames[start:start + step]
-        # checked in the stack's own dtype, before the cast
-        if canonical and not _is_binary(chunk):
-            raise ProtocolError(
-                "a canonical basis must be binary; a multi-level basis is "
-                "split into binary parts when it has another label")
-        block = buf[:len(chunk)]
-        block.reshape(len(chunk), side, side)[...] = chunk
-        np.matmul(block[:, None, :], flat[:, None],
-                  out=overlap[start:start + len(chunk), None, None])
+    buf, overlap = np.empty((min(owner.size, step), flat.size)), np.empty(owner.size)
+    for s in range(0, owner.size, step):
+        e = min(s + step, owner.size)
+        block = buf[:e - s]
+        np.equal(stack[owner[s:e]], key[s:e, None], out=block)
+        block[level[s:e] == 0.0] = 0.0  # an all-zero pattern's part is dark
+        np.matmul(block[:, None, :], flat[:, None], out=overlap[s:e, None, None])
     if canonical:
-        m, r = len(basis), repeats_per_pattern
-        return MeasurementPlan(basis.grid, np.repeat(np.arange(m), r),
-                               np.full(m * r, 1.0 / r), np.repeat(overlap, r))
-    return MeasurementPlan(basis.grid,
-                           [sub.parent_index for sub in subs for _ in sub.parts],
-                           [w for sub in subs for _, w in sub.parts], overlap)
+        r = repeats_per_pattern
+        return MeasurementPlan(basis.grid, np.repeat(owner, r),
+                               np.full(owner.size * r, 1.0 / r), np.repeat(overlap, r))
+    return MeasurementPlan(basis.grid, owner, level, overlap)
 
 
 def coefficients_from_draws(plan: MeasurementPlan, lamp: np.ndarray,

@@ -7,7 +7,9 @@ Verbs:
   and a re-parseable run manifest.
 * ``gallery``  -- export selected basis patterns, original and
   filter-modified, as graymaps.
-* ``validate`` -- parse and validate a config, echo the resolved values.
+* ``validate`` -- parse and validate a config, build its scene and masks
+  (so it fails as ``run`` would before the sweep), and echo the resolved
+  values.
 
 Exit codes: 0 success, 1 config error, 2 runtime error.
 """
@@ -19,7 +21,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analysis import summarize_sweep, sweep_cells, write_summary_csv, write_sweep_csv
+from .analysis import (_sweep_masks, summarize_sweep, sweep_cells, write_summary_csv,
+                       write_sweep_csv)
 from .bases import HADAMARD, canonical_basis, hadamard_basis
 from .bench import load_object, synth_bar_target
 from .config import ExperimentConfig, load_config
@@ -168,7 +171,7 @@ def main(argv=None) -> int:
     for verb, text in (
         ("run", "run the experiment and write images, CSVs, and a manifest"),
         ("gallery", "export original and filter-modified basis patterns"),
-        ("validate", "check a config and echo the resolved values"),
+        ("validate", "check a config and its masks, echo the resolved values"),
     ):
         _add_common(sub.add_parser(verb, help=text))
 
@@ -176,6 +179,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides=_overrides(args))
         if args.verb == "validate":
+            # the scene and masks fail here as they would before a run's sweep
+            _sweep_masks(build_scene(cfg), cfg.kernel, cfg.peak_fraction,
+                         cfg.background_fraction, cfg.mask_border,
+                         cfg.background_rect)
             sys.stdout.write(cfg.to_text())
         elif args.verb == "run":
             paths = run_experiment(cfg)

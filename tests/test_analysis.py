@@ -16,6 +16,7 @@ from ghostsim import (
     MaskError,
     NoiseModel,
     NormalizationError,
+    RegionMask,
     basis_processed_image,
     canonical_basis,
     compute_snr,
@@ -144,6 +145,14 @@ class TestComputeSnr:
         background = mask_from_rect(grid, (1, 0, 2, 4))
         with pytest.raises(MaskError):
             compute_snr(np.ones((4, 4)), peak, background)
+
+    def test_one_shared_pixel_rejected(self):
+        # indices given unsorted and repeated still share pixel 9
+        grid = GridSpec(4)
+        peak = RegionMask(grid, [9, 3, 3, 0], "peak")
+        background = RegionMask(grid, [15, 9, 12, 12], "background")
+        with pytest.raises(MaskError, match="overlap"):
+            compute_snr(np.arange(16.0).reshape(4, 4), peak, background)
 
     def test_affine_invariance(self, rng):
         peak, background = self.grid_masks()

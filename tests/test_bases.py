@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ghostsim.bases as bases_module
+import ghostsim.bench as bench_module
 from ghostsim import (
     DimensionError,
     GridSpec,
@@ -30,6 +31,7 @@ from ghostsim import (
     synth_bar_target,
     unflatten,
 )
+from part_images import part_images, recombine
 
 
 class TestCanonicalBasis:
@@ -229,57 +231,67 @@ class TestBinaryDecompose:
         basis = canonical_basis(GridSpec(3))
         sub = binary_decompose(basis.pattern(4), 4)
         assert sub.part_count == 1
-        assert sub.parts[0][1] == 1.0
-        assert np.array_equal(sub.recombine(), np.asarray(basis.pattern(4), float))
+        assert sub.weights == (1.0,)
+        assert np.array_equal(recombine(basis.pattern(4), sub),
+                              np.asarray(basis.pattern(4), float))
 
     def test_edge_modified_canonical_has_two_parts(self, edge_kernel):
         modified = modify_basis(canonical_basis(GridSpec(8)), edge_kernel)
         for j in range(len(modified)):
             sub = binary_decompose(modified.pattern(j), j)
             assert sub.part_count == 2
-            assert [w for _, w in sub.parts] == [1.0, -1.0]
+            assert sub.weights == (1.0, -1.0)
 
     def test_recombination_is_exact(self, rng):
         pattern = rng.choice([-1.0, 0.0, 1.0], size=(6, 6))
         sub = binary_decompose(pattern)
-        assert np.array_equal(sub.recombine(), pattern)
+        assert np.array_equal(recombine(pattern, sub), pattern)
 
     def test_parts_are_binary(self, rng):
         pattern = rng.choice([-2.0, -0.5, 0.0, 1.5], size=(5, 5))
         sub = binary_decompose(pattern)
-        for part, weight in sub.parts:
+        assert sub.weights == (1.5, -0.5, -2.0)
+        for part, weight in zip(part_images(pattern, sub), sub.weights):
             assert set(np.unique(part)) <= {0, 1}
             assert weight != 0.0
-        assert np.array_equal(sub.recombine(), pattern)
+        assert np.array_equal(recombine(pattern, sub), pattern)
 
     def test_all_zero_pattern(self):
         sub = binary_decompose(np.zeros((4, 4)))
         assert sub.part_count == 1
-        assert sub.parts[0][1] == 0.0
-        assert np.array_equal(sub.recombine(), np.zeros((4, 4)))
+        assert sub.weights == (0.0,)
+        assert np.array_equal(part_images(np.zeros((4, 4)), sub)[0], np.zeros((4, 4)))
+        assert np.array_equal(recombine(np.zeros((4, 4)), sub), np.zeros((4, 4)))
 
     def test_round_trip_over_both_parents(self, edge_kernel):
         # exact (not toleranced) recombination for every modified pattern
         for parent in (canonical_basis(GridSpec(4)), hadamard_basis(GridSpec(4))):
             modified = modify_basis(parent, edge_kernel)
             for sub in decompose_basis(modified):
-                assert np.array_equal(
-                    sub.recombine(), np.asarray(modified.pattern(sub.parent_index))
-                )
+                pattern = modified.pattern(sub.parent_index)
+                assert np.array_equal(recombine(pattern, sub), np.asarray(pattern))
 
 
-def assert_same_decomposition(got, want):
-    """``got`` holds exactly the parts, weights and order of ``want``; each
-    part is a read-only uint8 image and each weight a Python float."""
+def assert_same_decomposition(got, want, basis):
+    """``got`` holds exactly the weights and order of ``want``, each weight a
+    Python float, and so the same part images of every pattern."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.parent_index == w.parent_index
-        assert [wt for _, wt in g.parts] == [wt for _, wt in w.parts]
-        assert all(type(wt) is float for _, wt in g.parts)
-        for (g_part, _), (w_part, _) in zip(g.parts, w.parts):
-            assert g_part.dtype == np.uint8
-            assert not g_part.flags.writeable
+        assert g.weights == w.weights
+        assert all(type(wt) is float for wt in g.weights)
+        pattern = basis.pattern(g.parent_index)
+        for g_part, w_part in zip(part_images(pattern, g), part_images(pattern, w)):
             assert np.array_equal(g_part, w_part)
+
+
+def per_frame_overlaps(obj, basis):
+    """Each frame's overlap as one bucket read computes it, with the frames
+    of :func:`binary_decompose` for every pattern in order."""
+    flat = np.asarray(obj, dtype=float).ravel()
+    return [float(np.dot(part.astype(float).ravel(), flat))
+            for j, p in enumerate(basis)
+            for part in part_images(p, binary_decompose(p, j))]
 
 
 # value sets per stack kind: levels within the integer scan, an integer range
@@ -312,8 +324,20 @@ class TestDecomposeBasis:
         with mock.patch.object(bases_module, "_SCAN_ELEMENTS", scan_elements):
             got = decompose_basis(basis)
             count = projection_count(basis, 1)
-        assert_same_decomposition(got, want)
+        assert_same_decomposition(got, want, basis)
         assert count == sum(sub.part_count for sub in want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(basis=pattern_stacks(), seed=st.integers(0, 2**32 - 1),
+           plan_elements=st.sampled_from([1, 9, 1 << 16]))
+    def test_plan_frames_match_binary_decompose(self, basis, seed, plan_elements):
+        # frames are made from the stack in its own dtype only where that
+        # agrees with binary_decompose's float64 masks
+        side = basis.grid.side
+        obj = np.random.default_rng(seed).uniform(0.0, 1.0, size=(side, side))
+        with mock.patch.object(bench_module, "_PLAN_ELEMENTS", plan_elements):
+            plan = plan_acquisition(obj, basis, 1)
+        assert np.array_equal(plan.overlap, per_frame_overlaps(obj, basis))
 
     @pytest.mark.parametrize("taps", [[[0, -1, 0], [-1, 0, 1], [0, 1, 0]],
                                       [[0.5, -1.0, 0.25]], [[64, 0, 64]]])
@@ -321,7 +345,7 @@ class TestDecomposeBasis:
     def test_modified_bases(self, build, taps):
         modified = modify_basis(build(GridSpec(8)), Kernel(taps))
         want = [binary_decompose(p, j) for j, p in enumerate(modified)]
-        assert_same_decomposition(decompose_basis(modified), want)
+        assert_same_decomposition(decompose_basis(modified), want, modified)
 
     @pytest.mark.parametrize("dtype", [float, np.int32])
     def test_blocks_with_many_levels(self, dtype, rng):
@@ -330,28 +354,38 @@ class TestDecomposeBasis:
         stack[5] = 0
         basis = PatternBasis(GridSpec(8), stack, "custom")
         want = [binary_decompose(p, j) for j, p in enumerate(basis)]
-        assert_same_decomposition(decompose_basis(basis), want)
+        assert_same_decomposition(decompose_basis(basis), want, basis)
         assert projection_count(basis, 1) == sum(sub.part_count for sub in want)
 
-    def test_working_memory_stays_below_one_stack_mask(self, edge_kernel):
-        # building the plan may peak at little beyond the parts it
-        # decomposes: their bytes and their Python objects.  A whole-stack
-        # bool mask per level would add 1 MiB each at side 32.
+    def test_int64_stack_past_two_pow_53(self):
+        # float64 merges 2**53 and 2**53 + 1 into one level, so their frame
+        # holds both pixels; an int64 comparison would split them
+        stack = np.zeros((4, 2, 2), dtype=np.int64)
+        stack[:, 0, 0] = 2**53
+        stack[1, 0, 1] = 2**53 + 1
+        stack[2, 1, 1] = 5
+        basis = PatternBasis(GridSpec(2), stack, "custom")
+        assert [sub.weights for sub in decompose_basis(basis)] == [
+            (2.0**53,), (2.0**53,), (2.0**53, 5.0), (2.0**53,)]
+        obj = np.array([[0.25, 0.5], [0.125, 1.0]])
+        plan = plan_acquisition(obj, basis, 1)
+        assert plan.overlap.tolist() == [0.25, 0.75, 0.25, 1.0, 0.25]
+        assert np.array_equal(plan.overlap, per_frame_overlaps(obj, basis))
+
+    def test_plan_peaks_under_two_mib(self, edge_kernel):
+        # no part image is built: the plan's working memory is one float
+        # block, one scan mask and the levels, whatever the part count
         grid = GridSpec(32)
         modified = modify_basis(hadamard_basis(grid), edge_kernel)
         obj = synth_bar_target(grid, 2)
-        part_bytes = sum(p.nbytes for sub in decompose_basis(modified)
-                         for p, _ in sub.parts)
         tracemalloc.start()
         try:
             plan = plan_acquisition(obj, modified, 1)
-            held, peak = tracemalloc.get_traced_memory()
+            _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert plan.bucket_reads == 3836
-        assert peak <= 1.5 * part_bytes + 2**20
-        # the plan keeps none of the parts (free lists make up most of held)
-        assert held <= 0.25 * part_bytes
+        assert peak < 2 * 2**20
 
 
 class TestProjectionCount:

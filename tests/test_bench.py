@@ -32,6 +32,7 @@ from ghostsim import (
     sweep_cells,
     synth_bar_target,
 )
+from part_images import part_images
 
 QUIET = NoiseModel()  # all noise and backgrounds off, lamp base 1
 
@@ -241,6 +242,20 @@ class TestPostProtocol:
         with pytest.raises(ProtocolError):
             plan_acquisition(np.zeros((4, 4)), PatternBasis(GridSpec(4), stack, CANONICAL), 1)
 
+    def test_all_zero_pattern_keeps_its_repeats(self):
+        # a dark pattern of a canonical basis is still read R times, at
+        # weight 1/R, each read overlapping the object by 0
+        stack = np.eye(4, dtype=np.int8).reshape(4, 2, 2)
+        stack[2] = 0
+        basis = PatternBasis(GridSpec(2), stack, CANONICAL)
+        obj = np.array([[0.25, 0.5], [0.75, 1.0]])
+        plan = plan_acquisition(obj, basis, 2)
+        assert plan.owner.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert np.all(plan.weight == 0.5)
+        assert plan.overlap.tolist() == [0.25, 0.25, 0.5, 0.5, 0.0, 0.0, 1.0, 1.0]
+        assert projection_count(basis, 2) == plan.bucket_reads
+        assert run_basis_protocol(plan, QUIET, 1.0).tolist() == [0.25, 0.5, 0.0, 1.0]
+
     def test_rejects_out_of_range_object(self):
         with pytest.raises(ProtocolError):
             plan_acquisition(np.full((2, 2), 1.5), canonical_basis(GridSpec(2)), 2)
@@ -298,11 +313,12 @@ class TestBasisProtocol:
         assert np.array_equal(first, second)
 
 
-def per_part_overlaps(obj, decomposed):
+def per_part_overlaps(obj, basis, decomposed):
     """Each part's overlap as one bucket read computes it."""
     flat = np.asarray(obj, dtype=float).ravel()
     return [float(np.dot(np.asarray(part, dtype=float).ravel(), flat))
-            for sub in decomposed for part, _ in sub.parts]
+            for sub in decomposed
+            for part in part_images(basis.pattern(sub.parent_index), sub)]
 
 
 class TestPlanOverlaps:
@@ -323,12 +339,12 @@ class TestPlanOverlaps:
             mp.setattr(bench_module, "_PLAN_ELEMENTS", plan_elements)
             repeated = plan_acquisition(obj, parent, repeats)
             parts = plan_acquisition(obj, modified, repeats)
-        want = per_part_overlaps(obj, decompose_basis(parent))
+        want = per_part_overlaps(obj, parent, decompose_basis(parent))
         assert np.array_equal(repeated.overlap, np.repeat(want, repeats))
-        assert np.array_equal(parts.overlap, per_part_overlaps(obj, decomposed))
-        assert parts.weight.tolist() == [w for sub in decomposed for _, w in sub.parts]
+        assert np.array_equal(parts.overlap, per_part_overlaps(obj, modified, decomposed))
+        assert parts.weight.tolist() == [w for sub in decomposed for w in sub.weights]
         assert parts.owner.tolist() == [sub.parent_index for sub in decomposed
-                                        for _ in sub.parts]
+                                        for _ in sub.weights]
 
     @pytest.mark.parametrize("build", [canonical_basis, hadamard_basis])
     def test_side_64(self, build, rng):
@@ -337,7 +353,7 @@ class TestPlanOverlaps:
         for basis in (build(grid), modify_basis(build(grid), edge_detect_kernel())):
             plan = plan_acquisition(obj, basis, 1)
             assert np.array_equal(plan.overlap,
-                                  per_part_overlaps(obj, decompose_basis(basis)))
+                                  per_part_overlaps(obj, basis, decompose_basis(basis)))
 
 
 @st.composite
@@ -371,8 +387,8 @@ def test_plan_frames_follow_projection_count_and_binary_decompose(case, repeats)
         weight = [1.0 / repeats] * plan.bucket_reads
     else:
         subs = [binary_decompose(p, j) for j, p in enumerate(basis)]
-        owner = [sub.parent_index for sub in subs for _ in sub.parts]
-        weight = [w for sub in subs for _, w in sub.parts]
+        owner = [sub.parent_index for sub in subs for _ in sub.weights]
+        weight = [w for sub in subs for w in sub.weights]
     assert plan.owner.tolist() == owner
     assert plan.weight.tolist() == weight
 

@@ -118,6 +118,22 @@ class TestValidate:
     def test_missing_config_file_is_config_error(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 1
 
+    @pytest.mark.parametrize("config", [
+        "grid_side = 64\nbackground_rect = 0 0 64 64\n",
+        "object_path = missing.pgm\n",
+    ], ids=["overlapping-masks", "missing-object"])
+    def test_fails_as_run_does(self, config, tmp_path, monkeypatch, capsys):
+        # validate builds the scene and the masks, so a config that run
+        # rejects before any work is rejected by validate too, with exit 2
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "bad.cfg"
+        path.write_text(config)
+        for verb in ("validate", "run"):
+            assert main([verb, "--config", str(path), "--out", "out"]) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2 and errors[0] == errors[1]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("config, expected", [
         (None, DEFAULT_ECHO),
         (CUSTOM, CUSTOM_ECHO),
@@ -132,6 +148,13 @@ class TestValidate:
             path = tmp_path / "pinned.cfg"
             path.write_text(config)
             argv += ["--config", str(path)]
+            # validate loads the object it names; its edges lie far from the
+            # configured background rectangle
+            monkeypatch.chdir(tmp_path)
+            (tmp_path / "some").mkdir()
+            obj = np.zeros((16, 16))
+            obj[8:14, 8:14] = 1.0
+            write_pgm(tmp_path / "some" / "object.pgm", obj)
         assert main(argv) == 0
         assert capsys.readouterr().out == expected
 

@@ -27,6 +27,7 @@ from ghostsim import (
     plan_acquisition,
     run_basis_protocol,
 )
+from part_images import part_images
 
 EDGE = edge_detect_kernel()
 ALL_NOISE = NoiseModel(lamp_base=1.3, lamp_drift_amplitude=0.2, lamp_drift_period=37.0,
@@ -75,18 +76,19 @@ def loop_post_protocol(obj, basis, noise, time_ms, repeats) -> np.ndarray:
     return out
 
 
-def loop_basis_protocol(obj, decomposed, noise, time_ms) -> np.ndarray:
-    """Weighted protocol: one read per binary part, weighted sum, divided by
-    one normalization read."""
+def loop_basis_protocol(obj, basis, decomposed, noise, time_ms) -> np.ndarray:
+    """Weighted protocol: one read per binary part of each pattern of
+    ``basis``, weighted sum, divided by one normalization read."""
     out = np.zeros(len(decomposed))
     for sub in decomposed:
         j = sub.parent_index
         a = lamp_intensity(j, noise, time_ms)
+        parts = part_images(basis.pattern(j), sub)
         combined = 0.0
-        for i, (part, weight) in enumerate(sub.parts):
+        for i, (part, weight) in enumerate(zip(parts, sub.weights)):
             combined += weight * bucket_read(part, obj, a, noise,
                                              read_stream(noise.seed, j, i))
-        norm = normalization_read(a, noise, read_stream(noise.seed, j, len(sub.parts)))
+        norm = normalization_read(a, noise, read_stream(noise.seed, j, len(parts)))
         out[j] = float(combined / norm)
     return out
 
@@ -138,7 +140,8 @@ DECOMPOSED_BASES = {
 def test_decomposed_bases_match_loop(side8_object, name):
     basis = DECOMPOSED_BASES[name](GridSpec(8))
     plan = plan_acquisition(side8_object, basis, 2)
-    want = loop_basis_protocol(side8_object, decompose_basis(basis), ALL_NOISE, TIME_MS)
+    want = loop_basis_protocol(side8_object, basis, decompose_basis(basis), ALL_NOISE,
+                               TIME_MS)
     assert np.array_equal(plan_cell(plan, ALL_NOISE, TIME_MS), want)
 
 
