@@ -22,3 +22,12 @@ def recombine(pattern, sub) -> np.ndarray:
     for part, weight in zip(part_images(pattern, sub), sub.weights):
         total += weight * part
     return total
+
+
+def part_overlaps(obj, basis, decomposed) -> list[float]:
+    """Each part's overlap with ``obj`` as one bucket read computes it:
+    ``float(np.dot(part, obj))`` over the flattened float64 images."""
+    flat = np.asarray(obj, dtype=float).ravel()
+    return [float(np.dot(part.astype(float).ravel(), flat))
+            for sub in decomposed
+            for part in part_images(basis.pattern(sub.parent_index), sub)]

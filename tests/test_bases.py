@@ -31,7 +31,7 @@ from ghostsim import (
     synth_bar_target,
     unflatten,
 )
-from part_images import part_images, recombine
+from part_images import part_images, part_overlaps, recombine
 
 
 class TestCanonicalBasis:
@@ -285,13 +285,9 @@ def assert_same_decomposition(got, want, basis):
             assert np.array_equal(g_part, w_part)
 
 
-def per_frame_overlaps(obj, basis):
-    """Each frame's overlap as one bucket read computes it, with the frames
-    of :func:`binary_decompose` for every pattern in order."""
-    flat = np.asarray(obj, dtype=float).ravel()
-    return [float(np.dot(part.astype(float).ravel(), flat))
-            for j, p in enumerate(basis)
-            for part in part_images(p, binary_decompose(p, j))]
+def split_overlaps(obj, basis):
+    """Overlaps of the frames of :func:`binary_decompose`, pattern by pattern."""
+    return part_overlaps(obj, basis, [binary_decompose(p, j) for j, p in enumerate(basis)])
 
 
 # value sets per stack kind: levels within the integer scan, an integer range
@@ -337,7 +333,7 @@ class TestDecomposeBasis:
         obj = np.random.default_rng(seed).uniform(0.0, 1.0, size=(side, side))
         with mock.patch.object(bench_module, "_PLAN_ELEMENTS", plan_elements):
             plan = plan_acquisition(obj, basis, 1)
-        assert np.array_equal(plan.overlap, per_frame_overlaps(obj, basis))
+        assert np.array_equal(plan.overlap, split_overlaps(obj, basis))
 
     @pytest.mark.parametrize("taps", [[[0, -1, 0], [-1, 0, 1], [0, 1, 0]],
                                       [[0.5, -1.0, 0.25]], [[64, 0, 64]]])
@@ -370,7 +366,7 @@ class TestDecomposeBasis:
         obj = np.array([[0.25, 0.5], [0.125, 1.0]])
         plan = plan_acquisition(obj, basis, 1)
         assert plan.overlap.tolist() == [0.25, 0.75, 0.25, 1.0, 0.25]
-        assert np.array_equal(plan.overlap, per_frame_overlaps(obj, basis))
+        assert np.array_equal(plan.overlap, split_overlaps(obj, basis))
 
     def test_plan_peaks_under_two_mib(self, edge_kernel):
         # no part image is built: the plan's working memory is one float

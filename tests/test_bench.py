@@ -32,7 +32,7 @@ from ghostsim import (
     sweep_cells,
     synth_bar_target,
 )
-from part_images import part_images
+from part_images import part_overlaps
 
 QUIET = NoiseModel()  # all noise and backgrounds off, lamp base 1
 
@@ -313,14 +313,6 @@ class TestBasisProtocol:
         assert np.array_equal(first, second)
 
 
-def per_part_overlaps(obj, basis, decomposed):
-    """Each part's overlap as one bucket read computes it."""
-    flat = np.asarray(obj, dtype=float).ravel()
-    return [float(np.dot(np.asarray(part, dtype=float).ravel(), flat))
-            for sub in decomposed
-            for part in part_images(basis.pattern(sub.parent_index), sub)]
-
-
 class TestPlanOverlaps:
     """Block-wise plans give every overlap bit for bit as a per-part dot."""
 
@@ -339,9 +331,9 @@ class TestPlanOverlaps:
             mp.setattr(bench_module, "_PLAN_ELEMENTS", plan_elements)
             repeated = plan_acquisition(obj, parent, repeats)
             parts = plan_acquisition(obj, modified, repeats)
-        want = per_part_overlaps(obj, parent, decompose_basis(parent))
+        want = part_overlaps(obj, parent, decompose_basis(parent))
         assert np.array_equal(repeated.overlap, np.repeat(want, repeats))
-        assert np.array_equal(parts.overlap, per_part_overlaps(obj, modified, decomposed))
+        assert np.array_equal(parts.overlap, part_overlaps(obj, modified, decomposed))
         assert parts.weight.tolist() == [w for sub in decomposed for w in sub.weights]
         assert parts.owner.tolist() == [sub.parent_index for sub in decomposed
                                         for _ in sub.weights]
@@ -353,7 +345,7 @@ class TestPlanOverlaps:
         for basis in (build(grid), modify_basis(build(grid), edge_detect_kernel())):
             plan = plan_acquisition(obj, basis, 1)
             assert np.array_equal(plan.overlap,
-                                  per_part_overlaps(obj, basis, decompose_basis(basis)))
+                                  part_overlaps(obj, basis, decompose_basis(basis)))
 
 
 @st.composite
