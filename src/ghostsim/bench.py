@@ -20,7 +20,13 @@ distinct level.
 
 The overlaps do not depend on the integration time, the repeat or the
 seed, so :func:`plan_acquisition` computes them once per sweep and basis
-into a :class:`MeasurementPlan`, and checks the object there.
+into a :class:`MeasurementPlan`, and checks the object there.  Each overlap
+equals a bucket read's ``float(np.dot(frame, object))`` bit for bit, by one
+of two paths.  When no frame lights more than two pixels (a canonical
+parent or its edge-modified set), the object values at the stack's nonzero
+entries are summed per frame: a dot that adds one or two values and exact
+zeros gives ``fl(a + b)`` in any order, so the gathered sum is the same.
+Any other basis (a Hadamard one) makes each frame dense and takes the dot.
 A cell is then ``run_basis_protocol(plan, noise, integration_time_ms)``:
 the plan fixes the frames, the noise model the noise levels and the seed,
 and the integration time the signal scale.  It draws all of its noise from
@@ -227,9 +233,61 @@ def _check_object(obj) -> np.ndarray:
     return o
 
 
-# Pattern entries per float block of the overlap pass: 512 KiB, which is 16
-# frames at side 64.
+# Pattern entries per block of the overlap pass: a float block of the dense
+# loop is 512 KiB, which is 16 frames at side 64.
 _PLAN_ELEMENTS = 1 << 16
+
+
+def _gathered_overlaps(stack: np.ndarray, level: np.ndarray,
+                       flat: np.ndarray) -> np.ndarray | None:
+    """Overlaps of narrow frames, gathered from the stack's nonzero entries,
+    or None when some frame lights more than two pixels.
+
+    The stack is scanned in blocks for its nonzero entries, each of which
+    lies in exactly one frame: the one of its pattern and value.  The scan
+    stops as soon as it has found more than two entries per lit frame,
+    since then some frame holds three.
+    """
+    m, n = stack.shape
+    limit, entries, found = 2 * np.count_nonzero(level), 0, []
+    step = max(1, _PLAN_ELEMENTS // n)
+    for s in range(0, m, step):
+        block = stack[s:s + step]
+        index = np.flatnonzero(block != 0)
+        entries += index.size
+        if entries > limit:
+            return None
+        found.append((index + s * n, block.ravel()[index]))
+    index = np.concatenate([i for i, _ in found])
+    value = np.concatenate([v for _, v in found]).astype(float)
+    pattern = index // n
+    # frames run by pattern, then by level descending, as decompose_basis
+    # lists them; the distinct (pattern, value) pairs are its lit frames
+    order = np.lexsort((-value, pattern))
+    pattern, value = pattern[order], value[order]
+    starts = np.ones(pattern.size, dtype=bool)
+    starts[1:] = (pattern[1:] != pattern[:-1]) | (value[1:] != value[:-1])
+    frame = np.flatnonzero(level != 0.0)[np.cumsum(starts) - 1]
+    if np.bincount(frame).max(initial=0) > 2:
+        return None
+    return np.bincount(frame, flat[index[order] % n], level.size)
+
+
+def _dense_overlaps(stack: np.ndarray, owner: np.ndarray, level: np.ndarray,
+                    flat: np.ndarray) -> np.ndarray:
+    """Overlaps of every frame, each made dense in float64 and dotted with
+    the object the way one bucket read is."""
+    # levels are values of the stack, so the cast is exact where it is made
+    key = level.astype(stack.dtype) if _exact_in_float64(stack) else level
+    step = max(1, _PLAN_ELEMENTS // flat.size)
+    buf, overlap = np.empty((min(owner.size, step), flat.size)), np.empty(owner.size)
+    for s in range(0, owner.size, step):
+        e = min(s + step, owner.size)
+        block = buf[:e - s]
+        np.equal(stack[owner[s:e]], key[s:e, None], out=block)
+        block[level[s:e] == 0.0] = 0.0  # an all-zero pattern's part is dark
+        np.matmul(block[:, None, :], flat[:, None], out=overlap[s:e, None, None])
+    return overlap
 
 
 def plan_acquisition(obj, basis: PatternBasis,
@@ -244,14 +302,25 @@ def plan_acquisition(obj, basis: PatternBasis,
     weighted by its level; ``repeats_per_pattern`` is not used.
     :func:`~ghostsim.bases.projection_count` counts frames by the same rule.
 
-    Frame ``p`` is ``pattern[owner[p]] == level[p]``, made straight from the
-    stack a block at a time, in the stack's own dtype when its entries are
-    exact in float64 and in float64 otherwise, as binary_decompose compares.
-    Each block is written into one reused float64 buffer, and each frame
-    then meets the object as a ``(1, n) @ (n, 1)`` product, which numpy
-    evaluates with the same dot kernel as one bucket read's
-    ``float(np.dot(frame, object))``, bit for bit.  A matrix-vector product
-    sums in another order and can differ in the last bits.
+    Frame ``p`` is ``pattern[owner[p]] == level[p]``, and its overlap is
+    what one bucket read's ``float(np.dot(frame, object))`` gives, bit for
+    bit, by one of two paths chosen per basis:
+
+    * **gathered**, when no frame lights more than two pixels (a canonical
+      parent lights one, its edge-modified set two).  A frame's overlap is
+      then ``fl(a + b)`` of the object values ``a`` and ``b`` it lights
+      (or ``a``, or 0 for a dark frame): the dot adds only exact zeros
+      besides, and two terms sum to the same value in either order.  So a
+      ``bincount`` of the object values at the stack's nonzero entries,
+      grouped by frame, equals the dot exactly.
+    * **dense** otherwise.  The frames are made from the stack a block at
+      a time, in the stack's own dtype when its entries are exact in
+      float64 and in float64 otherwise, as binary_decompose compares.
+      Each block is written into one reused float64 buffer, and each frame
+      then meets the object as a ``(1, n) @ (n, 1)`` product, which numpy
+      evaluates with the same dot kernel as the bucket read, bit for bit.
+      A matrix-vector product sums in another order and can differ in the
+      last bits.
     """
     o = _check_object(obj)
     side = basis.grid.side
@@ -266,18 +335,10 @@ def plan_acquisition(obj, basis: PatternBasis,
     if canonical and not np.all((level == 1.0) | (level == 0.0)):
         raise ProtocolError("a canonical basis must be binary; a multi-level "
                             "basis is split into binary parts under another label")
-    stack = basis.stack.reshape(len(basis), -1)
-    # levels are values of the stack, so the cast is exact where it is made
-    key = level.astype(stack.dtype) if _exact_in_float64(stack) else level
-    flat = o.ravel()
-    step = max(1, _PLAN_ELEMENTS // flat.size)
-    buf, overlap = np.empty((min(owner.size, step), flat.size)), np.empty(owner.size)
-    for s in range(0, owner.size, step):
-        e = min(s + step, owner.size)
-        block = buf[:e - s]
-        np.equal(stack[owner[s:e]], key[s:e, None], out=block)
-        block[level[s:e] == 0.0] = 0.0  # an all-zero pattern's part is dark
-        np.matmul(block[:, None, :], flat[:, None], out=overlap[s:e, None, None])
+    stack, flat = basis.stack.reshape(len(basis), -1), o.ravel()
+    overlap = _gathered_overlaps(stack, level, flat)
+    if overlap is None:
+        overlap = _dense_overlaps(stack, owner, level, flat)
     if canonical:
         r = repeats_per_pattern
         return MeasurementPlan(basis.grid, np.repeat(owner, r),

@@ -7,9 +7,9 @@ Verbs:
   and a re-parseable run manifest.
 * ``gallery``  -- export selected basis patterns, original and
   filter-modified, as graymaps.
-* ``validate`` -- parse and validate a config, build its scene and masks
-  (so it fails as ``run`` would before the sweep), and echo the resolved
-  values.
+* ``validate`` -- parse and validate a config, check that its pattern
+  stacks fit in physical memory, build its scene and masks (so it fails as
+  ``run`` would before the sweep), and echo the resolved values.
 
 Exit codes: 0 success, 1 config error, 2 runtime error.
 """
@@ -17,8 +17,11 @@ Exit codes: 0 success, 1 config error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .analysis import (_sweep_masks, summarize_sweep, sweep_cells, write_summary_csv,
@@ -26,7 +29,7 @@ from .analysis import (_sweep_masks, summarize_sweep, sweep_cells, write_summary
 from .bases import HADAMARD, canonical_basis, hadamard_basis
 from .bench import load_object, synth_bar_target
 from .config import ExperimentConfig, load_config
-from .core import GridSpec, cyclic_convolve
+from .core import GridSpec, _stencil_dtype, cyclic_convolve
 from .errors import ConfigError, GhostSimError
 from .pgmio import atomic_write_text, pgm_files, write_pgm
 
@@ -53,13 +56,41 @@ def _parent_basis(config: ExperimentConfig):
     return canonical_basis(grid)
 
 
-def _manifest_text(config: ExperimentConfig) -> str:
-    import numpy
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
+
+def _require_memory(config: ExperimentConfig):
+    """Fail before any basis is built when the two dense stacks of a run,
+    the int8 parent and its filter-modified set, exceed physical memory."""
+    memory = _physical_memory()
+    if memory is None:
+        return
+    m = config.grid_side ** 2
+    # both parents' entries lie in [-1, 1], which is all the dtype rule reads
+    taps = [v for _, _, v in config.kernel.offsets()]
+    dtype = _stencil_dtype(np.array([-1, 1], dtype=np.int8), taps)
+    parent, modified = m * m, m * m * dtype.itemsize
+    if parent + modified > memory:
+        def gib(size):
+            return f"{size / 2**30:.1f} GiB"
+
+        raise ConfigError(
+            f"grid_side {config.grid_side} needs {gib(parent + modified)} for its "
+            f"pattern stacks ({gib(parent)} int8 parent + {gib(modified)} {dtype} "
+            f"modified), more than the {gib(memory)} of physical memory"
+        )
+
+
+def _manifest_text(config: ExperimentConfig) -> str:
     lines = [
         "# ghostsim run manifest (re-parseable as a config file)",
         f"# ghostsim_version = {__version__}",
-        f"# numpy_version = {numpy.__version__}",
+        f"# numpy_version = {np.__version__}",
     ]
     return "\n".join(lines) + "\n" + config.to_text()
 
@@ -77,6 +108,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[Path]:
     result does not depend on the order the cells run in.
     """
     out = Path(out_dir if out_dir is not None else config.output_dir)
+    _require_memory(config)
     obj = build_scene(config)
     cells = sweep_cells(
         obj,
@@ -179,7 +211,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides=_overrides(args))
         if args.verb == "validate":
-            # the scene and masks fail here as they would before a run's sweep
+            # the stacks' size, the scene and the masks fail here as they
+            # would before a run's sweep
+            _require_memory(cfg)
             _sweep_masks(build_scene(cfg), cfg.kernel, cfg.peak_fraction,
                          cfg.background_fraction, cfg.mask_border,
                          cfg.background_rect)

@@ -165,6 +165,11 @@ def _stencil_dtype(images: np.ndarray, taps: list[float]) -> np.dtype:
     return np.promote_types(images.dtype, np.min_scalar_type(-bound - 1))
 
 
+# Pattern entries per block of the stencil loop: 2**18, which is 64 patterns
+# at side 64, so each tap's rolled term is a block, not a stack.
+_STENCIL_ELEMENTS = 1 << 18
+
+
 def _stencil(images: np.ndarray, kernel: Kernel, sign: int) -> np.ndarray:
     """Sum of ``tap * roll(images, sign * offset)`` over the kernel taps, on
     the last two axes: ``sign = 1`` convolves, ``sign = -1`` correlates.
@@ -172,17 +177,28 @@ def _stencil(images: np.ndarray, kernel: Kernel, sign: int) -> np.ndarray:
     An integer ``images`` with integral taps gives an integer sum when it
     is exact (see :func:`_stencil_dtype`): an int8 basis stack filtered by
     the edge stencil stays int8.  Any other input gives a float64 sum.
-    Each tap adds one rolled term, scaled in place.
+    The images are walked in blocks of about ``_STENCIL_ELEMENTS`` entries,
+    and every tap is applied to a block before the next one starts: each
+    tap adds one rolled term of the block, scaled in place, in tap order.
+    Every entry therefore sees the same operations as in a whole-stack
+    roll, so the sum is the same bit for bit, while the temporaries are
+    block-sized.
     """
     _require_fits(kernel, images.shape[-1])
     offsets = list(kernel.offsets())
     dtype = _stencil_dtype(images, [v for _, _, v in offsets])
     out = np.zeros(images.shape, dtype=dtype)
-    for dr, dc, v in offsets:
-        term = np.roll(images, (sign * dr, sign * dc), axis=(-2, -1))
-        term = term.astype(dtype, copy=False)
-        term *= int(v) if dtype.kind == "i" else v
-        out += term
+    src = images.reshape(-1, *images.shape[-2:])
+    dst = out.reshape(src.shape)
+    step = max(1, _STENCIL_ELEMENTS // (src.shape[1] * src.shape[2]))
+    for s in range(0, len(src), step):
+        block, acc = src[s:s + step], dst[s:s + step]
+        for dr, dc, v in offsets:
+            term = np.roll(block, (sign * dr, sign * dc), axis=(-2, -1))
+            term = term.astype(dtype, copy=False)
+            term *= int(v) if dtype.kind == "i" else v
+            acc += term
+            del term  # so that one rolled term is alive at a time
     return out
 
 

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import ghostsim.bases as bases_module
 import ghostsim.bench as bench_module
+import ghostsim.core as core_module
 from ghostsim import (
     DimensionError,
     GridSpec,
@@ -20,6 +21,7 @@ from ghostsim import (
     build_operator_matrix,
     canonical_basis,
     cyclic_convolve,
+    cyclic_correlate,
     decompose_basis,
     flatten,
     hadamard_basis,
@@ -89,11 +91,12 @@ class TestHadamardBasis:
         assert set(np.unique(basis.stack)) == {-1, 1}
 
 
-def float_stencil(stack: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """Reference: the all-float64 roll sum, one ``tap * roll`` term per tap."""
+def float_stencil(stack: np.ndarray, kernel: Kernel, sign: int = 1) -> np.ndarray:
+    """Reference: the all-float64 whole-stack roll sum, one ``tap * roll``
+    term per tap; ``sign = 1`` convolves, ``sign = -1`` correlates."""
     out = np.zeros(stack.shape, dtype=float)
     for dr, dc, v in kernel.offsets():
-        out += v * np.roll(stack, (dr, dc), axis=(-2, -1))
+        out += v * np.roll(stack, (sign * dr, sign * dc), axis=(-2, -1))
     return out
 
 
@@ -169,14 +172,65 @@ class TestModifyBasisDtype:
         assert np.abs(modified).max() == 3 * 2**40
 
     def test_peak_memory_stays_near_the_parent_size(self, edge_kernel):
+        # the rolled terms are block-sized: a whole-stack roll per tap
+        # peaks at three times the output
         parent = canonical_basis(GridSpec(32))
         tracemalloc.start()
         try:
-            modify_basis(parent, edge_kernel)
+            modified = modify_basis(parent, edge_kernel)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * parent.stack.nbytes
+        assert peak <= 1.5 * modified.stack.nbytes
+
+
+class TestBlockedStencil:
+    """The stencil walks the pattern axis in blocks; any block size gives
+    the whole-stack roll sum bit for bit."""
+
+    # 1 entry (one pattern per block), 7 patterns of 25 entries (25 patterns
+    # split 7 + 7 + 7 + 4), and the default
+    @pytest.fixture(params=[1, 7 * 25, core_module._STENCIL_ELEMENTS],
+                    ids=["one", "uneven", "default"])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(core_module, "_STENCIL_ELEMENTS", request.param)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("taps", [
+        [[0, -1, 0], [-1, 0, 1], [0, 1, 0]],
+        [[3, 0, -2], [0, 5, 0], [1, 0, -7]],
+    ], ids=["edge", "integral"])
+    def test_integer_path(self, block, sign, taps, rng):
+        kernel = Kernel(taps)
+        stack = rng.integers(-3, 4, size=(25, 5, 5)).astype(np.int8)
+        out = core_module._stencil(stack, kernel, sign)
+        assert np.issubdtype(out.dtype, np.integer)
+        assert np.array_equal(out, float_stencil(stack, kernel, sign))
+        image = stack[3]
+        assert np.array_equal(core_module._stencil(image, kernel, sign),
+                              float_stencil(image, kernel, sign))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("taps", [
+        [[0.5, -1.25, 0.0], [0.3, 2.0, -0.7], [1e-3, 0.0, 3.5]],
+        [[0, -1, 0], [-1, 0, 1], [0, 1, 0]],
+    ], ids=["non-integral", "edge"])
+    def test_float_path(self, block, sign, taps, rng):
+        kernel = Kernel(taps)
+        stack = rng.normal(size=(25, 5, 5))
+        out = core_module._stencil(stack, kernel, sign)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, float_stencil(stack, kernel, sign))
+        image = stack[11]
+        convolve = cyclic_convolve if sign == 1 else cyclic_correlate
+        assert np.array_equal(convolve(image, kernel), float_stencil(image, kernel, sign))
+
+    def test_modify_basis_on_both_parents(self, block, edge_kernel):
+        for build in (canonical_basis, hadamard_basis):
+            parent = build(GridSpec(4))
+            modified = modify_basis(parent, edge_kernel).stack
+            assert modified.dtype == np.int8
+            assert np.array_equal(modified, float_stencil(parent.stack, edge_kernel))
 
 
 class TestModifyBasis:

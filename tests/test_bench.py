@@ -1,6 +1,7 @@
 """Virtual bench: target synthesis, lamp model, measurement plans, the protocol."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from ghostsim import (
     sweep_cells,
     synth_bar_target,
 )
-from part_images import part_overlaps
+from part_images import part_images, part_overlaps
 
 QUIET = NoiseModel()  # all noise and backgrounds off, lamp base 1
 
@@ -346,6 +347,91 @@ class TestPlanOverlaps:
             plan = plan_acquisition(obj, basis, 1)
             assert np.array_equal(plan.overlap,
                                   part_overlaps(obj, basis, decompose_basis(basis)))
+
+
+def dense_spy():
+    """Patch the dense overlap loop with a spy that still runs it."""
+    return mock.patch.object(bench_module, "_dense_overlaps",
+                             wraps=bench_module._dense_overlaps)
+
+
+@st.composite
+def narrow_frame_bases(draw):
+    """A canonical parent, or one modified by edge-eq3 or by a random
+    integral or non-integral kernel that puts each nonzero value on at most
+    two taps, with a random object of uniform floats in [0, 1]."""
+    side = draw(st.integers(1, 12))
+    basis = canonical_basis(GridSpec(side))
+    kind = draw(st.sampled_from(["parent", "edge-eq3", "integral", "non-integral"]))
+    if kind == "edge-eq3" and side >= 3:
+        basis = modify_basis(basis, edge_detect_kernel())
+    elif kind in ("integral", "non-integral"):
+        h, w = (draw(st.sampled_from([k for k in (1, 3) if k <= side])) for _ in "hw")
+        values = (st.integers(-4, 4).filter(bool) if kind == "integral"
+                  else st.sampled_from([-1.5, -0.25, 0.5, 0.75, 2.0, 3.125]))
+        levels = draw(st.lists(values, unique=True, min_size=1, max_size=h * w))
+        taps = draw(st.permutations(levels * 2 + [0] * (h * w)))[:h * w]
+        basis = modify_basis(basis, Kernel(np.reshape(taps, (h, w))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return basis, np.random.default_rng(seed).uniform(0.0, 1.0, size=(side, side))
+
+
+class TestOverlapPaths:
+    """Frames that light at most two pixels are gathered, all others are
+    made dense; both give each overlap bit for bit as a per-part dot."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=narrow_frame_bases(), plan_elements=st.sampled_from([1, 100, 1 << 16]))
+    def test_narrow_frames_are_gathered_exactly(self, case, plan_elements):
+        basis, obj = case
+        decomposed = decompose_basis(basis)
+        # a small grid can wrap two taps onto one pixel and merge levels,
+        # so the widest frame is counted, not assumed
+        widest = max(int(part.sum()) for sub in decomposed
+                     for part in part_images(basis.pattern(sub.parent_index), sub))
+        with dense_spy() as dense, mock.patch.object(
+                bench_module, "_PLAN_ELEMENTS", plan_elements):
+            plan = plan_acquisition(obj, basis, 1)
+        assert dense.called == (widest > 2)
+        assert np.array_equal(plan.overlap, part_overlaps(obj, basis, decomposed))
+
+    @pytest.mark.parametrize("side", [4, 8])
+    def test_wide_frames_take_the_dense_path(self, side, rng):
+        grid = GridSpec(side)
+        obj = rng.uniform(0.0, 1.0, size=(side, side))
+        laplacian = Kernel([[0, 1, 0], [1, -4, 1], [0, 1, 0]])
+        bases = [modify_basis(canonical_basis(grid), laplacian), hadamard_basis(grid),
+                 modify_basis(hadamard_basis(grid), edge_detect_kernel())]
+        for basis in bases:
+            with dense_spy() as dense:
+                plan = plan_acquisition(obj, basis, 1)
+            assert dense.called
+            assert np.array_equal(plan.overlap,
+                                  part_overlaps(obj, basis, decompose_basis(basis)))
+
+    def test_every_hadamard_basis_is_dense(self, rng):
+        for side in (2, 4, 8, 16):
+            obj = rng.uniform(0.0, 1.0, size=(side, side))
+            with dense_spy() as dense:
+                plan_acquisition(obj, hadamard_basis(GridSpec(side)), 1)
+            assert dense.called
+
+    @pytest.mark.parametrize("taps", [[[1, 0, 0]], [[0, 1, 0], [1, -4, 1], [0, 1, 0]]],
+                             ids=["gathered", "dense"])
+    def test_all_zero_pattern_reads_zero(self, taps, rng):
+        stack = modify_basis(canonical_basis(GridSpec(4)), Kernel(taps)).stack.copy()
+        stack[5] = 0
+        basis = PatternBasis(GridSpec(4), stack, "custom")
+        obj = rng.uniform(0.5, 1.0, size=(4, 4))
+        with dense_spy() as dense:
+            plan = plan_acquisition(obj, basis, 1)
+        assert dense.called == (len(taps) > 1)
+        dark = np.flatnonzero(plan.owner == 5)
+        assert plan.weight[dark].tolist() == [0.0]
+        assert plan.overlap[dark].tolist() == [0.0]
+        assert np.count_nonzero(plan.overlap) == plan.bucket_reads - 1
+        assert np.array_equal(plan.overlap,
+                              part_overlaps(obj, basis, decompose_basis(basis)))
 
 
 @st.composite

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ghostsim import (
+    ConfigError,
     GridSpec,
     hadamard_basis,
     modify_basis,
@@ -16,6 +17,7 @@ from ghostsim import (
     read_pgm_values,
     write_pgm,
 )
+import ghostsim.cli as cli_module
 from ghostsim.cli import emit_pattern_gallery, main, run_experiment
 from ghostsim.config import ENV_PREFIX
 
@@ -133,6 +135,47 @@ class TestValidate:
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 2 and errors[0] == errors[1]
         assert not (tmp_path / "out").exists()
+
+    def test_grid_too_large_for_memory_fails_early(self, tmp_path, monkeypatch, capsys):
+        # side 1024 needs a 1 TiB int8 parent and a 1 TiB int8 modified
+        # stack; both verbs refuse it before any basis or scene is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a basis or a scene")
+
+        for name in ("canonical_basis", "hadamard_basis", "build_scene"):
+            monkeypatch.setattr(cli_module, name, refuse)
+        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 64 * 2**30)
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "big.cfg"
+        path.write_text("grid_side = 1024\n")
+        for verb in ("validate", "run"):
+            assert main([verb, "--config", str(path), "--out", "out"]) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2 and errors[0] == errors[1]
+        assert errors[0].startswith("config error: grid_side 1024 needs 2048.0 GiB")
+        assert "1024.0 GiB int8 parent + 1024.0 GiB int8 modified" in errors[0]
+        assert "64.0 GiB of physical memory" in errors[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_memory_check_sizes_the_modified_dtype(self, monkeypatch):
+        # a non-integral kernel gives a float64 modified stack: side 128
+        # needs 256 MiB + 2 GiB
+        cfg = parse_config("grid_side = 128\nkernel = 0.5 1 0.5\n")
+        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 2 * 2**30)
+        with pytest.raises(ConfigError, match=r"\(0\.2 GiB int8 parent \+ 2\.0 GiB float64"):
+            cli_module._require_memory(cfg)
+        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 3 * 2**30)
+        cli_module._require_memory(cfg)
+
+    def test_memory_check_is_skipped_without_sysconf(self, monkeypatch):
+        monkeypatch.delattr(os, "sysconf", raising=False)
+        assert cli_module._physical_memory() is None
+        cli_module._require_memory(parse_config("grid_side = 1024\n"))
+
+    @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="needs os.sysconf")
+    def test_physical_memory_is_read_from_sysconf(self):
+        memory = cli_module._physical_memory()
+        assert memory is None or memory > 0
 
     @pytest.mark.parametrize("config, expected", [
         (None, DEFAULT_ECHO),
