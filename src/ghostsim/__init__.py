@@ -4,96 +4,26 @@ Builds illumination bases, compiles linear image filters into them, runs a
 noisy virtual bench with a binary spatial modulator, reconstructs images from
 the measured coefficients, and compares the SNR of measuring the filtered
 image directly against filtering after reconstruction.
+
+Each public name is listed once, in its submodule's ``__all__``; the package
+re-exports those lists, and its ``__all__`` is their union.  The
+command-line front end, :mod:`ghostsim.cli`, is not re-exported.
 """
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    RegionMask,
-    SNRReport,
-    SweepCell,
-    SweepSummary,
-    compute_snr,
-    derive_seed,
-    mask_from_rect,
-    noise_autocorrelation,
-    predicted_amplification,
-    select_background_mask,
-    select_peak_mask,
-    summarize_sweep,
-    sweep_cells,
-    write_summary_csv,
-    write_sweep_csv,
-)
-from .bases import (
-    CANONICAL,
-    HADAMARD,
-    PatternBasis,
-    SubPatternSet,
-    binary_decompose,
-    canonical_basis,
-    decompose_basis,
-    hadamard_basis,
-    modify_basis,
-    projection_count,
-)
-from .bench import (
-    BASIS_PROCESSED,
-    METHODS,
-    POST_PROCESSED,
-    MeasurementPlan,
-    NoiseModel,
-    as_transmission,
-    coefficients_from_draws,
-    lamp_intensity,
-    load_object,
-    plan_acquisition,
-    run_basis_protocol,
-    synth_bar_target,
-)
-from .config import ENV_PREFIX, ExperimentConfig, default_config, load_config, parse_config
-from .core import (
-    GridSpec,
-    Kernel,
-    KERNEL_PRESETS,
-    build_operator_matrix,
-    cyclic_convolve,
-    cyclic_correlate,
-    edge_detect_kernel,
-    filter_energy,
-    flatten,
-    identity_kernel,
-    kernel_autocorrelation,
-    kernel_preset,
-    unflatten,
-)
-from .errors import (
-    ConfigError,
-    DegenerateBackgroundError,
-    DimensionError,
-    FormatError,
-    GhostSimError,
-    MaskError,
-    NormalizationError,
-    ProtocolError,
-    UnsupportedSizeError,
-)
-from .pgmio import (
-    PGM_MAXVAL,
-    read_pgm,
-    read_pgm_values,
-    write_pgm,
-)
-from .reconstruct import (
-    basis_processed_image,
-    hadamard_inverse_scale,
-    post_process,
-    post_processed_image,
-    reconstruct,
-)
+# the modules first: after the star imports ``reconstruct`` names the function
+from . import analysis, bases, bench, config, core, errors, pgmio
+from . import reconstruct as _reconstruct
+from .analysis import *  # noqa: F401,F403
+from .bases import *  # noqa: F401,F403
+from .bench import *  # noqa: F401,F403
+from .config import *  # noqa: F401,F403
+from .core import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .pgmio import *  # noqa: F401,F403
+from .reconstruct import *  # noqa: F401,F403
 
-from types import ModuleType as _ModuleType
-
-# the public names imported above; the submodules they came from are not
-__all__ = sorted(name for name, value in globals().items()
-                 if not name.startswith("_") and not isinstance(value, _ModuleType))
+__all__ = sorted({name for module in (analysis, bases, bench, config, core, errors,
+                                      pgmio, _reconstruct)
+                  for name in module.__all__})

@@ -55,7 +55,6 @@ __all__ = [
     "NoiseModel",
     "MeasurementPlan",
     "synth_bar_target",
-    "as_transmission",
     "load_object",
     "lamp_intensity",
     "plan_acquisition",
@@ -138,22 +137,17 @@ def synth_bar_target(grid: GridSpec, bar_groups: int = 3) -> np.ndarray:
     return img
 
 
-def as_transmission(image) -> np.ndarray:
-    """Clamp an image into the valid transmission range [0, 1]."""
-    img = np.asarray(image, dtype=float)
-    if img.ndim != 2:
-        raise DimensionError(f"object image must be 2-D, got shape {img.shape}")
-    if not np.all(np.isfinite(img)):
-        raise DimensionError("object image must be finite")
-    return np.clip(img, 0.0, 1.0)
-
-
 def load_object(path) -> np.ndarray:
-    """Load a transmissive object from a portable graymap file."""
+    """Load a transmissive object from a square portable graymap file.
+
+    The transmission is ``gray / maxval``.  :func:`~ghostsim.pgmio.read_pgm`
+    already guarantees a finite 2-D array with every value in ``[0, maxval]``,
+    so the result lies in ``[0, 1]`` with no clip.
+    """
     gray, maxval = read_pgm(path)
     if gray.shape[0] != gray.shape[1]:
         raise DimensionError(f"{path}: object image must be square, got {gray.shape}")
-    return as_transmission(gray / maxval)
+    return gray / maxval
 
 
 def lamp_intensity(step, noise: NoiseModel, integration_time_ms: float):

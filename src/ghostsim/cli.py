@@ -31,7 +31,7 @@ from .bench import load_object, synth_bar_target
 from .config import ExperimentConfig, load_config
 from .core import GridSpec, _stencil_dtype, cyclic_convolve
 from .errors import ConfigError, GhostSimError
-from .pgmio import atomic_write_text, pgm_files, write_pgm
+from .pgmio import atomic_write_text, write_pgm
 
 __all__ = ["main", "run_experiment", "emit_pattern_gallery", "build_scene"]
 
@@ -128,9 +128,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[Path]:
     written: list[Path] = []
     for cell in cells:
         name = f"recon_{cell.method}_t{cell.integration_time_ms:g}ms_rep{cell.repeat}.pgm"
-        path = out / name
-        write_pgm(path, cell.image)
-        written += pgm_files(path)
+        written += write_pgm(out / name, cell.image)
 
     sweep_path = out / "snr_sweep.csv"
     write_sweep_csv(cells, sweep_path)
@@ -158,8 +156,10 @@ def _gallery_indices(config: ExperimentConfig) -> list[int]:
 def emit_pattern_gallery(config: ExperimentConfig, out_dir=None) -> list[Path]:
     """Write selected patterns of the configured basis, before and after the
     filter modification, as graymaps; returns the path of each file
-    written, sidecars included."""
+    written, sidecars included.  Like ``run`` and ``validate``, it first
+    refuses a grid whose two pattern stacks exceed physical memory."""
     out = Path(out_dir if out_dir is not None else config.output_dir)
+    _require_memory(config)
     parent = _parent_basis(config)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -168,9 +168,7 @@ def emit_pattern_gallery(config: ExperimentConfig, out_dir=None) -> list[Path]:
         pattern = parent.pattern(index)
         for tag, image in (("original", pattern),
                            ("modified", cyclic_convolve(pattern, config.kernel))):
-            path = out / f"pattern_{tag}_{index:05d}.pgm"
-            write_pgm(path, image)
-            written += pgm_files(path)
+            written += write_pgm(out / f"pattern_{tag}_{index:05d}.pgm", image)
     return written
 
 

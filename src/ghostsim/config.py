@@ -25,11 +25,10 @@ from typing import Any, Callable, NamedTuple
 from .analysis import mask_from_rect
 from .bases import CANONICAL, HADAMARD, _require_power_of_two
 from .bench import NoiseModel
-from .core import KERNEL_PRESETS, GridSpec, Kernel, _require_fits, kernel_preset
+from .core import KERNEL_PRESETS, GridSpec, Kernel, _require_fits
 from .errors import ConfigError
 
 __all__ = [
-    "ENV_PREFIX",
     "ExperimentConfig",
     "parse_config",
     "load_config",
@@ -154,7 +153,7 @@ def _basis(text: str, side: int) -> str:
 
 def _kernel(text: str, side: int) -> Kernel:
     if text in KERNEL_PRESETS:
-        kernel = kernel_preset(text)
+        kernel = KERNEL_PRESETS[text]()
     else:
         try:
             taps = [[float(tok) for tok in row.split()] for row in text.split(";")]

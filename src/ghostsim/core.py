@@ -21,7 +21,6 @@ __all__ = [
     "Kernel",
     "edge_detect_kernel",
     "identity_kernel",
-    "kernel_preset",
     "KERNEL_PRESETS",
     "flatten",
     "unflatten",
@@ -93,10 +92,6 @@ class Kernel:
                 if v != 0.0:
                     yield i - ch, j - cw, float(v)
 
-    def rotated(self) -> "Kernel":
-        """180-degree rotation; correlating with a kernel equals convolving with its rotation."""
-        return Kernel(self.taps[::-1, ::-1])
-
     def __eq__(self, other):
         if not isinstance(other, Kernel):
             return NotImplemented
@@ -120,14 +115,6 @@ KERNEL_PRESETS = {
     "edge-eq3": edge_detect_kernel,
     "identity": identity_kernel,
 }
-
-
-def kernel_preset(name: str) -> Kernel:
-    try:
-        return KERNEL_PRESETS[name]()
-    except KeyError:
-        known = ", ".join(sorted(KERNEL_PRESETS))
-        raise KeyError(f"unknown kernel preset {name!r}; known presets: {known}") from None
 
 
 def _as_square(image) -> np.ndarray:

@@ -1,5 +1,17 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "GhostSimError",
+    "DimensionError",
+    "UnsupportedSizeError",
+    "NormalizationError",
+    "ProtocolError",
+    "DegenerateBackgroundError",
+    "MaskError",
+    "FormatError",
+    "ConfigError",
+]
+
 
 class GhostSimError(Exception):
     """Base class for all package-specific failures."""

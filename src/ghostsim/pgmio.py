@@ -18,10 +18,8 @@ import numpy as np
 from .errors import DimensionError, FormatError
 
 __all__ = [
-    "PGM_MAXVAL",
     "atomic_write_text",
     "write_pgm",
-    "pgm_files",
     "read_pgm",
     "read_pgm_values",
 ]
@@ -47,16 +45,11 @@ def _sidecar_path(path) -> Path:
     return Path(path).with_suffix(".meta")
 
 
-def pgm_files(path) -> list[Path]:
-    """The files ``write_pgm(path, ...)`` writes: the graymap, then its
-    sidecar."""
-    return [Path(path), _sidecar_path(path)]
-
-
-def write_pgm(path, image) -> tuple[float, float]:
+def write_pgm(path, image) -> list[Path]:
     """Write a 2-D array as an ASCII graymap plus its ``.meta`` sidecar.
 
-    Returns the ``(vmin, vmax)`` of the affine map; a pixel's value is
+    Returns the paths written, the graymap then its sidecar.  The sidecar
+    records the ``vmin`` and ``vmax`` of the affine map; a pixel's value is
     recovered as ``vmin + gray * (vmax - vmin) / 65535``.
     """
     img = np.asarray(image, dtype=float)
@@ -75,13 +68,11 @@ def write_pgm(path, image) -> tuple[float, float]:
     lines = ["P2", f"{w} {h}", str(PGM_MAXVAL)]
     lines.extend(" ".join(map(str, row)) for row in gray.tolist())
     atomic_write_text(path, "\n".join(lines) + "\n")
-    sidecar = (
-        f"vmin = {vmin!r}\n"
-        f"vmax = {vmax!r}\n"
-        f"maxval = {PGM_MAXVAL}\n"
-    )
-    atomic_write_text(_sidecar_path(path), sidecar)
-    return vmin, vmax
+    sidecar = _sidecar_path(path)
+    atomic_write_text(sidecar, f"vmin = {vmin!r}\n"
+                               f"vmax = {vmax!r}\n"
+                               f"maxval = {PGM_MAXVAL}\n")
+    return [Path(path), sidecar]
 
 
 def _tokens(text: str):

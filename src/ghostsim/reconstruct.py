@@ -24,13 +24,12 @@ import numpy as np
 
 from .bases import CANONICAL, HADAMARD, PatternBasis
 from .bench import MeasurementPlan, NoiseModel, run_basis_protocol
-from .core import GridSpec, Kernel, cyclic_correlate
+from .core import Kernel, cyclic_correlate
 from .errors import DimensionError
 
 __all__ = [
     "reconstruct",
     "post_process",
-    "hadamard_inverse_scale",
     "post_processed_image",
     "basis_processed_image",
 ]
@@ -70,21 +69,12 @@ def post_process(image, kernel: Kernel) -> np.ndarray:
     return cyclic_correlate(image, kernel)
 
 
-def hadamard_inverse_scale(image, grid: GridSpec) -> np.ndarray:
-    """Divide by ``side**2`` to undo the Hadamard completeness factor, making
-    Hadamard reconstructions directly comparable to canonical ones."""
-    img = np.asarray(image, dtype=float)
-    if img.shape != (grid.side, grid.side):
-        raise DimensionError(
-            f"expected a {grid.side}x{grid.side} image, got shape {img.shape}"
-        )
-    return img / grid.pixel_count
-
-
 def _rebuild(coefficients: np.ndarray, parent: PatternBasis) -> np.ndarray:
     raw = reconstruct(coefficients, parent)
     if parent.label == HADAMARD:
-        raw = hadamard_inverse_scale(raw, parent.grid)
+        # undo the Hadamard completeness factor H^T H = side**2 I, so Hadamard
+        # reconstructions compare directly with canonical ones
+        raw = raw / parent.grid.pixel_count
     return raw
 
 

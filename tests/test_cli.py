@@ -9,6 +9,7 @@ import pytest
 
 from ghostsim import (
     ConfigError,
+    DimensionError,
     GridSpec,
     hadamard_basis,
     modify_basis,
@@ -138,7 +139,7 @@ class TestValidate:
 
     def test_grid_too_large_for_memory_fails_early(self, tmp_path, monkeypatch, capsys):
         # side 1024 needs a 1 TiB int8 parent and a 1 TiB int8 modified
-        # stack; both verbs refuse it before any basis or scene is built
+        # stack; all three verbs refuse it before any basis or scene is built
         def refuse(*args, **kwargs):
             raise AssertionError("built a basis or a scene")
 
@@ -148,10 +149,10 @@ class TestValidate:
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "big.cfg"
         path.write_text("grid_side = 1024\n")
-        for verb in ("validate", "run"):
+        for verb in ("validate", "run", "gallery"):
             assert main([verb, "--config", str(path), "--out", "out"]) == 1
         errors = capsys.readouterr().err.splitlines()
-        assert len(errors) == 2 and errors[0] == errors[1]
+        assert len(errors) == 3 and len(set(errors)) == 1
         assert errors[0].startswith("config error: grid_side 1024 needs 2048.0 GiB")
         assert "1024.0 GiB int8 parent + 1024.0 GiB int8 modified" in errors[0]
         assert "64.0 GiB of physical memory" in errors[0]
@@ -259,6 +260,33 @@ class TestRun:
         main(["run", "--config", str(small_config), "--out", str(out2),
               "--seed", "124"])
         assert (out1 / "snr_sweep.csv").read_text() != (out2 / "snr_sweep.csv").read_text()
+
+
+class TestObjectFile:
+    def test_transmission_is_gray_over_maxval(self, tmp_path):
+        path = tmp_path / "object.pgm"
+        path.write_text("P2\n4 4\n255\n"
+                        "0 255 17 200\n"
+                        "255 0 1 254\n"
+                        "128 64 0 255\n"
+                        "3 99 250 0\n")
+        gray = np.array([[0, 255, 17, 200], [255, 0, 1, 254],
+                         [128, 64, 0, 255], [3, 99, 250, 0]])
+        cfg = parse_config(f"grid_side = 4\nobject_path = {path}\n")
+        obj = cli_module.build_scene(cfg)
+        assert np.array_equal(obj, gray / 255)
+
+    def test_non_square_object_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "object.pgm"
+        path.write_text("P2\n4 3\n255\n0 255 0 255\n255 0 255 0\n0 255 0 255\n")
+        cfg = tmp_path / "obj.cfg"
+        cfg.write_text(f"grid_side = 4\nobject_path = {path}\n")
+        with pytest.raises(DimensionError, match="must be square"):
+            cli_module.build_scene(parse_config(cfg.read_text()))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "must be square" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGallery:

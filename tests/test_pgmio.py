@@ -5,11 +5,11 @@ import pytest
 
 from ghostsim import (
     FormatError,
-    PGM_MAXVAL,
     read_pgm,
     read_pgm_values,
     write_pgm,
 )
+from ghostsim.pgmio import PGM_MAXVAL
 
 
 class TestPgm:
@@ -28,9 +28,11 @@ class TestPgm:
     def test_values_round_trip_through_sidecar(self, tmp_path, rng):
         path = tmp_path / "img.pgm"
         image = rng.normal(size=(8, 8)) * 3.0 - 1.0
-        vmin, vmax = write_pgm(path, image)
-        assert vmin == image.min() and vmax == image.max()
-        assert (tmp_path / "img.meta").exists()
+        sidecar = tmp_path / "img.meta"
+        assert write_pgm(path, image) == [path, sidecar]
+        vmin, vmax = float(image.min()), float(image.max())
+        assert sidecar.read_text().splitlines()[:2] == [f"vmin = {vmin!r}",
+                                                        f"vmax = {vmax!r}"]
         recovered = read_pgm_values(path)
         # quantized to 16 bits of the value range
         assert recovered == pytest.approx(image, abs=(vmax - vmin) / PGM_MAXVAL)

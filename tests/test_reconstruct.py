@@ -21,7 +21,6 @@ from ghostsim import (
     derive_seed,
     flatten,
     hadamard_basis,
-    hadamard_inverse_scale,
     identity_kernel,
     kernel_autocorrelation,
     modify_basis,
@@ -123,31 +122,6 @@ class TestPostProcess:
         op = build_operator_matrix(edge_kernel, grid)
         expected = unflatten(op.T @ flatten(image), grid)
         assert post_process(image, edge_kernel) == pytest.approx(expected, abs=1e-12)
-
-
-class TestHadamardInverseScale:
-    def test_divides_by_pixel_count(self):
-        image = np.full((2, 2), 4.0)
-        assert np.array_equal(hadamard_inverse_scale(image, GridSpec(2)),
-                              np.ones((2, 2)))
-
-    def test_applied_twice_divides_twice(self):
-        grid = GridSpec(2)
-        image = np.full((2, 2), 16.0)
-        twice = hadamard_inverse_scale(hadamard_inverse_scale(image, grid), grid)
-        assert np.array_equal(twice, np.ones((2, 2)))
-
-    def test_composes_with_hadamard_reconstruction(self, rng):
-        grid = GridSpec(4)
-        basis = hadamard_basis(grid)
-        obj = rng.normal(size=(4, 4))
-        coeffs = basis.stack.reshape(16, -1).astype(float) @ obj.ravel()
-        image = hadamard_inverse_scale(reconstruct(coeffs, basis), grid)
-        assert relative_error(image, obj) < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            hadamard_inverse_scale(np.zeros((3, 3)), GridSpec(2))
 
 
 class TestPipelineEquality:
