@@ -59,6 +59,15 @@ PEAK = "peak"
 BACKGROUND = "background"
 
 
+def _sorted_unique(values) -> np.ndarray:
+    """The distinct values as int64, ascending: ``np.unique`` without its
+    ``numpy.ma`` import, which numpy 2 makes on first use."""
+    idx = np.sort(np.asarray(values, dtype=np.int64).ravel())
+    keep = np.ones(idx.size, dtype=bool)
+    np.not_equal(idx[1:], idx[:-1], out=keep[1:])
+    return idx[keep]
+
+
 @dataclass(frozen=True, eq=False)
 class RegionMask:
     """A set of pixels (sorted flat indices) playing the peak or background role."""
@@ -68,7 +77,7 @@ class RegionMask:
     role: str
 
     def __post_init__(self):
-        idx = np.unique(np.asarray(self.indices, dtype=np.int64))
+        idx = _sorted_unique(self.indices)
         if idx.size == 0:
             raise MaskError(f"{self.role} mask is empty")
         if idx[0] < 0 or idx[-1] >= self.grid.pixel_count:
@@ -151,7 +160,9 @@ def select_background_mask(reference, fraction: float, border: int = 0,
     region of the reference, disjoint from ``exclude`` if given."""
     ref, cand = _candidates(reference, fraction, border)
     if exclude is not None:
-        cand = np.setdiff1d(cand, np.asarray(exclude, dtype=np.int64))
+        # cand is ascending and unique, so this is its set difference
+        cand = cand[np.isin(cand, _sorted_unique(exclude), assume_unique=True,
+                            invert=True)]
     if cand.size == 0:
         raise MaskError("no candidate pixels left for the background mask")
     k = int(np.ceil(fraction * cand.size))

@@ -40,13 +40,23 @@ class PatternBasis:
     ``stack`` has shape ``(pixel_count, side, side)``; pattern ``j`` is
     ``stack[j]``.  Its dtype may be integer (the int8 parents and their
     exact filter-modified sets) or float; a float stack must be finite.
-    The stack is frozen after construction, so one basis serves every cell
-    of a sweep unchanged, in any order.
+
+    ``factor`` is the ``side x side`` matrix ``F`` of a separable set:
+    pattern ``j = r * side + c`` is ``kernel * outer(F[r], F[c])``, the
+    cyclic convolution of that outer product with ``kernel``, or the outer
+    product itself when ``kernel`` is None.  The parents have ``F = I``
+    (canonical) or ``F = H_side`` (Hadamard) and no kernel; their
+    filter-modified sets keep ``F`` and record the kernel.  Both are None
+    for a set with no such form (a custom stack, or a set modified twice).
+    The arrays are frozen after construction, so one basis serves every
+    cell of a sweep unchanged, in any order.
     """
 
     grid: GridSpec
     stack: np.ndarray
     label: str
+    factor: np.ndarray | None = None
+    kernel: Kernel | None = None
 
     def __post_init__(self):
         stack = np.asarray(self.stack)
@@ -62,6 +72,13 @@ class PatternBasis:
             raise DimensionError("basis patterns must be finite")
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
+        if self.factor is not None:
+            factor = np.asarray(self.factor)
+            if factor.shape != (n, n):
+                raise DimensionError(
+                    f"basis factor must have shape {(n, n)}, got {factor.shape}")
+            factor.setflags(write=False)
+            object.__setattr__(self, "factor", factor)
 
     def __len__(self) -> int:
         return self.stack.shape[0]
@@ -77,7 +94,7 @@ def canonical_basis(grid: GridSpec) -> PatternBasis:
     """One-hot pattern per pixel, ordered by flattened index."""
     m, n = grid.pixel_count, grid.side
     stack = np.eye(m, dtype=np.int8).reshape(m, n, n)
-    return PatternBasis(grid, stack, CANONICAL)
+    return PatternBasis(grid, stack, CANONICAL, _parent_factor(CANONICAL, n))
 
 
 def _require_power_of_two(side: int):
@@ -87,15 +104,29 @@ def _require_power_of_two(side: int):
         )
 
 
+def _parent_factor(label: str, side: int) -> np.ndarray:
+    """The int8 ``side x side`` factor of a parent set: the identity for
+    ``canonical``, the Sylvester-ordered Hadamard matrix for ``hadamard``
+    (which needs a power-of-two side).  Pattern ``r * side + c`` of the
+    parent is ``outer(F[r], F[c])``, so one pattern needs no stack."""
+    if label != HADAMARD:
+        return np.eye(side, dtype=np.int8)
+    _require_power_of_two(side)
+    f = np.ones((1, 1), dtype=np.int8)
+    while f.shape[0] < side:  # Sylvester doubling: [[H, H], [H, -H]]
+        f = np.block([[f, f], [f, -f]])
+    return f
+
+
 def hadamard_basis(grid: GridSpec) -> PatternBasis:
     """Rows of the Sylvester-ordered Hadamard matrix of side ``side**2``,
-    reshaped row-major; entries are exactly +/-1."""
+    reshaped row-major; entries are exactly +/-1.  That matrix is
+    ``H_side (x) H_side``, so the stack is the Kronecker square of the
+    factor."""
     n = grid.side
-    _require_power_of_two(n)
-    h = np.ones((1, 1), dtype=np.int8)
-    while h.shape[0] < grid.pixel_count:  # Sylvester doubling: [[H, H], [H, -H]]
-        h = np.block([[h, h], [h, -h]])
-    return PatternBasis(grid, h.reshape(grid.pixel_count, n, n), HADAMARD)
+    f = _parent_factor(HADAMARD, n)
+    return PatternBasis(grid, np.kron(f, f).reshape(grid.pixel_count, n, n),
+                        HADAMARD, f)
 
 
 def modify_basis(basis: PatternBasis, kernel: Kernel) -> PatternBasis:
@@ -106,11 +137,15 @@ def modify_basis(basis: PatternBasis, kernel: Kernel) -> PatternBasis:
     the edge stencil on either parent); the values equal the float64
     sum's.  Any other stack or kernel gives float64.  Pattern order is
     preserved and the label records parentage, so a modified basis can
-    always be traced back to the set used for reconstruction.
+    always be traced back to the set used for reconstruction.  A parent's
+    factor is kept and ``kernel`` recorded beside it; a set that already
+    has a kernel, or no factor, gives a set with neither.
     """
     out = _stencil(basis.stack, kernel, 1)
     label = f"modified({basis.label},{kernel.name or 'custom'})"
-    return PatternBasis(basis.grid, out, label)
+    if basis.factor is None or basis.kernel is not None:
+        return PatternBasis(basis.grid, out, label)
+    return PatternBasis(basis.grid, out, label, basis.factor, kernel)
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,17 @@ The overlaps do not depend on the integration time, the repeat or the
 seed, so :func:`plan_acquisition` computes them once per sweep and basis
 into a :class:`MeasurementPlan`, and checks the object there.  Each overlap
 equals a bucket read's ``float(np.dot(frame, object))`` bit for bit, by one
-of two paths.  When no frame lights more than two pixels (a canonical
-parent or its edge-modified set), the object values at the stack's nonzero
-entries are summed per frame: a dot that adds one or two values and exact
-zeros gives ``fl(a + b)`` in any order, so the gathered sum is the same.
-Any other basis (a Hadamard one) makes each frame dense and takes the dot.
+of three paths.  A +/-1 separable basis (a Hadamard parent, or its set
+modified by at most ``_SIGN_TAPS`` integral taps) whose object makes every
+partial sum exact in any order (dyadic values of small enough total, see
+:func:`_order_free`) takes each frame's overlap from a sign expansion into
+``2**taps`` products of ``side x side`` matrices.  When no frame lights
+more than two pixels (a canonical parent or its edge-modified set), the
+object values at the stack's nonzero entries are summed per frame: a dot
+that adds one or two values and exact zeros gives ``fl(a + b)`` in any
+order, so the gathered sum is the same.  Any other basis or object (a
+Hadamard basis with a file object, say) makes each frame dense and takes
+the dot.
 A cell is then ``run_basis_protocol(plan, noise, integration_time_ms)``:
 the plan fixes the frames, the noise model the noise levels and the seed,
 and the integration time the signal scale.  It draws all of its noise from
@@ -267,6 +273,87 @@ def _gathered_overlaps(stack: np.ndarray, level: np.ndarray,
     return np.bincount(frame, flat[index[order] % n], level.size)
 
 
+# Most kernel taps a sign-expanded plan takes: it forms ``2**taps`` pairs of
+# ``side x side`` products.
+_SIGN_TAPS = 6
+
+
+def _order_free(o: np.ndarray, scale: int, taps: int) -> bool:
+    """Whether every sum of the object's values is exact in any order, and
+    stays exact when halved ``taps`` times, where each value enters with
+    integer coefficients whose absolute values add up to at most ``scale``.
+
+    Let every ``|o|`` be a multiple of ``2**-b``.  Every partial sum is then
+    a multiple of ``2**-b`` of magnitude at most ``scale * sum|o|``, so it
+    is exact when ``2**b * scale * sum|o| <= 2**53``; halving it ``taps``
+    times stays exact when ``b + taps <= 1074``, the subnormal limit.  The
+    test is made in exponents and integers: ``2**b`` itself can overflow.
+    """
+    a = np.abs(o[o != 0.0])
+    if a.size == 0:
+        return True
+    mantissa, exponent = np.frexp(a)  # a = mantissa * 2**exponent
+    digits = np.ldexp(mantissa, 53).astype(np.int64)
+    # a = digits * 2**(exponent - 53), and the lowest set bit of digits
+    # sets the finest power of two a is a multiple of
+    low = np.frexp((digits & -digits).astype(float))[1] - 1
+    b = int((53 - exponent - low).max())
+    if b + taps > 1074 or int(exponent.max()) + b > 53:
+        return False
+    # integers below 2**53 each; a float sum of them is exact up to 2**53
+    # and at least 2**53 past it, so the test is exact for scale >= 2 (any
+    # kernel with a tap; one with none has only dark frames)
+    return int(np.ldexp(a, b).sum()) * scale <= 2**53
+
+
+def _sign_overlaps(o: np.ndarray, basis: PatternBasis, owner: np.ndarray,
+                   level: np.ndarray) -> np.ndarray | None:
+    """Overlaps of a +/-1 separable basis from ``2**T`` products of
+    ``side x side`` matrices, or None when they might not be exact.
+
+    Pattern ``(r, c)`` is ``sum_t v_t x_t`` with ``x_t = outer(a_t, b_t)``,
+    ``a_t = roll(F[r], dr_t)`` and ``b_t = roll(F[c], dc_t)`` for the ``T``
+    taps ``v_t`` at ``(dr_t, dc_t)`` (one unit tap for a parent).  Each
+    ``x_t`` is +/-1, so the frame of level ``l`` is the sum over sign
+    vectors ``s`` with ``v . s = l`` of ``prod_t (1 + s_t x_t) / 2``, and
+    its overlap is ``2**-T * sum_S C[l, S] * (A_S O B_S^T)[r, c]``: ``S``
+    runs over the subsets of taps, ``A_S`` (``B_S``) is the entrywise
+    product of the rolled factors over ``S``, and ``C[l, S] = sum_{v . s =
+    l} prod_{t in S} s_t`` is an integer.  Every term is exact when
+    :func:`_order_free` holds for the largest ``sum_S |C[l, S]|``; then the
+    result equals the bucket read's dot, whatever order either sums in.
+    """
+    f = basis.factor
+    if (f is None or not np.issubdtype(basis.stack.dtype, np.integer)
+            or not np.all(np.abs(f) == 1)):
+        return None
+    taps = [(0, 0, 1.0)] if basis.kernel is None else list(basis.kernel.offsets())
+    t = len(taps)
+    if t > _SIGN_TAPS:
+        return None
+    # bit k of a subset index is tap k; a set bit of a sign index is s_k = -1
+    bits = (np.arange(1 << t)[:, None] >> np.arange(t)) & 1
+    sums = (1 - 2 * bits) @ np.array([int(v) for _, _, v in taps], dtype=np.int64)
+    values = sorted(set(sums.tolist()) | {0})
+    coef = (sums == np.array(values)[:, None]) @ (1 - 2 * ((bits @ bits.T) & 1))
+    if not _order_free(o, int(np.abs(coef).sum(axis=1).max()), t):
+        return None
+    rows = [np.roll(f, dr, axis=1).astype(float) for dr, _, _ in taps]
+    cols = [np.roll(f, dc, axis=1).astype(float) for _, dc, _ in taps]
+    acc = np.zeros((len(values), o.size))
+    for k in range(1 << t):
+        if not coef[:, k].any():
+            continue
+        a, b = np.ones(f.shape), np.ones(f.shape)
+        for i in np.flatnonzero(bits[k]):
+            a *= rows[i]
+            b *= cols[i]
+        acc += np.multiply.outer(coef[:, k], (a @ o @ b.T).ravel())
+    overlap = np.ldexp(acc[np.searchsorted(values, level), owner], -t)
+    overlap[level == 0.0] = 0.0  # an all-zero pattern's part is dark
+    return overlap
+
+
 def _dense_overlaps(stack: np.ndarray, owner: np.ndarray, level: np.ndarray,
                     flat: np.ndarray) -> np.ndarray:
     """Overlaps of every frame, each made dense in float64 and dotted with
@@ -298,8 +385,17 @@ def plan_acquisition(obj, basis: PatternBasis,
 
     Frame ``p`` is ``pattern[owner[p]] == level[p]``, and its overlap is
     what one bucket read's ``float(np.dot(frame, object))`` gives, bit for
-    bit, by one of two paths chosen per basis:
+    bit, by one of three paths chosen per basis and object:
 
+    * **sign-expanded**, when the basis has a +/-1 ``factor``, an integer
+      stack and at most ``_SIGN_TAPS`` kernel taps (a Hadamard parent counts
+      as one unit tap), and :func:`_order_free` holds: every ``|o|`` is a
+      multiple of ``2**-b`` with ``2**b * scale * sum|o| <= 2**53`` and
+      ``b + taps <= 1074``, where ``scale`` is the largest absolute sum of
+      the expansion's integer coefficients for one level.  Every partial
+      sum is then exact in any order, so the overlaps that
+      :func:`_sign_overlaps` forms from ``2**taps`` products of ``side x
+      side`` matrices equal the dots.
     * **gathered**, when no frame lights more than two pixels (a canonical
       parent lights one, its edge-modified set two).  A frame's overlap is
       then ``fl(a + b)`` of the object values ``a`` and ``b`` it lights
@@ -330,7 +426,9 @@ def plan_acquisition(obj, basis: PatternBasis,
         raise ProtocolError("a canonical basis must be binary; a multi-level "
                             "basis is split into binary parts under another label")
     stack, flat = basis.stack.reshape(len(basis), -1), o.ravel()
-    overlap = _gathered_overlaps(stack, level, flat)
+    overlap = _sign_overlaps(o, basis, owner, level)
+    if overlap is None:
+        overlap = _gathered_overlaps(stack, level, flat)
     if overlap is None:
         overlap = _dense_overlaps(stack, owner, level, flat)
     if canonical:

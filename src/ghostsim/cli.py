@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .analysis import (_sweep_masks, summarize_sweep, sweep_cells, write_summary_csv,
                        write_sweep_csv)
-from .bases import HADAMARD, canonical_basis, hadamard_basis
+from .bases import HADAMARD, _parent_factor, canonical_basis, hadamard_basis
 from .bench import load_object, synth_bar_target
 from .config import ExperimentConfig, load_config
 from .core import GridSpec, _stencil_dtype, cyclic_convolve
@@ -160,12 +160,15 @@ def emit_pattern_gallery(config: ExperimentConfig, out_dir=None) -> list[Path]:
     refuses a grid whose two pattern stacks exceed physical memory."""
     out = Path(out_dir if out_dir is not None else config.output_dir)
     _require_memory(config)
-    parent = _parent_basis(config)
+    # each exported pattern is outer(F[r], F[c]) of the parent's factor, and
+    # its modified form the one pattern modify_basis would compute, so
+    # neither stack is built
+    f = _parent_factor(config.basis, config.grid_side)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for index in _gallery_indices(config):
-        # one modified pattern, as modify_basis would compute it, without the stack
-        pattern = parent.pattern(index)
+        r, c = divmod(index, config.grid_side)
+        pattern = np.outer(f[r], f[c])
         for tag, image in (("original", pattern),
                            ("modified", cyclic_convolve(pattern, config.kernel))):
             written += write_pgm(out / f"pattern_{tag}_{index:05d}.pgm", image)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bases import CANONICAL, HADAMARD, PatternBasis
+from .bases import HADAMARD, PatternBasis
 from .bench import MeasurementPlan, NoiseModel, run_basis_protocol
 from .core import Kernel, cyclic_correlate
 from .errors import DimensionError
@@ -39,21 +39,20 @@ def reconstruct(coefficients, recon_basis: PatternBasis) -> np.ndarray:
     """Sum of ``coefficient_j * pattern_j`` over the reconstruction basis,
     for a coefficient vector ordered by pattern index.
 
-    Both parent bases are separable: pattern ``j = r * side + c`` is the
-    outer product ``f_r f_c^T`` of rows of a ``side x side`` matrix ``F``
-    (the identity for canonical; ``H_side`` for Hadamard, as ``H_{side^2} =
-    H_side (x) H_side``), so the sum is ``F^T C F`` with ``C`` the
-    coefficients reshaped to ``side x side``.  Row ``r`` of ``F`` is column
-    0 of pattern ``r * side``, because ``f_0`` is ``e_0`` or all ones.  Any
-    other basis takes the full sum.
+    A parent basis is separable: pattern ``j = r * side + c`` is the outer
+    product ``f_r f_c^T`` of rows of its ``factor`` ``F`` (the identity for
+    canonical; ``H_side`` for Hadamard, as ``H_{side^2} = H_side (x)
+    H_side``), so the sum is ``F^T C F`` with ``C`` the coefficients
+    reshaped to ``side x side``.  Any other basis (a filter-modified one
+    too) takes the full sum.
     """
     m = len(recon_basis)
     vec = np.asarray(coefficients, dtype=float)
     if vec.shape != (m,):
         raise DimensionError(f"expected {m} coefficients, got shape {vec.shape}")
-    if recon_basis.label in (CANONICAL, HADAMARD):
+    if recon_basis.factor is not None and recon_basis.kernel is None:
         side = recon_basis.grid.side
-        f = recon_basis.stack[::side, :, 0].astype(float)
+        f = recon_basis.factor.astype(float)
         return f.T @ vec.reshape(side, side) @ f
     return np.tensordot(vec, recon_basis.stack, axes=(0, 0))
 

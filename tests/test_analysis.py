@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ghostsim.analysis as analysis_module
 from ghostsim import (
@@ -96,6 +98,29 @@ class TestBackgroundMask:
         background = select_background_mask(image, 0.5, border=0,
                                             exclude=peak.indices)
         assert np.intersect1d(peak.indices, background.indices).size == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(side=st.integers(5, 12), fraction=st.floats(0.01, 0.5),
+           border=st.integers(0, 1), seed=st.integers(0, 2**32 - 1),
+           extra=st.lists(st.integers(-5, 200), max_size=8))
+    def test_masks_match_unique_and_setdiff1d(self, side, fraction, border, seed, extra):
+        # oracle: the np.unique / np.setdiff1d construction the masks replace
+        image = np.random.default_rng(seed).integers(0, 4, size=(side, side)).astype(float)
+        peak = select_peak_mask(image, fraction, border)
+        exclude = np.concatenate([peak.indices[::-1], peak.indices[:2],
+                                  np.array(extra, dtype=np.int64)])
+        background = select_background_mask(image, fraction, border, exclude=exclude)
+        idx = np.arange(side * side).reshape(side, side)
+        cand = np.setdiff1d(idx[border:side - border, border:side - border].ravel(),
+                            exclude)
+        order = np.argsort(np.abs(image.ravel()[cand]), kind="stable")
+        want = np.unique(cand[order[:int(np.ceil(fraction * cand.size))]])
+        assert np.array_equal(background.indices, want)
+
+    def test_region_mask_sorts_and_drops_repeats(self):
+        mask = RegionMask(GridSpec(4), [[9, 3], [3, 15]], "peak")
+        assert mask.indices.tolist() == [3, 9, 15]
+        assert mask.indices.dtype == np.int64
 
     def test_rect_mask(self):
         mask = mask_from_rect(GridSpec(4), (1, 2, 2, 2))

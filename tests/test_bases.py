@@ -90,6 +90,59 @@ class TestHadamardBasis:
         basis = hadamard_basis(GridSpec(4))
         assert set(np.unique(basis.stack)) == {-1, 1}
 
+    @pytest.mark.parametrize("side", [4, 16, 64])
+    def test_kronecker_square_of_the_factor_is_the_sylvester_doubling(self, side):
+        h = np.ones((1, 1), dtype=np.int8)
+        while h.shape[0] < side * side:
+            h = np.block([[h, h], [h, -h]])
+        assert np.array_equal(hadamard_basis(GridSpec(side)).stack.reshape(h.shape), h)
+
+
+class TestFactor:
+    """Pattern ``r * side + c`` of a parent, or of its filter-modified set,
+    is ``kernel * outer(F[r], F[c])`` for the basis's factor and kernel."""
+
+    @pytest.mark.parametrize("build, side", [(canonical_basis, 5), (hadamard_basis, 8)])
+    @pytest.mark.parametrize("taps", [None, [[0, -1, 0], [-1, 0, 1], [0, 1, 0]],
+                                      [[2, -3, 0], [0, 1, 0], [5, 0, -1]],
+                                      [[0.5, -1.25, 3.0]]],
+                             ids=["parent", "edge-eq3", "integral", "non-integral"])
+    def test_stack_is_the_kernel_times_outer_products_of_the_factor(self, build, side,
+                                                                    taps):
+        basis = build(GridSpec(side))
+        if taps is not None:
+            basis = modify_basis(basis, Kernel(taps))
+        f = basis.factor
+        assert f.shape == (side, side)
+        for j, pattern in enumerate(basis.stack):
+            want = np.outer(f[j // side], f[j % side])
+            if basis.kernel is not None:
+                want = cyclic_convolve(want, basis.kernel)
+            assert np.array_equal(pattern, want), j
+
+    def test_factor_and_kernel_are_recorded_once(self, edge_kernel):
+        grid = GridSpec(4)
+        for build, f in ((canonical_basis, np.eye(4)),
+                         (hadamard_basis, [[1, 1, 1, 1], [1, -1, 1, -1],
+                                           [1, 1, -1, -1], [1, -1, -1, 1]])):
+            parent = build(grid)
+            assert np.array_equal(parent.factor, f) and parent.kernel is None
+            modified = modify_basis(parent, edge_kernel)
+            assert modified.factor is parent.factor and modified.kernel == edge_kernel
+            twice = modify_basis(modified, edge_kernel)
+            assert twice.factor is None and twice.kernel is None
+        custom = PatternBasis(grid, hadamard_basis(grid).stack, "custom")
+        assert custom.factor is None and modify_basis(custom, edge_kernel).factor is None
+
+    def test_factor_must_be_side_by_side_and_is_frozen(self):
+        grid = GridSpec(2)
+        stack = np.eye(4, dtype=np.int8).reshape(4, 2, 2)
+        with pytest.raises(DimensionError, match="factor"):
+            PatternBasis(grid, stack, "custom", np.eye(4))
+        basis = PatternBasis(grid, stack, "custom", np.eye(2))
+        with pytest.raises(ValueError):
+            basis.factor[0, 0] = 5.0
+
 
 def float_stencil(stack: np.ndarray, kernel: Kernel, sign: int = 1) -> np.ndarray:
     """Reference: the all-float64 whole-stack roll sum, one ``tap * roll``

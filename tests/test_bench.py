@@ -1,5 +1,6 @@
 """Virtual bench: target synthesis, lamp model, measurement plans, the protocol."""
 
+from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
 
@@ -432,6 +433,156 @@ class TestOverlapPaths:
         assert np.count_nonzero(plan.overlap) == plan.bucket_reads - 1
         assert np.array_equal(plan.overlap,
                               part_overlaps(obj, basis, decompose_basis(basis)))
+
+
+@contextmanager
+def sign_path():
+    """Record, per plan built, whether the sign-expanded overlaps were used."""
+    used, real = [], bench_module._sign_overlaps
+
+    def spy(*args):
+        overlap = real(*args)
+        used.append(overlap is not None)
+        return overlap
+
+    with mock.patch.object(bench_module, "_sign_overlaps", spy):
+        yield used
+
+
+def unstructured_plan(obj, basis):
+    """The plan with the sign expansion switched off: the gathered or the
+    dense overlaps, each equal to a per-part dot."""
+    with mock.patch.object(bench_module, "_sign_overlaps", return_value=None):
+        return plan_acquisition(obj, basis, 1)
+
+
+def assert_same_plan(got, want):
+    for name in ("owner", "weight", "overlap"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+TINY = 3.175e-305  # past 2**-1011: 2**b overflows a float, so the gate must not form it
+
+
+@st.composite
+def dyadic_hadamard_cases(draw):
+    """A Hadamard parent of a random power-of-two side, or its modification
+    by a random integral kernel of 1 to 5 taps, and a dyadic object: values
+    ``k / 2**b``, or small multiples of TINY."""
+    side = draw(st.sampled_from([2, 4, 8, 16, 32]))
+    basis = hadamard_basis(GridSpec(side))
+    taps = draw(st.integers(0, 5))
+    shapes = [(h, w) for h in (1, 3, 5) for w in (1, 3, 5)
+              if h <= side and w <= side and h * w >= taps]
+    if taps and shapes:
+        h, w = draw(st.sampled_from(shapes))
+        values = draw(st.lists(st.integers(-4, 4).filter(bool), min_size=taps,
+                               max_size=taps))
+        where = draw(st.permutations(range(h * w)))[:taps]
+        kernel = np.zeros(h * w)
+        kernel[where] = values
+        basis = modify_basis(basis, Kernel(kernel.reshape(h, w)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = draw(st.sampled_from([0, 8, 16, 30, None]))
+    if bits is None:
+        return basis, rng.integers(0, 3, size=(side, side)) * TINY, None
+    return basis, rng.integers(0, 2**bits + 1, size=(side, side)) / 2**bits, bits
+
+
+class TestSignOverlaps:
+    """A +/-1 separable basis takes its overlaps from a few side x side
+    products when the object makes every sum exact in any order; they equal
+    the per-part dots bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=dyadic_hadamard_cases())
+    def test_dyadic_objects_match_the_unstructured_plan(self, case):
+        basis, obj, bits = case
+        with sign_path() as used:
+            plan = plan_acquisition(obj, basis, 1)
+        if bits is not None:  # at these sides every sum stays below 2**53 units
+            assert used == [True]
+        assert_same_plan(plan, unstructured_plan(obj, basis))
+
+    @pytest.mark.parametrize("taps", [None, [[0, -1, 0], [-1, 0, 1], [0, 1, 0]],
+                                      [[0, 1, 0], [1, -4, 1], [0, 1, 0]]],
+                             ids=["parent", "edge-eq3", "laplacian"])
+    def test_side_64(self, taps, rng):
+        grid = GridSpec(64)
+        basis = hadamard_basis(grid)
+        if taps is not None:
+            basis = modify_basis(basis, Kernel(taps))
+        for obj in (synth_bar_target(grid), rng.integers(0, 257, size=(64, 64)) / 256):
+            with sign_path() as used:
+                plan = plan_acquisition(obj, basis, 1)
+            assert used == [True]
+            assert_same_plan(plan, unstructured_plan(obj, basis))
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: rng.uniform(0.0, 1.0, size=(16, 16)),
+        lambda rng: rng.integers(0, 65536, size=(16, 16)) / 65535,
+    ], ids=["uniform", "gray-over-65535"])
+    def test_other_objects_take_the_dense_path(self, make, rng, edge_kernel):
+        obj = make(rng)
+        parent = hadamard_basis(GridSpec(16))
+        for basis in (parent, modify_basis(parent, edge_kernel)):
+            with sign_path() as used, dense_spy() as dense:
+                plan = plan_acquisition(obj, basis, 1)
+            assert used == [False] and dense.called
+            assert np.array_equal(plan.overlap,
+                                  part_overlaps(obj, basis, decompose_basis(basis)))
+
+    def test_gate_passes_at_exactly_two_pow_53(self):
+        # a Hadamard parent has one tap and scale 2; in units of 2**-52 the
+        # first object sums to 2**52 and the second to one unit more
+        unit = 2.0**-52
+        at = np.array([[0.5, 0.25], [0.25 - unit, unit]])
+        past = np.array([[0.5, 0.25], [0.25, unit]])
+        assert bench_module._order_free(at, 2, 1)
+        assert not bench_module._order_free(past, 2, 1)
+        basis = hadamard_basis(GridSpec(2))
+        for obj, structured in ((at, True), (past, False)):
+            with sign_path() as used:
+                plan = plan_acquisition(obj, basis, 1)
+            assert used == [structured]
+            assert np.array_equal(plan.overlap,
+                                  part_overlaps(obj, basis, decompose_basis(basis)))
+
+    def test_gate_stops_at_the_subnormal_limit(self):
+        # halving a multiple of 2**-b T times stays exact while b + T <= 1074
+        assert bench_module._order_free(np.full((2, 2), 2.0**-1073), 2, 1)
+        assert not bench_module._order_free(np.full((2, 2), 2.0**-1073), 2, 2)
+        assert not bench_module._order_free(np.full((2, 2), 2.0**-1074), 2, 1)
+        assert bench_module._order_free(np.zeros((2, 2)), 2, 1)
+
+    def test_kernel_above_the_tap_cap_goes_dense(self):
+        cap = bench_module._SIGN_TAPS
+        taps = np.zeros(9)
+        taps[:cap + 1] = np.arange(1, cap + 2)
+        obj = synth_bar_target(GridSpec(16), 2)
+        parent = hadamard_basis(GridSpec(16))
+        for count, structured in ((cap, True), (cap + 1, False)):
+            kernel = Kernel(np.where(np.arange(9) < count, taps, 0).reshape(3, 3))
+            basis = modify_basis(parent, kernel)
+            with sign_path() as used, dense_spy() as dense:
+                plan = plan_acquisition(obj, basis, 1)
+            assert used == [structured] and dense.called != structured
+            assert_same_plan(plan, unstructured_plan(obj, basis))
+
+    def test_all_zero_pattern_reads_zero(self):
+        # rows 0 and 1 of H_4 repeat with period 2, so a difference across
+        # two columns cancels on every pattern (r, 0) and (r, 1)
+        basis = modify_basis(hadamard_basis(GridSpec(4)), Kernel([[1, 0, -1]]))
+        dark = [j for j, pattern in enumerate(basis.stack) if not pattern.any()]
+        assert dark == [0, 1, 4, 5, 8, 9, 12, 13]
+        obj = np.arange(16.0).reshape(4, 4) / 16
+        with sign_path() as used:
+            plan = plan_acquisition(obj, basis, 1)
+        assert used == [True]
+        parts = np.isin(plan.owner, dark)
+        assert plan.weight[parts].tolist() == [0.0] * 8
+        assert plan.overlap[parts].tolist() == [0.0] * 8
+        assert_same_plan(plan, unstructured_plan(obj, basis))
 
 
 @st.composite
