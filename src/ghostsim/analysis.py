@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bases import PatternBasis, canonical_basis, modify_basis
+from .bases import PatternBasis, _sorted_unique, canonical_basis, modify_basis
 from .bench import (
     BASIS_PROCESSED,
     METHODS,
@@ -59,15 +59,6 @@ PEAK = "peak"
 BACKGROUND = "background"
 
 
-def _sorted_unique(values) -> np.ndarray:
-    """The distinct values as int64, ascending: ``np.unique`` without its
-    ``numpy.ma`` import, which numpy 2 makes on first use."""
-    idx = np.sort(np.asarray(values, dtype=np.int64).ravel())
-    keep = np.ones(idx.size, dtype=bool)
-    np.not_equal(idx[1:], idx[:-1], out=keep[1:])
-    return idx[keep]
-
-
 @dataclass(frozen=True, eq=False)
 class RegionMask:
     """A set of pixels (sorted flat indices) playing the peak or background role."""
@@ -77,7 +68,7 @@ class RegionMask:
     role: str
 
     def __post_init__(self):
-        idx = _sorted_unique(self.indices)
+        idx = _sorted_unique(np.asarray(self.indices, dtype=np.int64))
         if idx.size == 0:
             raise MaskError(f"{self.role} mask is empty")
         if idx[0] < 0 or idx[-1] >= self.grid.pixel_count:
@@ -161,8 +152,8 @@ def select_background_mask(reference, fraction: float, border: int = 0,
     ref, cand = _candidates(reference, fraction, border)
     if exclude is not None:
         # cand is ascending and unique, so this is its set difference
-        cand = cand[np.isin(cand, _sorted_unique(exclude), assume_unique=True,
-                            invert=True)]
+        drop = _sorted_unique(np.asarray(exclude, dtype=np.int64))
+        cand = cand[np.isin(cand, drop, assume_unique=True, invert=True)]
     if cand.size == 0:
         raise MaskError("no candidate pixels left for the background mask")
     k = int(np.ceil(fraction * cand.size))

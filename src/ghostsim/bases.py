@@ -166,6 +166,15 @@ class SubPatternSet:
         return len(self.weights)
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of an array, ascending and flat: ``np.unique``
+    without its ``numpy.ma`` import, which numpy 2 makes on first use."""
+    v = np.sort(values, axis=None)
+    keep = np.ones(v.size, dtype=bool)
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return v[keep]
+
+
 def binary_decompose(pattern, parent_index: int = 0) -> SubPatternSet:
     """Split a pattern into weighted binary parts, one per distinct nonzero
     value (descending), so each part is projectable by a binary modulator.
@@ -178,7 +187,7 @@ def binary_decompose(pattern, parent_index: int = 0) -> SubPatternSet:
         raise DimensionError(f"pattern must be 2-D, got shape {img.shape}")
     if not np.all(np.isfinite(img)):
         raise DimensionError("pattern values must be finite")
-    levels = np.unique(img)
+    levels = _sorted_unique(img)
     levels = levels[levels != 0.0][::-1]  # descending: positive parts first
     return SubPatternSet(parent_index, tuple(levels.tolist()) or (0.0,))
 

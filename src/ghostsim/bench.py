@@ -22,15 +22,12 @@ The overlaps do not depend on the integration time, the repeat or the
 seed, so :func:`plan_acquisition` computes them once per sweep and basis
 into a :class:`MeasurementPlan`, and checks the object there.  Each overlap
 equals a bucket read's ``float(np.dot(frame, object))`` bit for bit, by one
-of three paths.  A +/-1 separable basis (a Hadamard parent, or its set
-modified by at most ``_SIGN_TAPS`` integral taps) whose object makes every
-partial sum exact in any order (dyadic values of small enough total, see
-:func:`_order_free`) takes each frame's overlap from a sign expansion into
-``2**taps`` products of ``side x side`` matrices.  When no frame lights
-more than two pixels (a canonical parent or its edge-modified set), the
-object values at the stack's nonzero entries are summed per frame: a dot
-that adds one or two values and exact zeros gives ``fl(a + b)`` in any
-order, so the gathered sum is the same.  Any other basis or object (a
+of two paths.  A separable basis (a parent, or its set modified by one
+kernel) takes every overlap from a few products of ``side x side``
+matrices built from its factor, when those are exact in any order: always
+for a canonical set whose levels each sit on at most two taps, and
+otherwise when the object makes every partial sum exact (dyadic values of
+small enough total, see :func:`_order_free`).  Any other basis or object (a
 Hadamard basis with a file object, say) makes each frame dense and takes
 the dot.
 A cell is then ``run_basis_protocol(plan, noise, integration_time_ms)``:
@@ -233,46 +230,6 @@ def _check_object(obj) -> np.ndarray:
     return o
 
 
-# Pattern entries per block of the overlap pass: a float block of the dense
-# loop is 512 KiB, which is 16 frames at side 64.
-_PLAN_ELEMENTS = 1 << 16
-
-
-def _gathered_overlaps(stack: np.ndarray, level: np.ndarray,
-                       flat: np.ndarray) -> np.ndarray | None:
-    """Overlaps of narrow frames, gathered from the stack's nonzero entries,
-    or None when some frame lights more than two pixels.
-
-    The stack is scanned in blocks for its nonzero entries, each of which
-    lies in exactly one frame: the one of its pattern and value.  The scan
-    stops as soon as it has found more than two entries per lit frame,
-    since then some frame holds three.
-    """
-    m, n = stack.shape
-    limit, entries, found = 2 * np.count_nonzero(level), 0, []
-    step = max(1, _PLAN_ELEMENTS // n)
-    for s in range(0, m, step):
-        block = stack[s:s + step]
-        index = np.flatnonzero(block != 0)
-        entries += index.size
-        if entries > limit:
-            return None
-        found.append((index + s * n, block.ravel()[index]))
-    index = np.concatenate([i for i, _ in found])
-    value = np.concatenate([v for _, v in found]).astype(float)
-    pattern = index // n
-    # frames run by pattern, then by level descending, as decompose_basis
-    # lists them; the distinct (pattern, value) pairs are its lit frames
-    order = np.lexsort((-value, pattern))
-    pattern, value = pattern[order], value[order]
-    starts = np.ones(pattern.size, dtype=bool)
-    starts[1:] = (pattern[1:] != pattern[:-1]) | (value[1:] != value[:-1])
-    frame = np.flatnonzero(level != 0.0)[np.cumsum(starts) - 1]
-    if np.bincount(frame).max(initial=0) > 2:
-        return None
-    return np.bincount(frame, flat[index[order] % n], level.size)
-
-
 # Most kernel taps a sign-expanded plan takes: it forms ``2**taps`` pairs of
 # ``side x side`` products.
 _SIGN_TAPS = 6
@@ -306,52 +263,74 @@ def _order_free(o: np.ndarray, scale: int, taps: int) -> bool:
     return int(np.ldexp(a, b).sum()) * scale <= 2**53
 
 
-def _sign_overlaps(o: np.ndarray, basis: PatternBasis, owner: np.ndarray,
-                   level: np.ndarray) -> np.ndarray | None:
-    """Overlaps of a +/-1 separable basis from ``2**T`` products of
-    ``side x side`` matrices, or None when they might not be exact.
+def _factor_overlaps(o: np.ndarray, basis: PatternBasis, owner: np.ndarray,
+                     level: np.ndarray) -> np.ndarray | None:
+    """Overlaps of a separable basis from a few products of ``side x side``
+    matrices, or None when they might not be exact.
 
     Pattern ``(r, c)`` is ``sum_t v_t x_t`` with ``x_t = outer(a_t, b_t)``,
     ``a_t = roll(F[r], dr_t)`` and ``b_t = roll(F[c], dc_t)`` for the ``T``
-    taps ``v_t`` at ``(dr_t, dc_t)`` (one unit tap for a parent).  Each
-    ``x_t`` is +/-1, so the frame of level ``l`` is the sum over sign
-    vectors ``s`` with ``v . s = l`` of ``prod_t (1 + s_t x_t) / 2``, and
-    its overlap is ``2**-T * sum_S C[l, S] * (A_S O B_S^T)[r, c]``: ``S``
-    runs over the subsets of taps, ``A_S`` (``B_S``) is the entrywise
-    product of the rolled factors over ``S``, and ``C[l, S] = sum_{v . s =
-    l} prod_{t in S} s_t`` is an integer.  Every term is exact when
-    :func:`_order_free` holds for the largest ``sum_S |C[l, S]|``; then the
-    result equals the bucket read's dot, whatever order either sums in.
+    taps ``v_t`` at ``(dr_t, dc_t)`` (one unit tap for a parent).  The
+    overlap of the frame of level ``l`` is ``2**-h * sum_S C[l, S] *
+    (A_S O B_S^T)[r, c]`` with an integer ``C``, where ``A_S`` (``B_S``)
+    is the entrywise product of the rolled factors over the taps in ``S``:
+
+    * ``F = I``: ``S`` runs over single taps, ``C[l, t] = [v_t = l]`` and
+      ``h = 0``.  A kernel fits its grid, so its taps light distinct
+      pixels, and each product is the object shifted, exactly.
+    * ``F`` is +/-1, the stack integer and ``T <= _SIGN_TAPS``: each
+      ``x_t`` is +/-1, so the frame of level ``l`` is the sum over sign
+      vectors ``s`` with ``v . s = l`` of ``prod_t (1 + s_t x_t) / 2``.
+      ``S`` runs over the subsets of taps, ``C[l, S] = sum_{v . s = l}
+      prod_{t in S} s_t`` and ``h = T``.
+
+    The result equals the bucket read's dot, whatever order either sums
+    in, when each level of ``F = I`` adds at most two exact terms (the dot
+    adds only exact zeros besides, and ``fl(a + b)`` is the same in either
+    order), or when :func:`_order_free` holds for the largest ``sum_S
+    |C[l, S]|``.
     """
     f = basis.factor
-    if (f is None or not np.issubdtype(basis.stack.dtype, np.integer)
-            or not np.all(np.abs(f) == 1)):
+    if f is None:
         return None
     taps = [(0, 0, 1.0)] if basis.kernel is None else list(basis.kernel.offsets())
     t = len(taps)
-    if t > _SIGN_TAPS:
+    if np.array_equal(f, np.eye(len(f))):
+        member, h = np.eye(t, dtype=np.int64), 0
+        values = sorted({v for _, _, v in taps} | {0.0})
+        coef = (np.array(values)[:, None] == [v for _, _, v in taps]).astype(np.int64)
+    elif (np.issubdtype(basis.stack.dtype, np.integer) and np.all(np.abs(f) == 1)
+          and t <= _SIGN_TAPS):
+        # bit k of a subset index is tap k; a set bit of a sign index is s_k = -1
+        member, h = (np.arange(1 << t)[:, None] >> np.arange(t)) & 1, t
+        sums = (1 - 2 * member) @ np.array([int(v) for _, _, v in taps], dtype=np.int64)
+        values = sorted(set(sums.tolist()) | {0})
+        coef = (sums == np.array(values)[:, None]) @ (1 - 2 * ((member @ member.T) & 1))
+    else:
         return None
-    # bit k of a subset index is tap k; a set bit of a sign index is s_k = -1
-    bits = (np.arange(1 << t)[:, None] >> np.arange(t)) & 1
-    sums = (1 - 2 * bits) @ np.array([int(v) for _, _, v in taps], dtype=np.int64)
-    values = sorted(set(sums.tolist()) | {0})
-    coef = (sums == np.array(values)[:, None]) @ (1 - 2 * ((bits @ bits.T) & 1))
-    if not _order_free(o, int(np.abs(coef).sum(axis=1).max()), t):
+    scale = int(np.abs(coef).sum(axis=1).max())
+    # only F = I has h = 0, and its terms are exact
+    if not ((h == 0 and scale <= 2) or _order_free(o, scale, h)):
         return None
     rows = [np.roll(f, dr, axis=1).astype(float) for dr, _, _ in taps]
     cols = [np.roll(f, dc, axis=1).astype(float) for _, dc, _ in taps]
     acc = np.zeros((len(values), o.size))
-    for k in range(1 << t):
+    for k, subset in enumerate(member):
         if not coef[:, k].any():
             continue
         a, b = np.ones(f.shape), np.ones(f.shape)
-        for i in np.flatnonzero(bits[k]):
+        for i in np.flatnonzero(subset):
             a *= rows[i]
             b *= cols[i]
         acc += np.multiply.outer(coef[:, k], (a @ o @ b.T).ravel())
-    overlap = np.ldexp(acc[np.searchsorted(values, level), owner], -t)
+    overlap = np.ldexp(acc[np.searchsorted(values, level), owner], -h)
     overlap[level == 0.0] = 0.0  # an all-zero pattern's part is dark
     return overlap
+
+
+# Pattern entries per block of the dense overlap loop: a float block is
+# 512 KiB, which is 16 frames at side 64.
+_PLAN_ELEMENTS = 1 << 16
 
 
 def _dense_overlaps(stack: np.ndarray, owner: np.ndarray, level: np.ndarray,
@@ -385,24 +364,15 @@ def plan_acquisition(obj, basis: PatternBasis,
 
     Frame ``p`` is ``pattern[owner[p]] == level[p]``, and its overlap is
     what one bucket read's ``float(np.dot(frame, object))`` gives, bit for
-    bit, by one of three paths chosen per basis and object:
+    bit, by one of two paths chosen per basis and object:
 
-    * **sign-expanded**, when the basis has a +/-1 ``factor``, an integer
-      stack and at most ``_SIGN_TAPS`` kernel taps (a Hadamard parent counts
-      as one unit tap), and :func:`_order_free` holds: every ``|o|`` is a
-      multiple of ``2**-b`` with ``2**b * scale * sum|o| <= 2**53`` and
-      ``b + taps <= 1074``, where ``scale`` is the largest absolute sum of
-      the expansion's integer coefficients for one level.  Every partial
-      sum is then exact in any order, so the overlaps that
-      :func:`_sign_overlaps` forms from ``2**taps`` products of ``side x
-      side`` matrices equal the dots.
-    * **gathered**, when no frame lights more than two pixels (a canonical
-      parent lights one, its edge-modified set two).  A frame's overlap is
-      then ``fl(a + b)`` of the object values ``a`` and ``b`` it lights
-      (or ``a``, or 0 for a dark frame): the dot adds only exact zeros
-      besides, and two terms sum to the same value in either order.  So a
-      ``bincount`` of the object values at the stack's nonzero entries,
-      grouped by frame, equals the dot exactly.
+    * **factor**, when the basis has a ``factor`` (a parent, or a parent
+      modified once) and its sums come out the same in any order.  A
+      canonical level on at most two taps is ``fl(a + b)`` of the object
+      values it lights, which the dot gives too: it adds only exact zeros
+      besides.  Any other level needs :func:`_order_free`, which makes
+      every partial sum exact.  :func:`_factor_overlaps` then forms the
+      overlaps from a few products of ``side x side`` matrices.
     * **dense** otherwise.  The frames are made from the stack a block at
       a time, in the stack's own dtype when its entries are exact in
       float64 and in float64 otherwise, as binary_decompose compares.
@@ -425,12 +395,10 @@ def plan_acquisition(obj, basis: PatternBasis,
     if canonical and not np.all((level == 1.0) | (level == 0.0)):
         raise ProtocolError("a canonical basis must be binary; a multi-level "
                             "basis is split into binary parts under another label")
-    stack, flat = basis.stack.reshape(len(basis), -1), o.ravel()
-    overlap = _sign_overlaps(o, basis, owner, level)
+    overlap = _factor_overlaps(o, basis, owner, level)
     if overlap is None:
-        overlap = _gathered_overlaps(stack, level, flat)
-    if overlap is None:
-        overlap = _dense_overlaps(stack, owner, level, flat)
+        overlap = _dense_overlaps(basis.stack.reshape(len(basis), -1), owner, level,
+                                  o.ravel())
     if canonical:
         r = repeats_per_pattern
         return MeasurementPlan(basis.grid, np.repeat(owner, r),

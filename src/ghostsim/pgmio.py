@@ -83,8 +83,11 @@ def _tokens(text: str):
 
 def read_pgm(path) -> tuple[np.ndarray, int]:
     """Read an ASCII graymap; returns ``(gray integer array, maxval)``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:  # raw bytes: a binary (P5) graymap, say
+        text = ""
     toks = list(_tokens(text))
     if not toks or toks[0] != "P2":
         raise FormatError(f"{path}: not an ASCII (P2) portable graymap")

@@ -370,6 +370,18 @@ class TestBinaryDecompose:
         assert np.array_equal(part_images(np.zeros((4, 4)), sub)[0], np.zeros((4, 4)))
         assert np.array_equal(recombine(np.zeros((4, 4)), sub), np.zeros((4, 4)))
 
+    @settings(max_examples=100, deadline=None)
+    @given(pattern=arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                          elements=st.one_of(
+                              st.sampled_from([0.0, -0.0, 0.5, -1.25, 0.1 + 0.2, 0.3]),
+                              st.floats(-1e3, 1e3))))
+    def test_levels_match_np_unique(self, pattern):
+        # the reference split, built here from np.unique: the distinct
+        # nonzero values, descending, or one dark part
+        levels = np.unique(pattern)
+        want = tuple(levels[levels != 0.0][::-1].tolist()) or (0.0,)
+        assert binary_decompose(pattern).weights == want
+
     def test_round_trip_over_both_parents(self, edge_kernel):
         # exact (not toleranced) recombination for every modified pattern
         for parent in (canonical_basis(GridSpec(4)), hadamard_basis(GridSpec(4))):

@@ -34,7 +34,7 @@ from ghostsim import (
     sweep_cells,
     synth_bar_target,
 )
-from part_images import part_images, part_overlaps
+from part_images import part_overlaps
 
 QUIET = NoiseModel()  # all noise and backgrounds off, lamp base 1
 
@@ -357,43 +357,55 @@ def dense_spy():
 
 
 @st.composite
-def narrow_frame_bases(draw):
-    """A canonical parent, or one modified by edge-eq3 or by a random
-    integral or non-integral kernel that puts each nonzero value on at most
-    two taps, with a random object of uniform floats in [0, 1]."""
+def canonical_factor_cases(draw):
+    """A canonical parent, or one modified by a random integral or
+    non-integral kernel that puts each nonzero value on one to three taps,
+    with an object of uniform floats in [0, 1] or of dyadic values
+    ``k / 2**b``."""
     side = draw(st.integers(1, 12))
     basis = canonical_basis(GridSpec(side))
-    kind = draw(st.sampled_from(["parent", "edge-eq3", "integral", "non-integral"]))
-    if kind == "edge-eq3" and side >= 3:
-        basis = modify_basis(basis, edge_detect_kernel())
-    elif kind in ("integral", "non-integral"):
+    kind = draw(st.sampled_from(["parent", "integral", "non-integral"]))
+    if kind != "parent":
         h, w = (draw(st.sampled_from([k for k in (1, 3) if k <= side])) for _ in "hw")
         values = (st.integers(-4, 4).filter(bool) if kind == "integral"
                   else st.sampled_from([-1.5, -0.25, 0.5, 0.75, 2.0, 3.125]))
-        levels = draw(st.lists(values, unique=True, min_size=1, max_size=h * w))
-        taps = draw(st.permutations(levels * 2 + [0] * (h * w)))[:h * w]
+        counts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+        levels = draw(st.lists(values, unique=True, min_size=len(counts),
+                               max_size=len(counts)))
+        taps = [v for v, k in zip(levels, counts) for _ in range(k)][:h * w]
+        taps = draw(st.permutations(taps + [0] * (h * w - len(taps))))
         basis = modify_basis(basis, Kernel(np.reshape(taps, (h, w))))
-    seed = draw(st.integers(0, 2**32 - 1))
-    return basis, np.random.default_rng(seed).uniform(0.0, 1.0, size=(side, side))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = draw(st.sampled_from([None, 0, 8, 30]))
+    if bits is None:
+        return basis, rng.uniform(0.0, 1.0, size=(side, side))
+    return basis, rng.integers(0, 2**bits + 1, size=(side, side)) / 2**bits
+
+
+def taps_per_level(basis):
+    """The most kernel taps that share one nonzero value (1 for a parent)."""
+    if basis.kernel is None:
+        return 1
+    taps = basis.kernel.taps[basis.kernel.taps != 0]
+    return max((int(np.count_nonzero(taps == v)) for v in taps), default=0)
 
 
 class TestOverlapPaths:
-    """Frames that light at most two pixels are gathered, all others are
-    made dense; both give each overlap bit for bit as a per-part dot."""
+    """A basis with a factor takes its overlaps from side x side products
+    when they are exact in any order, all others are made dense; both give
+    each overlap bit for bit as a per-part dot."""
 
-    @settings(max_examples=80, deadline=None)
-    @given(case=narrow_frame_bases(), plan_elements=st.sampled_from([1, 100, 1 << 16]))
-    def test_narrow_frames_are_gathered_exactly(self, case, plan_elements):
+    @settings(max_examples=100, deadline=None)
+    @given(case=canonical_factor_cases(), plan_elements=st.sampled_from([1, 100, 1 << 16]))
+    def test_canonical_sets_take_the_factor_path_when_exact(self, case, plan_elements):
         basis, obj = case
         decomposed = decompose_basis(basis)
-        # a small grid can wrap two taps onto one pixel and merge levels,
-        # so the widest frame is counted, not assumed
-        widest = max(int(part.sum()) for sub in decomposed
-                     for part in part_images(basis.pattern(sub.parent_index), sub))
-        with dense_spy() as dense, mock.patch.object(
+        width = taps_per_level(basis)
+        exact = width <= 2 or bench_module._order_free(obj, width, 0)
+        with factor_path() as used, dense_spy() as dense, mock.patch.object(
                 bench_module, "_PLAN_ELEMENTS", plan_elements):
             plan = plan_acquisition(obj, basis, 1)
-        assert dense.called == (widest > 2)
+        assert used == [exact] and dense.called != exact
         assert np.array_equal(plan.overlap, part_overlaps(obj, basis, decomposed))
 
     @pytest.mark.parametrize("side", [4, 8])
@@ -417,16 +429,34 @@ class TestOverlapPaths:
                 plan_acquisition(obj, hadamard_basis(GridSpec(side)), 1)
             assert dense.called
 
+    @pytest.mark.parametrize("taps", [None, [[0, -1, 0], [-1, 0, 1], [0, 1, 0]],
+                                      [[0, 1, 0], [1, -4, 1], [0, 1, 0]]],
+                             ids=["parent", "edge-eq3", "laplacian"])
+    def test_side_64_takes_the_factor_path(self, taps, rng):
+        # four Laplacian taps share the value 1, which a dyadic object or
+        # the bar target makes exact in any order on either parent
+        grid = GridSpec(64)
+        for build in (canonical_basis, hadamard_basis):
+            basis = build(grid)
+            if taps is not None:
+                basis = modify_basis(basis, Kernel(taps))
+            for obj in (synth_bar_target(grid), rng.integers(0, 257, size=(64, 64)) / 256):
+                with factor_path() as used:
+                    plan = plan_acquisition(obj, basis, 1)
+                assert used == [True]
+                assert_same_plan(plan, unstructured_plan(obj, basis))
+
     @pytest.mark.parametrize("taps", [[[1, 0, 0]], [[0, 1, 0], [1, -4, 1], [0, 1, 0]]],
-                             ids=["gathered", "dense"])
+                             ids=["narrow", "dense"])
     def test_all_zero_pattern_reads_zero(self, taps, rng):
+        # a stack with no factor takes the dense path, however narrow
         stack = modify_basis(canonical_basis(GridSpec(4)), Kernel(taps)).stack.copy()
         stack[5] = 0
         basis = PatternBasis(GridSpec(4), stack, "custom")
         obj = rng.uniform(0.5, 1.0, size=(4, 4))
         with dense_spy() as dense:
             plan = plan_acquisition(obj, basis, 1)
-        assert dense.called == (len(taps) > 1)
+        assert dense.called
         dark = np.flatnonzero(plan.owner == 5)
         assert plan.weight[dark].tolist() == [0.0]
         assert plan.overlap[dark].tolist() == [0.0]
@@ -436,23 +466,23 @@ class TestOverlapPaths:
 
 
 @contextmanager
-def sign_path():
-    """Record, per plan built, whether the sign-expanded overlaps were used."""
-    used, real = [], bench_module._sign_overlaps
+def factor_path():
+    """Record, per plan built, whether the factor's overlaps were used."""
+    used, real = [], bench_module._factor_overlaps
 
     def spy(*args):
         overlap = real(*args)
         used.append(overlap is not None)
         return overlap
 
-    with mock.patch.object(bench_module, "_sign_overlaps", spy):
+    with mock.patch.object(bench_module, "_factor_overlaps", spy):
         yield used
 
 
 def unstructured_plan(obj, basis):
-    """The plan with the sign expansion switched off: the gathered or the
-    dense overlaps, each equal to a per-part dot."""
-    with mock.patch.object(bench_module, "_sign_overlaps", return_value=None):
+    """The plan with the factor path switched off: the dense overlaps,
+    each equal to a per-part dot."""
+    with mock.patch.object(bench_module, "_factor_overlaps", return_value=None):
         return plan_acquisition(obj, basis, 1)
 
 
@@ -498,25 +528,11 @@ class TestSignOverlaps:
     @given(case=dyadic_hadamard_cases())
     def test_dyadic_objects_match_the_unstructured_plan(self, case):
         basis, obj, bits = case
-        with sign_path() as used:
+        with factor_path() as used:
             plan = plan_acquisition(obj, basis, 1)
         if bits is not None:  # at these sides every sum stays below 2**53 units
             assert used == [True]
         assert_same_plan(plan, unstructured_plan(obj, basis))
-
-    @pytest.mark.parametrize("taps", [None, [[0, -1, 0], [-1, 0, 1], [0, 1, 0]],
-                                      [[0, 1, 0], [1, -4, 1], [0, 1, 0]]],
-                             ids=["parent", "edge-eq3", "laplacian"])
-    def test_side_64(self, taps, rng):
-        grid = GridSpec(64)
-        basis = hadamard_basis(grid)
-        if taps is not None:
-            basis = modify_basis(basis, Kernel(taps))
-        for obj in (synth_bar_target(grid), rng.integers(0, 257, size=(64, 64)) / 256):
-            with sign_path() as used:
-                plan = plan_acquisition(obj, basis, 1)
-            assert used == [True]
-            assert_same_plan(plan, unstructured_plan(obj, basis))
 
     @pytest.mark.parametrize("make", [
         lambda rng: rng.uniform(0.0, 1.0, size=(16, 16)),
@@ -526,7 +542,7 @@ class TestSignOverlaps:
         obj = make(rng)
         parent = hadamard_basis(GridSpec(16))
         for basis in (parent, modify_basis(parent, edge_kernel)):
-            with sign_path() as used, dense_spy() as dense:
+            with factor_path() as used, dense_spy() as dense:
                 plan = plan_acquisition(obj, basis, 1)
             assert used == [False] and dense.called
             assert np.array_equal(plan.overlap,
@@ -542,7 +558,7 @@ class TestSignOverlaps:
         assert not bench_module._order_free(past, 2, 1)
         basis = hadamard_basis(GridSpec(2))
         for obj, structured in ((at, True), (past, False)):
-            with sign_path() as used:
+            with factor_path() as used:
                 plan = plan_acquisition(obj, basis, 1)
             assert used == [structured]
             assert np.array_equal(plan.overlap,
@@ -564,7 +580,7 @@ class TestSignOverlaps:
         for count, structured in ((cap, True), (cap + 1, False)):
             kernel = Kernel(np.where(np.arange(9) < count, taps, 0).reshape(3, 3))
             basis = modify_basis(parent, kernel)
-            with sign_path() as used, dense_spy() as dense:
+            with factor_path() as used, dense_spy() as dense:
                 plan = plan_acquisition(obj, basis, 1)
             assert used == [structured] and dense.called != structured
             assert_same_plan(plan, unstructured_plan(obj, basis))
@@ -576,7 +592,7 @@ class TestSignOverlaps:
         dark = [j for j, pattern in enumerate(basis.stack) if not pattern.any()]
         assert dark == [0, 1, 4, 5, 8, 9, 12, 13]
         obj = np.arange(16.0).reshape(4, 4) / 16
-        with sign_path() as used:
+        with factor_path() as used:
             plan = plan_acquisition(obj, basis, 1)
         assert used == [True]
         parts = np.isin(plan.owner, dark)

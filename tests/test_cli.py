@@ -124,11 +124,13 @@ class TestValidate:
     @pytest.mark.parametrize("config", [
         "grid_side = 64\nbackground_rect = 0 0 64 64\n",
         "object_path = missing.pgm\n",
-    ], ids=["overlapping-masks", "missing-object"])
+        "grid_side = 16\nobject_path = binary.pgm\n",
+    ], ids=["overlapping-masks", "missing-object", "binary-object"])
     def test_fails_as_run_does(self, config, tmp_path, monkeypatch, capsys):
         # validate builds the scene and the masks, so a config that run
         # rejects before any work is rejected by validate too, with exit 2
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "binary.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(range(256)))
         path = tmp_path / "bad.cfg"
         path.write_text(config)
         for verb in ("validate", "run"):

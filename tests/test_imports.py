@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import json
 import subprocess
 import sys
 import types
@@ -28,22 +29,24 @@ def test_import_loads_neither_scipy_nor_a_thread_pool():
 
 
 def test_run_does_not_load_numpy_ma(tmp_path):
-    # numpy 2 loads numpy.ma on the first np.unique; masks and plans sort
-    # instead, so a run does not pay that import
-    code = ("import sys, numpy; before = 'numpy.ma' in sys.modules; "
+    # numpy 2 loads numpy.ma on the first np.unique; masks, plans and the
+    # split of a float stack sort instead, so a run does not pay that import
+    code = ("import json, sys, numpy; before = 'numpy.ma' in sys.modules; "
             "from ghostsim.cli import run_experiment; "
             "from ghostsim.config import load_config; "
             "run_experiment(load_config(None, environ={}, overrides={"
-            "'grid_side': '16', 'bar_groups': '2', 'basis': sys.argv[1]}), sys.argv[2]); "
+            "'grid_side': '16', 'bar_groups': '2', **json.loads(sys.argv[1])}), sys.argv[2]); "
             "print(before, 'numpy.ma' in sys.modules)")
-    for basis in ("canonical", "hadamard"):
-        result = subprocess.run([sys.executable, "-c", code, basis, str(tmp_path / basis)],
-                                capture_output=True, text=True)
+    runs = {"canonical": {"basis": "canonical"}, "hadamard": {"basis": "hadamard"},
+            "float-kernel": {"kernel": "0 -0.5 0; -0.5 0 0.5; 0 0.5 0"}}
+    for name, overrides in runs.items():
+        result = subprocess.run([sys.executable, "-c", code, json.dumps(overrides),
+                                 str(tmp_path / name)], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         before, after = result.stdout.split()
         if before == "True":
             pytest.skip("this numpy loads numpy.ma with numpy itself")
-        assert after == "False", basis
+        assert after == "False", name
 
 
 def test_package_all_names_public_objects_not_submodules():

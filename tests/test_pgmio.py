@@ -70,6 +70,10 @@ class TestPgm:
         path.write_text("P5 binary stuff")
         with pytest.raises(FormatError):
             read_pgm(path)
+        # a real P5 file holds raw bytes, which are not UTF-8 text
+        path.write_bytes(b"P5\n16 16\n255\n" + bytes(range(256)))
+        with pytest.raises(FormatError, match="not an ASCII"):
+            read_pgm(path)
 
     def test_rejects_truncated(self, tmp_path):
         path = tmp_path / "short.pgm"
