@@ -292,8 +292,8 @@ def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
     peak, background = _sweep_masks(o, kernel, peak_fraction, background_fraction,
                                     mask_border, background_rect)
 
-    # the modified stack is freed once its plan is built, and neither plan
-    # keeps a frame image
+    # neither basis holds a pattern stack, and neither plan keeps a frame
+    # image
     plans = {
         BASIS_PROCESSED: plan_acquisition(o, modify_basis(parent, kernel),
                                           repeats_per_pattern),

@@ -2,9 +2,13 @@
 
 Canonical (one-hot raster) and Hadamard generators, filter-modified variants
 of either, and the split of a multi-level pattern into weighted binary parts
-that a two-state amplitude modulator can actually project.  A split is
-described by its levels alone: part ``k`` of pattern ``P`` is the frame
-``P == level_k``, so no part image is stored.
+that a two-state amplitude modulator can actually project.  A parent, and a
+parent modified once, holds only its ``side x side`` factor and the kernel:
+its patterns are made a row block at a time (:meth:`PatternBasis._rows`)
+where a scan needs them, and its levels come from the factor with no scan,
+so no set built here holds a ``side**4`` stack.  A split is described by its
+levels alone: part ``k`` of pattern ``P`` is the frame ``P == level_k``, so
+no part image is stored.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, Kernel, _stencil
+from .core import GridSpec, Kernel, _require_fits, _stencil, _stencil_dtype
 from .errors import DimensionError, UnsupportedSizeError
 
 __all__ = [
@@ -32,69 +36,120 @@ __all__ = [
 CANONICAL = "canonical"
 HADAMARD = "hadamard"
 
+# Pattern entries per row block of a scan (64 patterns at side 64): an int8
+# block is 256 KiB, and its ``block == level`` mask as much again.
+_SCAN_ELEMENTS = 1 << 18
 
-@dataclass(frozen=True, eq=False)
+
 class PatternBasis:
     """Ordered, complete set of ``side**2`` patterns sharing one grid.
-
-    ``stack`` has shape ``(pixel_count, side, side)``; pattern ``j`` is
-    ``stack[j]``.  Its dtype may be integer (the int8 parents and their
-    exact filter-modified sets) or float; a float stack must be finite.
 
     ``factor`` is the ``side x side`` matrix ``F`` of a separable set:
     pattern ``j = r * side + c`` is ``kernel * outer(F[r], F[c])``, the
     cyclic convolution of that outer product with ``kernel``, or the outer
     product itself when ``kernel`` is None.  The parents have ``F = I``
     (canonical) or ``F = H_side`` (Hadamard) and no kernel; their
-    filter-modified sets keep ``F`` and record the kernel.  Both are None
-    for a set with no such form (a custom stack, or a set modified twice).
-    The arrays are frozen after construction, so one basis serves every
-    cell of a sweep unchanged, in any order.
+    filter-modified sets keep ``F`` and record the kernel.  Such a set is
+    built with ``stack=None`` and holds no patterns: it needs an integer
+    factor with entries in ``{-1, 0, 1}``, so that every row block it makes
+    has the dtype of the whole set.  A custom set holds its ``stack``, of
+    shape ``(pixel_count, side, side)``, with or without a factor; its dtype
+    may be integer or float, and a float stack must be finite.
+
+    ``stack`` is that array for a custom set, and for a separable set a
+    new one made on each read (a test oracle: ``side**4`` entries).  The
+    integer parents and their exact filter-modified sets are integer (int8
+    for the edge stencil); any other kernel gives float64.  The arrays are
+    read-only, so one basis serves every cell of a sweep, in any order.
     """
 
-    grid: GridSpec
-    stack: np.ndarray
-    label: str
-    factor: np.ndarray | None = None
-    kernel: Kernel | None = None
+    __slots__ = ("grid", "label", "factor", "kernel", "_held")
 
-    def __post_init__(self):
-        stack = np.asarray(self.stack)
-        n = self.grid.side
-        expected = (self.grid.pixel_count, n, n)
-        if stack.shape != expected:
-            raise DimensionError(
-                f"basis stack must have shape {expected}, got {stack.shape}"
-            )
-        # an integer stack is finite by construction; skip the scan
-        if (not np.issubdtype(stack.dtype, np.integer)
-                and not np.all(np.isfinite(stack))):
-            raise DimensionError("basis patterns must be finite")
-        stack.setflags(write=False)
-        object.__setattr__(self, "stack", stack)
-        if self.factor is not None:
-            factor = np.asarray(self.factor)
+    def __init__(self, grid: GridSpec, stack, label: str, factor=None,
+                 kernel: Kernel | None = None):
+        n = grid.side
+        if stack is not None:
+            stack = np.asarray(stack)
+            expected = (grid.pixel_count, n, n)
+            if stack.shape != expected:
+                raise DimensionError(
+                    f"basis stack must have shape {expected}, got {stack.shape}")
+            # an integer stack is finite by construction; skip the scan
+            if (not np.issubdtype(stack.dtype, np.integer)
+                    and not np.all(np.isfinite(stack))):
+                raise DimensionError("basis patterns must be finite")
+            stack.setflags(write=False)
+        if factor is not None:
+            factor = np.asarray(factor)
             if factor.shape != (n, n):
                 raise DimensionError(
                     f"basis factor must have shape {(n, n)}, got {factor.shape}")
             factor.setflags(write=False)
-            object.__setattr__(self, "factor", factor)
+        if kernel is not None:
+            _require_fits(kernel, n)
+        if stack is None:
+            if (factor is None or not np.issubdtype(factor.dtype, np.integer)
+                    or np.abs(factor).max() > 1):
+                raise DimensionError("a basis without a stack needs an integer "
+                                     "factor with entries in {-1, 0, 1}")
+            # each entry sums at most every tap once
+            if kernel is not None and not np.isfinite(np.abs(kernel.taps).sum()):
+                raise DimensionError("basis patterns must be finite")
+        for name, value in (("grid", grid), ("label", label), ("factor", factor),
+                            ("kernel", kernel), ("_held", stack)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PatternBasis is read-only: cannot set {name!r}")
 
     def __len__(self) -> int:
-        return self.stack.shape[0]
+        return self.grid.pixel_count
+
+    def _rows(self, start: int, stop: int) -> np.ndarray:
+        """Patterns ``start:stop``, each flattened to a row of ``side**2``
+        entries: a read-only view of a held stack, or else made from the
+        factor as ``outer(F[r], F[c])`` and filtered by
+        :func:`~ghostsim.core._stencil`.  Either way the rows have the
+        values and dtype of the same rows of the whole stack."""
+        if self._held is not None:
+            return self._held.reshape(len(self), -1)[start:stop]
+        n, f = self.grid.side, self.factor
+        j = np.arange(start, min(stop, len(self)))
+        block = f[j // n, :, None] * f[j % n, None, :]
+        if self.kernel is not None:
+            block = _stencil(block, self.kernel, 1)
+        return block.reshape(j.size, -1)
+
+    @property
+    def stack(self) -> np.ndarray:
+        if self._held is not None:
+            return self._held
+        n = self.grid.side
+        stack = self._rows(0, len(self)).reshape(len(self), n, n)
+        stack.setflags(write=False)
+        return stack
 
     def __iter__(self):
         return iter(self.stack)
 
     def pattern(self, index: int) -> np.ndarray:
-        return self.stack[index]
+        j = range(len(self))[index]
+        return self._rows(j, j + 1).reshape(self.grid.side, self.grid.side)
+
+
+def _row_blocks(basis: PatternBasis):
+    """Yield ``(start, rows)`` over the whole basis, where ``rows`` are
+    patterns ``start:start + len(rows)`` as made by ``_rows``: about
+    ``_SCAN_ELEMENTS`` entries, or one pattern, a block."""
+    m = len(basis)
+    step = max(1, _SCAN_ELEMENTS // basis.grid.pixel_count)
+    for start in range(0, m, step):
+        yield start, basis._rows(start, start + step)
 
 
 def canonical_basis(grid: GridSpec) -> PatternBasis:
     """One-hot pattern per pixel, ordered by flattened index."""
-    m, n = grid.pixel_count, grid.side
-    stack = np.eye(m, dtype=np.int8).reshape(m, n, n)
-    return PatternBasis(grid, stack, CANONICAL, _parent_factor(CANONICAL, n))
+    return PatternBasis(grid, None, CANONICAL, _parent_factor(CANONICAL, grid.side))
 
 
 def _require_power_of_two(side: int):
@@ -121,12 +176,8 @@ def _parent_factor(label: str, side: int) -> np.ndarray:
 def hadamard_basis(grid: GridSpec) -> PatternBasis:
     """Rows of the Sylvester-ordered Hadamard matrix of side ``side**2``,
     reshaped row-major; entries are exactly +/-1.  That matrix is
-    ``H_side (x) H_side``, so the stack is the Kronecker square of the
-    factor."""
-    n = grid.side
-    f = _parent_factor(HADAMARD, n)
-    return PatternBasis(grid, np.kron(f, f).reshape(grid.pixel_count, n, n),
-                        HADAMARD, f)
+    ``H_side (x) H_side``, so the set is held as the factor ``H_side``."""
+    return PatternBasis(grid, None, HADAMARD, _parent_factor(HADAMARD, grid.side))
 
 
 def modify_basis(basis: PatternBasis, kernel: Kernel) -> PatternBasis:
@@ -138,14 +189,97 @@ def modify_basis(basis: PatternBasis, kernel: Kernel) -> PatternBasis:
     sum's.  Any other stack or kernel gives float64.  Pattern order is
     preserved and the label records parentage, so a modified basis can
     always be traced back to the set used for reconstruction.  A parent's
-    factor is kept and ``kernel`` recorded beside it; a set that already
-    has a kernel, or no factor, gives a set with neither.
+    factor is kept and ``kernel`` recorded beside it, and no stack is
+    built unless the parent holds one; a set that already has a kernel,
+    or no factor, gives a custom set holding its filtered stack.
     """
-    out = _stencil(basis.stack, kernel, 1)
     label = f"modified({basis.label},{kernel.name or 'custom'})"
     if basis.factor is None or basis.kernel is not None:
-        return PatternBasis(basis.grid, out, label)
-    return PatternBasis(basis.grid, out, label, basis.factor, kernel)
+        return PatternBasis(basis.grid, _stencil(basis.stack, kernel, 1), label)
+    held = None if basis._held is None else _stencil(basis._held, kernel, 1)
+    return PatternBasis(basis.grid, held, label, basis.factor, kernel)
+
+
+# Most kernel taps a +/-1 factor form takes: it sums over ``2**taps``
+# subsets of taps.
+_SIGN_TAPS = 6
+
+
+@dataclass(frozen=True, eq=False)
+class _FactorForm:
+    """Every frame of a separable set as a sum over a few ``side x side``
+    matrices of its factor.
+
+    Pattern ``(r, c)`` is ``sum_t v_t x_t`` with ``x_t = outer(a_t, b_t)``,
+    ``a_t = roll(F[r], dr_t)`` and ``b_t = roll(F[c], dc_t)`` for the ``T``
+    taps ``v_t`` at ``(dr_t, dc_t)`` (one unit tap for a parent).  The
+    frame of level ``values[l]`` is ``2**-shift * sum_S coef[l, S] *
+    outer(A_S[r], B_S[c])``, where ``A_S`` (``B_S``) is the entrywise
+    product of the rolled factors over the taps in subset ``S`` (row ``S``
+    of ``member``):
+
+    * ``F = I``: ``S`` runs over single taps, ``coef[l, t] = [v_t = l]``
+      and ``shift = 0``.  A kernel fits its grid, so its taps light
+      distinct pixels.
+    * ``F`` is +/-1, the taps integral with an integer stencil sum and
+      ``T <= _SIGN_TAPS``: each ``x_t`` is +/-1, so the frame of level
+      ``l`` is the sum over sign vectors ``s`` with ``v . s = l`` of
+      ``prod_t (1 + s_t x_t) / 2``.  ``S`` runs over the subsets of taps,
+      ``coef[l, S] = sum_{v . s = l} prod_{t in S} s_t`` and ``shift = T``.
+
+    ``values`` lists the levels ascending, 0 included.
+    """
+
+    factor: np.ndarray
+    offsets: list[tuple[int, int]]
+    member: np.ndarray
+    coef: np.ndarray
+    values: np.ndarray
+    shift: int
+
+    def total(self, pair, dtype) -> np.ndarray:
+        """``sum_S outer(coef[:, S], pair(A_S, B_S).ravel())``: one row per
+        level and one column per pattern, in ``dtype``.  ``A_S`` and
+        ``B_S`` are exact, in the factor's dtype."""
+        f = self.factor
+        rows = [np.roll(f, dr, axis=1) for dr, _ in self.offsets]
+        cols = [np.roll(f, dc, axis=1) for _, dc in self.offsets]
+        acc = np.zeros((len(self.values), f.size), dtype)
+        for k, subset in enumerate(self.member):
+            if not self.coef[:, k].any():
+                continue
+            a, b = np.ones_like(f), np.ones_like(f)
+            for i in np.flatnonzero(subset):
+                a *= rows[i]
+                b *= cols[i]
+            acc += np.multiply.outer(self.coef[:, k], pair(a, b).ravel())
+        return acc
+
+
+def _factor_form(basis: PatternBasis) -> _FactorForm | None:
+    """The factor form of a separable set, or None when it has none (no
+    factor, a +/-1 factor with non-integral taps or more than
+    ``_SIGN_TAPS`` taps, or any other factor)."""
+    f = basis.factor
+    if f is None:
+        return None
+    taps = [(0, 0, 1.0)] if basis.kernel is None else list(basis.kernel.offsets())
+    t, tap_values = len(taps), [v for _, _, v in taps]
+    if np.array_equal(f, np.eye(len(f))):
+        member, shift = np.eye(t, dtype=np.int64), 0
+        values = sorted(set(tap_values) | {0.0})
+        coef = (np.array(values)[:, None] == tap_values).astype(np.int64)
+    elif (np.all(np.abs(f) == 1) and t <= _SIGN_TAPS
+          and _stencil_dtype(f, tap_values).kind == "i"):
+        # bit k of a subset index is tap k; a set bit of a sign index is s_k = -1
+        member, shift = (np.arange(1 << t)[:, None] >> np.arange(t)) & 1, t
+        sums = (1 - 2 * member) @ np.array([int(v) for v in tap_values], dtype=np.int64)
+        values = sorted(set(sums.tolist()) | {0})
+        coef = (sums == np.array(values)[:, None]) @ (1 - 2 * ((member @ member.T) & 1))
+    else:
+        return None
+    return _FactorForm(f, [(dr, dc) for dr, dc, _ in taps], member, coef,
+                       np.array(values, dtype=float), shift)
 
 
 @dataclass(frozen=True)
@@ -192,9 +326,6 @@ def binary_decompose(pattern, parent_index: int = 0) -> SubPatternSet:
     return SubPatternSet(parent_index, tuple(levels.tolist()) or (0.0,))
 
 
-# Pattern entries per row block of the level scan (64 patterns at side 64):
-# its ``block == level`` mask is 256 KiB.
-_SCAN_ELEMENTS = 1 << 18
 # Widest integer span ``[min, max]`` a row block is scanned for as a whole; a
 # wider block is split pattern by pattern, as binary_decompose does.
 _SCAN_LEVELS = 64
@@ -212,19 +343,24 @@ def decompose_basis(basis: PatternBasis) -> list[SubPatternSet]:
     """Decompose every pattern of a basis, preserving order.
 
     The weights and their order are exactly those of
-    :func:`binary_decompose` for each pattern, but they are found a row
-    block of the stack at a time.  A block that is exact in float64 and
-    spans at most ``_SCAN_LEVELS`` integers is scanned once per candidate
-    level, descending: ``block == level`` tells which patterns hold it.
-    Every other block is split pattern by pattern.  No part image is built;
-    a frame is ``pattern == weight`` wherever it is needed.
+    :func:`binary_decompose` for each pattern.  A set with a factor form
+    (see :class:`_FactorForm`) takes them from its factor, with no scan:
+    the count of pixels at level ``l`` in pattern ``(r, c)`` is
+    ``2**-shift * sum_S coef[l, S] * rowsum(A_S)[r] * rowsum(B_S)[c]``,
+    exact in integers, and the pattern holds every nonzero level it counts.
+    Any other set is scanned a row block at a time (``_row_blocks``).  A
+    block that is exact in float64 and spans at most ``_SCAN_LEVELS``
+    integers is scanned once per candidate level, descending: ``block ==
+    level`` tells which patterns hold it.  Every other block is split
+    pattern by pattern.  No part image is built; a frame is ``pattern ==
+    weight`` wherever it is needed.
     """
-    m, shape = len(basis), (basis.grid.side, basis.grid.side)
-    flat = basis.stack.reshape(m, -1)
-    step = max(1, _SCAN_ELEMENTS // flat.shape[1])
-    weights = [[] for _ in range(m)]
-    for start in range(0, m, step):
-        block = flat[start:start + step]
+    form = _factor_form(basis)
+    if form is not None:
+        return _factor_decompose(form)
+    shape = (basis.grid.side, basis.grid.side)
+    weights = [[] for _ in range(len(basis))]
+    for start, block in _row_blocks(basis):
         exact = _exact_in_float64(block)
         lo, hi = (int(block.min()), int(block.max())) if exact else (0, 0)
         if not exact or hi - lo > _SCAN_LEVELS:
@@ -235,6 +371,27 @@ def decompose_basis(basis: PatternBasis) -> list[SubPatternSet]:
             for i in (np.flatnonzero((block == level).any(axis=1)) + start).tolist():
                 weights[i].append(float(level))
     return [SubPatternSet(j, tuple(w) or (0.0,)) for j, w in enumerate(weights)]
+
+
+def _factor_decompose(form: _FactorForm) -> list[SubPatternSet]:
+    """The split of every pattern of a set, from its factor form."""
+    counts = form.total(lambda a, b: np.multiply.outer(a.sum(axis=1, dtype=np.int64),
+                                                       b.sum(axis=1, dtype=np.int64)),
+                        np.int64) >> form.shift
+    # nonzero levels descending, then the dark part of a pattern that has none
+    nonzero = form.values != 0.0
+    levels = np.append(form.values[nonzero][::-1], 0.0)
+    held = counts[nonzero][::-1] > 0
+    held = np.ascontiguousarray(np.vstack([held, ~held.any(axis=0)]).T)
+    # patterns that hold the same levels share one weights tuple
+    shared: dict[bytes, tuple[float, ...]] = {}
+    subs = []
+    for j, key in enumerate(held.view(f"V{held.shape[1]}").ravel().tolist()):
+        weights = shared.get(key)
+        if weights is None:
+            weights = shared[key] = tuple(levels[held[j]].tolist())
+        subs.append(SubPatternSet(j, weights))
+    return subs
 
 
 def projection_count(basis: PatternBasis, repeats_per_pattern: int) -> int:

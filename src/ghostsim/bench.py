@@ -28,8 +28,8 @@ matrices built from its factor, when those are exact in any order: always
 for a canonical set whose levels each sit on at most two taps, and
 otherwise when the object makes every partial sum exact (dyadic values of
 small enough total, see :func:`_order_free`).  Any other basis or object (a
-Hadamard basis with a file object, say) makes each frame dense and takes
-the dot.
+Hadamard basis with a file object, say) makes each frame dense, a row
+block of the basis at a time, and takes the dot.
 A cell is then ``run_basis_protocol(plan, noise, integration_time_ms)``:
 the plan fixes the frames, the noise model the noise levels and the seed,
 and the integration time the signal scale.  It draws all of its noise from
@@ -46,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import CANONICAL, PatternBasis, _exact_in_float64, decompose_basis
+from .bases import (CANONICAL, PatternBasis, _exact_in_float64, _factor_form, _row_blocks,
+                    decompose_basis)
 from .core import GridSpec
 from .errors import ConfigError, DimensionError, ProtocolError
 from .pgmio import read_pgm
@@ -230,11 +231,6 @@ def _check_object(obj) -> np.ndarray:
     return o
 
 
-# Most kernel taps a sign-expanded plan takes: it forms ``2**taps`` pairs of
-# ``side x side`` products.
-_SIGN_TAPS = 6
-
-
 def _order_free(o: np.ndarray, scale: int, taps: int) -> bool:
     """Whether every sum of the object's values is exact in any order, and
     stays exact when halved ``taps`` times, where each value enters with
@@ -268,62 +264,25 @@ def _factor_overlaps(o: np.ndarray, basis: PatternBasis, owner: np.ndarray,
     """Overlaps of a separable basis from a few products of ``side x side``
     matrices, or None when they might not be exact.
 
-    Pattern ``(r, c)`` is ``sum_t v_t x_t`` with ``x_t = outer(a_t, b_t)``,
-    ``a_t = roll(F[r], dr_t)`` and ``b_t = roll(F[c], dc_t)`` for the ``T``
-    taps ``v_t`` at ``(dr_t, dc_t)`` (one unit tap for a parent).  The
-    overlap of the frame of level ``l`` is ``2**-h * sum_S C[l, S] *
-    (A_S O B_S^T)[r, c]`` with an integer ``C``, where ``A_S`` (``B_S``)
-    is the entrywise product of the rolled factors over the taps in ``S``:
-
-    * ``F = I``: ``S`` runs over single taps, ``C[l, t] = [v_t = l]`` and
-      ``h = 0``.  A kernel fits its grid, so its taps light distinct
-      pixels, and each product is the object shifted, exactly.
-    * ``F`` is +/-1, the stack integer and ``T <= _SIGN_TAPS``: each
-      ``x_t`` is +/-1, so the frame of level ``l`` is the sum over sign
-      vectors ``s`` with ``v . s = l`` of ``prod_t (1 + s_t x_t) / 2``.
-      ``S`` runs over the subsets of taps, ``C[l, S] = sum_{v . s = l}
-      prod_{t in S} s_t`` and ``h = T``.
-
-    The result equals the bucket read's dot, whatever order either sums
-    in, when each level of ``F = I`` adds at most two exact terms (the dot
+    With the set's factor form (:class:`~ghostsim.bases._FactorForm`), the
+    overlap of the frame of level ``l`` in pattern ``(r, c)`` is
+    ``2**-shift * sum_S coef[l, S] * (A_S O B_S^T)[r, c]``.  For ``F = I``
+    (``shift = 0``) each product is the object shifted, exactly.  The
+    result equals the bucket read's dot, whatever order either sums in,
+    when each level of ``F = I`` adds at most two exact terms (the dot
     adds only exact zeros besides, and ``fl(a + b)`` is the same in either
     order), or when :func:`_order_free` holds for the largest ``sum_S
-    |C[l, S]|``.
+    |coef[l, S]|``.
     """
-    f = basis.factor
-    if f is None:
+    form = _factor_form(basis)
+    if form is None:
         return None
-    taps = [(0, 0, 1.0)] if basis.kernel is None else list(basis.kernel.offsets())
-    t = len(taps)
-    if np.array_equal(f, np.eye(len(f))):
-        member, h = np.eye(t, dtype=np.int64), 0
-        values = sorted({v for _, _, v in taps} | {0.0})
-        coef = (np.array(values)[:, None] == [v for _, _, v in taps]).astype(np.int64)
-    elif (np.issubdtype(basis.stack.dtype, np.integer) and np.all(np.abs(f) == 1)
-          and t <= _SIGN_TAPS):
-        # bit k of a subset index is tap k; a set bit of a sign index is s_k = -1
-        member, h = (np.arange(1 << t)[:, None] >> np.arange(t)) & 1, t
-        sums = (1 - 2 * member) @ np.array([int(v) for _, _, v in taps], dtype=np.int64)
-        values = sorted(set(sums.tolist()) | {0})
-        coef = (sums == np.array(values)[:, None]) @ (1 - 2 * ((member @ member.T) & 1))
-    else:
+    scale = int(np.abs(form.coef).sum(axis=1).max())
+    # only F = I has shift 0, and its terms are exact
+    if not ((form.shift == 0 and scale <= 2) or _order_free(o, scale, form.shift)):
         return None
-    scale = int(np.abs(coef).sum(axis=1).max())
-    # only F = I has h = 0, and its terms are exact
-    if not ((h == 0 and scale <= 2) or _order_free(o, scale, h)):
-        return None
-    rows = [np.roll(f, dr, axis=1).astype(float) for dr, _, _ in taps]
-    cols = [np.roll(f, dc, axis=1).astype(float) for _, dc, _ in taps]
-    acc = np.zeros((len(values), o.size))
-    for k, subset in enumerate(member):
-        if not coef[:, k].any():
-            continue
-        a, b = np.ones(f.shape), np.ones(f.shape)
-        for i in np.flatnonzero(subset):
-            a *= rows[i]
-            b *= cols[i]
-        acc += np.multiply.outer(coef[:, k], (a @ o @ b.T).ravel())
-    overlap = np.ldexp(acc[np.searchsorted(values, level), owner], -h)
+    acc = form.total(lambda a, b: a.astype(float) @ o @ b.astype(float).T, float)
+    overlap = np.ldexp(acc[np.searchsorted(form.values, level), owner], -form.shift)
     overlap[level == 0.0] = 0.0  # an all-zero pattern's part is dark
     return overlap
 
@@ -333,20 +292,25 @@ def _factor_overlaps(o: np.ndarray, basis: PatternBasis, owner: np.ndarray,
 _PLAN_ELEMENTS = 1 << 16
 
 
-def _dense_overlaps(stack: np.ndarray, owner: np.ndarray, level: np.ndarray,
+def _dense_overlaps(basis: PatternBasis, owner: np.ndarray, level: np.ndarray,
                     flat: np.ndarray) -> np.ndarray:
-    """Overlaps of every frame, each made dense in float64 and dotted with
-    the object the way one bucket read is."""
-    # levels are values of the stack, so the cast is exact where it is made
-    key = level.astype(stack.dtype) if _exact_in_float64(stack) else level
+    """Overlaps of every frame, each made dense in float64 from a row
+    block of the basis and dotted with the object the way one bucket read
+    is.  ``owner`` is ascending, so each row block's frames are a run of
+    parts."""
     step = max(1, _PLAN_ELEMENTS // flat.size)
     buf, overlap = np.empty((min(owner.size, step), flat.size)), np.empty(owner.size)
-    for s in range(0, owner.size, step):
-        e = min(s + step, owner.size)
-        block = buf[:e - s]
-        np.equal(stack[owner[s:e]], key[s:e, None], out=block)
-        block[level[s:e] == 0.0] = 0.0  # an all-zero pattern's part is dark
-        np.matmul(block[:, None, :], flat[:, None], out=overlap[s:e, None, None])
+    for start, rows in _row_blocks(basis):
+        first, last = np.searchsorted(owner, [start, start + len(rows)]).tolist()
+        # levels are values of the rows, so the cast is exact where it is made
+        exact = _exact_in_float64(rows)
+        for s in range(first, last, step):
+            e = min(s + step, last)
+            key = level[s:e, None].astype(rows.dtype) if exact else level[s:e, None]
+            block = buf[:e - s]
+            np.equal(rows[owner[s:e] - start], key, out=block)
+            block[level[s:e] == 0.0] = 0.0  # an all-zero pattern's part is dark
+            np.matmul(block[:, None, :], flat[:, None], out=overlap[s:e, None, None])
     return overlap
 
 
@@ -373,14 +337,16 @@ def plan_acquisition(obj, basis: PatternBasis,
       besides.  Any other level needs :func:`_order_free`, which makes
       every partial sum exact.  :func:`_factor_overlaps` then forms the
       overlaps from a few products of ``side x side`` matrices.
-    * **dense** otherwise.  The frames are made from the stack a block at
-      a time, in the stack's own dtype when its entries are exact in
-      float64 and in float64 otherwise, as binary_decompose compares.
-      Each block is written into one reused float64 buffer, and each frame
-      then meets the object as a ``(1, n) @ (n, 1)`` product, which numpy
-      evaluates with the same dot kernel as the bucket read, bit for bit.
-      A matrix-vector product sums in another order and can differ in the
-      last bits.
+    * **dense** otherwise.  The basis makes its patterns a row block at a
+      time (from the factor when it holds no stack), and each block's
+      frames are compared in the rows' own dtype when its entries are
+      exact in float64 and in float64 otherwise, as binary_decompose
+      compares.  They are written into one reused float64 buffer, and each
+      frame then meets the object as a ``(1, n) @ (n, 1)`` product, which
+      numpy evaluates with the same dot kernel as the bucket read, bit for
+      bit.  A matrix-vector product sums in another order and can differ
+      in the last bits.  The working memory is a few blocks, never a
+      ``side**4`` stack.
     """
     o = _check_object(obj)
     side = basis.grid.side
@@ -397,8 +363,7 @@ def plan_acquisition(obj, basis: PatternBasis,
                             "basis is split into binary parts under another label")
     overlap = _factor_overlaps(o, basis, owner, level)
     if overlap is None:
-        overlap = _dense_overlaps(basis.stack.reshape(len(basis), -1), owner, level,
-                                  o.ravel())
+        overlap = _dense_overlaps(basis, owner, level, o.ravel())
     if canonical:
         r = repeats_per_pattern
         return MeasurementPlan(basis.grid, np.repeat(owner, r),

@@ -7,8 +7,8 @@ Verbs:
   and a re-parseable run manifest.
 * ``gallery``  -- export selected basis patterns, original and
   filter-modified, as graymaps.
-* ``validate`` -- parse and validate a config, check that its pattern
-  stacks fit in physical memory, build its scene and masks (so it fails as
+* ``validate`` -- parse and validate a config, check that its measurement
+  plans fit in physical memory, build its scene and masks (so it fails as
   ``run`` would before the sweep), and echo the resolved values.
 
 Exit codes: 0 success, 1 config error, 2 runtime error.
@@ -26,10 +26,10 @@ import numpy as np
 from . import __version__
 from .analysis import (_sweep_masks, summarize_sweep, sweep_cells, write_summary_csv,
                        write_sweep_csv)
-from .bases import HADAMARD, _parent_factor, canonical_basis, hadamard_basis
+from .bases import HADAMARD, canonical_basis, hadamard_basis, modify_basis
 from .bench import load_object, synth_bar_target
 from .config import ExperimentConfig, load_config
-from .core import GridSpec, _stencil_dtype, cyclic_convolve
+from .core import GridSpec
 from .errors import ConfigError, GhostSimError
 from .pgmio import atomic_write_text, write_pgm
 
@@ -65,24 +65,34 @@ def _physical_memory() -> int | None:
 
 
 def _require_memory(config: ExperimentConfig):
-    """Fail before any basis is built when the two dense stacks of a run,
-    the int8 parent and its filter-modified set, exceed physical memory."""
+    """Fail before any basis or scene is built when what a run holds
+    exceeds physical memory: its two measurement plans, at 24 B (owner,
+    weight and overlap) per frame, and the factor-sum accumulator of one
+    float64 per level and pattern.  A canonical parent projects
+    ``repeats_per_pattern`` frames a pattern and a Hadamard parent at most
+    two.  The filter-modified set projects one per level, and a pattern
+    has at most one level per pixel and per distinct tap value
+    (canonical) or per sign vector of the taps (Hadamard)."""
     memory = _physical_memory()
     if memory is None:
         return
     m = config.grid_side ** 2
-    # both parents' entries lie in [-1, 1], which is all the dtype rule reads
     taps = [v for _, _, v in config.kernel.offsets()]
-    dtype = _stencil_dtype(np.array([-1, 1], dtype=np.int8), taps)
-    parent, modified = m * m, m * m * dtype.itemsize
-    if parent + modified > memory:
-        def gib(size):
-            return f"{size / 2**30:.1f} GiB"
+    if config.basis == HADAMARD:
+        parent, levels = 2, min(2 ** len(taps), m)
+    else:
+        parent, levels = config.repeats_per_pattern, min(len(set(taps)), m)
+    frames = m * (parent + levels)
+    plans, accumulator = 24 * frames, 8 * (levels + 1) * m
+    if plans + accumulator > memory:
+        def mib(size):
+            return f"{size / 2**20:,.0f} MiB"
 
         raise ConfigError(
-            f"grid_side {config.grid_side} needs {gib(parent + modified)} for its "
-            f"pattern stacks ({gib(parent)} int8 parent + {gib(modified)} {dtype} "
-            f"modified), more than the {gib(memory)} of physical memory"
+            f"grid_side {config.grid_side} needs {mib(plans + accumulator)} for its "
+            f"measurement plans ({frames:,} frames at 24 B, and a "
+            f"{mib(accumulator)} level accumulator), more than the {mib(memory)} "
+            f"of physical memory"
         )
 
 
@@ -157,21 +167,18 @@ def emit_pattern_gallery(config: ExperimentConfig, out_dir=None) -> list[Path]:
     """Write selected patterns of the configured basis, before and after the
     filter modification, as graymaps; returns the path of each file
     written, sidecars included.  Like ``run`` and ``validate``, it first
-    refuses a grid whose two pattern stacks exceed physical memory."""
+    refuses a grid whose measurement plans exceed physical memory."""
     out = Path(out_dir if out_dir is not None else config.output_dir)
     _require_memory(config)
-    # each exported pattern is outer(F[r], F[c]) of the parent's factor, and
-    # its modified form the one pattern modify_basis would compute, so
-    # neither stack is built
-    f = _parent_factor(config.basis, config.grid_side)
+    # neither set holds a stack: each pattern is made alone from the factor
+    parent = _parent_basis(config)
+    modified = modify_basis(parent, config.kernel)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for index in _gallery_indices(config):
-        r, c = divmod(index, config.grid_side)
-        pattern = np.outer(f[r], f[c])
-        for tag, image in (("original", pattern),
-                           ("modified", cyclic_convolve(pattern, config.kernel))):
-            written += write_pgm(out / f"pattern_{tag}_{index:05d}.pgm", image)
+        for tag, basis in (("original", parent), ("modified", modified)):
+            written += write_pgm(out / f"pattern_{tag}_{index:05d}.pgm",
+                                 basis.pattern(index))
     return written
 
 
@@ -212,7 +219,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides=_overrides(args))
         if args.verb == "validate":
-            # the stacks' size, the scene and the masks fail here as they
+            # the plans' size, the scene and the masks fail here as they
             # would before a run's sweep
             _require_memory(cfg)
             _sweep_masks(build_scene(cfg), cfg.kernel, cfg.peak_fraction,

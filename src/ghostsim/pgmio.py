@@ -65,9 +65,10 @@ def write_pgm(path, image) -> list[Path]:
     else:
         gray = np.zeros(img.shape, dtype=np.int64)
     h, w = img.shape
-    lines = ["P2", f"{w} {h}", str(PGM_MAXVAL)]
-    lines.extend(" ".join(map(str, row)) for row in gray.tolist())
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    # one %-format over the flat gray list: a line of w numbers per row
+    row = " ".join(["%d"] * w) + "\n"
+    body = (row * h) % tuple(gray.ravel().tolist())
+    atomic_write_text(path, f"P2\n{w} {h}\n{PGM_MAXVAL}\n" + body)
     sidecar = _sidecar_path(path)
     atomic_write_text(sidecar, f"vmin = {vmin!r}\n"
                                f"vmax = {vmax!r}\n"

@@ -503,6 +503,97 @@ class TestDecomposeBasis:
         assert peak < 2 * 2**20
 
 
+@st.composite
+def separable_sets(draw):
+    """A parent of a random side, or its modification by a random kernel of
+    integral or non-integral taps, some of them sharing a value."""
+    hadamard = draw(st.booleans())
+    side = draw(st.sampled_from([1, 2, 4, 8, 16]) if hadamard else st.integers(1, 9))
+    basis = (hadamard_basis if hadamard else canonical_basis)(GridSpec(side))
+    kind = draw(st.sampled_from(["parent", "integral", "non-integral"]))
+    if kind == "parent":
+        return basis
+    h, w = (draw(st.sampled_from([k for k in (1, 3, 5) if k <= side])) for _ in "hw")
+    values = (st.integers(-3, 3) if kind == "integral"
+              else st.sampled_from([0.0, -1.5, -0.25, 0.5, 0.1, 2.0]))
+    taps = draw(st.lists(values, min_size=h * w, max_size=h * w))
+    return modify_basis(basis, Kernel(np.reshape(taps, (h, w))))
+
+
+def held_copy(basis):
+    """The same patterns as a custom set that holds its materialised stack."""
+    return PatternBasis(basis.grid, basis.stack.copy(), "custom")
+
+
+class TestFactorOnlySets:
+    """A parent, or a parent modified once, holds only its factor and
+    kernel; its levels, rows and frames equal those of the whole stack."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(basis=separable_sets())
+    def test_factor_levels_match_the_stack_scan(self, basis):
+        # F = I always has a factor form; a +/-1 factor needs few integral taps
+        taps = [] if basis.kernel is None else [v for _, _, v in basis.kernel.offsets()]
+        if (np.array_equal(basis.factor, np.eye(basis.grid.side))
+                or (all(v == int(v) for v in taps) and len(taps) <= bases_module._SIGN_TAPS)):
+            assert bases_module._factor_form(basis) is not None
+        assert_same_decomposition(decompose_basis(basis), decompose_basis(held_copy(basis)),
+                                  basis)
+
+    @settings(max_examples=100, deadline=None)
+    @given(basis=separable_sets(), seed=st.integers(0, 2**32 - 1),
+           plan_elements=st.sampled_from([1, 9, 1 << 16]),
+           scan_elements=st.sampled_from([1, 7, 40, 1 << 18]))
+    def test_dense_overlaps_from_blocks_match_the_held_stack(self, basis, seed,
+                                                             plan_elements,
+                                                             scan_elements):
+        side = basis.grid.side
+        obj = np.random.default_rng(seed).uniform(0.0, 1.0, size=(side, side))
+        held = held_copy(basis)
+        subs = decompose_basis(held)
+        owner = np.repeat(np.arange(len(subs)), [sub.part_count for sub in subs])
+        level = np.array([w for sub in subs for w in sub.weights])
+        with mock.patch.object(bench_module, "_PLAN_ELEMENTS", plan_elements), \
+                mock.patch.object(bases_module, "_SCAN_ELEMENTS", scan_elements):
+            got = bench_module._dense_overlaps(basis, owner, level, obj.ravel())
+            rows = np.concatenate([r for _, r in bases_module._row_blocks(basis)])
+        assert rows.dtype == held.stack.dtype
+        assert np.array_equal(rows, held.stack.reshape(len(held), -1))
+        assert np.array_equal(got, part_overlaps(obj, held, subs))
+
+    @pytest.mark.parametrize("build", [canonical_basis, hadamard_basis])
+    def test_sets_hold_no_stack(self, build, edge_kernel):
+        parent = build(GridSpec(8))
+        modified = modify_basis(parent, edge_kernel)
+        for basis in (parent, modified):
+            assert basis._held is None and len(basis) == 64
+            assert basis.stack is not basis.stack  # made anew on each read
+            assert np.array_equal(basis.pattern(-1), basis.stack[-1])
+        with pytest.raises(DimensionError, match="needs an integer factor"):
+            PatternBasis(GridSpec(2), None, "custom", np.eye(2))
+        with pytest.raises(DimensionError, match="does not fit"):
+            modify_basis(build(GridSpec(2)), edge_kernel)
+
+    def test_dense_plan_peaks_far_below_the_stack(self, edge_kernel):
+        # a non-dyadic object sends the side-64 edge-modified Hadamard set
+        # down the dense path; its frames come from row blocks, not from
+        # the set's 16 MiB stack
+        grid = GridSpec(64)
+        modified = modify_basis(hadamard_basis(grid), edge_kernel)
+        obj = np.random.default_rng(3).uniform(0.0, 1.0, size=(64, 64))
+        with mock.patch.object(bench_module, "_dense_overlaps",
+                               wraps=bench_module._dense_overlaps) as dense:
+            tracemalloc.start()
+            try:
+                plan = plan_acquisition(obj, modified, 1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert dense.called and plan.bucket_reads == 15868
+        assert modified.stack.nbytes == 16 * 2**20
+        assert peak < modified.stack.nbytes / 4
+
+
 class TestProjectionCount:
     def test_canonical_with_repeats(self):
         assert projection_count(canonical_basis(GridSpec(8)), 2) == 128

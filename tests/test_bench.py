@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ghostsim.bases as bases_module
 import ghostsim.bench as bench_module
 from ghostsim import (
     CANONICAL,
@@ -572,7 +573,7 @@ class TestSignOverlaps:
         assert bench_module._order_free(np.zeros((2, 2)), 2, 1)
 
     def test_kernel_above_the_tap_cap_goes_dense(self):
-        cap = bench_module._SIGN_TAPS
+        cap = bases_module._SIGN_TAPS
         taps = np.zeros(9)
         taps[:cap + 1] = np.arange(1, cap + 2)
         obj = synth_bar_target(GridSpec(16), 2)

@@ -11,6 +11,7 @@ from ghostsim import (
     ConfigError,
     DimensionError,
     GridSpec,
+    PatternBasis,
     hadamard_basis,
     modify_basis,
     parse_config,
@@ -140,14 +141,15 @@ class TestValidate:
         assert not (tmp_path / "out").exists()
 
     def test_grid_too_large_for_memory_fails_early(self, tmp_path, monkeypatch, capsys):
-        # side 1024 needs a 1 TiB int8 parent and a 1 TiB int8 modified
-        # stack; all three verbs refuse it before any basis or scene is built
+        # side 1024 has 4 frames a pattern (two repeats, two edge levels):
+        # 96 MiB of plans and a 24 MiB accumulator, past a 64 MiB machine;
+        # all three verbs refuse it before any basis or scene is built
         def refuse(*args, **kwargs):
             raise AssertionError("built a basis or a scene")
 
         for name in ("canonical_basis", "hadamard_basis", "build_scene"):
             monkeypatch.setattr(cli_module, name, refuse)
-        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 64 * 2**30)
+        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 64 * 2**20)
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "big.cfg"
         path.write_text("grid_side = 1024\n")
@@ -155,20 +157,35 @@ class TestValidate:
             assert main([verb, "--config", str(path), "--out", "out"]) == 1
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 3 and len(set(errors)) == 1
-        assert errors[0].startswith("config error: grid_side 1024 needs 2048.0 GiB")
-        assert "1024.0 GiB int8 parent + 1024.0 GiB int8 modified" in errors[0]
-        assert "64.0 GiB of physical memory" in errors[0]
+        assert errors[0].startswith("config error: grid_side 1024 needs 120 MiB")
+        assert "(4,194,304 frames at 24 B, and a 24 MiB level accumulator)" in errors[0]
+        assert "64 MiB of physical memory" in errors[0]
         assert not (tmp_path / "out").exists()
 
-    def test_memory_check_sizes_the_modified_dtype(self, monkeypatch):
-        # a non-integral kernel gives a float64 modified stack: side 128
-        # needs 256 MiB + 2 GiB
-        cfg = parse_config("grid_side = 128\nkernel = 0.5 1 0.5\n")
-        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 2 * 2**30)
-        with pytest.raises(ConfigError, match=r"\(0\.2 GiB int8 parent \+ 2\.0 GiB float64"):
+    def test_memory_check_counts_the_kernel_levels(self, monkeypatch):
+        # three taps bound a pattern to 3 levels on a canonical parent and
+        # to 8 sign vectors on a Hadamard one: at side 128, 2.4 MiB against
+        # 4.9 MiB
+        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 4 * 2**20)
+        text = "grid_side = 128\nkernel = 0.5 1 0.25\n"
+        cli_module._require_memory(parse_config(text))
+        with pytest.raises(ConfigError, match=r"needs 5 MiB .*\(163,840 frames"):
+            cli_module._require_memory(parse_config(text + "basis = hadamard\n"))
+        # 25 taps have 2**25 sign vectors, capped at one level per pixel
+        wide = "; ".join(" ".join(str(2 ** (5 * i + j)) for j in range(5))
+                         for i in range(5))
+        cfg = parse_config(f"grid_side = 64\nbasis = hadamard\nkernel = {wide}\n")
+        with pytest.raises(ConfigError, match=r"\(16,785,408 frames"):
             cli_module._require_memory(cfg)
-        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 3 * 2**30)
-        cli_module._require_memory(cfg)
+
+    def test_side_256_fits(self, tmp_path, monkeypatch, capsys):
+        # the plans of a side-256 run take a few MiB: no stack is built
+        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 256 * 2**20)
+        for basis in ("canonical", "hadamard"):
+            path = tmp_path / f"{basis}.cfg"
+            path.write_text(f"grid_side = 256\nbasis = {basis}\n")
+            assert main(["validate", "--config", str(path)]) == 0
+        assert "grid_side = 256" in capsys.readouterr().out
 
     def test_memory_check_is_skipped_without_sysconf(self, monkeypatch):
         monkeypatch.delattr(os, "sysconf", raising=False)
@@ -262,6 +279,39 @@ class TestRun:
         main(["run", "--config", str(small_config), "--out", str(out2),
               "--seed", "124"])
         assert (out1 / "snr_sweep.csv").read_text() != (out2 / "snr_sweep.csv").read_text()
+
+
+class TestNoStackOnTheRunPath:
+    """A run on either parent holds no side**4 pattern stack: the factor
+    path reads none, and the dense path makes its frames a row block at a
+    time."""
+
+    @pytest.mark.parametrize("scene", ["bar-target", "file-object"])
+    @pytest.mark.parametrize("basis", ["canonical", "hadamard"])
+    def test_run_never_builds_a_whole_stack(self, basis, scene, tmp_path, monkeypatch):
+        text = f"grid_side = 32\nbar_groups = 2\nbasis = {basis}\n"
+        if scene == "file-object":
+            # gray / 65535 is not dyadic, so a Hadamard set takes the dense path
+            gray = np.random.default_rng(9).integers(0, 65536, size=(32, 32))
+            lines = [" ".join(map(str, row)) for row in gray.tolist()]
+            (tmp_path / "obj.pgm").write_text("P2\n32 32\n65535\n" + "\n".join(lines))
+            text += f"object_path = {tmp_path / 'obj.pgm'}\n"
+        blocks, rows = [], PatternBasis._rows
+
+        def spy(self, start, stop):
+            out = rows(self, start, stop)
+            blocks.append((len(out), len(self)))
+            return out
+
+        def whole(self):
+            raise AssertionError("read a whole pattern stack")
+
+        monkeypatch.setattr(PatternBasis, "_rows", spy)
+        monkeypatch.setattr(PatternBasis, "stack", property(whole))
+        run_experiment(parse_config(text), tmp_path / "out")
+        assert all(count < total for count, total in blocks)
+        # only the dense path makes rows
+        assert bool(blocks) == (basis == "hadamard" and scene == "file-object")
 
 
 class TestObjectFile:
