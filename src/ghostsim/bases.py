@@ -8,11 +8,16 @@ its patterns are made a row block at a time (:meth:`PatternBasis._rows`)
 where a scan needs them, and its levels come from the factor with no scan,
 so no set built here holds a ``side**4`` stack.  A split is described by its
 levels alone: part ``k`` of pattern ``P`` is the frame ``P == level_k``, so
-no part image is stored.
+no part image is stored.  The split of a whole set is two flat arrays, the
+owner and the level of each part (:class:`Decomposition`), made from the
+factor or a row block at a time; no object is made per pattern unless one
+is asked for.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +30,7 @@ __all__ = [
     "HADAMARD",
     "PatternBasis",
     "SubPatternSet",
+    "Decomposition",
     "canonical_basis",
     "hadamard_basis",
     "modify_basis",
@@ -289,7 +295,9 @@ class SubPatternSet:
     ``weights`` lists the pattern's distinct nonzero values, descending, or
     ``(0.0,)`` for an all-zero pattern.  Part ``k`` is the binary frame
     ``pattern == weights[k]`` (all dark for weight 0), so the weighted sum of
-    the parts reproduces the pattern exactly, one part per weight.
+    the parts reproduces the pattern exactly, one part per weight.  It is
+    what :func:`binary_decompose` returns and what an item of a
+    :class:`Decomposition` is made into when it is read.
     """
 
     parent_index: int
@@ -298,6 +306,45 @@ class SubPatternSet:
     @property
     def part_count(self) -> int:
         return len(self.weights)
+
+
+@dataclass(frozen=True, eq=False)
+class Decomposition(Sequence):
+    """The binary split of every pattern of a set, as two flat arrays.
+
+    Part ``p`` belongs to pattern ``owner[p]`` and has level ``level[p]``.
+    ``owner`` is ascending and names every pattern at least once; the
+    levels of one pattern are its distinct nonzero values, descending, or
+    the one level 0.0 of an all-zero pattern's dark part.  Read as a
+    sequence, item ``j`` is the :class:`SubPatternSet` of pattern ``j``,
+    made when it is read.  The arrays are read-only.
+    """
+
+    owner: np.ndarray
+    level: np.ndarray
+
+    def __post_init__(self):
+        owner = np.asarray(self.owner, dtype=np.intp)
+        level = np.asarray(self.level, dtype=float)
+        if owner.ndim != 1 or level.shape != owner.shape:
+            raise DimensionError("split arrays must be 1-D and of equal length")
+        step = np.diff(owner)
+        if owner.size and (owner[0] != 0 or step.min(initial=0) < 0 or step.max(initial=0) > 1):
+            raise DimensionError("split owners must count up from 0 in steps of 0 or 1")
+        for name, arr in (("owner", owner), ("level", level)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        # parts bounds[j]:bounds[j + 1] are pattern j's
+        count = int(owner[-1]) + 1 if owner.size else 0
+        object.__setattr__(self, "_bounds", np.searchsorted(owner, np.arange(count + 1)))
+
+    def __len__(self) -> int:
+        return len(self._bounds) - 1
+
+    def __getitem__(self, index: int) -> SubPatternSet:
+        j = range(len(self))[operator.index(index)]
+        start, stop = self._bounds[j:j + 2].tolist()
+        return SubPatternSet(j, tuple(self.level[start:stop].tolist()))
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -326,81 +373,84 @@ def binary_decompose(pattern, parent_index: int = 0) -> SubPatternSet:
     return SubPatternSet(parent_index, tuple(levels.tolist()) or (0.0,))
 
 
-# Widest integer span ``[min, max]`` a row block is scanned for as a whole; a
-# wider block is split pattern by pattern, as binary_decompose does.
-_SCAN_LEVELS = 64
+# Pattern entries sorted at a time (8 patterns at side 64): a float64 copy
+# of 256 KiB.
+_SORT_ELEMENTS = 1 << 15
 
 
-def _exact_in_float64(arr: np.ndarray) -> bool:
-    """Whether ``arr`` is integer with every entry exact in float64, so that
-    comparing it in its own dtype agrees with a float64 comparison."""
-    if not np.issubdtype(arr.dtype, np.integer):
-        return False
-    return arr.dtype.itemsize <= 4 or max(-int(arr.min()), int(arr.max())) <= 2**53
+def _split(held: np.ndarray, levels: np.ndarray, start: int = 0):
+    """``(owner, level)`` of the parts of patterns ``start, start + 1, ...``:
+    row ``i`` of the boolean ``held`` flags which of ``levels`` pattern
+    ``start + i`` holds, and ``levels`` (one row for all patterns, or one
+    per pattern) lists them in the order they are projected.  A pattern
+    that holds none gets one dark part, of level 0.0."""
+    full = np.column_stack([held, ~held.any(axis=1)])
+    owner, k = np.divmod(np.flatnonzero(full), full.shape[1])
+    lit = k < held.shape[1]
+    level = np.zeros(owner.size)
+    level[lit] = np.broadcast_to(levels, held.shape)[owner[lit], k[lit]]
+    return owner + start, level
 
 
-def decompose_basis(basis: PatternBasis) -> list[SubPatternSet]:
+def _split_rows(rows: np.ndarray, start: int):
+    """``(owner, level)`` of the parts of patterns ``start:start +
+    len(rows)``, given flattened as ``rows``: each pattern's distinct
+    nonzero values, descending, compared in float64 as
+    :func:`binary_decompose` compares.  The rows are cast to float64 and
+    sorted one by one, ``_SORT_ELEMENTS`` entries at a time; each run of
+    equal nonzero values is one level."""
+    step = max(1, _SORT_ELEMENTS // rows.shape[1])
+    owners, levels = [], []
+    for i in range(0, len(rows), step):
+        values = rows[i:i + step].astype(float)
+        values.sort(axis=1)
+        held = values != 0.0
+        held[:, :-1] &= values[:, :-1] != values[:, 1:]  # the last of each run
+        owner, level = _split(held[:, ::-1], values[:, ::-1], start + i)  # descending
+        owners.append(owner)
+        levels.append(level)
+    return np.concatenate(owners), np.concatenate(levels)
+
+
+def decompose_basis(basis: PatternBasis) -> Decomposition:
     """Decompose every pattern of a basis, preserving order.
 
     The weights and their order are exactly those of
-    :func:`binary_decompose` for each pattern.  A set with a factor form
-    (see :class:`_FactorForm`) takes them from its factor, with no scan:
-    the count of pixels at level ``l`` in pattern ``(r, c)`` is
-    ``2**-shift * sum_S coef[l, S] * rowsum(A_S)[r] * rowsum(B_S)[c]``,
-    exact in integers, and the pattern holds every nonzero level it counts.
-    Any other set is scanned a row block at a time (``_row_blocks``).  A
-    block that is exact in float64 and spans at most ``_SCAN_LEVELS``
-    integers is scanned once per candidate level, descending: ``block ==
-    level`` tells which patterns hold it.  Every other block is split
-    pattern by pattern.  No part image is built; a frame is ``pattern ==
-    weight`` wherever it is needed.
+    :func:`binary_decompose` for each pattern, and they are held as flat
+    arrays (:class:`Decomposition`), with no object per pattern.  A set
+    with a factor form (see :class:`_FactorForm`) takes them from its
+    factor, with no scan: the count of pixels at level ``l`` in pattern
+    ``(r, c)`` is ``2**-shift * sum_S coef[l, S] * rowsum(A_S)[r] *
+    rowsum(B_S)[c]``, exact in integers, and the pattern holds every
+    nonzero level it counts.  Any other set is split a row block at a time
+    (``_row_blocks``) by :func:`_split_rows`.  No part image is built; a
+    frame is ``pattern == weight`` wherever it is needed.
     """
     form = _factor_form(basis)
     if form is not None:
         return _factor_decompose(form)
-    shape = (basis.grid.side, basis.grid.side)
-    weights = [[] for _ in range(len(basis))]
-    for start, block in _row_blocks(basis):
-        exact = _exact_in_float64(block)
-        lo, hi = (int(block.min()), int(block.max())) if exact else (0, 0)
-        if not exact or hi - lo > _SCAN_LEVELS:
-            for i, row in enumerate(block, start):
-                weights[i] = binary_decompose(row.reshape(shape), i).weights
-            continue
-        for level in [v for v in range(hi, lo - 1, -1) if v != 0]:
-            for i in (np.flatnonzero((block == level).any(axis=1)) + start).tolist():
-                weights[i].append(float(level))
-    return [SubPatternSet(j, tuple(w) or (0.0,)) for j, w in enumerate(weights)]
+    owners, levels = zip(*(_split_rows(rows, start) for start, rows in _row_blocks(basis)))
+    return Decomposition(np.concatenate(owners), np.concatenate(levels))
 
 
-def _factor_decompose(form: _FactorForm) -> list[SubPatternSet]:
+def _factor_decompose(form: _FactorForm) -> Decomposition:
     """The split of every pattern of a set, from its factor form."""
     counts = form.total(lambda a, b: np.multiply.outer(a.sum(axis=1, dtype=np.int64),
                                                        b.sum(axis=1, dtype=np.int64)),
                         np.int64) >> form.shift
-    # nonzero levels descending, then the dark part of a pattern that has none
     nonzero = form.values != 0.0
-    levels = np.append(form.values[nonzero][::-1], 0.0)
-    held = counts[nonzero][::-1] > 0
-    held = np.ascontiguousarray(np.vstack([held, ~held.any(axis=0)]).T)
-    # patterns that hold the same levels share one weights tuple
-    shared: dict[bytes, tuple[float, ...]] = {}
-    subs = []
-    for j, key in enumerate(held.view(f"V{held.shape[1]}").ravel().tolist()):
-        weights = shared.get(key)
-        if weights is None:
-            weights = shared[key] = tuple(levels[held[j]].tolist())
-        subs.append(SubPatternSet(j, weights))
-    return subs
+    held = counts[nonzero][::-1].T > 0  # nonzero levels descending
+    return Decomposition(*_split(held, form.values[nonzero][::-1]))
 
 
 def projection_count(basis: PatternBasis, repeats_per_pattern: int) -> int:
     """Total binary frames projected to acquire the whole basis once, as
     the measurement plans project them: one per binary part (one per
     distinct nonzero level of a pattern, one for an all-zero pattern), each
-    repeated ``repeats_per_pattern`` times for a canonical basis.
+    repeated ``repeats_per_pattern`` times for a canonical basis.  The
+    parts are counted off the flat arrays of :func:`decompose_basis`.
     """
     if repeats_per_pattern < 1:
         raise ValueError("repeats_per_pattern must be >= 1")
-    frames = sum(sub.part_count for sub in decompose_basis(basis))
+    frames = decompose_basis(basis).owner.size
     return frames * repeats_per_pattern if basis.label == CANONICAL else frames

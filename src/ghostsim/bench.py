@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import (CANONICAL, PatternBasis, _exact_in_float64, _factor_form, _row_blocks,
-                    decompose_basis)
+from .bases import (CANONICAL, Decomposition, PatternBasis, _factor_form, _FactorForm,
+                    _row_blocks, _split_rows, decompose_basis)
 from .core import GridSpec
 from .errors import ConfigError, DimensionError, ProtocolError
 from .pgmio import read_pgm
@@ -259,13 +259,14 @@ def _order_free(o: np.ndarray, scale: int, taps: int) -> bool:
     return int(np.ldexp(a, b).sum()) * scale <= 2**53
 
 
-def _factor_overlaps(o: np.ndarray, basis: PatternBasis, owner: np.ndarray,
-                     level: np.ndarray) -> np.ndarray | None:
-    """Overlaps of a separable basis from a few products of ``side x side``
-    matrices, or None when they might not be exact.
+def _factor_overlaps(o: np.ndarray, form: _FactorForm,
+                     split: Decomposition) -> np.ndarray | None:
+    """Overlaps of the frames of ``split`` from a few products of ``side x
+    side`` matrices, or None when they might not be exact.
 
-    With the set's factor form (:class:`~ghostsim.bases._FactorForm`), the
-    overlap of the frame of level ``l`` in pattern ``(r, c)`` is
+    With the set's factor form ``form`` (see
+    :class:`~ghostsim.bases._FactorForm`), which ``split`` was taken from,
+    the overlap of the frame of level ``l`` in pattern ``(r, c)`` is
     ``2**-shift * sum_S coef[l, S] * (A_S O B_S^T)[r, c]``.  For ``F = I``
     (``shift = 0``) each product is the object shifted, exactly.  The
     result equals the bucket read's dot, whatever order either sums in,
@@ -274,17 +275,23 @@ def _factor_overlaps(o: np.ndarray, basis: PatternBasis, owner: np.ndarray,
     order), or when :func:`_order_free` holds for the largest ``sum_S
     |coef[l, S]|``.
     """
-    form = _factor_form(basis)
-    if form is None:
-        return None
     scale = int(np.abs(form.coef).sum(axis=1).max())
     # only F = I has shift 0, and its terms are exact
     if not ((form.shift == 0 and scale <= 2) or _order_free(o, scale, form.shift)):
         return None
     acc = form.total(lambda a, b: a.astype(float) @ o @ b.astype(float).T, float)
-    overlap = np.ldexp(acc[np.searchsorted(form.values, level), owner], -form.shift)
+    level = split.level
+    overlap = np.ldexp(acc[np.searchsorted(form.values, level), split.owner], -form.shift)
     overlap[level == 0.0] = 0.0  # an all-zero pattern's part is dark
     return overlap
+
+
+def _exact_in_float64(arr: np.ndarray) -> bool:
+    """Whether ``arr`` is integer with every entry exact in float64, so that
+    comparing it in its own dtype agrees with a float64 comparison."""
+    if not np.issubdtype(arr.dtype, np.integer):
+        return False
+    return arr.dtype.itemsize <= 4 or max(-int(arr.min()), int(arr.max())) <= 2**53
 
 
 # Pattern entries per block of the dense overlap loop: a float block is
@@ -292,36 +299,53 @@ def _factor_overlaps(o: np.ndarray, basis: PatternBasis, owner: np.ndarray,
 _PLAN_ELEMENTS = 1 << 16
 
 
-def _dense_overlaps(basis: PatternBasis, owner: np.ndarray, level: np.ndarray,
-                    flat: np.ndarray) -> np.ndarray:
-    """Overlaps of every frame, each made dense in float64 from a row
-    block of the basis and dotted with the object the way one bucket read
-    is.  ``owner`` is ascending, so each row block's frames are a run of
-    parts."""
+def _dense_overlaps(basis: PatternBasis, flat: np.ndarray,
+                    split: Decomposition | None = None):
+    """``(split, overlap)``: the split of the basis and the overlap of each
+    of its frames, made dense in float64 from a row block of the basis and
+    dotted with the object the way one bucket read is.  The basis is walked
+    once: each row block gives its own parts, by
+    :func:`~ghostsim.bases._split_rows`, or, when ``split`` is known, the
+    run of its parts (``owner`` is ascending), and then their frames."""
     step = max(1, _PLAN_ELEMENTS // flat.size)
-    buf, overlap = np.empty((min(owner.size, step), flat.size)), np.empty(owner.size)
+    buf = np.empty((step, flat.size))
+    owners, levels, overlaps = [], [], []
     for start, rows in _row_blocks(basis):
-        first, last = np.searchsorted(owner, [start, start + len(rows)]).tolist()
+        if split is None:
+            owner, level = _split_rows(rows, start)
+        else:
+            first, last = np.searchsorted(split.owner, [start, start + len(rows)]).tolist()
+            owner, level = split.owner[first:last], split.level[first:last]
         # levels are values of the rows, so the cast is exact where it is made
         exact = _exact_in_float64(rows)
-        for s in range(first, last, step):
-            e = min(s + step, last)
+        overlap = np.empty(owner.size)
+        for s in range(0, owner.size, step):
+            e = min(s + step, owner.size)
             key = level[s:e, None].astype(rows.dtype) if exact else level[s:e, None]
             block = buf[:e - s]
             np.equal(rows[owner[s:e] - start], key, out=block)
             block[level[s:e] == 0.0] = 0.0  # an all-zero pattern's part is dark
             np.matmul(block[:, None, :], flat[:, None], out=overlap[s:e, None, None])
-    return overlap
+        owners.append(owner)
+        levels.append(level)
+        overlaps.append(overlap)
+    if split is None:
+        split = Decomposition(np.concatenate(owners), np.concatenate(levels))
+    return split, np.concatenate(overlaps)
 
 
 def plan_acquisition(obj, basis: PatternBasis,
                      repeats_per_pattern: int) -> MeasurementPlan:
     """Plan for acquiring every pattern of ``basis`` with a binary modulator.
 
-    Every basis is split by :func:`~ghostsim.bases.decompose_basis`.  A
-    canonical basis must split into weight-1 parts (an all-zero pattern's
-    dark part allowed): each part is projected ``repeats_per_pattern``
-    times and the reads averaged (that many identical parts of weight
+    Every basis is split into the flat ``owner`` and ``level`` arrays of a
+    :class:`~ghostsim.bases.Decomposition`, as
+    :func:`~ghostsim.bases.decompose_basis` splits it: from the factor when
+    the basis has a factor form, and otherwise a row block at a time, in
+    the same pass that makes the block's frames.  A canonical basis must
+    split into weight-1 parts (an all-zero pattern's dark part allowed):
+    each part is projected ``repeats_per_pattern`` times and the reads
+    averaged (that many identical parts of weight
     ``1/repeats_per_pattern``).  Any other basis projects each part once,
     weighted by its level; ``repeats_per_pattern`` is not used.
     :func:`~ghostsim.bases.projection_count` counts frames by the same rule.
@@ -330,7 +354,7 @@ def plan_acquisition(obj, basis: PatternBasis,
     what one bucket read's ``float(np.dot(frame, object))`` gives, bit for
     bit, by one of two paths chosen per basis and object:
 
-    * **factor**, when the basis has a ``factor`` (a parent, or a parent
+    * **factor**, when the basis has a factor form (a parent, or a parent
       modified once) and its sums come out the same in any order.  A
       canonical level on at most two taps is ``fl(a + b)`` of the object
       values it lights, which the dot gives too: it adds only exact zeros
@@ -338,7 +362,7 @@ def plan_acquisition(obj, basis: PatternBasis,
       every partial sum exact.  :func:`_factor_overlaps` then forms the
       overlaps from a few products of ``side x side`` matrices.
     * **dense** otherwise.  The basis makes its patterns a row block at a
-      time (from the factor when it holds no stack), and each block's
+      time (from the factor when it holds no stack), once, and each block's
       frames are compared in the rows' own dtype when its entries are
       exact in float64 and in float64 otherwise, as binary_decompose
       compares.  They are written into one reused float64 buffer, and each
@@ -354,16 +378,18 @@ def plan_acquisition(obj, basis: PatternBasis,
         raise DimensionError("object grid does not match basis grid")
     if repeats_per_pattern < 1:
         raise ValueError("repeats_per_pattern must be >= 1")
-    subs = decompose_basis(basis)
-    owner = np.repeat(np.arange(len(subs)), [sub.part_count for sub in subs])
-    level = np.array([w for sub in subs for w in sub.weights])
+    form = _factor_form(basis)
+    split = overlap = None
+    if form is not None:
+        split = decompose_basis(basis)
+        overlap = _factor_overlaps(o, form, split)
+    if overlap is None:
+        split, overlap = _dense_overlaps(basis, o.ravel(), split)
+    owner, level = split.owner, split.level
     canonical = basis.label == CANONICAL
     if canonical and not np.all((level == 1.0) | (level == 0.0)):
         raise ProtocolError("a canonical basis must be binary; a multi-level "
                             "basis is split into binary parts under another label")
-    overlap = _factor_overlaps(o, basis, owner, level)
-    if overlap is None:
-        overlap = _dense_overlaps(basis, owner, level, o.ravel())
     if canonical:
         r = repeats_per_pattern
         return MeasurementPlan(basis.grid, np.repeat(owner, r),

@@ -13,6 +13,7 @@ import ghostsim.bases as bases_module
 import ghostsim.bench as bench_module
 import ghostsim.core as core_module
 from ghostsim import (
+    Decomposition,
     DimensionError,
     GridSpec,
     Kernel,
@@ -404,14 +405,32 @@ def assert_same_decomposition(got, want, basis):
             assert np.array_equal(g_part, w_part)
 
 
+def assert_split_arrays(got, want):
+    """``got`` is a :class:`Decomposition` whose flat arrays list the parts of
+    ``want``, pattern by pattern, and whose items, read by any index, are
+    ``want``'s."""
+    assert isinstance(got, Decomposition)
+    assert got.owner.dtype == np.intp and got.level.dtype == np.float64
+    assert not got.owner.flags.writeable and not got.level.flags.writeable
+    assert got.owner.tolist() == [sub.parent_index for sub in want for _ in sub.weights]
+    assert got.level.tolist() == [w for sub in want for w in sub.weights]
+    m = len(want)
+    for j in {0, m // 2, m - 1}:
+        assert got[j] == want[j] == got[j - m]
+        assert all(type(wt) is float for wt in got[j].weights)
+    for j in (m, -m - 1):
+        with pytest.raises(IndexError):
+            got[j]
+
+
 def split_overlaps(obj, basis):
     """Overlaps of the frames of :func:`binary_decompose`, pattern by pattern."""
     return part_overlaps(obj, basis, [binary_decompose(p, j) for j, p in enumerate(basis)])
 
 
-# value sets per stack kind: levels within the integer scan, an integer range
-# wider than it, integers past 2**53 that float64 merges, non-integral
-# floats, and many distinct floats; all but the first go pattern by pattern
+# value sets per stack kind: few small integers, a wide integer range,
+# integers past 2**53 that float64 merges, non-integral floats (with -0.0),
+# and many distinct floats
 STACK_KINDS = {
     "int8": (np.int8, st.integers(-5, 5)),
     "int16-wide": (np.int16, st.integers(-300, 300)),
@@ -432,14 +451,18 @@ def pattern_stacks(draw):
 
 class TestDecomposeBasis:
     @settings(max_examples=150, deadline=None)
-    @given(basis=pattern_stacks(), scan_elements=st.sampled_from([1, 7, 40, 1 << 18]))
-    def test_matches_pattern_by_pattern(self, basis, scan_elements):
-        # small scan blocks split the stack into many row blocks
+    @given(basis=pattern_stacks(), scan_elements=st.sampled_from([1, 7, 40, 1 << 18]),
+           sort_elements=st.sampled_from([1, 13, 1 << 15]))
+    def test_matches_pattern_by_pattern(self, basis, scan_elements, sort_elements):
+        # small scan blocks split the stack into many row blocks, and small
+        # sort chunks a block into many runs of rows
         want = [binary_decompose(p, j) for j, p in enumerate(basis)]
-        with mock.patch.object(bases_module, "_SCAN_ELEMENTS", scan_elements):
+        with mock.patch.object(bases_module, "_SCAN_ELEMENTS", scan_elements), \
+                mock.patch.object(bases_module, "_SORT_ELEMENTS", sort_elements):
             got = decompose_basis(basis)
             count = projection_count(basis, 1)
         assert_same_decomposition(got, want, basis)
+        assert_split_arrays(got, want)
         assert count == sum(sub.part_count for sub in want)
 
     @settings(max_examples=100, deadline=None)
@@ -537,8 +560,9 @@ class TestFactorOnlySets:
         if (np.array_equal(basis.factor, np.eye(basis.grid.side))
                 or (all(v == int(v) for v in taps) and len(taps) <= bases_module._SIGN_TAPS)):
             assert bases_module._factor_form(basis) is not None
-        assert_same_decomposition(decompose_basis(basis), decompose_basis(held_copy(basis)),
-                                  basis)
+        got = decompose_basis(basis)
+        assert_same_decomposition(got, decompose_basis(held_copy(basis)), basis)
+        assert_split_arrays(got, [binary_decompose(p, j) for j, p in enumerate(basis)])
 
     @settings(max_examples=100, deadline=None)
     @given(basis=separable_sets(), seed=st.integers(0, 2**32 - 1),
@@ -551,15 +575,19 @@ class TestFactorOnlySets:
         obj = np.random.default_rng(seed).uniform(0.0, 1.0, size=(side, side))
         held = held_copy(basis)
         subs = decompose_basis(held)
-        owner = np.repeat(np.arange(len(subs)), [sub.part_count for sub in subs])
-        level = np.array([w for sub in subs for w in sub.weights])
         with mock.patch.object(bench_module, "_PLAN_ELEMENTS", plan_elements), \
                 mock.patch.object(bases_module, "_SCAN_ELEMENTS", scan_elements):
-            got = bench_module._dense_overlaps(basis, owner, level, obj.ravel())
+            # each row block split as it is made, or the parts given
+            scanned, got = bench_module._dense_overlaps(basis, obj.ravel())
+            given_split, got_given = bench_module._dense_overlaps(basis, obj.ravel(), subs)
             rows = np.concatenate([r for _, r in bases_module._row_blocks(basis)])
         assert rows.dtype == held.stack.dtype
         assert np.array_equal(rows, held.stack.reshape(len(held), -1))
+        assert given_split is subs
+        assert np.array_equal(scanned.owner, subs.owner)
+        assert np.array_equal(scanned.level, subs.level)
         assert np.array_equal(got, part_overlaps(obj, held, subs))
+        assert np.array_equal(got_given, got)
 
     @pytest.mark.parametrize("build", [canonical_basis, hadamard_basis])
     def test_sets_hold_no_stack(self, build, edge_kernel):
@@ -573,6 +601,50 @@ class TestFactorOnlySets:
             PatternBasis(GridSpec(2), None, "custom", np.eye(2))
         with pytest.raises(DimensionError, match="does not fit"):
             modify_basis(build(GridSpec(2)), edge_kernel)
+
+    @pytest.mark.parametrize("taps", [[[0, -0.5, 0], [-0.5, 0, 0.5], [0, 0.5, 0]],
+                                      [[0, -1, 0], [-1, 0, 1], [0, 1, 0]]])
+    def test_dense_plan_walks_the_row_blocks_once(self, taps, monkeypatch):
+        # non-integral taps leave the Hadamard set without a factor form, so
+        # each row block is split as it is made; integral ones split it from
+        # the factor.  A non-dyadic object sends both down the dense path.
+        basis = modify_basis(hadamard_basis(GridSpec(16)), Kernel(taps))
+        obj = np.random.default_rng(4).integers(0, 256, size=(16, 16)) / 255
+        want = plan_acquisition(obj, held_copy(basis), 1)
+        walks, made = [], []
+        rows, blocks = PatternBasis._rows, bases_module._row_blocks
+
+        def spy(self, start, stop):
+            made.append(start)
+            return rows(self, start, stop)
+
+        def walk(basis):
+            walks.append(basis)
+            return blocks(basis)
+
+        monkeypatch.setattr(PatternBasis, "_rows", spy)
+        for module in (bases_module, bench_module):
+            monkeypatch.setattr(module, "_row_blocks", walk)
+        plan = plan_acquisition(obj, basis, 1)
+        assert walks == [basis]
+        assert made == list(range(0, len(basis), bases_module._SCAN_ELEMENTS // 256))
+        assert np.array_equal(plan.owner, want.owner)
+        assert np.array_equal(plan.weight, want.weight)
+        assert np.array_equal(plan.overlap, want.overlap)
+
+    def test_decomposition_arrays_are_checked(self):
+        split = Decomposition([0, 0, 1], [2.0, -1.0, 0.0])
+        assert len(split) == 2 and split[1] == bases_module.SubPatternSet(1, (0.0,))
+        with pytest.raises(DimensionError, match="equal length"):
+            Decomposition([0, 1], [1.0])
+        # a pattern with no part, an owner list out of order, one that does
+        # not start at pattern 0
+        for owner in ([0, 2], [0, 1, 0], [1, 1]):
+            with pytest.raises(DimensionError, match="count up from 0"):
+                Decomposition(owner, [1.0] * len(owner))
+        assert len(Decomposition([], [])) == 0
+        with pytest.raises(TypeError):
+            split[0:1]
 
     def test_dense_plan_peaks_far_below_the_stack(self, edge_kernel):
         # a non-dyadic object sends the side-64 edge-modified Hadamard set

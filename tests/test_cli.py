@@ -12,6 +12,8 @@ from ghostsim import (
     DimensionError,
     GridSpec,
     PatternBasis,
+    SubPatternSet,
+    decompose_basis,
     hadamard_basis,
     modify_basis,
     parse_config,
@@ -286,9 +288,8 @@ class TestNoStackOnTheRunPath:
     path reads none, and the dense path makes its frames a row block at a
     time."""
 
-    @pytest.mark.parametrize("scene", ["bar-target", "file-object"])
-    @pytest.mark.parametrize("basis", ["canonical", "hadamard"])
-    def test_run_never_builds_a_whole_stack(self, basis, scene, tmp_path, monkeypatch):
+    @staticmethod
+    def config(basis, scene, tmp_path):
         text = f"grid_side = 32\nbar_groups = 2\nbasis = {basis}\n"
         if scene == "file-object":
             # gray / 65535 is not dyadic, so a Hadamard set takes the dense path
@@ -296,6 +297,11 @@ class TestNoStackOnTheRunPath:
             lines = [" ".join(map(str, row)) for row in gray.tolist()]
             (tmp_path / "obj.pgm").write_text("P2\n32 32\n65535\n" + "\n".join(lines))
             text += f"object_path = {tmp_path / 'obj.pgm'}\n"
+        return parse_config(text)
+
+    @pytest.mark.parametrize("scene", ["bar-target", "file-object"])
+    @pytest.mark.parametrize("basis", ["canonical", "hadamard"])
+    def test_run_never_builds_a_whole_stack(self, basis, scene, tmp_path, monkeypatch):
         blocks, rows = [], PatternBasis._rows
 
         def spy(self, start, stop):
@@ -308,10 +314,27 @@ class TestNoStackOnTheRunPath:
 
         monkeypatch.setattr(PatternBasis, "_rows", spy)
         monkeypatch.setattr(PatternBasis, "stack", property(whole))
-        run_experiment(parse_config(text), tmp_path / "out")
+        run_experiment(self.config(basis, scene, tmp_path), tmp_path / "out")
         assert all(count < total for count, total in blocks)
         # only the dense path makes rows
         assert bool(blocks) == (basis == "hadamard" and scene == "file-object")
+
+    @pytest.mark.parametrize("scene", ["bar-target", "file-object"])
+    @pytest.mark.parametrize("basis", ["canonical", "hadamard"])
+    def test_run_makes_no_object_per_pattern(self, basis, scene, tmp_path, monkeypatch):
+        # the splits stay flat arrays from the factor to the plans
+        made, init = [], SubPatternSet.__init__
+
+        def spy(self, *args):
+            made.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(SubPatternSet, "__init__", spy)
+        run_experiment(self.config(basis, scene, tmp_path), tmp_path / "out")
+        assert made == []
+        # reading an item of a split makes one
+        assert decompose_basis(hadamard_basis(GridSpec(2)))[-1].weights == (1.0, -1.0)
+        assert made == [(3, (1.0, -1.0))]
 
 
 class TestObjectFile:
