@@ -1,17 +1,21 @@
 """Illumination-pattern sets.
 
-Canonical (one-hot raster) and Hadamard generators, filter-modified variants
-of either, and the split of a multi-level pattern into weighted binary parts
-that a two-state amplitude modulator can actually project.  A parent, and a
-parent modified once, holds only its ``side x side`` factor and the kernel:
-its patterns are made a row block at a time (:meth:`PatternBasis._rows`)
-where a scan needs them, and its levels come from the factor with no scan,
-so no set built here holds a ``side**4`` stack.  A split is described by its
+Canonical (one-hot raster) and Hadamard generators, their filter-modified
+sets, and the split of a multi-level pattern into weighted binary parts that
+a two-state amplitude modulator can actually project.  Every set is a
+parent's ``side x side`` factor and at most one kernel, so no set built here
+holds a ``side**4`` stack; a pattern is made from the factor only where one
+is asked for.
+
+A pattern's value at a pixel depends only on two short windows of the
+factor, one in its row and one in its column (:class:`_WindowForm`).  A set
+has few distinct windows, so its levels, each level's pixel counts and each
+frame's overlap with an object come from those windows and a few ``side x
+side`` products, with no scan over patterns.  A split is described by its
 levels alone: part ``k`` of pattern ``P`` is the frame ``P == level_k``, so
 no part image is stored.  The split of a whole set is two flat arrays, the
-owner and the level of each part (:class:`Decomposition`), made from the
-factor or a row block at a time; no object is made per pattern unless one
-is asked for.
+owner and the level of each part (:class:`Decomposition`); no object is made
+per pattern unless one is asked for.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GridSpec, Kernel, _require_fits, _stencil, _stencil_dtype
-from .errors import DimensionError, UnsupportedSizeError
+from .errors import DimensionError, ProtocolError, UnsupportedSizeError
 
 __all__ = [
     "CANONICAL",
@@ -42,67 +46,51 @@ __all__ = [
 CANONICAL = "canonical"
 HADAMARD = "hadamard"
 
-# Pattern entries per row block of a scan (64 patterns at side 64): an int8
-# block is 256 KiB, and its ``block == level`` mask as much again.
+# Pattern entries per row block of the dense frames (64 patterns at side
+# 64): an int8 block is 256 KiB.
 _SCAN_ELEMENTS = 1 << 18
 
 
 class PatternBasis:
-    """Ordered, complete set of ``side**2`` patterns sharing one grid.
+    """Ordered, complete set of ``side**2`` patterns sharing one grid, held
+    as a factor and at most one kernel.
 
-    ``factor`` is the ``side x side`` matrix ``F`` of a separable set:
-    pattern ``j = r * side + c`` is ``kernel * outer(F[r], F[c])``, the
-    cyclic convolution of that outer product with ``kernel``, or the outer
-    product itself when ``kernel`` is None.  The parents have ``F = I``
-    (canonical) or ``F = H_side`` (Hadamard) and no kernel; their
-    filter-modified sets keep ``F`` and record the kernel.  Such a set is
-    built with ``stack=None`` and holds no patterns: it needs an integer
-    factor with entries in ``{-1, 0, 1}``, so that every row block it makes
-    has the dtype of the whole set.  A custom set holds its ``stack``, of
-    shape ``(pixel_count, side, side)``, with or without a factor; its dtype
-    may be integer or float, and a float stack must be finite.
+    ``factor`` is the ``side x side`` matrix ``F``: pattern ``j = r * side
+    + c`` is ``kernel * outer(F[r], F[c])``, the cyclic convolution of that
+    outer product with ``kernel``, or the outer product itself when
+    ``kernel`` is None.  The parents have ``F = I`` (canonical) or ``F =
+    H_side`` (Hadamard) and no kernel; their filter-modified sets keep ``F``
+    and record the kernel.  ``F`` must be integer with entries in ``{-1, 0,
+    1}``, so that every block of patterns has the dtype of the whole set:
+    integer for a parent (int8) and for integral taps whose sum is exact
+    (int8 for the edge stencil), float64 for any other kernel.
 
-    ``stack`` is that array for a custom set, and for a separable set a
-    new one made on each read (a test oracle: ``side**4`` entries).  The
-    integer parents and their exact filter-modified sets are integer (int8
-    for the edge stencil); any other kernel gives float64.  The arrays are
-    read-only, so one basis serves every cell of a sweep, in any order.
+    No set holds its patterns.  ``pattern(j)`` makes one, and ``stack``
+    makes all of them, shape ``(pixel_count, side, side)``, anew on each
+    read: a test oracle of ``side**4`` entries that no run path reads.  The
+    arrays are read-only, so one basis serves every cell of a sweep, in any
+    order.
     """
 
-    __slots__ = ("grid", "label", "factor", "kernel", "_held")
+    __slots__ = ("grid", "label", "factor", "kernel")
 
-    def __init__(self, grid: GridSpec, stack, label: str, factor=None,
-                 kernel: Kernel | None = None):
+    def __init__(self, grid: GridSpec, label: str, factor, kernel: Kernel | None = None):
         n = grid.side
-        if stack is not None:
-            stack = np.asarray(stack)
-            expected = (grid.pixel_count, n, n)
-            if stack.shape != expected:
-                raise DimensionError(
-                    f"basis stack must have shape {expected}, got {stack.shape}")
-            # an integer stack is finite by construction; skip the scan
-            if (not np.issubdtype(stack.dtype, np.integer)
-                    and not np.all(np.isfinite(stack))):
-                raise DimensionError("basis patterns must be finite")
-            stack.setflags(write=False)
-        if factor is not None:
-            factor = np.asarray(factor)
-            if factor.shape != (n, n):
-                raise DimensionError(
-                    f"basis factor must have shape {(n, n)}, got {factor.shape}")
-            factor.setflags(write=False)
+        factor = np.asarray(factor)
+        if factor.shape != (n, n):
+            raise DimensionError(
+                f"basis factor must have shape {(n, n)}, got {factor.shape}")
+        if not np.issubdtype(factor.dtype, np.integer) or np.abs(factor).max() > 1:
+            raise DimensionError("a basis needs an integer factor with entries "
+                                 "in {-1, 0, 1}")
+        factor.setflags(write=False)
         if kernel is not None:
             _require_fits(kernel, n)
-        if stack is None:
-            if (factor is None or not np.issubdtype(factor.dtype, np.integer)
-                    or np.abs(factor).max() > 1):
-                raise DimensionError("a basis without a stack needs an integer "
-                                     "factor with entries in {-1, 0, 1}")
             # each entry sums at most every tap once
-            if kernel is not None and not np.isfinite(np.abs(kernel.taps).sum()):
+            if not np.isfinite(np.abs(kernel.taps).sum()):
                 raise DimensionError("basis patterns must be finite")
         for name, value in (("grid", grid), ("label", label), ("factor", factor),
-                            ("kernel", kernel), ("_held", stack)):
+                            ("kernel", kernel)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -113,12 +101,9 @@ class PatternBasis:
 
     def _rows(self, start: int, stop: int) -> np.ndarray:
         """Patterns ``start:stop``, each flattened to a row of ``side**2``
-        entries: a read-only view of a held stack, or else made from the
-        factor as ``outer(F[r], F[c])`` and filtered by
-        :func:`~ghostsim.core._stencil`.  Either way the rows have the
-        values and dtype of the same rows of the whole stack."""
-        if self._held is not None:
-            return self._held.reshape(len(self), -1)[start:stop]
+        entries, made from the factor as ``outer(F[r], F[c])`` and filtered
+        by :func:`~ghostsim.core._stencil`: the values and dtype of the
+        same rows of the whole stack."""
         n, f = self.grid.side, self.factor
         j = np.arange(start, min(stop, len(self)))
         block = f[j // n, :, None] * f[j % n, None, :]
@@ -128,8 +113,6 @@ class PatternBasis:
 
     @property
     def stack(self) -> np.ndarray:
-        if self._held is not None:
-            return self._held
         n = self.grid.side
         stack = self._rows(0, len(self)).reshape(len(self), n, n)
         stack.setflags(write=False)
@@ -155,7 +138,7 @@ def _row_blocks(basis: PatternBasis):
 
 def canonical_basis(grid: GridSpec) -> PatternBasis:
     """One-hot pattern per pixel, ordered by flattened index."""
-    return PatternBasis(grid, None, CANONICAL, _parent_factor(CANONICAL, grid.side))
+    return PatternBasis(grid, CANONICAL, _parent_factor(CANONICAL, grid.side))
 
 
 def _require_power_of_two(side: int):
@@ -183,109 +166,133 @@ def hadamard_basis(grid: GridSpec) -> PatternBasis:
     """Rows of the Sylvester-ordered Hadamard matrix of side ``side**2``,
     reshaped row-major; entries are exactly +/-1.  That matrix is
     ``H_side (x) H_side``, so the set is held as the factor ``H_side``."""
-    return PatternBasis(grid, None, HADAMARD, _parent_factor(HADAMARD, grid.side))
+    return PatternBasis(grid, HADAMARD, _parent_factor(HADAMARD, grid.side))
 
 
 def modify_basis(basis: PatternBasis, kernel: Kernel) -> PatternBasis:
-    """Cyclically convolve every pattern with ``kernel``.
+    """Cyclically convolve every pattern of a parent with ``kernel``.
 
-    An integer stack filtered by integral taps stays integer, in the
-    stack's dtype widened only where the sum could overflow it (int8 for
-    the edge stencil on either parent); the values equal the float64
-    sum's.  Any other stack or kernel gives float64.  Pattern order is
-    preserved and the label records parentage, so a modified basis can
-    always be traced back to the set used for reconstruction.  A parent's
-    factor is kept and ``kernel`` recorded beside it, and no stack is
-    built unless the parent holds one; a set that already has a kernel,
-    or no factor, gives a custom set holding its filtered stack.
+    The parent's factor is kept and ``kernel`` recorded beside it; no
+    pattern is made.  Integral taps with an exact integer sum keep the
+    patterns integer, in the parent's dtype widened only where the sum
+    could overflow it (int8 for the edge stencil on either parent); the
+    values equal the float64 sum's.  Any other kernel gives float64.
+    Pattern order is preserved and the label records parentage, so a
+    modified basis can always be traced back to the set used for
+    reconstruction.  Only a parent can be modified: a set modified twice
+    is its parent modified once, by the convolution of the two kernels.
     """
+    if basis.kernel is not None:
+        raise ProtocolError(f"{basis.label} is already filter-modified; modify "
+                            f"its parent instead")
     label = f"modified({basis.label},{kernel.name or 'custom'})"
-    if basis.factor is None or basis.kernel is not None:
-        return PatternBasis(basis.grid, _stencil(basis.stack, kernel, 1), label)
-    held = None if basis._held is None else _stencil(basis._held, kernel, 1)
-    return PatternBasis(basis.grid, held, label, basis.factor, kernel)
+    return PatternBasis(basis.grid, label, basis.factor, kernel)
 
 
-# Most kernel taps a +/-1 factor form takes: it sums over ``2**taps``
-# subsets of taps.
-_SIGN_TAPS = 6
+def _windows(f: np.ndarray, offsets: list[int]):
+    """``(ids, windows)``: ``ids[r, i]`` numbers the window ``f[r, i -
+    offsets]`` (indices wrap) among the distinct ones, which are the rows
+    of ``windows``.  Each offset extends the windows by one entry, which is
+    -1, 0 or 1, so the code of a window is below ``3 * side**2``; the
+    codes are numbered by sorting, not by ``np.unique``, which loads
+    ``numpy.ma``."""
+    n = len(f)
+    ids = np.zeros((n, n), dtype=np.intp)
+    for d in offsets:
+        code = 3 * ids + np.roll(f, d, axis=1) + 1
+        ids = np.searchsorted(_sorted_unique(code), code)
+    first = np.zeros(int(ids.max()) + 1, dtype=np.intp)
+    first[ids.ravel()] = np.arange(n * n)  # some (r, i) of each window
+    r, i = np.divmod(first, n)
+    return ids, f[r[:, None], (i[:, None] - np.array(offsets, dtype=int)) % n]
+
+
+def _tally(ids: np.ndarray, count: int) -> np.ndarray:
+    """``t[r, a]``: how many entries of row ``r`` of ``ids`` are ``a``, in
+    float64 (exact: at most ``side``)."""
+    n = len(ids)
+    flat = (np.arange(n)[:, None] * count + ids).ravel()
+    return np.bincount(flat, minlength=n * count).reshape(n, count).astype(float)
 
 
 @dataclass(frozen=True, eq=False)
-class _FactorForm:
-    """Every frame of a separable set as a sum over a few ``side x side``
-    matrices of its factor.
+class _WindowForm:
+    """Every pattern of a set as the levels of pairs of factor windows.
 
-    Pattern ``(r, c)`` is ``sum_t v_t x_t`` with ``x_t = outer(a_t, b_t)``,
-    ``a_t = roll(F[r], dr_t)`` and ``b_t = roll(F[c], dc_t)`` for the ``T``
-    taps ``v_t`` at ``(dr_t, dc_t)`` (one unit tap for a parent).  The
-    frame of level ``values[l]`` is ``2**-shift * sum_S coef[l, S] *
-    outer(A_S[r], B_S[c])``, where ``A_S`` (``B_S``) is the entrywise
-    product of the rolled factors over the taps in subset ``S`` (row ``S``
-    of ``member``):
+    With the kernel's taps ``v_t`` at ``(dr_t, dc_t)`` (one unit tap for a
+    parent), pattern ``(r, c)`` at pixel ``(i, j)`` is ``sum_t v_t F[r, i -
+    dr_t] F[c, j - dc_t]`` (indices wrap).  That is a function of the row
+    window ``F[r, i - D_r]`` and the column window ``F[c, j - D_c]`` alone,
+    where ``D_r`` and ``D_c`` are the kernel's distinct row and column
+    offsets.  ``rows[r, i]`` numbers the row window at ``(r, i)`` and
+    ``cols[c, j]`` the column window at ``(c, j)``.  ``pairs[a, b]`` is the
+    index in ``values`` (the distinct nonzero levels, ascending) of the
+    level of the window pair ``(a, b)``, or ``len(values)`` for level 0.
 
-    * ``F = I``: ``S`` runs over single taps, ``coef[l, t] = [v_t = l]``
-      and ``shift = 0``.  A kernel fits its grid, so its taps light
-      distinct pixels.
-    * ``F`` is +/-1, the taps integral with an integer stencil sum and
-      ``T <= _SIGN_TAPS``: each ``x_t`` is +/-1, so the frame of level
-      ``l`` is the sum over sign vectors ``s`` with ``v . s = l`` of
-      ``prod_t (1 + s_t x_t) / 2``.  ``S`` runs over the subsets of taps,
-      ``coef[l, S] = sum_{v . s = l} prod_{t in S} s_t`` and ``shift = T``.
-
-    ``values`` lists the levels ascending, 0 included.
+    Let ``U_a[r, i] = [rows[r, i] = a]`` and let ``M_al[c, j]`` be 1 where
+    ``pairs[a, cols[c, j]] = l``.  The frame of level ``l`` in pattern ``(r,
+    c)`` is then ``sum_a outer(U_a[r], M_al[c])``: it lights ``sum_a
+    rowsum(U_a)[r] * rowsum(M_al)[c]`` pixels (:meth:`counts`) and overlaps
+    an object ``O`` by ``sum_a (U_a O M_al^T)[r, c]`` (:meth:`overlaps`).
+    Every entry of ``U_a`` and ``M_al`` is 0 or 1, and the frames of one
+    pattern light distinct pixels, so each partial sum of an overlap is a
+    sum of distinct object values.
     """
 
-    factor: np.ndarray
-    offsets: list[tuple[int, int]]
-    member: np.ndarray
-    coef: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    pairs: np.ndarray
     values: np.ndarray
-    shift: int
 
-    def total(self, pair, dtype) -> np.ndarray:
-        """``sum_S outer(coef[:, S], pair(A_S, B_S).ravel())``: one row per
-        level and one column per pattern, in ``dtype``.  ``A_S`` and
-        ``B_S`` are exact, in the factor's dtype."""
-        f = self.factor
-        rows = [np.roll(f, dr, axis=1) for dr, _ in self.offsets]
-        cols = [np.roll(f, dc, axis=1) for _, dc in self.offsets]
-        acc = np.zeros((len(self.values), f.size), dtype)
-        for k, subset in enumerate(self.member):
-            if not self.coef[:, k].any():
-                continue
-            a, b = np.ones_like(f), np.ones_like(f)
-            for i in np.flatnonzero(subset):
-                a *= rows[i]
-                b *= cols[i]
-            acc += np.multiply.outer(self.coef[:, k], pair(a, b).ravel())
-        return acc
+    def _levels(self) -> np.ndarray:
+        """``E[l, a, b] = [pairs[a, b] = l]``, in float64."""
+        return (self.pairs == np.arange(len(self.values))[:, None, None]).astype(float)
+
+    def counts(self) -> np.ndarray:
+        """Pixels of each level (a row) in each pattern (a column), as
+        exact integers in float64: ``tally(rows) E_l tally(cols)^T``."""
+        a, b = self.pairs.shape
+        rows, cols = _tally(self.rows, a), _tally(self.cols, b)
+        return (rows @ (self._levels() @ cols.T)).reshape(len(self.values), self.rows.size)
+
+    def overlaps(self, o: np.ndarray) -> np.ndarray:
+        """Overlap of each level's frame (a row) in each pattern (a
+        column) with the object ``o``: for each row window, one product
+        ``U_a O``, and one with the ``M_al`` of each level it reaches."""
+        n, levels = len(o), self._levels()
+        acc = np.zeros((len(self.values), n, n))
+        for a, reach in enumerate(levels.any(axis=2).T):
+            if reach.any():
+                x = (self.rows == a).astype(float) @ o
+                for level in np.flatnonzero(reach):
+                    acc[level] += x @ levels[level, a][self.cols].T
+        return acc.reshape(len(self.values), n * n)
 
 
-def _factor_form(basis: PatternBasis) -> _FactorForm | None:
-    """The factor form of a separable set, or None when it has none (no
-    factor, a +/-1 factor with non-integral taps or more than
-    ``_SIGN_TAPS`` taps, or any other factor)."""
+def _window_form(basis: PatternBasis) -> _WindowForm:
+    """The window form of a set.  The level of each window pair is made
+    with :func:`~ghostsim.core._stencil`'s operations, in tap order and in
+    its dtype, so a float kernel's levels have the stencil's bits."""
     f = basis.factor
-    if f is None:
-        return None
     taps = [(0, 0, 1.0)] if basis.kernel is None else list(basis.kernel.offsets())
-    t, tap_values = len(taps), [v for _, _, v in taps]
-    if np.array_equal(f, np.eye(len(f))):
-        member, shift = np.eye(t, dtype=np.int64), 0
-        values = sorted(set(tap_values) | {0.0})
-        coef = (np.array(values)[:, None] == tap_values).astype(np.int64)
-    elif (np.all(np.abs(f) == 1) and t <= _SIGN_TAPS
-          and _stencil_dtype(f, tap_values).kind == "i"):
-        # bit k of a subset index is tap k; a set bit of a sign index is s_k = -1
-        member, shift = (np.arange(1 << t)[:, None] >> np.arange(t)) & 1, t
-        sums = (1 - 2 * member) @ np.array([int(v) for v in tap_values], dtype=np.int64)
-        values = sorted(set(sums.tolist()) | {0})
-        coef = (sums == np.array(values)[:, None]) @ (1 - 2 * ((member @ member.T) & 1))
-    else:
-        return None
-    return _FactorForm(f, [(dr, dc) for dr, dc, _ in taps], member, coef,
-                       np.array(values, dtype=float), shift)
+    row_offsets = sorted({dr for dr, _, _ in taps})
+    col_offsets = sorted({dc for _, dc, _ in taps})
+    rows, row_windows = _windows(f, row_offsets)
+    cols, col_windows = _windows(f, col_offsets)
+    dtype = _stencil_dtype(f, [v for _, _, v in taps])
+    level = np.zeros((len(row_windows), len(col_windows)), dtype=dtype)
+    for dr, dc, v in taps:
+        term = np.multiply.outer(row_windows[:, row_offsets.index(dr)],
+                                 col_windows[:, col_offsets.index(dc)])
+        term = term.astype(dtype, copy=False)
+        term *= int(v) if dtype.kind == "i" else v
+        level += term
+    level = level.astype(float)  # exact: an integer level is below 2**53
+    values = _sorted_unique(level)
+    values = values[values != 0.0]
+    pairs = np.searchsorted(values, level)
+    pairs[level == 0.0] = len(values)
+    return _WindowForm(rows, cols, pairs, values)
 
 
 @dataclass(frozen=True)
@@ -373,43 +380,17 @@ def binary_decompose(pattern, parent_index: int = 0) -> SubPatternSet:
     return SubPatternSet(parent_index, tuple(levels.tolist()) or (0.0,))
 
 
-# Pattern entries sorted at a time (8 patterns at side 64): a float64 copy
-# of 256 KiB.
-_SORT_ELEMENTS = 1 << 15
-
-
-def _split(held: np.ndarray, levels: np.ndarray, start: int = 0):
-    """``(owner, level)`` of the parts of patterns ``start, start + 1, ...``:
-    row ``i`` of the boolean ``held`` flags which of ``levels`` pattern
-    ``start + i`` holds, and ``levels`` (one row for all patterns, or one
-    per pattern) lists them in the order they are projected.  A pattern
-    that holds none gets one dark part, of level 0.0."""
+def _split(held: np.ndarray, levels: np.ndarray):
+    """``(owner, level)`` of the parts of every pattern: row ``j`` of the
+    boolean ``held`` flags which of ``levels`` pattern ``j`` holds, listed
+    in the order they are projected.  A pattern that holds none gets one
+    dark part, of level 0.0."""
     full = np.column_stack([held, ~held.any(axis=1)])
     owner, k = np.divmod(np.flatnonzero(full), full.shape[1])
     lit = k < held.shape[1]
     level = np.zeros(owner.size)
-    level[lit] = np.broadcast_to(levels, held.shape)[owner[lit], k[lit]]
-    return owner + start, level
-
-
-def _split_rows(rows: np.ndarray, start: int):
-    """``(owner, level)`` of the parts of patterns ``start:start +
-    len(rows)``, given flattened as ``rows``: each pattern's distinct
-    nonzero values, descending, compared in float64 as
-    :func:`binary_decompose` compares.  The rows are cast to float64 and
-    sorted one by one, ``_SORT_ELEMENTS`` entries at a time; each run of
-    equal nonzero values is one level."""
-    step = max(1, _SORT_ELEMENTS // rows.shape[1])
-    owners, levels = [], []
-    for i in range(0, len(rows), step):
-        values = rows[i:i + step].astype(float)
-        values.sort(axis=1)
-        held = values != 0.0
-        held[:, :-1] &= values[:, :-1] != values[:, 1:]  # the last of each run
-        owner, level = _split(held[:, ::-1], values[:, ::-1], start + i)  # descending
-        owners.append(owner)
-        levels.append(level)
-    return np.concatenate(owners), np.concatenate(levels)
+    level[lit] = levels[k[lit]]
+    return owner, level
 
 
 def decompose_basis(basis: PatternBasis) -> Decomposition:
@@ -417,30 +398,15 @@ def decompose_basis(basis: PatternBasis) -> Decomposition:
 
     The weights and their order are exactly those of
     :func:`binary_decompose` for each pattern, and they are held as flat
-    arrays (:class:`Decomposition`), with no object per pattern.  A set
-    with a factor form (see :class:`_FactorForm`) takes them from its
-    factor, with no scan: the count of pixels at level ``l`` in pattern
-    ``(r, c)`` is ``2**-shift * sum_S coef[l, S] * rowsum(A_S)[r] *
-    rowsum(B_S)[c]``, exact in integers, and the pattern holds every
-    nonzero level it counts.  Any other set is split a row block at a time
-    (``_row_blocks``) by :func:`_split_rows`.  No part image is built; a
-    frame is ``pattern == weight`` wherever it is needed.
+    arrays (:class:`Decomposition`), with no object per pattern.  They come
+    from the set's window form (:class:`_WindowForm`), with no scan over
+    patterns: a pattern holds every nonzero level whose pixel count in it
+    is positive.  No part image is built; a frame is ``pattern == weight``
+    wherever it is needed.
     """
-    form = _factor_form(basis)
-    if form is not None:
-        return _factor_decompose(form)
-    owners, levels = zip(*(_split_rows(rows, start) for start, rows in _row_blocks(basis)))
-    return Decomposition(np.concatenate(owners), np.concatenate(levels))
-
-
-def _factor_decompose(form: _FactorForm) -> Decomposition:
-    """The split of every pattern of a set, from its factor form."""
-    counts = form.total(lambda a, b: np.multiply.outer(a.sum(axis=1, dtype=np.int64),
-                                                       b.sum(axis=1, dtype=np.int64)),
-                        np.int64) >> form.shift
-    nonzero = form.values != 0.0
-    held = counts[nonzero][::-1].T > 0  # nonzero levels descending
-    return Decomposition(*_split(held, form.values[nonzero][::-1]))
+    form = _window_form(basis)
+    held = form.counts()[::-1].T > 0  # nonzero levels descending
+    return Decomposition(*_split(held, form.values[::-1]))
 
 
 def projection_count(basis: PatternBasis, repeats_per_pattern: int) -> int:

@@ -22,14 +22,16 @@ The overlaps do not depend on the integration time, the repeat or the
 seed, so :func:`plan_acquisition` computes them once per sweep and basis
 into a :class:`MeasurementPlan`, and checks the object there.  Each overlap
 equals a bucket read's ``float(np.dot(frame, object))`` bit for bit, by one
-of two paths.  A separable basis (a parent, or its set modified by one
-kernel) takes every overlap from a few products of ``side x side``
-matrices built from its factor, when those are exact in any order: always
-for a canonical set whose levels each sit on at most two taps, and
-otherwise when the object makes every partial sum exact (dyadic values of
-small enough total, see :func:`_order_free`).  Any other basis or object (a
-Hadamard basis with a file object, say) makes each frame dense, a row
-block of the basis at a time, and takes the dot.
+of two paths.  Every set is a parent or its modification by one kernel, so
+its split and its overlaps come from its window form (see
+:class:`~ghostsim.bases._WindowForm`): a few products of ``side x side``
+matrices, used when their sums come out the same in any order, that is
+when every frame lights at most two pixels or the object makes every
+partial sum exact (dyadic values of small enough total, see
+:func:`_order_free`).  Otherwise (a Hadamard set with a file object, say)
+each frame is made dense, a row block of the basis at a time, and dotted
+with the object.
+
 A cell is then ``run_basis_protocol(plan, noise, integration_time_ms)``:
 the plan fixes the frames, the noise model the noise levels and the seed,
 and the integration time the signal scale.  It draws all of its noise from
@@ -46,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import (CANONICAL, Decomposition, PatternBasis, _factor_form, _FactorForm,
-                    _row_blocks, _split_rows, decompose_basis)
+from .bases import (CANONICAL, Decomposition, PatternBasis, _row_blocks, _window_form,
+                    _WindowForm, decompose_basis)
 from .core import GridSpec
 from .errors import ConfigError, DimensionError, ProtocolError
 from .pgmio import read_pgm
@@ -231,16 +233,13 @@ def _check_object(obj) -> np.ndarray:
     return o
 
 
-def _order_free(o: np.ndarray, scale: int, taps: int) -> bool:
-    """Whether every sum of the object's values is exact in any order, and
-    stays exact when halved ``taps`` times, where each value enters with
-    integer coefficients whose absolute values add up to at most ``scale``.
+def _order_free(o: np.ndarray) -> bool:
+    """Whether every sum of distinct object values is exact in any order.
 
-    Let every ``|o|`` be a multiple of ``2**-b``.  Every partial sum is then
-    a multiple of ``2**-b`` of magnitude at most ``scale * sum|o|``, so it
-    is exact when ``2**b * scale * sum|o| <= 2**53``; halving it ``taps``
-    times stays exact when ``b + taps <= 1074``, the subnormal limit.  The
-    test is made in exponents and integers: ``2**b`` itself can overflow.
+    Let every ``|o|`` be a multiple of ``2**-b``.  Every partial sum of
+    distinct values is then a multiple of ``2**-b`` of magnitude at most
+    ``sum|o|``, so it is exact when ``2**b * sum|o| <= 2**53``.  The test is
+    made in exponents and integers: ``2**b`` itself can overflow.
     """
     a = np.abs(o[o != 0.0])
     if a.size == 0:
@@ -251,47 +250,32 @@ def _order_free(o: np.ndarray, scale: int, taps: int) -> bool:
     # sets the finest power of two a is a multiple of
     low = np.frexp((digits & -digits).astype(float))[1] - 1
     b = int((53 - exponent - low).max())
-    if b + taps > 1074 or int(exponent.max()) + b > 53:
+    if int(exponent.max()) + b > 53:
         return False
-    # integers below 2**53 each; a float sum of them is exact up to 2**53
-    # and at least 2**53 past it, so the test is exact for scale >= 2 (any
-    # kernel with a tap; one with none has only dark frames)
-    return int(np.ldexp(a, b).sum()) * scale <= 2**53
+    units = np.ldexp(a, b).astype(np.int64)  # each below 2**53
+    # summed in halves of 27 and 26 bits, so that int64 holds any total
+    return (int((units >> 26).sum()) << 26) + int((units & (2**26 - 1)).sum()) <= 2**53
 
 
-def _factor_overlaps(o: np.ndarray, form: _FactorForm,
+def _window_overlaps(o: np.ndarray, form: _WindowForm,
                      split: Decomposition) -> np.ndarray | None:
-    """Overlaps of the frames of ``split`` from a few products of ``side x
-    side`` matrices, or None when they might not be exact.
+    """Overlaps of the frames of ``split`` from the set's window form
+    ``form`` (see :meth:`~ghostsim.bases._WindowForm.overlaps`), which
+    ``split`` was taken from, or None when they might not be exact.
 
-    With the set's factor form ``form`` (see
-    :class:`~ghostsim.bases._FactorForm`), which ``split`` was taken from,
-    the overlap of the frame of level ``l`` in pattern ``(r, c)`` is
-    ``2**-shift * sum_S coef[l, S] * (A_S O B_S^T)[r, c]``.  For ``F = I``
-    (``shift = 0``) each product is the object shifted, exactly.  The
-    result equals the bucket read's dot, whatever order either sums in,
-    when each level of ``F = I`` adds at most two exact terms (the dot
-    adds only exact zeros besides, and ``fl(a + b)`` is the same in either
-    order), or when :func:`_order_free` holds for the largest ``sum_S
-    |coef[l, S]|``.
+    The result equals the bucket read's dot, whatever order either sums
+    in, when every frame lights at most two pixels (the sums add only
+    exact zeros besides, and ``fl(a + b)`` is the same in either order), or
+    when :func:`_order_free` holds: each partial sum of either is a sum of
+    distinct object values.
     """
-    scale = int(np.abs(form.coef).sum(axis=1).max())
-    # only F = I has shift 0, and its terms are exact
-    if not ((form.shift == 0 and scale <= 2) or _order_free(o, scale, form.shift)):
+    if not (_order_free(o) or form.counts().max(initial=0) <= 2):
         return None
-    acc = form.total(lambda a, b: a.astype(float) @ o @ b.astype(float).T, float)
-    level = split.level
-    overlap = np.ldexp(acc[np.searchsorted(form.values, level), split.owner], -form.shift)
-    overlap[level == 0.0] = 0.0  # an all-zero pattern's part is dark
+    acc = form.overlaps(o)
+    lit = split.level != 0.0  # an all-zero pattern's part is dark
+    overlap = np.zeros(split.level.size)
+    overlap[lit] = acc[np.searchsorted(form.values, split.level[lit]), split.owner[lit]]
     return overlap
-
-
-def _exact_in_float64(arr: np.ndarray) -> bool:
-    """Whether ``arr`` is integer with every entry exact in float64, so that
-    comparing it in its own dtype agrees with a float64 comparison."""
-    if not np.issubdtype(arr.dtype, np.integer):
-        return False
-    return arr.dtype.itemsize <= 4 or max(-int(arr.min()), int(arr.max())) <= 2**53
 
 
 # Pattern entries per block of the dense overlap loop: a float block is
@@ -300,52 +284,42 @@ _PLAN_ELEMENTS = 1 << 16
 
 
 def _dense_overlaps(basis: PatternBasis, flat: np.ndarray,
-                    split: Decomposition | None = None):
-    """``(split, overlap)``: the split of the basis and the overlap of each
-    of its frames, made dense in float64 from a row block of the basis and
-    dotted with the object the way one bucket read is.  The basis is walked
-    once: each row block gives its own parts, by
-    :func:`~ghostsim.bases._split_rows`, or, when ``split`` is known, the
-    run of its parts (``owner`` is ascending), and then their frames."""
+                    split: Decomposition) -> np.ndarray:
+    """The overlap of each frame of ``split``, made dense in float64 from a
+    row block of the basis and dotted with the object the way one bucket
+    read is.  The basis is walked once, and each row block takes the run
+    of parts it owns (``owner`` is ascending)."""
     step = max(1, _PLAN_ELEMENTS // flat.size)
     buf = np.empty((step, flat.size))
-    owners, levels, overlaps = [], [], []
+    overlaps = []
     for start, rows in _row_blocks(basis):
-        if split is None:
-            owner, level = _split_rows(rows, start)
-        else:
-            first, last = np.searchsorted(split.owner, [start, start + len(rows)]).tolist()
-            owner, level = split.owner[first:last], split.level[first:last]
-        # levels are values of the rows, so the cast is exact where it is made
-        exact = _exact_in_float64(rows)
+        first, last = np.searchsorted(split.owner, [start, start + len(rows)]).tolist()
+        owner, level = split.owner[first:last], split.level[first:last]
+        # a level is a value of the rows, and an integer one is exact in
+        # float64, so comparing in the rows' dtype agrees with float64; for
+        # int8 rows it is also about 3x faster
+        key = level.astype(rows.dtype)
         overlap = np.empty(owner.size)
         for s in range(0, owner.size, step):
             e = min(s + step, owner.size)
-            key = level[s:e, None].astype(rows.dtype) if exact else level[s:e, None]
             block = buf[:e - s]
-            np.equal(rows[owner[s:e] - start], key, out=block)
+            np.equal(rows[owner[s:e] - start], key[s:e, None], out=block)
             block[level[s:e] == 0.0] = 0.0  # an all-zero pattern's part is dark
             np.matmul(block[:, None, :], flat[:, None], out=overlap[s:e, None, None])
-        owners.append(owner)
-        levels.append(level)
         overlaps.append(overlap)
-    if split is None:
-        split = Decomposition(np.concatenate(owners), np.concatenate(levels))
-    return split, np.concatenate(overlaps)
+    return np.concatenate(overlaps)
 
 
 def plan_acquisition(obj, basis: PatternBasis,
                      repeats_per_pattern: int) -> MeasurementPlan:
     """Plan for acquiring every pattern of ``basis`` with a binary modulator.
 
-    Every basis is split into the flat ``owner`` and ``level`` arrays of a
-    :class:`~ghostsim.bases.Decomposition`, as
-    :func:`~ghostsim.bases.decompose_basis` splits it: from the factor when
-    the basis has a factor form, and otherwise a row block at a time, in
-    the same pass that makes the block's frames.  A canonical basis must
-    split into weight-1 parts (an all-zero pattern's dark part allowed):
-    each part is projected ``repeats_per_pattern`` times and the reads
-    averaged (that many identical parts of weight
+    The basis is split by :func:`~ghostsim.bases.decompose_basis` into the
+    flat ``owner`` and ``level`` arrays of a
+    :class:`~ghostsim.bases.Decomposition`, from its window form.  A
+    canonical basis must split into weight-1 parts (an all-zero pattern's
+    dark part allowed): each part is projected ``repeats_per_pattern``
+    times and the reads averaged (that many identical parts of weight
     ``1/repeats_per_pattern``).  Any other basis projects each part once,
     weighted by its level; ``repeats_per_pattern`` is not used.
     :func:`~ghostsim.bases.projection_count` counts frames by the same rule.
@@ -354,23 +328,20 @@ def plan_acquisition(obj, basis: PatternBasis,
     what one bucket read's ``float(np.dot(frame, object))`` gives, bit for
     bit, by one of two paths chosen per basis and object:
 
-    * **factor**, when the basis has a factor form (a parent, or a parent
-      modified once) and its sums come out the same in any order.  A
-      canonical level on at most two taps is ``fl(a + b)`` of the object
-      values it lights, which the dot gives too: it adds only exact zeros
-      besides.  Any other level needs :func:`_order_free`, which makes
-      every partial sum exact.  :func:`_factor_overlaps` then forms the
-      overlaps from a few products of ``side x side`` matrices.
+    * **window**, when the sums come out the same in any order: every
+      frame lights at most two pixels (a canonical set with the edge
+      stencil, say), or :func:`_order_free` holds for the object (the bar
+      target, say).  :func:`_window_overlaps` then forms the overlaps from
+      a few products of ``side x side`` matrices.
     * **dense** otherwise.  The basis makes its patterns a row block at a
-      time (from the factor when it holds no stack), once, and each block's
-      frames are compared in the rows' own dtype when its entries are
-      exact in float64 and in float64 otherwise, as binary_decompose
-      compares.  They are written into one reused float64 buffer, and each
-      frame then meets the object as a ``(1, n) @ (n, 1)`` product, which
-      numpy evaluates with the same dot kernel as the bucket read, bit for
-      bit.  A matrix-vector product sums in another order and can differ
-      in the last bits.  The working memory is a few blocks, never a
-      ``side**4`` stack.
+      time from the factor, once, and each frame of the block is compared
+      in the rows' own dtype, which agrees with binary_decompose's float64
+      comparison.  The frames are written into one reused float64 buffer,
+      and each then meets the object as a ``(1, n) @ (n, 1)`` product,
+      which numpy evaluates with the same dot kernel as the bucket read,
+      bit for bit.  A matrix-vector product sums in another order and can
+      differ in the last bits.  The working memory is a few blocks, never
+      a ``side**4`` stack.
     """
     o = _check_object(obj)
     side = basis.grid.side
@@ -378,18 +349,15 @@ def plan_acquisition(obj, basis: PatternBasis,
         raise DimensionError("object grid does not match basis grid")
     if repeats_per_pattern < 1:
         raise ValueError("repeats_per_pattern must be >= 1")
-    form = _factor_form(basis)
-    split = overlap = None
-    if form is not None:
-        split = decompose_basis(basis)
-        overlap = _factor_overlaps(o, form, split)
-    if overlap is None:
-        split, overlap = _dense_overlaps(basis, o.ravel(), split)
+    split = decompose_basis(basis)
     owner, level = split.owner, split.level
     canonical = basis.label == CANONICAL
     if canonical and not np.all((level == 1.0) | (level == 0.0)):
         raise ProtocolError("a canonical basis must be binary; a multi-level "
                             "basis is split into binary parts under another label")
+    overlap = _window_overlaps(o, _window_form(basis), split)
+    if overlap is None:
+        overlap = _dense_overlaps(basis, o.ravel(), split)
     if canonical:
         r = repeats_per_pattern
         return MeasurementPlan(basis.grid, np.repeat(owner, r),

@@ -67,21 +67,25 @@ def _physical_memory() -> int | None:
 def _require_memory(config: ExperimentConfig):
     """Fail before any basis or scene is built when what a run holds
     exceeds physical memory: its two measurement plans, at 24 B (owner,
-    weight and overlap) per frame, and the factor-sum accumulator of one
+    weight and overlap) per frame, and the window-form accumulator of one
     float64 per level and pattern.  A canonical parent projects
     ``repeats_per_pattern`` frames a pattern and a Hadamard parent at most
-    two.  The filter-modified set projects one per level, and a pattern
-    has at most one level per pixel and per distinct tap value
-    (canonical) or per sign vector of the taps (Hadamard)."""
+    two.  The filter-modified set projects one per level.  A canonical
+    pattern has at most one level per pixel and per distinct tap value.  A
+    Hadamard pattern's value at a pixel is set by a pair of +/-1 factor
+    windows under the kernel's distinct row and column offsets, and a pair
+    and its negation give the same level, so it has at most one level per
+    pixel, per sign vector of the taps and per window pair up to sign."""
     memory = _physical_memory()
     if memory is None:
         return
     m = config.grid_side ** 2
-    taps = [v for _, _, v in config.kernel.offsets()]
+    offsets = list(config.kernel.offsets())
     if config.basis == HADAMARD:
-        parent, levels = 2, min(2 ** len(taps), m)
+        span = len({dr for dr, _, _ in offsets}) + len({dc for _, dc, _ in offsets})
+        parent, levels = 2, min(2 ** len(offsets), 2 ** max(span - 1, 0), m)
     else:
-        parent, levels = config.repeats_per_pattern, min(len(set(taps)), m)
+        parent, levels = config.repeats_per_pattern, min(len({v for _, _, v in offsets}), m)
     frames = m * (parent + levels)
     plans, accumulator = 24 * frames, 8 * (levels + 1) * m
     if plans + accumulator > memory:

@@ -25,7 +25,7 @@ import numpy as np
 from .bases import HADAMARD, PatternBasis
 from .bench import MeasurementPlan, NoiseModel, run_basis_protocol
 from .core import Kernel, cyclic_correlate
-from .errors import DimensionError
+from .errors import DimensionError, ProtocolError
 
 __all__ = [
     "reconstruct",
@@ -36,25 +36,25 @@ __all__ = [
 
 
 def reconstruct(coefficients, recon_basis: PatternBasis) -> np.ndarray:
-    """Sum of ``coefficient_j * pattern_j`` over the reconstruction basis,
-    for a coefficient vector ordered by pattern index.
+    """Sum of ``coefficient_j * pattern_j`` over a parent basis, for a
+    coefficient vector ordered by pattern index.
 
-    A parent basis is separable: pattern ``j = r * side + c`` is the outer
-    product ``f_r f_c^T`` of rows of its ``factor`` ``F`` (the identity for
-    canonical; ``H_side`` for Hadamard, as ``H_{side^2} = H_side (x)
-    H_side``), so the sum is ``F^T C F`` with ``C`` the coefficients
-    reshaped to ``side x side``.  Any other basis (a filter-modified one
-    too) takes the full sum.
+    Pattern ``j = r * side + c`` of a parent is the outer product ``f_r
+    f_c^T`` of rows of its ``factor`` ``F`` (the identity for canonical;
+    ``H_side`` for Hadamard, as ``H_{side^2} = H_side (x) H_side``), so the
+    sum is ``F^T C F`` with ``C`` the coefficients reshaped to ``side x
+    side``.  Reconstruction is always in the parent: a filter-modified
+    basis raises :class:`~ghostsim.errors.ProtocolError`.
     """
     m = len(recon_basis)
     vec = np.asarray(coefficients, dtype=float)
     if vec.shape != (m,):
         raise DimensionError(f"expected {m} coefficients, got shape {vec.shape}")
-    if recon_basis.factor is not None and recon_basis.kernel is None:
-        side = recon_basis.grid.side
-        f = recon_basis.factor.astype(float)
-        return f.T @ vec.reshape(side, side) @ f
-    return np.tensordot(vec, recon_basis.stack, axes=(0, 0))
+    if recon_basis.kernel is not None:
+        raise ProtocolError(f"reconstruct in the parent basis, not in {recon_basis.label}")
+    side = recon_basis.grid.side
+    f = recon_basis.factor.astype(float)
+    return f.T @ vec.reshape(side, side) @ f
 
 
 def post_process(image, kernel: Kernel) -> np.ndarray:

@@ -30,6 +30,7 @@ from ghostsim import (
     modify_basis,
     PatternBasis,
     plan_acquisition,
+    ProtocolError,
     projection_count,
     synth_bar_target,
     unflatten,
@@ -130,19 +131,18 @@ class TestFactor:
             assert np.array_equal(parent.factor, f) and parent.kernel is None
             modified = modify_basis(parent, edge_kernel)
             assert modified.factor is parent.factor and modified.kernel == edge_kernel
-            twice = modify_basis(modified, edge_kernel)
-            assert twice.factor is None and twice.kernel is None
-        custom = PatternBasis(grid, hadamard_basis(grid).stack, "custom")
-        assert custom.factor is None and modify_basis(custom, edge_kernel).factor is None
+            # a set modified twice is its parent modified once, by the
+            # convolution of the two kernels
+            with pytest.raises(ProtocolError, match="already filter-modified"):
+                modify_basis(modified, edge_kernel)
 
     def test_factor_must_be_side_by_side_and_is_frozen(self):
         grid = GridSpec(2)
-        stack = np.eye(4, dtype=np.int8).reshape(4, 2, 2)
         with pytest.raises(DimensionError, match="factor"):
-            PatternBasis(grid, stack, "custom", np.eye(4))
-        basis = PatternBasis(grid, stack, "custom", np.eye(2))
+            PatternBasis(grid, "custom", np.eye(4, dtype=np.int8))
+        basis = PatternBasis(grid, "custom", np.eye(2, dtype=np.int8))
         with pytest.raises(ValueError):
-            basis.factor[0, 0] = 5.0
+            basis.factor[0, 0] = 5
 
 
 def float_stencil(stack: np.ndarray, kernel: Kernel, sign: int = 1) -> np.ndarray:
@@ -428,49 +428,42 @@ def split_overlaps(obj, basis):
     return part_overlaps(obj, basis, [binary_decompose(p, j) for j, p in enumerate(basis)])
 
 
-# value sets per stack kind: few small integers, a wide integer range,
-# integers past 2**53 that float64 merges, non-integral floats (with -0.0),
-# and many distinct floats
-STACK_KINDS = {
-    "int8": (np.int8, st.integers(-5, 5)),
-    "int16-wide": (np.int16, st.integers(-300, 300)),
-    "int64-huge": (np.int64, st.sampled_from([0, 5, -7, -(2**55) - 3, 2**60, 2**60 + 1])),
-    "float-taps": (float, st.sampled_from([0.0, -0.0, 0.5, -1.25, 0.1 + 0.2, 0.3, 3.0])),
-    "float-many": (float, st.floats(-1e3, 1e3, allow_subnormal=False)),
-}
-
-
 @st.composite
-def pattern_stacks(draw):
+def factor_sets(draw):
+    """A set on a random factor with entries in {-1, 0, 1}, some of its
+    rows all zero (so whole rows and columns of patterns are dark),
+    modified or not by a random kernel of integral or non-integral taps."""
     side = draw(st.integers(1, 6))
-    dtype, elements = STACK_KINDS[draw(st.sampled_from(sorted(STACK_KINDS)))]
-    stack = draw(arrays(dtype, (side * side, side, side), elements=elements))
-    stack[draw(st.lists(st.integers(0, side * side - 1), max_size=side))] = 0
-    return PatternBasis(GridSpec(side), stack, "custom")
+    factor = draw(arrays(np.int8, (side, side), elements=st.integers(-1, 1)))
+    factor[draw(st.lists(st.integers(0, side - 1), max_size=2))] = 0
+    basis = PatternBasis(GridSpec(side), "custom", factor)
+    kind = draw(st.sampled_from(["parent", "integral", "non-integral"]))
+    if kind == "parent":
+        return basis
+    h, w = (draw(st.sampled_from([k for k in (1, 3, 5) if k <= side])) for _ in "hw")
+    values = (st.integers(-300, 300) if kind == "integral"
+              else st.sampled_from([0.0, -0.0, 0.5, -1.25, 0.1 + 0.2, 0.3, 3.0]))
+    taps = draw(st.lists(values, min_size=h * w, max_size=h * w))
+    return modify_basis(basis, Kernel(np.reshape(taps, (h, w))))
 
 
 class TestDecomposeBasis:
     @settings(max_examples=150, deadline=None)
-    @given(basis=pattern_stacks(), scan_elements=st.sampled_from([1, 7, 40, 1 << 18]),
-           sort_elements=st.sampled_from([1, 13, 1 << 15]))
-    def test_matches_pattern_by_pattern(self, basis, scan_elements, sort_elements):
-        # small scan blocks split the stack into many row blocks, and small
-        # sort chunks a block into many runs of rows
+    @given(basis=factor_sets())
+    def test_matches_pattern_by_pattern(self, basis):
+        # any factor with entries in {-1, 0, 1}, dark patterns included
         want = [binary_decompose(p, j) for j, p in enumerate(basis)]
-        with mock.patch.object(bases_module, "_SCAN_ELEMENTS", scan_elements), \
-                mock.patch.object(bases_module, "_SORT_ELEMENTS", sort_elements):
-            got = decompose_basis(basis)
-            count = projection_count(basis, 1)
+        got = decompose_basis(basis)
         assert_same_decomposition(got, want, basis)
         assert_split_arrays(got, want)
-        assert count == sum(sub.part_count for sub in want)
+        assert projection_count(basis, 1) == sum(sub.part_count for sub in want)
 
     @settings(max_examples=100, deadline=None)
-    @given(basis=pattern_stacks(), seed=st.integers(0, 2**32 - 1),
+    @given(basis=factor_sets(), seed=st.integers(0, 2**32 - 1),
            plan_elements=st.sampled_from([1, 9, 1 << 16]))
     def test_plan_frames_match_binary_decompose(self, basis, seed, plan_elements):
-        # frames are made from the stack in its own dtype only where that
-        # agrees with binary_decompose's float64 masks
+        # a uniform object takes the window path for frames of at most two
+        # pixels and the dense path for the others
         side = basis.grid.side
         obj = np.random.default_rng(seed).uniform(0.0, 1.0, size=(side, side))
         with mock.patch.object(bench_module, "_PLAN_ELEMENTS", plan_elements):
@@ -487,28 +480,33 @@ class TestDecomposeBasis:
 
     @pytest.mark.parametrize("dtype", [float, np.int32])
     def test_blocks_with_many_levels(self, dtype, rng):
-        # thousands of distinct values: each block is split pattern by pattern
-        stack = (rng.normal(size=(64, 8, 8)) * 1e4).astype(dtype)
-        stack[5] = 0
-        basis = PatternBasis(GridSpec(8), stack, "custom")
+        # 25 spread taps give each Hadamard pattern dozens of levels: float
+        # taps make a float64 set, integral ones an int32 set
+        taps = (rng.normal(size=(5, 5)) * 1e4).astype(dtype)
+        basis = modify_basis(hadamard_basis(GridSpec(8)), Kernel(taps))
+        assert basis.stack.dtype == (np.float64 if dtype is float else np.int32)
         want = [binary_decompose(p, j) for j, p in enumerate(basis)]
+        assert max(sub.part_count for sub in want) > 20
         assert_same_decomposition(decompose_basis(basis), want, basis)
         assert projection_count(basis, 1) == sum(sub.part_count for sub in want)
 
-    def test_int64_stack_past_two_pow_53(self):
-        # float64 merges 2**53 and 2**53 + 1 into one level, so their frame
-        # holds both pixels; an int64 comparison would split them
-        stack = np.zeros((4, 2, 2), dtype=np.int64)
-        stack[:, 0, 0] = 2**53
-        stack[1, 0, 1] = 2**53 + 1
-        stack[2, 1, 1] = 5
-        basis = PatternBasis(GridSpec(2), stack, "custom")
-        assert [sub.weights for sub in decompose_basis(basis)] == [
-            (2.0**53,), (2.0**53,), (2.0**53, 5.0), (2.0**53,)]
-        obj = np.array([[0.25, 0.5], [0.125, 1.0]])
-        plan = plan_acquisition(obj, basis, 1)
-        assert plan.overlap.tolist() == [0.25, 0.75, 0.25, 1.0, 0.25]
-        assert np.array_equal(plan.overlap, split_overlaps(obj, basis))
+    def test_levels_keep_the_stencils_rounding(self):
+        # past 2**53 the float64 stencil rounds, 2**53 + 1 + 1 and 2**53 - 1
+        # + 1 both to 2**53, so a frame can hold window pairs whose exact
+        # sums differ; the split and the overlaps follow the stencil's bits
+        kernel = Kernel([[2.0**53, 1, 0], [0, 0, 1], [0, 0, 0]])
+        basis = modify_basis(hadamard_basis(GridSpec(8)), kernel)
+        assert basis.stack.dtype == np.float64
+        parent = hadamard_basis(GridSpec(8)).stack.astype(np.int64)
+        exact = sum(int(v) * np.roll(parent, (dr, dc), axis=(1, 2))
+                    for dr, dc, v in kernel.offsets())
+        assert any(len(set(zip(f.ravel().tolist(), e.ravel().tolist())))
+                   > len(set(f.ravel().tolist())) for f, e in zip(basis.stack, exact))
+        want = [binary_decompose(p, j) for j, p in enumerate(basis)]
+        assert_split_arrays(decompose_basis(basis), want)
+        obj = np.arange(64.0).reshape(8, 8) / 64
+        assert np.array_equal(plan_acquisition(obj, basis, 1).overlap,
+                              split_overlaps(obj, basis))
 
     def test_plan_peaks_under_two_mib(self, edge_kernel):
         # no part image is built: the plan's working memory is one float
@@ -543,11 +541,6 @@ def separable_sets(draw):
     return modify_basis(basis, Kernel(np.reshape(taps, (h, w))))
 
 
-def held_copy(basis):
-    """The same patterns as a custom set that holds its materialised stack."""
-    return PatternBasis(basis.grid, basis.stack.copy(), "custom")
-
-
 class TestFactorOnlySets:
     """A parent, or a parent modified once, holds only its factor and
     kernel; its levels, rows and frames equal those of the whole stack."""
@@ -555,14 +548,12 @@ class TestFactorOnlySets:
     @settings(max_examples=120, deadline=None)
     @given(basis=separable_sets())
     def test_factor_levels_match_the_stack_scan(self, basis):
-        # F = I always has a factor form; a +/-1 factor needs few integral taps
-        taps = [] if basis.kernel is None else [v for _, _, v in basis.kernel.offsets()]
-        if (np.array_equal(basis.factor, np.eye(basis.grid.side))
-                or (all(v == int(v) for v in taps) and len(taps) <= bases_module._SIGN_TAPS)):
-            assert bases_module._factor_form(basis) is not None
+        # the window form's split is binary_decompose of every pattern of
+        # the materialised stack, on both parents, for kernels up to 5x5
+        want = [binary_decompose(p, j) for j, p in enumerate(basis.stack)]
         got = decompose_basis(basis)
-        assert_same_decomposition(got, decompose_basis(held_copy(basis)), basis)
-        assert_split_arrays(got, [binary_decompose(p, j) for j, p in enumerate(basis)])
+        assert_same_decomposition(got, want, basis)
+        assert_split_arrays(got, want)
 
     @settings(max_examples=100, deadline=None)
     @given(basis=separable_sets(), seed=st.integers(0, 2**32 - 1),
@@ -571,46 +562,43 @@ class TestFactorOnlySets:
     def test_dense_overlaps_from_blocks_match_the_held_stack(self, basis, seed,
                                                              plan_elements,
                                                              scan_elements):
+        # the row blocks are the whole stack's rows, and the dense overlap
+        # of each frame is a per-part dot, whatever the block sizes
         side = basis.grid.side
         obj = np.random.default_rng(seed).uniform(0.0, 1.0, size=(side, side))
-        held = held_copy(basis)
-        subs = decompose_basis(held)
+        stack, split = basis.stack, decompose_basis(basis)
         with mock.patch.object(bench_module, "_PLAN_ELEMENTS", plan_elements), \
                 mock.patch.object(bases_module, "_SCAN_ELEMENTS", scan_elements):
-            # each row block split as it is made, or the parts given
-            scanned, got = bench_module._dense_overlaps(basis, obj.ravel())
-            given_split, got_given = bench_module._dense_overlaps(basis, obj.ravel(), subs)
+            got = bench_module._dense_overlaps(basis, obj.ravel(), split)
             rows = np.concatenate([r for _, r in bases_module._row_blocks(basis)])
-        assert rows.dtype == held.stack.dtype
-        assert np.array_equal(rows, held.stack.reshape(len(held), -1))
-        assert given_split is subs
-        assert np.array_equal(scanned.owner, subs.owner)
-        assert np.array_equal(scanned.level, subs.level)
-        assert np.array_equal(got, part_overlaps(obj, held, subs))
-        assert np.array_equal(got_given, got)
+        assert rows.dtype == stack.dtype
+        assert np.array_equal(rows, stack.reshape(len(basis), -1))
+        assert np.array_equal(got, part_overlaps(obj, basis, split))
 
     @pytest.mark.parametrize("build", [canonical_basis, hadamard_basis])
     def test_sets_hold_no_stack(self, build, edge_kernel):
         parent = build(GridSpec(8))
         modified = modify_basis(parent, edge_kernel)
         for basis in (parent, modified):
-            assert basis._held is None and len(basis) == 64
+            assert len(basis) == 64 and not hasattr(basis, "__dict__")
             assert basis.stack is not basis.stack  # made anew on each read
             assert np.array_equal(basis.pattern(-1), basis.stack[-1])
         with pytest.raises(DimensionError, match="needs an integer factor"):
-            PatternBasis(GridSpec(2), None, "custom", np.eye(2))
+            PatternBasis(GridSpec(2), "custom", np.eye(2))
+        with pytest.raises(DimensionError, match="needs an integer factor"):
+            PatternBasis(GridSpec(2), "custom", 2 * np.eye(2, dtype=np.int8))
         with pytest.raises(DimensionError, match="does not fit"):
             modify_basis(build(GridSpec(2)), edge_kernel)
 
     @pytest.mark.parametrize("taps", [[[0, -0.5, 0], [-0.5, 0, 0.5], [0, 0.5, 0]],
                                       [[0, -1, 0], [-1, 0, 1], [0, 1, 0]]])
     def test_dense_plan_walks_the_row_blocks_once(self, taps, monkeypatch):
-        # non-integral taps leave the Hadamard set without a factor form, so
-        # each row block is split as it is made; integral ones split it from
-        # the factor.  A non-dyadic object sends both down the dense path.
+        # a non-dyadic object sends a Hadamard set, with float or integral
+        # taps, down the dense path: its split comes from the window form,
+        # and each row block is made once, for its frames
         basis = modify_basis(hadamard_basis(GridSpec(16)), Kernel(taps))
         obj = np.random.default_rng(4).integers(0, 256, size=(16, 16)) / 255
-        want = plan_acquisition(obj, held_copy(basis), 1)
+        want = split_overlaps(obj, basis)
         walks, made = [], []
         rows, blocks = PatternBasis._rows, bases_module._row_blocks
 
@@ -628,9 +616,7 @@ class TestFactorOnlySets:
         plan = plan_acquisition(obj, basis, 1)
         assert walks == [basis]
         assert made == list(range(0, len(basis), bases_module._SCAN_ELEMENTS // 256))
-        assert np.array_equal(plan.owner, want.owner)
-        assert np.array_equal(plan.weight, want.weight)
-        assert np.array_equal(plan.overlap, want.overlap)
+        assert np.array_equal(plan.overlap, want)
 
     def test_decomposition_arrays_are_checked(self):
         split = Decomposition([0, 0, 1], [2.0, -1.0, 0.0])
@@ -696,12 +682,13 @@ class TestProjectionCount:
 
 
 def test_float_stack_must_be_finite():
-    stack = np.eye(4).reshape(4, 2, 2)
-    stack[1, 0, 0] = np.nan
-    with pytest.raises(DimensionError):
-        PatternBasis(GridSpec(2), stack, "custom")
-    assert PatternBasis(GridSpec(2), np.eye(4, dtype=np.int8).reshape(4, 2, 2),
-                        "custom").stack.dtype == np.int8
+    # each entry sums every tap at most once, so taps whose absolute sum
+    # overflows are refused before any pattern is made
+    with pytest.raises(DimensionError, match="finite"), np.errstate(over="ignore"):
+        modify_basis(hadamard_basis(GridSpec(4)), Kernel([[1e308, 1e308, 1e308]]))
+    assert modify_basis(hadamard_basis(GridSpec(4)),
+                        Kernel([[1e307, 1e307, 1e307]])).stack.dtype == np.float64
+    assert canonical_basis(GridSpec(2)).stack.dtype == np.int8
 
 
 def test_basis_stack_is_frozen():

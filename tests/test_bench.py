@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ghostsim.bases as bases_module
 import ghostsim.bench as bench_module
 from ghostsim import (
     CANONICAL,
@@ -137,10 +136,8 @@ class TestBucketRead:
         obj = np.full((2, 2), 0.5)
         plan = plan_acquisition(obj, canonical_basis(GridSpec(2)), 1)
         assert plan.overlap.tolist() == [0.5] * 4
-        stack = np.eye(4, dtype=np.int8).reshape(4, 2, 2)
-        stack[0] = 1
-        custom = PatternBasis(GridSpec(2), stack, "custom")
-        assert plan_acquisition(obj, custom, 1).overlap[0] == 2.0
+        # the first Hadamard pattern lights every pixel
+        assert plan_acquisition(obj, hadamard_basis(GridSpec(2)), 1).overlap[0] == 2.0
 
     def test_zero_pattern_gives_background(self):
         noise = NoiseModel(background_measure=3.25)
@@ -149,9 +146,8 @@ class TestBucketRead:
         assert coefficients.tolist() == [3.25 / 5.0] * 4
 
     def test_grid_mismatch(self):
-        custom = PatternBasis(GridSpec(2), np.ones((4, 2, 2)), "custom")
         with pytest.raises(DimensionError):
-            plan_acquisition(np.zeros((3, 3)), custom, 1)
+            plan_acquisition(np.zeros((3, 3)), hadamard_basis(GridSpec(2)), 1)
         with pytest.raises(DimensionError):
             plan_acquisition(np.zeros((3, 3)), canonical_basis(GridSpec(2)), 1)
 
@@ -231,33 +227,40 @@ class TestPostProtocol:
         assert np.array_equal(first, second)
 
     def test_rejects_non_binary_basis(self):
-        # a basis labelled canonical is repeated, never split
+        # a basis labelled canonical is repeated, never split: the +/-1
+        # Hadamard factor, or the identity under a half-weight kernel
         grid = GridSpec(4)
-        for bad in (hadamard_basis(grid).stack, np.full((16, 4, 4), 0.5)):
+        for factor, kernel in ((hadamard_basis(grid).factor, None),
+                               (np.eye(4, dtype=np.int8), Kernel([[0.5]]))):
             with pytest.raises(ProtocolError):
-                plan_acquisition(np.zeros((4, 4)), PatternBasis(grid, bad, CANONICAL), 2)
+                plan_acquisition(np.zeros((4, 4)), PatternBasis(grid, CANONICAL, factor, kernel),
+                                 2)
 
     @pytest.mark.parametrize("plan_elements", [16, 1 << 16])
     def test_non_binary_pattern_in_any_block(self, plan_elements, monkeypatch):
+        # only the patterns of the last factor row or column hold a -1; the
+        # check reads the split before any frame is made, so a non-dyadic
+        # object's dense block size does not matter
         monkeypatch.setattr(bench_module, "_PLAN_ELEMENTS", plan_elements)
-        stack = np.eye(16, dtype=np.int8).reshape(16, 4, 4)
-        stack[13, 0, 0] = 2
+        factor = np.eye(4, dtype=np.int8)
+        factor[3, 3] = -1
+        obj = np.random.default_rng(5).integers(0, 256, size=(4, 4)) / 255
         with pytest.raises(ProtocolError):
-            plan_acquisition(np.zeros((4, 4)), PatternBasis(GridSpec(4), stack, CANONICAL), 1)
+            plan_acquisition(obj, PatternBasis(GridSpec(4), CANONICAL, factor), 1)
 
     def test_all_zero_pattern_keeps_its_repeats(self):
-        # a dark pattern of a canonical basis is still read R times, at
-        # weight 1/R, each read overlapping the object by 0
-        stack = np.eye(4, dtype=np.int8).reshape(4, 2, 2)
-        stack[2] = 0
-        basis = PatternBasis(GridSpec(2), stack, CANONICAL)
+        # a factor row of zeros darkens every pattern of that row and
+        # column; a dark pattern of a canonical basis is still read R
+        # times, at weight 1/R, each read overlapping the object by 0
+        factor = np.array([[1, 0], [0, 0]], dtype=np.int8)
+        basis = PatternBasis(GridSpec(2), CANONICAL, factor)
         obj = np.array([[0.25, 0.5], [0.75, 1.0]])
         plan = plan_acquisition(obj, basis, 2)
         assert plan.owner.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
         assert np.all(plan.weight == 0.5)
-        assert plan.overlap.tolist() == [0.25, 0.25, 0.5, 0.5, 0.0, 0.0, 1.0, 1.0]
+        assert plan.overlap.tolist() == [0.25, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         assert projection_count(basis, 2) == plan.bucket_reads
-        assert run_basis_protocol(plan, QUIET, 1.0).tolist() == [0.25, 0.5, 0.0, 1.0]
+        assert run_basis_protocol(plan, QUIET, 1.0).tolist() == [0.25, 0.0, 0.0, 0.0]
 
     def test_rejects_out_of_range_object(self):
         with pytest.raises(ProtocolError):
@@ -402,7 +405,7 @@ class TestOverlapPaths:
         basis, obj = case
         decomposed = decompose_basis(basis)
         width = taps_per_level(basis)
-        exact = width <= 2 or bench_module._order_free(obj, width, 0)
+        exact = width <= 2 or bench_module._order_free(obj)
         with factor_path() as used, dense_spy() as dense, mock.patch.object(
                 bench_module, "_PLAN_ELEMENTS", plan_elements):
             plan = plan_acquisition(obj, basis, 1)
@@ -450,41 +453,60 @@ class TestOverlapPaths:
     @pytest.mark.parametrize("taps", [[[1, 0, 0]], [[0, 1, 0], [1, -4, 1], [0, 1, 0]]],
                              ids=["narrow", "dense"])
     def test_all_zero_pattern_reads_zero(self, taps, rng):
-        # a stack with no factor takes the dense path, however narrow
-        stack = modify_basis(canonical_basis(GridSpec(4)), Kernel(taps)).stack.copy()
-        stack[5] = 0
-        basis = PatternBasis(GridSpec(4), stack, "custom")
+        # a factor row of zeros darkens every pattern of row or column 1;
+        # on a non-dyadic object one-pixel frames take the window path and
+        # the Laplacian's four-pixel ones the dense path
+        factor = np.eye(4, dtype=np.int8)
+        factor[1, 1] = 0
+        basis = modify_basis(PatternBasis(GridSpec(4), "custom", factor), Kernel(taps))
         obj = rng.uniform(0.5, 1.0, size=(4, 4))
         with dense_spy() as dense:
             plan = plan_acquisition(obj, basis, 1)
-        assert dense.called
-        dark = np.flatnonzero(plan.owner == 5)
-        assert plan.weight[dark].tolist() == [0.0]
-        assert plan.overlap[dark].tolist() == [0.0]
-        assert np.count_nonzero(plan.overlap) == plan.bucket_reads - 1
+        assert dense.called == (len(taps) == 3)
+        dark = np.isin(plan.owner, [1, 4, 5, 6, 7, 9, 13])
+        assert plan.weight[dark].tolist() == [0.0] * 7
+        assert plan.overlap[dark].tolist() == [0.0] * 7
+        assert np.count_nonzero(plan.overlap) == plan.bucket_reads - 7
+        assert np.array_equal(plan.overlap,
+                              part_overlaps(obj, basis, decompose_basis(basis)))
+
+    @pytest.mark.parametrize("taps, window", [
+        ([[0, -1, 0], [-1, 0, 1], [0, 1, 0]], True),
+        ([[0, 1, 0], [1, -4, 1], [0, 1, 0]], False),
+    ], ids=["edge-eq3", "laplacian"])
+    def test_frame_width_picks_the_path_on_a_non_dyadic_object(self, taps, window):
+        # gray / 255 is not dyadic: the edge stencil's two-pixel frames
+        # still sum the same in any order, the Laplacian's four-pixel ones
+        # do not; both match the per-read dots bit for bit
+        obj = np.random.default_rng(6).integers(0, 256, size=(16, 16)) / 255
+        assert not bench_module._order_free(obj)
+        basis = modify_basis(canonical_basis(GridSpec(16)), Kernel(taps))
+        with factor_path() as used, dense_spy() as dense:
+            plan = plan_acquisition(obj, basis, 1)
+        assert used == [window] and dense.called != window
         assert np.array_equal(plan.overlap,
                               part_overlaps(obj, basis, decompose_basis(basis)))
 
 
 @contextmanager
 def factor_path():
-    """Record, per plan built for a set with a factor form, whether the
-    factor's overlaps were used."""
-    used, real = [], bench_module._factor_overlaps
+    """Record, per plan built, whether the window form's overlaps were
+    used."""
+    used, real = [], bench_module._window_overlaps
 
     def spy(*args):
         overlap = real(*args)
         used.append(overlap is not None)
         return overlap
 
-    with mock.patch.object(bench_module, "_factor_overlaps", spy):
+    with mock.patch.object(bench_module, "_window_overlaps", spy):
         yield used
 
 
 def unstructured_plan(obj, basis):
-    """The plan with the factor path switched off: the dense overlaps,
+    """The plan with the window path switched off: the dense overlaps,
     each equal to a per-part dot."""
-    with mock.patch.object(bench_module, "_factor_overlaps", return_value=None):
+    with mock.patch.object(bench_module, "_window_overlaps", return_value=None):
         return plan_acquisition(obj, basis, 1)
 
 
@@ -551,13 +573,13 @@ class TestSignOverlaps:
                                   part_overlaps(obj, basis, decompose_basis(basis)))
 
     def test_gate_passes_at_exactly_two_pow_53(self):
-        # a Hadamard parent has one tap and scale 2; in units of 2**-52 the
-        # first object sums to 2**52 and the second to one unit more
-        unit = 2.0**-52
+        # in units of 2**-53 the first object sums to 2**53 and the second
+        # to one unit more, which a float64 sum rounds back to 2**53
+        unit = 2.0**-53
         at = np.array([[0.5, 0.25], [0.25 - unit, unit]])
         past = np.array([[0.5, 0.25], [0.25, unit]])
-        assert bench_module._order_free(at, 2, 1)
-        assert not bench_module._order_free(past, 2, 1)
+        assert bench_module._order_free(at)
+        assert not bench_module._order_free(past)
         basis = hadamard_basis(GridSpec(2))
         for obj, structured in ((at, True), (past, False)):
             with factor_path() as used:
@@ -567,27 +589,31 @@ class TestSignOverlaps:
                                   part_overlaps(obj, basis, decompose_basis(basis)))
 
     def test_gate_stops_at_the_subnormal_limit(self):
-        # halving a multiple of 2**-b T times stays exact while b + T <= 1074
-        assert bench_module._order_free(np.full((2, 2), 2.0**-1073), 2, 1)
-        assert not bench_module._order_free(np.full((2, 2), 2.0**-1073), 2, 2)
-        assert not bench_module._order_free(np.full((2, 2), 2.0**-1074), 2, 1)
-        assert bench_module._order_free(np.zeros((2, 2)), 2, 1)
+        # multiples of the finest float, 2**-1074, still pass: 2**b would
+        # overflow, so the gate never forms it; beside 0.5 they are 2**1073
+        # units, far past 2**53
+        assert bench_module._order_free(np.full((2, 2), 2.0**-1074))
+        assert bench_module._order_free(np.full((2, 2), 2.0**-1073))
+        assert not bench_module._order_free(np.array([[0.5, 2.0**-1074]]))
+        assert bench_module._order_free(np.zeros((2, 2)))
 
-    def test_kernel_above_the_tap_cap_goes_dense(self):
-        cap = bases_module._SIGN_TAPS
-        taps = np.zeros(9)
-        taps[:cap + 1] = np.arange(1, cap + 2)
-        obj = synth_bar_target(GridSpec(16), 2)
-        parent = hadamard_basis(GridSpec(16))
-        for count, structured in ((cap, True), (cap + 1, False)):
-            kernel = Kernel(np.where(np.arange(9) < count, taps, 0).reshape(3, 3))
-            basis = modify_basis(parent, kernel)
-            with factor_path() as used, dense_spy() as dense:
-                plan = plan_acquisition(obj, basis, 1)
-            # above the cap the set has no factor form, so the factor's
-            # overlaps are not tried
-            assert used == ([True] if structured else []) and dense.called != structured
-            assert_same_plan(plan, unstructured_plan(obj, basis))
+    def test_many_tap_kernels_take_the_window_path(self, monkeypatch):
+        # float taps and any number of taps: on a dyadic object every
+        # Hadamard set takes its overlaps from the window form
+        def refuse(*args):
+            raise AssertionError("took the dense path")
+
+        grid = GridSpec(16)
+        obj = synth_bar_target(grid, 2)
+        kernels = [[[0, -0.5, 0], [-0.5, 0, 0.5], [0, 0.5, 0]],
+                   [[1, 2, 3, 2, 1], [2, 4, 6, 4, 2], [3, 6, 9, 6, 3], [2, 4, 6, 4, 2],
+                    [1, 2, 3, 2, 1]],
+                   np.round(np.random.default_rng(8).normal(size=(5, 5)), 3)]
+        bases = [modify_basis(hadamard_basis(grid), Kernel(taps)) for taps in kernels]
+        wants = [part_overlaps(obj, basis, decompose_basis(basis)) for basis in bases]
+        monkeypatch.setattr(bench_module, "_dense_overlaps", refuse)
+        for basis, want in zip(bases, wants):
+            assert np.array_equal(plan_acquisition(obj, basis, 1).overlap, want)
 
     def test_all_zero_pattern_reads_zero(self):
         # rows 0 and 1 of H_4 repeat with period 2, so a difference across

@@ -173,12 +173,28 @@ class TestValidate:
         cli_module._require_memory(parse_config(text))
         with pytest.raises(ConfigError, match=r"needs 5 MiB .*\(163,840 frames"):
             cli_module._require_memory(parse_config(text + "basis = hadamard\n"))
-        # 25 taps have 2**25 sign vectors, capped at one level per pixel
+        # 25 taps have 2**25 sign vectors, but a pixel's value is set by a
+        # pair of windows of 5 +/-1 entries, up to sign: 2**9 levels
         wide = "; ".join(" ".join(str(2 ** (5 * i + j)) for j in range(5))
                          for i in range(5))
         cfg = parse_config(f"grid_side = 64\nbasis = hadamard\nkernel = {wide}\n")
-        with pytest.raises(ConfigError, match=r"\(16,785,408 frames"):
+        with pytest.raises(ConfigError, match=r"\(2,105,344 frames"):
             cli_module._require_memory(cfg)
+
+    def test_many_tap_hadamard_kernel_fits(self, tmp_path, monkeypatch, capsys):
+        # a 5x5 kernel bounds a Hadamard pattern to 2**9 levels, so side
+        # 128 needs 257 MiB (its plan holds 153,631 frames), not the 8 GiB
+        # of one level per pixel; side 256 stays past a 512 MiB machine
+        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 512 * 2**20)
+        text = ("basis = hadamard\n"
+                "kernel = 1 2 3 2 1; 2 4 6 4 2; 3 6 9 6 3; 2 4 6 4 2; 1 2 3 2 1\n")
+        path = tmp_path / "binomial128.cfg"
+        path.write_text("grid_side = 128\n" + text)
+        assert main(["validate", "--config", str(path)]) == 0
+        assert "grid_side = 128" in capsys.readouterr().out
+        with pytest.raises(ConfigError, match=r"^grid_side 256 needs 1,028 MiB .*"
+                                              r"\(33,685,504 frames"):
+            cli_module._require_memory(parse_config("grid_side = 256\n" + text))
 
     def test_side_256_fits(self, tmp_path, monkeypatch, capsys):
         # the plans of a side-256 run take a few MiB: no stack is built

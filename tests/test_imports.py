@@ -29,8 +29,8 @@ def test_import_loads_neither_scipy_nor_a_thread_pool():
 
 
 def test_run_does_not_load_numpy_ma(tmp_path):
-    # numpy 2 loads numpy.ma on the first np.unique; masks, plans and the
-    # split of a float stack sort instead, so a run does not pay that import
+    # numpy 2 loads numpy.ma on the first np.unique; masks and the window
+    # numbering of every set sort instead, so a run does not pay that import
     code = ("import json, sys, numpy; before = 'numpy.ma' in sys.modules; "
             "from ghostsim.cli import run_experiment; "
             "from ghostsim.config import load_config; "
@@ -38,7 +38,9 @@ def test_run_does_not_load_numpy_ma(tmp_path):
             "'grid_side': '16', 'bar_groups': '2', **json.loads(sys.argv[1])}), sys.argv[2]); "
             "print(before, 'numpy.ma' in sys.modules)")
     runs = {"canonical": {"basis": "canonical"}, "hadamard": {"basis": "hadamard"},
-            "float-kernel": {"kernel": "0 -0.5 0; -0.5 0 0.5; 0 0.5 0"}}
+            "float-kernel": {"kernel": "0 -0.5 0; -0.5 0 0.5; 0 0.5 0"},
+            "hadamard-5x5": {"grid_side": "128", "basis": "hadamard",
+                             "kernel": "1 2 3 2 1; 2 4 6 4 2; 3 6 9 6 3; 2 4 6 4 2; 1 2 3 2 1"}}
     for name, overrides in runs.items():
         result = subprocess.run([sys.executable, "-c", code, json.dumps(overrides),
                                  str(tmp_path / name)], capture_output=True, text=True)

@@ -14,6 +14,7 @@ from ghostsim import (
     GridSpec,
     MeasurementPlan,
     NoiseModel,
+    ProtocolError,
     basis_processed_image,
     build_operator_matrix,
     canonical_basis,
@@ -67,6 +68,12 @@ class TestReconstruct:
     def test_count_mismatch(self):
         with pytest.raises(DimensionError):
             reconstruct(np.zeros(5), canonical_basis(GridSpec(2)))
+
+    def test_modified_basis_is_refused(self, edge_kernel):
+        # the filter-modified route rebuilds in its parent
+        modified = modify_basis(hadamard_basis(GridSpec(4)), edge_kernel)
+        with pytest.raises(ProtocolError, match="parent"):
+            reconstruct(np.zeros(16), modified)
 
     def test_records_must_cover_all_patterns(self):
         # coverage is checked once, when the plan is built
