@@ -46,10 +46,6 @@ __all__ = [
 CANONICAL = "canonical"
 HADAMARD = "hadamard"
 
-# Pattern entries per row block of the dense frames (64 patterns at side
-# 64): an int8 block is 256 KiB.
-_SCAN_ELEMENTS = 1 << 18
-
 
 class PatternBasis:
     """Ordered, complete set of ``side**2`` patterns sharing one grid, held
@@ -61,7 +57,7 @@ class PatternBasis:
     ``kernel`` is None.  The parents have ``F = I`` (canonical) or ``F =
     H_side`` (Hadamard) and no kernel; their filter-modified sets keep ``F``
     and record the kernel.  ``F`` must be integer with entries in ``{-1, 0,
-    1}``, so that every block of patterns has the dtype of the whole set:
+    1}``, so that a pattern made alone has the dtype of the whole set:
     integer for a parent (int8) and for integral taps whose sum is exact
     (int8 for the edge stencil), float64 for any other kernel.
 
@@ -69,10 +65,10 @@ class PatternBasis:
     makes all of them, shape ``(pixel_count, side, side)``, anew on each
     read: a test oracle of ``side**4`` entries that no run path reads.  The
     arrays are read-only, so one basis serves every cell of a sweep, in any
-    order.
+    order, and its window form is made once (:func:`_form_of`).
     """
 
-    __slots__ = ("grid", "label", "factor", "kernel")
+    __slots__ = ("grid", "label", "factor", "kernel", "_form")
 
     def __init__(self, grid: GridSpec, label: str, factor, kernel: Kernel | None = None):
         n = grid.side
@@ -90,7 +86,7 @@ class PatternBasis:
             if not np.isfinite(np.abs(kernel.taps).sum()):
                 raise DimensionError("basis patterns must be finite")
         for name, value in (("grid", grid), ("label", label), ("factor", factor),
-                            ("kernel", kernel)):
+                            ("kernel", kernel), ("_form", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -100,21 +96,17 @@ class PatternBasis:
         return self.grid.pixel_count
 
     def _rows(self, start: int, stop: int) -> np.ndarray:
-        """Patterns ``start:stop``, each flattened to a row of ``side**2``
-        entries, made from the factor as ``outer(F[r], F[c])`` and filtered
-        by :func:`~ghostsim.core._stencil`: the values and dtype of the
-        same rows of the whole stack."""
+        """Patterns ``start:stop``, made from the factor as ``outer(F[r],
+        F[c])`` and filtered by :func:`~ghostsim.core._stencil`: the values
+        and dtype of the same patterns of the whole stack."""
         n, f = self.grid.side, self.factor
-        j = np.arange(start, min(stop, len(self)))
+        j = np.arange(start, stop)
         block = f[j // n, :, None] * f[j % n, None, :]
-        if self.kernel is not None:
-            block = _stencil(block, self.kernel, 1)
-        return block.reshape(j.size, -1)
+        return block if self.kernel is None else _stencil(block, self.kernel, 1)
 
     @property
     def stack(self) -> np.ndarray:
-        n = self.grid.side
-        stack = self._rows(0, len(self)).reshape(len(self), n, n)
+        stack = self._rows(0, len(self))
         stack.setflags(write=False)
         return stack
 
@@ -123,17 +115,7 @@ class PatternBasis:
 
     def pattern(self, index: int) -> np.ndarray:
         j = range(len(self))[index]
-        return self._rows(j, j + 1).reshape(self.grid.side, self.grid.side)
-
-
-def _row_blocks(basis: PatternBasis):
-    """Yield ``(start, rows)`` over the whole basis, where ``rows`` are
-    patterns ``start:start + len(rows)`` as made by ``_rows``: about
-    ``_SCAN_ELEMENTS`` entries, or one pattern, a block."""
-    m = len(basis)
-    step = max(1, _SCAN_ELEMENTS // basis.grid.pixel_count)
-    for start in range(0, m, step):
-        yield start, basis._rows(start, start + step)
+        return self._rows(j, j + 1)[0]
 
 
 def canonical_basis(grid: GridSpec) -> PatternBasis:
@@ -267,6 +249,15 @@ class _WindowForm:
                 for level in np.flatnonzero(reach):
                     acc[level] += x @ levels[level, a][self.cols].T
         return acc.reshape(len(self.values), n * n)
+
+
+def _form_of(basis: PatternBasis) -> _WindowForm:
+    """The window form of a set, made by :func:`_window_form` on first use
+    and kept on the read-only set, so that a plan takes its split and its
+    overlaps from one form."""
+    if basis._form is None:
+        object.__setattr__(basis, "_form", _window_form(basis))
+    return basis._form
 
 
 def _window_form(basis: PatternBasis) -> _WindowForm:
@@ -404,7 +395,7 @@ def decompose_basis(basis: PatternBasis) -> Decomposition:
     is positive.  No part image is built; a frame is ``pattern == weight``
     wherever it is needed.
     """
-    form = _window_form(basis)
+    form = _form_of(basis)
     held = form.counts()[::-1].T > 0  # nonzero levels descending
     return Decomposition(*_split(held, form.values[::-1]))
 

@@ -21,16 +21,13 @@ distinct level.
 The overlaps do not depend on the integration time, the repeat or the
 seed, so :func:`plan_acquisition` computes them once per sweep and basis
 into a :class:`MeasurementPlan`, and checks the object there.  Each overlap
-equals a bucket read's ``float(np.dot(frame, object))`` bit for bit, by one
-of two paths.  Every set is a parent or its modification by one kernel, so
-its split and its overlaps come from its window form (see
-:class:`~ghostsim.bases._WindowForm`): a few products of ``side x side``
-matrices, used when their sums come out the same in any order, that is
-when every frame lights at most two pixels or the object makes every
-partial sum exact (dyadic values of small enough total, see
-:func:`_order_free`).  Otherwise (a Hadamard set with a file object, say)
-each frame is made dense, a row block of the basis at a time, and dotted
-with the object.
+is the correctly rounded sum of the object values its frame lights, what
+``math.fsum`` gives, on every CPU and BLAS kernel.  Every set is a parent
+or its modification by one kernel, so its split and its overlaps come from
+its window form (see :class:`~ghostsim.bases._WindowForm`): the object is
+cut into integer limbs whose sums over any frame are exact in float64, a
+few products of ``side x side`` matrices sum each limb, and one rounding
+to odd followed by one to nearest gives each overlap.
 
 A cell is then ``run_basis_protocol(plan, noise, integration_time_ms)``:
 the plan fixes the frames, the noise model the noise levels and the seed,
@@ -48,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import (CANONICAL, Decomposition, PatternBasis, _row_blocks, _window_form,
-                    _WindowForm, decompose_basis)
+from .bases import (CANONICAL, Decomposition, PatternBasis, _form_of, _WindowForm,
+                    decompose_basis)
 from .core import GridSpec
 from .errors import ConfigError, DimensionError, ProtocolError
 from .pgmio import read_pgm
@@ -233,81 +230,76 @@ def _check_object(obj) -> np.ndarray:
     return o
 
 
-def _order_free(o: np.ndarray) -> bool:
-    """Whether every sum of distinct object values is exact in any order.
-
-    Let every ``|o|`` be a multiple of ``2**-b``.  Every partial sum of
-    distinct values is then a multiple of ``2**-b`` of magnitude at most
-    ``sum|o|``, so it is exact when ``2**b * sum|o| <= 2**53``.  The test is
-    made in exponents and integers: ``2**b`` itself can overflow.
-    """
-    a = np.abs(o[o != 0.0])
+def _limb_layout(o: np.ndarray) -> tuple[int, int, int]:
+    """``(width, count, top)``: the object in [0, 1] is ``count`` integer
+    limbs below ``2**width``, ``o = sum_k limb_k * 2**(top - width * (k +
+    1))``.  A frame lights at most ``o.size`` pixels, so ``width = 53 -
+    ceil(log2(o.size))`` keeps every partial sum of one limb an integer
+    below ``2**53``: exact in float64, in any order."""
+    width = 53 - (o.size - 1).bit_length()
+    a = o[o != 0.0]
     if a.size == 0:
-        return True
-    mantissa, exponent = np.frexp(a)  # a = mantissa * 2**exponent
+        return width, 1, 0
+    mantissa, exponent = np.frexp(a)  # a = mantissa * 2**exponent, below 2**top
     digits = np.ldexp(mantissa, 53).astype(np.int64)
-    # a = digits * 2**(exponent - 53), and the lowest set bit of digits
-    # sets the finest power of two a is a multiple of
+    # a = digits * 2**(exponent - 53): a multiple of 2**-fine, which the
+    # lowest set bit of digits sets
     low = np.frexp((digits & -digits).astype(float))[1] - 1
-    b = int((53 - exponent - low).max())
-    if int(exponent.max()) + b > 53:
-        return False
-    units = np.ldexp(a, b).astype(np.int64)  # each below 2**53
-    # summed in halves of 27 and 26 bits, so that int64 holds any total
-    return (int((units >> 26).sum()) << 26) + int((units & (2**26 - 1)).sum()) <= 2**53
+    top, fine = int(exponent.max()), int((53 - exponent - low).max())
+    return width, -(-(top + fine) // width), top
+
+
+def _rounded_sum(sums: np.ndarray, width: int, top: int) -> np.ndarray:
+    """The float64 nearest ``sum_k sums[k] * 2**(top - width * (k + 1))``,
+    ties to even, for exact non-negative int64 limb sums below ``2**53``.
+
+    The sums are carry-normalised in place, then shifted into an
+    accumulator, top limb first, while it stays below ``2**61``; the bits
+    left over set a sticky bit 0 (rounding to odd).  Rounding to odd at 55
+    bits or more, then to nearest at 53, is correct rounding (Boldo and
+    Melquiond, IEEE TC 57(4), 2008).  A result below ``2**-1022`` sums only
+    multiples of ``2**-1074`` below it, so it is exact and ``ldexp`` does
+    not round it a second time."""
+    for k in range(len(sums) - 1, 0, -1):
+        sums[k - 1] += sums[k] >> width
+        sums[k] &= (1 << width) - 1
+    acc = sums[0]
+    exp = np.full(acc.shape, top - width, dtype=np.int32)  # ldexp is fastest on int32
+    sticky = np.zeros(acc.shape, dtype=bool)
+    for limb in sums[1:]:
+        # frexp reads the bit length of acc, or one more where the
+        # conversion rounds up to a power of two: acc then stops at 60 bits
+        take = np.clip(61 - np.frexp(acc.astype(float))[1], 0, width)
+        rest = width - take
+        acc = (acc << take) | (limb >> rest)
+        sticky |= (limb & ((np.int64(1) << rest) - 1)) != 0
+        exp -= take
+    return np.ldexp((acc | sticky).astype(float), exp)
 
 
 def _window_overlaps(o: np.ndarray, form: _WindowForm,
-                     split: Decomposition) -> np.ndarray | None:
-    """Overlaps of the frames of ``split`` from the set's window form
-    ``form`` (see :meth:`~ghostsim.bases._WindowForm.overlaps`), which
-    ``split`` was taken from, or None when they might not be exact.
-
-    The result equals the bucket read's dot, whatever order either sums
-    in, when every frame lights at most two pixels (the sums add only
-    exact zeros besides, and ``fl(a + b)`` is the same in either order), or
-    when :func:`_order_free` holds: each partial sum of either is a sum of
-    distinct object values.
-    """
-    if not (_order_free(o) or form.counts().max(initial=0) <= 2):
-        return None
-    acc = form.overlaps(o)
+                     split: Decomposition) -> np.ndarray:
+    """The overlap of each frame of ``split`` with ``o``, correctly rounded
+    (``math.fsum`` of the values it lights).  Each limb is peeled off the
+    top, exactly: the integer part of the scaled object, whose fraction
+    times ``2**width`` is the rest.  The set's window form ``form``, which
+    ``split`` was taken from, sums a limb over every frame exactly and in
+    any order (:meth:`~ghostsim.bases._WindowForm.overlaps`), so no BLAS
+    kernel changes a bit, and :func:`_rounded_sum` rounds once.  A dyadic
+    object such as the bar target is one limb: its sums are exact."""
+    width, count, top = _limb_layout(o)
     lit = split.level != 0.0  # an all-zero pattern's part is dark
+    frame = np.searchsorted(form.values, split.level[lit]) * o.size + split.owner[lit]
+    sums = np.empty((count, frame.size), dtype=np.int64)
+    x = np.ldexp(o, width - top)
+    for k in range(count):
+        limb = np.floor(x)
+        sums[k] = form.overlaps(limb).ravel()[frame]
+        x -= limb
+        x *= 2.0**width
     overlap = np.zeros(split.level.size)
-    overlap[lit] = acc[np.searchsorted(form.values, split.level[lit]), split.owner[lit]]
+    overlap[lit] = _rounded_sum(sums, width, top)
     return overlap
-
-
-# Pattern entries per block of the dense overlap loop: a float block is
-# 512 KiB, which is 16 frames at side 64.
-_PLAN_ELEMENTS = 1 << 16
-
-
-def _dense_overlaps(basis: PatternBasis, flat: np.ndarray,
-                    split: Decomposition) -> np.ndarray:
-    """The overlap of each frame of ``split``, made dense in float64 from a
-    row block of the basis and dotted with the object the way one bucket
-    read is.  The basis is walked once, and each row block takes the run
-    of parts it owns (``owner`` is ascending)."""
-    step = max(1, _PLAN_ELEMENTS // flat.size)
-    buf = np.empty((step, flat.size))
-    overlaps = []
-    for start, rows in _row_blocks(basis):
-        first, last = np.searchsorted(split.owner, [start, start + len(rows)]).tolist()
-        owner, level = split.owner[first:last], split.level[first:last]
-        # a level is a value of the rows, and an integer one is exact in
-        # float64, so comparing in the rows' dtype agrees with float64; for
-        # int8 rows it is also about 3x faster
-        key = level.astype(rows.dtype)
-        overlap = np.empty(owner.size)
-        for s in range(0, owner.size, step):
-            e = min(s + step, owner.size)
-            block = buf[:e - s]
-            np.equal(rows[owner[s:e] - start], key[s:e, None], out=block)
-            block[level[s:e] == 0.0] = 0.0  # an all-zero pattern's part is dark
-            np.matmul(block[:, None, :], flat[:, None], out=overlap[s:e, None, None])
-        overlaps.append(overlap)
-    return np.concatenate(overlaps)
 
 
 def plan_acquisition(obj, basis: PatternBasis,
@@ -325,23 +317,9 @@ def plan_acquisition(obj, basis: PatternBasis,
     :func:`~ghostsim.bases.projection_count` counts frames by the same rule.
 
     Frame ``p`` is ``pattern[owner[p]] == level[p]``, and its overlap is
-    what one bucket read's ``float(np.dot(frame, object))`` gives, bit for
-    bit, by one of two paths chosen per basis and object:
-
-    * **window**, when the sums come out the same in any order: every
-      frame lights at most two pixels (a canonical set with the edge
-      stencil, say), or :func:`_order_free` holds for the object (the bar
-      target, say).  :func:`_window_overlaps` then forms the overlaps from
-      a few products of ``side x side`` matrices.
-    * **dense** otherwise.  The basis makes its patterns a row block at a
-      time from the factor, once, and each frame of the block is compared
-      in the rows' own dtype, which agrees with binary_decompose's float64
-      comparison.  The frames are written into one reused float64 buffer,
-      and each then meets the object as a ``(1, n) @ (n, 1)`` product,
-      which numpy evaluates with the same dot kernel as the bucket read,
-      bit for bit.  A matrix-vector product sums in another order and can
-      differ in the last bits.  The working memory is a few blocks, never
-      a ``side**4`` stack.
+    the correctly rounded sum of the object values it lights
+    (:func:`_window_overlaps`).  The split and the overlaps come from the
+    set's one window form, and no frame is made.
     """
     o = _check_object(obj)
     side = basis.grid.side
@@ -355,9 +333,7 @@ def plan_acquisition(obj, basis: PatternBasis,
     if canonical and not np.all((level == 1.0) | (level == 0.0)):
         raise ProtocolError("a canonical basis must be binary; a multi-level "
                             "basis is split into binary parts under another label")
-    overlap = _window_overlaps(o, _window_form(basis), split)
-    if overlap is None:
-        overlap = _dense_overlaps(basis, o.ravel(), split)
+    overlap = _window_overlaps(o, _form_of(basis), split)
     if canonical:
         r = repeats_per_pattern
         return MeasurementPlan(basis.grid, np.repeat(owner, r),

@@ -7,9 +7,9 @@ Verbs:
   and a re-parseable run manifest.
 * ``gallery``  -- export selected basis patterns, original and
   filter-modified, as graymaps.
-* ``validate`` -- parse and validate a config, check that its measurement
-  plans fit in physical memory, build its scene and masks (so it fails as
-  ``run`` would before the sweep), and echo the resolved values.
+* ``validate`` -- parse and validate a config, build its scene, check that
+  its measurement plans fit in physical memory, build its masks (so it
+  fails as ``run`` would before the sweep), and echo the resolved values.
 
 Exit codes: 0 success, 1 config error, 2 runtime error.
 """
@@ -27,7 +27,7 @@ from . import __version__
 from .analysis import (_sweep_masks, summarize_sweep, sweep_cells, write_summary_csv,
                        write_sweep_csv)
 from .bases import HADAMARD, canonical_basis, hadamard_basis, modify_basis
-from .bench import load_object, synth_bar_target
+from .bench import _limb_layout, load_object, synth_bar_target
 from .config import ExperimentConfig, load_config
 from .core import GridSpec
 from .errors import ConfigError, GhostSimError
@@ -64,18 +64,18 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _require_memory(config: ExperimentConfig):
-    """Fail before any basis or scene is built when what a run holds
-    exceeds physical memory: its two measurement plans, at 24 B (owner,
-    weight and overlap) per frame, and the window-form accumulator of one
-    float64 per level and pattern.  A canonical parent projects
-    ``repeats_per_pattern`` frames a pattern and a Hadamard parent at most
-    two.  The filter-modified set projects one per level.  A canonical
-    pattern has at most one level per pixel and per distinct tap value.  A
-    Hadamard pattern's value at a pixel is set by a pair of +/-1 factor
-    windows under the kernel's distinct row and column offsets, and a pair
-    and its negation give the same level, so it has at most one level per
-    pixel, per sign vector of the taps and per window pair up to sign."""
+def _require_memory(config: ExperimentConfig, obj=None):
+    """Fail before any basis is built when what a run holds exceeds
+    physical memory: its two measurement plans, at 24 B (owner, weight and
+    overlap) per frame, and the window-form sums, one float64 per level
+    and pattern and one int64 more per limb of ``obj`` (one limb if None).
+    A canonical parent projects ``repeats_per_pattern`` frames a pattern
+    and a Hadamard parent at most two; the filter-modified set one per
+    level.  A canonical pattern has at most one level per pixel and
+    distinct tap value.  A Hadamard pattern's value at a pixel is set by a
+    pair of +/-1 factor windows under the kernel's distinct offsets, and a
+    pair and its negation give the same level, so it has at most one level
+    per pixel, per sign vector of the taps and per window pair up to sign."""
     memory = _physical_memory()
     if memory is None:
         return
@@ -86,8 +86,9 @@ def _require_memory(config: ExperimentConfig):
         parent, levels = 2, min(2 ** len(offsets), 2 ** max(span - 1, 0), m)
     else:
         parent, levels = config.repeats_per_pattern, min(len({v for _, _, v in offsets}), m)
+    limbs = 1 if obj is None else _limb_layout(obj)[1]
     frames = m * (parent + levels)
-    plans, accumulator = 24 * frames, 8 * (levels + 1) * m
+    plans, accumulator = 24 * frames, 8 * limbs * (levels + 1) * m
     if plans + accumulator > memory:
         def mib(size):
             return f"{size / 2**20:,.0f} MiB"
@@ -122,8 +123,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[Path]:
     result does not depend on the order the cells run in.
     """
     out = Path(out_dir if out_dir is not None else config.output_dir)
-    _require_memory(config)
     obj = build_scene(config)
+    _require_memory(config, obj)
     cells = sweep_cells(
         obj,
         config.kernel,
@@ -223,12 +224,12 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides=_overrides(args))
         if args.verb == "validate":
-            # the plans' size, the scene and the masks fail here as they
+            # the scene, the plans' size and the masks fail here as they
             # would before a run's sweep
-            _require_memory(cfg)
-            _sweep_masks(build_scene(cfg), cfg.kernel, cfg.peak_fraction,
-                         cfg.background_fraction, cfg.mask_border,
-                         cfg.background_rect)
+            obj = build_scene(cfg)
+            _require_memory(cfg, obj)
+            _sweep_masks(obj, cfg.kernel, cfg.peak_fraction, cfg.background_fraction,
+                         cfg.mask_border, cfg.background_rect)
             sys.stdout.write(cfg.to_text())
         elif args.verb == "run":
             paths = run_experiment(cfg)

@@ -5,6 +5,8 @@ frames, recombine a pattern or run the per-read reference build the binary
 images here, the same way for every test.
 """
 
+import math
+
 import numpy as np
 
 
@@ -25,9 +27,10 @@ def recombine(pattern, sub) -> np.ndarray:
 
 
 def part_overlaps(obj, basis, decomposed) -> list[float]:
-    """Each part's overlap with ``obj`` as one bucket read computes it:
-    ``float(np.dot(part, obj))`` over the flattened float64 images."""
+    """Each part's overlap with ``obj`` as one bucket read computes it: the
+    correctly rounded sum of the object values the part lights,
+    ``math.fsum``."""
     flat = np.asarray(obj, dtype=float).ravel()
-    return [float(np.dot(part.astype(float).ravel(), flat))
+    return [math.fsum(flat[part.ravel() != 0])
             for sub in decomposed
             for part in part_images(basis.pattern(sub.parent_index), sub)]

@@ -1,7 +1,6 @@
 """Pattern generation, filter modification, and binary decomposition."""
 
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -459,15 +458,13 @@ class TestDecomposeBasis:
         assert projection_count(basis, 1) == sum(sub.part_count for sub in want)
 
     @settings(max_examples=100, deadline=None)
-    @given(basis=factor_sets(), seed=st.integers(0, 2**32 - 1),
-           plan_elements=st.sampled_from([1, 9, 1 << 16]))
-    def test_plan_frames_match_binary_decompose(self, basis, seed, plan_elements):
-        # a uniform object takes the window path for frames of at most two
-        # pixels and the dense path for the others
+    @given(basis=factor_sets(), seed=st.integers(0, 2**32 - 1))
+    def test_plan_frames_match_binary_decompose(self, basis, seed):
+        # any factor, dark rows included, on a uniform object: each overlap
+        # is the fsum of the frame binary_decompose gives
         side = basis.grid.side
         obj = np.random.default_rng(seed).uniform(0.0, 1.0, size=(side, side))
-        with mock.patch.object(bench_module, "_PLAN_ELEMENTS", plan_elements):
-            plan = plan_acquisition(obj, basis, 1)
+        plan = plan_acquisition(obj, basis, 1)
         assert np.array_equal(plan.overlap, split_overlaps(obj, basis))
 
     @pytest.mark.parametrize("taps", [[[0, -1, 0], [-1, 0, 1], [0, 1, 0]],
@@ -557,23 +554,18 @@ class TestFactorOnlySets:
 
     @settings(max_examples=100, deadline=None)
     @given(basis=separable_sets(), seed=st.integers(0, 2**32 - 1),
-           plan_elements=st.sampled_from([1, 9, 1 << 16]),
-           scan_elements=st.sampled_from([1, 7, 40, 1 << 18]))
-    def test_dense_overlaps_from_blocks_match_the_held_stack(self, basis, seed,
-                                                             plan_elements,
-                                                             scan_elements):
-        # the row blocks are the whole stack's rows, and the dense overlap
-        # of each frame is a per-part dot, whatever the block sizes
+           gray=st.sampled_from([None, 255, 65535]))
+    def test_window_overlaps_match_the_held_stack(self, basis, seed, gray):
+        # each overlap is the fsum of its frame in the materialised stack,
+        # on a uniform or a gray / maxval object
         side = basis.grid.side
-        obj = np.random.default_rng(seed).uniform(0.0, 1.0, size=(side, side))
-        stack, split = basis.stack, decompose_basis(basis)
-        with mock.patch.object(bench_module, "_PLAN_ELEMENTS", plan_elements), \
-                mock.patch.object(bases_module, "_SCAN_ELEMENTS", scan_elements):
-            got = bench_module._dense_overlaps(basis, obj.ravel(), split)
-            rows = np.concatenate([r for _, r in bases_module._row_blocks(basis)])
-        assert rows.dtype == stack.dtype
-        assert np.array_equal(rows, stack.reshape(len(basis), -1))
-        assert np.array_equal(got, part_overlaps(obj, basis, split))
+        rng = np.random.default_rng(seed)
+        obj = rng.uniform(0.0, 1.0, size=(side, side))
+        if gray is not None:
+            obj = np.rint(gray * obj) / gray
+        want = [binary_decompose(p, j) for j, p in enumerate(basis.stack)]
+        assert np.array_equal(plan_acquisition(obj, basis, 1).overlap,
+                              part_overlaps(obj, basis, want))
 
     @pytest.mark.parametrize("build", [canonical_basis, hadamard_basis])
     def test_sets_hold_no_stack(self, build, edge_kernel):
@@ -592,31 +584,31 @@ class TestFactorOnlySets:
 
     @pytest.mark.parametrize("taps", [[[0, -0.5, 0], [-0.5, 0, 0.5], [0, 0.5, 0]],
                                       [[0, -1, 0], [-1, 0, 1], [0, 1, 0]]])
-    def test_dense_plan_walks_the_row_blocks_once(self, taps, monkeypatch):
-        # a non-dyadic object sends a Hadamard set, with float or integral
-        # taps, down the dense path: its split comes from the window form,
-        # and each row block is made once, for its frames
+    def test_plan_makes_the_window_form_once(self, taps, monkeypatch):
+        # a Hadamard set with float or integral taps, on a two-limb object:
+        # the split and every limb's sums come from one form, and no
+        # pattern is made
         basis = modify_basis(hadamard_basis(GridSpec(16)), Kernel(taps))
         obj = np.random.default_rng(4).integers(0, 256, size=(16, 16)) / 255
         want = split_overlaps(obj, basis)
-        walks, made = [], []
-        rows, blocks = PatternBasis._rows, bases_module._row_blocks
+        forms, build = [], bases_module._window_form
 
-        def spy(self, start, stop):
-            made.append(start)
-            return rows(self, start, stop)
+        def spy(basis):
+            forms.append(basis)
+            return build(basis)
 
-        def walk(basis):
-            walks.append(basis)
-            return blocks(basis)
+        def refuse(*args):
+            raise AssertionError("made patterns for a plan")
 
-        monkeypatch.setattr(PatternBasis, "_rows", spy)
-        for module in (bases_module, bench_module):
-            monkeypatch.setattr(module, "_row_blocks", walk)
+        monkeypatch.setattr(bases_module, "_window_form", spy)
+        monkeypatch.setattr(PatternBasis, "_rows", refuse)
         plan = plan_acquisition(obj, basis, 1)
-        assert walks == [basis]
-        assert made == list(range(0, len(basis), bases_module._SCAN_ELEMENTS // 256))
+        assert forms == [basis]
         assert np.array_equal(plan.overlap, want)
+        # the form is kept with the set, for every later split or plan
+        assert projection_count(basis, 1) == plan.bucket_reads
+        assert np.array_equal(plan_acquisition(obj, basis, 1).overlap, want)
+        assert forms == [basis]
 
     def test_decomposition_arrays_are_checked(self):
         split = Decomposition([0, 0, 1], [2.0, -1.0, 0.0])
@@ -633,21 +625,20 @@ class TestFactorOnlySets:
             split[0:1]
 
     def test_dense_plan_peaks_far_below_the_stack(self, edge_kernel):
-        # a non-dyadic object sends the side-64 edge-modified Hadamard set
-        # down the dense path; its frames come from row blocks, not from
-        # the set's 16 MiB stack
+        # a uniform object on the side-64 edge-modified Hadamard set, whose
+        # +/-1 parent lights half the grid in every frame: the plan holds
+        # two limb sums per level and pattern, not the set's 16 MiB stack
         grid = GridSpec(64)
         modified = modify_basis(hadamard_basis(grid), edge_kernel)
         obj = np.random.default_rng(3).uniform(0.0, 1.0, size=(64, 64))
-        with mock.patch.object(bench_module, "_dense_overlaps",
-                               wraps=bench_module._dense_overlaps) as dense:
-            tracemalloc.start()
-            try:
-                plan = plan_acquisition(obj, modified, 1)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        assert dense.called and plan.bucket_reads == 15868
+        assert bench_module._limb_layout(obj)[1] == 2
+        tracemalloc.start()
+        try:
+            plan = plan_acquisition(obj, modified, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert plan.bucket_reads == 15868
         assert modified.stack.nbytes == 16 * 2**20
         assert peak < modified.stack.nbytes / 4
 

@@ -19,8 +19,10 @@ from ghostsim import (
     parse_config,
     read_pgm,
     read_pgm_values,
+    synth_bar_target,
     write_pgm,
 )
+import ghostsim.bench as bench_module
 import ghostsim.cli as cli_module
 from ghostsim.cli import emit_pattern_gallery, main, run_experiment
 from ghostsim.config import ENV_PREFIX
@@ -144,12 +146,14 @@ class TestValidate:
 
     def test_grid_too_large_for_memory_fails_early(self, tmp_path, monkeypatch, capsys):
         # side 1024 has 4 frames a pattern (two repeats, two edge levels):
-        # 96 MiB of plans and a 24 MiB accumulator, past a 64 MiB machine;
-        # all three verbs refuse it before any basis or scene is built
+        # 96 MiB of plans and a 24 MiB accumulator for the one-limb bar
+        # target, past a 64 MiB machine; all three verbs refuse it before
+        # any basis is built (run and validate after the scene, whose limbs
+        # the accumulator counts)
         def refuse(*args, **kwargs):
-            raise AssertionError("built a basis or a scene")
+            raise AssertionError("built a basis")
 
-        for name in ("canonical_basis", "hadamard_basis", "build_scene"):
+        for name in ("canonical_basis", "hadamard_basis"):
             monkeypatch.setattr(cli_module, name, refuse)
         monkeypatch.setattr(cli_module, "_physical_memory", lambda: 64 * 2**20)
         monkeypatch.chdir(tmp_path)
@@ -163,6 +167,30 @@ class TestValidate:
         assert "(4,194,304 frames at 24 B, and a 24 MiB level accumulator)" in errors[0]
         assert "64 MiB of physical memory" in errors[0]
         assert not (tmp_path / "out").exists()
+
+    def test_memory_check_counts_the_object_limbs(self, tmp_path, monkeypatch, capsys):
+        # at side 64 the bar target is one limb: 0.4 MiB of canonical plans
+        # and a 0.1 MiB accumulator.  Values spread down to 1e-300 are some
+        # 26 limbs of 41 bits, a 2.4 MiB accumulator, past a 1 MiB machine
+        grid = GridSpec(64)
+        tiny = np.random.default_rng(5).uniform(0.0, 1.0, size=(64, 64))
+        tiny[::10] *= 1e-300
+        assert 24 <= bench_module._limb_layout(tiny)[1] <= 31
+        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 2**20)
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "side64.cfg"
+        path.write_text("grid_side = 64\n")
+        assert main(["validate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli_module, "build_scene", lambda config: tiny)
+        for verb in ("validate", "run"):
+            assert main([verb, "--config", str(path), "--out", "out"]) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2 and errors[0] == errors[1]
+        assert "level accumulator" in errors[0] and "1 MiB of physical memory" in errors[0]
+        assert not (tmp_path / "out").exists()
+        cli_module._require_memory(parse_config("grid_side = 64\n"),
+                                   synth_bar_target(grid))
 
     def test_memory_check_counts_the_kernel_levels(self, monkeypatch):
         # three taps bound a pattern to 3 levels on a canonical parent and
@@ -300,15 +328,14 @@ class TestRun:
 
 
 class TestNoStackOnTheRunPath:
-    """A run on either parent holds no side**4 pattern stack: the factor
-    path reads none, and the dense path makes its frames a row block at a
-    time."""
+    """A run on either parent makes no pattern at all: the split and the
+    overlaps of every set come from its window form, on any object."""
 
     @staticmethod
     def config(basis, scene, tmp_path):
         text = f"grid_side = 32\nbar_groups = 2\nbasis = {basis}\n"
         if scene == "file-object":
-            # gray / 65535 is not dyadic, so a Hadamard set takes the dense path
+            # gray / 65535 is not dyadic: two limbs
             gray = np.random.default_rng(9).integers(0, 65536, size=(32, 32))
             lines = [" ".join(map(str, row)) for row in gray.tolist()]
             (tmp_path / "obj.pgm").write_text("P2\n32 32\n65535\n" + "\n".join(lines))
@@ -318,22 +345,12 @@ class TestNoStackOnTheRunPath:
     @pytest.mark.parametrize("scene", ["bar-target", "file-object"])
     @pytest.mark.parametrize("basis", ["canonical", "hadamard"])
     def test_run_never_builds_a_whole_stack(self, basis, scene, tmp_path, monkeypatch):
-        blocks, rows = [], PatternBasis._rows
+        def refuse(self, *args):
+            raise AssertionError("made patterns for a run")
 
-        def spy(self, start, stop):
-            out = rows(self, start, stop)
-            blocks.append((len(out), len(self)))
-            return out
-
-        def whole(self):
-            raise AssertionError("read a whole pattern stack")
-
-        monkeypatch.setattr(PatternBasis, "_rows", spy)
-        monkeypatch.setattr(PatternBasis, "stack", property(whole))
+        monkeypatch.setattr(PatternBasis, "_rows", refuse)
+        monkeypatch.setattr(PatternBasis, "stack", property(refuse))
         run_experiment(self.config(basis, scene, tmp_path), tmp_path / "out")
-        assert all(count < total for count, total in blocks)
-        # only the dense path makes rows
-        assert bool(blocks) == (basis == "hadamard" and scene == "file-object")
 
     @pytest.mark.parametrize("scene", ["bar-target", "file-object"])
     @pytest.mark.parametrize("basis", ["canonical", "hadamard"])

@@ -7,6 +7,8 @@ repeat) and one normalization read per pattern.  Fed the same draws, the
 plan-based cell must reproduce it bit for bit.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,11 +47,14 @@ def read_stream(seed: int, pattern_index: int, read_index: int) -> np.random.Gen
     return np.random.default_rng([int(seed), int(pattern_index), int(read_index)])
 
 
-def bucket_read(pattern, obj, a, noise, rng) -> float:
-    """``a * <pattern, obj> + background_measure + N(0, detector_sigma^2)``."""
-    pat = np.asarray(pattern, dtype=float)
-    o = np.asarray(obj, dtype=float)
-    value = a * float(np.dot(pat.ravel(), o.ravel())) + noise.background_measure
+def bucket_read(frame, obj, a, noise, rng) -> float:
+    """``a * <frame, obj> + background_measure + N(0, detector_sigma^2)``
+    for a binary frame, whose overlap ``<frame, obj>`` is the correctly
+    rounded sum of the object values it lights, ``math.fsum``."""
+    frame = np.asarray(frame)
+    assert np.all((frame == 0) | (frame == 1)), "a bucket reads a binary frame"
+    overlap = math.fsum(np.asarray(obj, dtype=float)[frame == 1])
+    value = a * overlap + noise.background_measure
     if noise.detector_sigma > 0:
         value += noise.detector_sigma * rng.standard_normal()
     return float(value)
