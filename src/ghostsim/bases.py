@@ -4,18 +4,20 @@ Canonical (one-hot raster) and Hadamard generators, their filter-modified
 sets, and the split of a multi-level pattern into weighted binary parts that
 a two-state amplitude modulator can actually project.  Every set is a
 parent's ``side x side`` factor and at most one kernel, so no set built here
-holds a ``side**4`` stack; a pattern is made from the factor only where one
-is asked for.
+holds a ``side**4`` stack.
 
 A pattern's value at a pixel depends only on two short windows of the
-factor, one in its row and one in its column (:class:`_WindowForm`).  A set
-has few distinct windows, so its levels, each level's pixel counts and each
-frame's overlap with an object come from those windows and a few ``side x
-side`` products, with no scan over patterns.  A split is described by its
-levels alone: part ``k`` of pattern ``P`` is the frame ``P == level_k``, so
-no part image is stored.  The split of a whole set is two flat arrays, the
-owner and the level of each part (:class:`Decomposition`); no object is made
-per pattern unless one is asked for.
+factor, one in its row and one in its column.  A set has few distinct
+windows, and its window form (:class:`_WindowForm`), made once with the
+set, holds the level of each pair of them: the one definition of its
+patterns.  A pattern is read off the form where one is asked for, and the
+levels, each level's pixel counts and each frame's overlap with an object
+come from it and a few ``side x side`` products, with no scan over
+patterns.  A split is described by its levels alone: part ``k`` of pattern
+``P`` is the frame ``P == level_k``, so no part image is stored.  The split
+of a whole set is two flat arrays, the owner and the level of each part
+(:class:`Decomposition`); no object is made per pattern unless one is asked
+for.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, Kernel, _require_fits, _stencil, _stencil_dtype
+from .core import GridSpec, Kernel, _require_fits
 from .errors import DimensionError, ProtocolError, UnsupportedSizeError
 
 __all__ = [
@@ -57,15 +59,15 @@ class PatternBasis:
     ``kernel`` is None.  The parents have ``F = I`` (canonical) or ``F =
     H_side`` (Hadamard) and no kernel; their filter-modified sets keep ``F``
     and record the kernel.  ``F`` must be integer with entries in ``{-1, 0,
-    1}``, so that a pattern made alone has the dtype of the whole set:
-    integer for a parent (int8) and for integral taps whose sum is exact
-    (int8 for the edge stencil), float64 for any other kernel.
+    1}``.  The patterns are integer for a parent (in the factor's dtype,
+    int8) and for integral taps whose sum is exact (int8 for the edge
+    stencil), float64 for any other kernel.
 
-    No set holds its patterns.  ``pattern(j)`` makes one, and ``stack``
-    makes all of them, shape ``(pixel_count, side, side)``, anew on each
-    read: a test oracle of ``side**4`` entries that no run path reads.  The
-    arrays are read-only, so one basis serves every cell of a sweep, in any
-    order, and its window form is made once (:func:`_form_of`).
+    The set makes its window form (:class:`_WindowForm`) when it is built
+    and holds no pattern.  ``pattern(j)`` reads one off the form, and
+    ``stack`` all of them, shape ``(pixel_count, side, side)``, anew on
+    each read: a test oracle of ``side**4`` entries that no run path reads.
+    The set is read-only, so it serves every cell of a sweep, in any order.
     """
 
     __slots__ = ("grid", "label", "factor", "kernel", "_form")
@@ -86,7 +88,7 @@ class PatternBasis:
             if not np.isfinite(np.abs(kernel.taps).sum()):
                 raise DimensionError("basis patterns must be finite")
         for name, value in (("grid", grid), ("label", label), ("factor", factor),
-                            ("kernel", kernel), ("_form", None)):
+                            ("kernel", kernel), ("_form", _window_form(factor, kernel))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -96,13 +98,13 @@ class PatternBasis:
         return self.grid.pixel_count
 
     def _rows(self, start: int, stop: int) -> np.ndarray:
-        """Patterns ``start:stop``, made from the factor as ``outer(F[r],
-        F[c])`` and filtered by :func:`~ghostsim.core._stencil`: the values
-        and dtype of the same patterns of the whole stack."""
-        n, f = self.grid.side, self.factor
-        j = np.arange(start, stop)
-        block = f[j // n, :, None] * f[j % n, None, :]
-        return block if self.kernel is None else _stencil(block, self.kernel, 1)
+        """Patterns ``start:stop`` in the set's dtype: each pattern's levels
+        across its column windows, copied into its pixel rows by their row
+        windows."""
+        form = self._form
+        r, c = np.divmod(np.arange(start, stop), self.grid.side)
+        across = form.level[:, form.cols[c]]
+        return across[form.rows[r], np.arange(r.size)[:, None]]
 
     @property
     def stack(self) -> np.ndarray:
@@ -207,9 +209,11 @@ class _WindowForm:
     window ``F[r, i - D_r]`` and the column window ``F[c, j - D_c]`` alone,
     where ``D_r`` and ``D_c`` are the kernel's distinct row and column
     offsets.  ``rows[r, i]`` numbers the row window at ``(r, i)`` and
-    ``cols[c, j]`` the column window at ``(c, j)``.  ``pairs[a, b]`` is the
-    index in ``values`` (the distinct nonzero levels, ascending) of the
-    level of the window pair ``(a, b)``, or ``len(values)`` for level 0.
+    ``cols[c, j]`` the column window at ``(c, j)``.  ``level[a, b]`` is the
+    level of the window pair ``(a, b)``, in the set's dtype, so pattern
+    ``(r, c)`` is ``level[rows[r], :][:, cols[c]]``.  ``pairs[a, b]`` is the
+    index in ``values`` (the distinct nonzero levels, ascending, in
+    float64) of that level, or ``len(values)`` for level 0.
 
     Let ``U_a[r, i] = [rows[r, i] = a]`` and let ``M_al[c, j]`` be 1 where
     ``pairs[a, cols[c, j]] = l``.  The frame of level ``l`` in pattern ``(r,
@@ -223,6 +227,7 @@ class _WindowForm:
 
     rows: np.ndarray
     cols: np.ndarray
+    level: np.ndarray
     pairs: np.ndarray
     values: np.ndarray
 
@@ -251,39 +256,50 @@ class _WindowForm:
         return acc.reshape(len(self.values), n * n)
 
 
-def _form_of(basis: PatternBasis) -> _WindowForm:
-    """The window form of a set, made by :func:`_window_form` on first use
-    and kept on the read-only set, so that a plan takes its split and its
-    overlaps from one form."""
-    if basis._form is None:
-        object.__setattr__(basis, "_form", _window_form(basis))
-    return basis._form
+def _stencil_dtype(factor: np.ndarray, taps: list[float]) -> np.dtype:
+    """Integer dtype of an exact stencil sum over a factor's outer
+    products, or float64.
+
+    The sum stays integer when every tap is integral and the bound
+    ``sum(|taps|)`` (a factor entry is at most 1 in size) is at most 2**53,
+    so the float64 sum would hold the same integers exactly.  The dtype is
+    the factor's, promoted until it holds both ``-bound`` and ``+bound``:
+    int8 for the edge stencil on either parent.
+    """
+    if any(v != int(v) for v in taps):
+        return np.dtype(float)
+    bound = sum(abs(int(v)) for v in taps)
+    if bound > 2**53:  # past float64's exact integers
+        return np.dtype(float)
+    # -bound - 1 so the type also holds +bound: int8 stops at 127, not 128
+    return np.promote_types(factor.dtype, np.min_scalar_type(-bound - 1))
 
 
-def _window_form(basis: PatternBasis) -> _WindowForm:
-    """The window form of a set.  The level of each window pair is made
-    with :func:`~ghostsim.core._stencil`'s operations, in tap order and in
-    its dtype, so a float kernel's levels have the stencil's bits."""
-    f = basis.factor
-    taps = [(0, 0, 1.0)] if basis.kernel is None else list(basis.kernel.offsets())
+def _window_form(f: np.ndarray, kernel: Kernel | None) -> _WindowForm:
+    """The window form of the set of factor ``f`` and ``kernel``.  The level
+    of each window pair is the stencil sum of the pair's outer product:
+    one term per tap, in tap order and in the set's dtype, so a float
+    kernel's levels have the bits of a float64 roll sum of the patterns."""
+    taps = [(0, 0, 1.0)] if kernel is None else list(kernel.offsets())
     row_offsets = sorted({dr for dr, _, _ in taps})
     col_offsets = sorted({dc for _, dc, _ in taps})
     rows, row_windows = _windows(f, row_offsets)
     cols, col_windows = _windows(f, col_offsets)
-    dtype = _stencil_dtype(f, [v for _, _, v in taps])
+    # a parent keeps its factor's dtype, even an unsigned one
+    dtype = f.dtype if kernel is None else _stencil_dtype(f, [v for _, _, v in taps])
     level = np.zeros((len(row_windows), len(col_windows)), dtype=dtype)
     for dr, dc, v in taps:
         term = np.multiply.outer(row_windows[:, row_offsets.index(dr)],
                                  col_windows[:, col_offsets.index(dc)])
         term = term.astype(dtype, copy=False)
-        term *= int(v) if dtype.kind == "i" else v
+        term *= v if dtype.kind == "f" else int(v)
         level += term
-    level = level.astype(float)  # exact: an integer level is below 2**53
-    values = _sorted_unique(level)
+    exact = level.astype(float)  # exact: an integer level is below 2**53
+    values = _sorted_unique(exact)
     values = values[values != 0.0]
-    pairs = np.searchsorted(values, level)
-    pairs[level == 0.0] = len(values)
-    return _WindowForm(rows, cols, pairs, values)
+    pairs = np.searchsorted(values, exact)
+    pairs[exact == 0.0] = len(values)
+    return _WindowForm(rows, cols, level, pairs, values)
 
 
 @dataclass(frozen=True)
@@ -395,7 +411,7 @@ def decompose_basis(basis: PatternBasis) -> Decomposition:
     is positive.  No part image is built; a frame is ``pattern == weight``
     wherever it is needed.
     """
-    form = _form_of(basis)
+    form = basis._form
     held = form.counts()[::-1].T > 0  # nonzero levels descending
     return Decomposition(*_split(held, form.values[::-1]))
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import (CANONICAL, Decomposition, PatternBasis, _form_of, _WindowForm,
+from .bases import (CANONICAL, Decomposition, PatternBasis, _WindowForm,
                     decompose_basis)
 from .core import GridSpec
 from .errors import ConfigError, DimensionError, ProtocolError
@@ -333,7 +333,7 @@ def plan_acquisition(obj, basis: PatternBasis,
     if canonical and not np.all((level == 1.0) | (level == 0.0)):
         raise ProtocolError("a canonical basis must be binary; a multi-level "
                             "basis is split into binary parts under another label")
-    overlap = _window_overlaps(o, _form_of(basis), split)
+    overlap = _window_overlaps(o, basis._form, split)
     if canonical:
         r = repeats_per_pattern
         return MeasurementPlan(basis.grid, np.repeat(owner, r),

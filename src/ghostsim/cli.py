@@ -7,9 +7,9 @@ Verbs:
   and a re-parseable run manifest.
 * ``gallery``  -- export selected basis patterns, original and
   filter-modified, as graymaps.
-* ``validate`` -- parse and validate a config, build its scene, check that
-  its measurement plans fit in physical memory, build its masks (so it
-  fails as ``run`` would before the sweep), and echo the resolved values.
+* ``validate`` -- parse and validate a config, check that its measurement
+  plans fit in physical memory, build its scene and its masks (so it fails
+  as ``run`` would before the sweep), and echo the resolved values.
 
 Exit codes: 0 success, 1 config error, 2 runtime error.
 """
@@ -123,6 +123,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[Path]:
     result does not depend on the order the cells run in.
     """
     out = Path(out_dir if out_dir is not None else config.output_dir)
+    _require_memory(config)  # on one limb, before the scene is built
     obj = build_scene(config)
     _require_memory(config, obj)
     cells = sweep_cells(
@@ -224,8 +225,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides=_overrides(args))
         if args.verb == "validate":
-            # the scene, the plans' size and the masks fail here as they
+            # the plans' size, the scene and the masks fail here as they
             # would before a run's sweep
+            _require_memory(cfg)
             obj = build_scene(cfg)
             _require_memory(cfg, obj)
             _sweep_masks(obj, cfg.kernel, cfg.peak_fraction, cfg.background_fraction,

@@ -5,6 +5,10 @@ vector of length ``side**2``.  All filtering wraps indices at the grid edges,
 so a stencil and its dense matrix form agree exactly everywhere with no
 boundary special cases, and the matrix is block-circulant with circulant
 blocks.
+
+The stencil filters images only, in float64: masks and post-processing.  A
+filter-modified set's patterns are read off its window form (see
+:mod:`ghostsim.bases`).
 """
 
 from __future__ import annotations
@@ -131,61 +135,14 @@ def _require_fits(kernel: Kernel, side: int):
         )
 
 
-def _stencil_dtype(images: np.ndarray, taps: list[float]) -> np.dtype:
-    """Integer dtype of an exact stencil sum, or float64.
-
-    The sum stays integer when ``images`` is integer, every tap is integral
-    and the bound ``sum(|taps|) * max|entry|`` is at most 2**53, so the
-    float64 sum would hold the same integers exactly.  The dtype is the
-    input's, promoted until it holds both ``-bound`` and ``+bound``: int8
-    for the edge stencil on a one-hot or +/-1 stack.
-    """
-    if (not np.issubdtype(images.dtype, np.integer)
-            or any(v != int(v) for v in taps)):
-        return np.dtype(float)
-    # at least 1, so the dtype is signed and holds every tap
-    peak = max(1, -int(images.min()), int(images.max()))
-    bound = sum(abs(int(v)) for v in taps) * peak
-    if bound > 2**53:  # past float64's exact integers
-        return np.dtype(float)
-    # -bound - 1 so the type also holds +bound: int8 stops at 127, not 128
-    return np.promote_types(images.dtype, np.min_scalar_type(-bound - 1))
-
-
-# Pattern entries per block of the stencil loop: 2**18, which is 64 patterns
-# at side 64, so each tap's rolled term is a block, not a stack.
-_STENCIL_ELEMENTS = 1 << 18
-
-
-def _stencil(images: np.ndarray, kernel: Kernel, sign: int) -> np.ndarray:
-    """Sum of ``tap * roll(images, sign * offset)`` over the kernel taps, on
-    the last two axes: ``sign = 1`` convolves, ``sign = -1`` correlates.
-
-    An integer ``images`` with integral taps gives an integer sum when it
-    is exact (see :func:`_stencil_dtype`): an int8 basis stack filtered by
-    the edge stencil stays int8.  Any other input gives a float64 sum.
-    The images are walked in blocks of about ``_STENCIL_ELEMENTS`` entries,
-    and every tap is applied to a block before the next one starts: each
-    tap adds one rolled term of the block, scaled in place, in tap order.
-    Every entry therefore sees the same operations as in a whole-stack
-    roll, so the sum is the same bit for bit, while the temporaries are
-    block-sized.
-    """
-    _require_fits(kernel, images.shape[-1])
-    offsets = list(kernel.offsets())
-    dtype = _stencil_dtype(images, [v for _, _, v in offsets])
-    out = np.zeros(images.shape, dtype=dtype)
-    src = images.reshape(-1, *images.shape[-2:])
-    dst = out.reshape(src.shape)
-    step = max(1, _STENCIL_ELEMENTS // (src.shape[1] * src.shape[2]))
-    for s in range(0, len(src), step):
-        block, acc = src[s:s + step], dst[s:s + step]
-        for dr, dc, v in offsets:
-            term = np.roll(block, (sign * dr, sign * dc), axis=(-2, -1))
-            term = term.astype(dtype, copy=False)
-            term *= int(v) if dtype.kind == "i" else v
-            acc += term
-            del term  # so that one rolled term is alive at a time
+def _stencil(image: np.ndarray, kernel: Kernel, sign: int) -> np.ndarray:
+    """Sum of ``tap * roll(image, sign * offset)`` over the kernel taps, in
+    tap order and in float64: ``sign = 1`` convolves, ``sign = -1``
+    correlates."""
+    _require_fits(kernel, image.shape[0])
+    out = np.zeros(image.shape)
+    for dr, dc, v in kernel.offsets():
+        out += v * np.roll(image, (sign * dr, sign * dc), axis=(0, 1))
     return out
 
 

@@ -4,13 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ghostsim.bases as bases_module
 import ghostsim.bench as bench_module
-import ghostsim.core as core_module
 from ghostsim import (
     Decomposition,
     DimensionError,
@@ -174,6 +173,23 @@ def parent_and_integer_kernel(draw):
     return build(GridSpec(side)), Kernel(np.reshape(taps, (h, w)))
 
 
+@st.composite
+def parent_and_float_kernel(draw):
+    """A parent and up to 5x5 taps, one of them at least non-integral:
+    eighths, whose every partial sum is exact, or any floats."""
+    build = draw(st.sampled_from([canonical_basis, hadamard_basis]))
+    side = draw(st.sampled_from([2, 4, 8]) if build is hadamard_basis
+                else st.integers(1, 7))
+    h = draw(st.sampled_from([h for h in (1, 3, 5) if h <= side]))
+    w = draw(st.sampled_from([w for w in (1, 3, 5) if w <= side]))
+    eighths = draw(st.booleans())
+    values = (st.integers(-80, 80).map(lambda k: k / 8) if eighths
+              else st.floats(-1e3, 1e3))
+    taps = draw(st.lists(values, min_size=h * w, max_size=h * w))
+    assume(any(v != int(v) for v in taps))
+    return build(GridSpec(side)), Kernel(np.reshape(taps, (h, w))), eighths
+
+
 class TestModifyBasisDtype:
     @settings(max_examples=60, deadline=None)
     @given(case=parent_and_integer_kernel())
@@ -185,6 +201,26 @@ class TestModifyBasisDtype:
         op = build_operator_matrix(kernel, parent.grid)
         rows = parent.stack.reshape(len(parent), -1).astype(float)
         assert np.array_equal(modified.reshape(len(parent), -1), rows @ op.T)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=parent_and_float_kernel())
+    def test_float_kernel_gives_the_float64_roll_sum(self, case):
+        # the stack read off the window form has the bits of the float64
+        # roll sum, tap by tap; the dense product sums in its own order, so
+        # it has the same bits where every partial sum is exact (eighths)
+        # and is within the rounding of a 25-term sum otherwise
+        parent, kernel, eighths = case
+        modified = modify_basis(parent, kernel).stack
+        assert modified.dtype == np.float64
+        assert np.array_equal(modified, float_stencil(parent.stack, kernel))
+        op = build_operator_matrix(kernel, parent.grid)
+        rows = parent.stack.reshape(len(parent), -1).astype(float)
+        dense = (rows @ op.T).reshape(modified.shape)
+        if eighths:
+            assert np.array_equal(modified, dense)
+        else:
+            bound = 32 * np.finfo(float).eps * np.abs(kernel.taps).sum()
+            assert np.allclose(modified, dense, rtol=0.0, atol=bound)
 
     def test_edge_stencil_stays_int8_on_both_parents(self, edge_kernel):
         for build in (canonical_basis, hadamard_basis):
@@ -225,28 +261,53 @@ class TestModifyBasisDtype:
         assert np.abs(modified).max() == 3 * 2**40
 
     def test_peak_memory_stays_near_the_parent_size(self, edge_kernel):
-        # the rolled terms are block-sized: a whole-stack roll per tap
-        # peaks at three times the output
-        parent = canonical_basis(GridSpec(32))
-        tracemalloc.start()
-        try:
-            modified = modify_basis(parent, edge_kernel)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * modified.stack.nbytes
+        # a side-64 stack is read off the window form by one gather: its
+        # temporaries are a level per row window and pattern column, not a
+        # rolled copy of the stack per tap (which peaks at twice the output)
+        for build in (canonical_basis, hadamard_basis):
+            modified = modify_basis(build(GridSpec(64)), edge_kernel)
+            tracemalloc.start()
+            try:
+                stack = modified.stack
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert stack.dtype == np.int8 and stack.nbytes == 16 * 2**20
+            assert peak < 1.5 * stack.nbytes
+            del stack
 
 
 class TestBlockedStencil:
-    """The stencil walks the pattern axis in blocks; any block size gives
-    the whole-stack roll sum bit for bit."""
+    """A set's patterns are read off its window form in blocks of any
+    size (``pattern(j)`` is a block of one, ``stack`` the whole set), and
+    every block gives the float64 roll sum of the parent stack bit for bit.
+    The stencil filters only images: an integer or a float image gives the
+    float64 roll sum of the image."""
 
-    # 1 entry (one pattern per block), 7 patterns of 25 entries (25 patterns
-    # split 7 + 7 + 7 + 4), and the default
-    @pytest.fixture(params=[1, 7 * 25, core_module._STENCIL_ELEMENTS],
-                    ids=["one", "uneven", "default"])
-    def block(self, request, monkeypatch):
-        monkeypatch.setattr(core_module, "_STENCIL_ELEMENTS", request.param)
+    # one pattern per block, 7 patterns (25 patterns split 7 + 7 + 7 + 4),
+    # and the whole set in one block
+    @pytest.fixture(params=[1, 7, 25], ids=["one", "uneven", "default"])
+    def block(self, request):
+        return request.param
+
+    @staticmethod
+    def read(basis, block):
+        return np.concatenate([basis._rows(s, min(s + block, len(basis)))
+                               for s in range(0, len(basis), block)])
+
+    def check(self, block, taps, sign, image):
+        """The canonical side-5 set of the ``sign`` stencil of ``taps``,
+        read in blocks, and ``image`` filtered by it; returns the set."""
+        parent, kernel = canonical_basis(GridSpec(5)), Kernel(taps)
+        # correlating is convolving with the kernel turned half a turn; a
+        # one-hot pattern takes one tap a pixel, so the order is exact
+        turned = kernel if sign == 1 else Kernel(np.rot90(kernel.taps, 2))
+        modified = self.read(modify_basis(parent, turned), block)
+        assert np.array_equal(modified, float_stencil(parent.stack, kernel, sign))
+        filtered = (cyclic_convolve if sign == 1 else cyclic_correlate)(image, kernel)
+        assert filtered.dtype == np.float64
+        assert np.array_equal(filtered, float_stencil(image.astype(float), kernel, sign))
+        return modified
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("taps", [
@@ -254,34 +315,22 @@ class TestBlockedStencil:
         [[3, 0, -2], [0, 5, 0], [1, 0, -7]],
     ], ids=["edge", "integral"])
     def test_integer_path(self, block, sign, taps, rng):
-        kernel = Kernel(taps)
-        stack = rng.integers(-3, 4, size=(25, 5, 5)).astype(np.int8)
-        out = core_module._stencil(stack, kernel, sign)
-        assert np.issubdtype(out.dtype, np.integer)
-        assert np.array_equal(out, float_stencil(stack, kernel, sign))
-        image = stack[3]
-        assert np.array_equal(core_module._stencil(image, kernel, sign),
-                              float_stencil(image, kernel, sign))
+        image = rng.integers(-3, 4, size=(5, 5)).astype(np.int8)
+        assert np.issubdtype(self.check(block, taps, sign, image).dtype, np.integer)
 
     @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("taps", [
-        [[0.5, -1.25, 0.0], [0.3, 2.0, -0.7], [1e-3, 0.0, 3.5]],
-        [[0, -1, 0], [-1, 0, 1], [0, 1, 0]],
+    @pytest.mark.parametrize("taps, dtype", [
+        ([[0.5, -1.25, 0.0], [0.3, 2.0, -0.7], [1e-3, 0.0, 3.5]], np.float64),
+        ([[0, -1, 0], [-1, 0, 1], [0, 1, 0]], np.int8),
     ], ids=["non-integral", "edge"])
-    def test_float_path(self, block, sign, taps, rng):
-        kernel = Kernel(taps)
-        stack = rng.normal(size=(25, 5, 5))
-        out = core_module._stencil(stack, kernel, sign)
-        assert out.dtype == np.float64
-        assert np.array_equal(out, float_stencil(stack, kernel, sign))
-        image = stack[11]
-        convolve = cyclic_convolve if sign == 1 else cyclic_correlate
-        assert np.array_equal(convolve(image, kernel), float_stencil(image, kernel, sign))
+    def test_float_path(self, block, sign, taps, dtype, rng):
+        image = rng.normal(size=(5, 5))
+        assert self.check(block, taps, sign, image).dtype == dtype
 
     def test_modify_basis_on_both_parents(self, block, edge_kernel):
         for build in (canonical_basis, hadamard_basis):
             parent = build(GridSpec(4))
-            modified = modify_basis(parent, edge_kernel).stack
+            modified = self.read(modify_basis(parent, edge_kernel), block)
             assert modified.dtype == np.int8
             assert np.array_equal(modified, float_stencil(parent.stack, edge_kernel))
 
@@ -586,29 +635,29 @@ class TestFactorOnlySets:
                                       [[0, -1, 0], [-1, 0, 1], [0, 1, 0]]])
     def test_plan_makes_the_window_form_once(self, taps, monkeypatch):
         # a Hadamard set with float or integral taps, on a two-limb object:
-        # the split and every limb's sums come from one form, and no
-        # pattern is made
-        basis = modify_basis(hadamard_basis(GridSpec(16)), Kernel(taps))
-        obj = np.random.default_rng(4).integers(0, 256, size=(16, 16)) / 255
-        want = split_overlaps(obj, basis)
+        # each set makes its one form when it is built, and a plan's split
+        # and every limb's sums come from it: a plan makes no form and no
+        # pattern
         forms, build = [], bases_module._window_form
 
-        def spy(basis):
-            forms.append(basis)
-            return build(basis)
+        def spy(factor, kernel):
+            forms.append(kernel)
+            return build(factor, kernel)
 
         def refuse(*args):
             raise AssertionError("made patterns for a plan")
 
         monkeypatch.setattr(bases_module, "_window_form", spy)
+        basis = modify_basis(hadamard_basis(GridSpec(16)), Kernel(taps))
+        assert forms == [None, basis.kernel]
+        obj = np.random.default_rng(4).integers(0, 256, size=(16, 16)) / 255
+        want = split_overlaps(obj, basis)
         monkeypatch.setattr(PatternBasis, "_rows", refuse)
         plan = plan_acquisition(obj, basis, 1)
-        assert forms == [basis]
         assert np.array_equal(plan.overlap, want)
-        # the form is kept with the set, for every later split or plan
         assert projection_count(basis, 1) == plan.bucket_reads
         assert np.array_equal(plan_acquisition(obj, basis, 1).overlap, want)
-        assert forms == [basis]
+        assert forms == [None, basis.kernel]
 
     def test_decomposition_arrays_are_checked(self):
         split = Decomposition([0, 0, 1], [2.0, -1.0, 0.0])

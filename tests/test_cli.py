@@ -148,8 +148,7 @@ class TestValidate:
         # side 1024 has 4 frames a pattern (two repeats, two edge levels):
         # 96 MiB of plans and a 24 MiB accumulator for the one-limb bar
         # target, past a 64 MiB machine; all three verbs refuse it before
-        # any basis is built (run and validate after the scene, whose limbs
-        # the accumulator counts)
+        # any basis is built
         def refuse(*args, **kwargs):
             raise AssertionError("built a basis")
 
@@ -166,6 +165,25 @@ class TestValidate:
         assert errors[0].startswith("config error: grid_side 1024 needs 120 MiB")
         assert "(4,194,304 frames at 24 B, and a 24 MiB level accumulator)" in errors[0]
         assert "64 MiB of physical memory" in errors[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_memory_check_comes_before_the_scene(self, tmp_path, monkeypatch, capsys):
+        # side 40000 has a 12 GiB scene: run and validate refuse its plans
+        # on the one-limb bound before the scene is built
+        def refuse(config):
+            raise AssertionError("built the scene")
+
+        monkeypatch.setattr(cli_module, "build_scene", refuse)
+        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 2**30)
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "huge.cfg"
+        path.write_text("grid_side = 40000\n")
+        for verb in ("validate", "run"):
+            assert main([verb, "--config", str(path), "--out", "out"]) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2 and errors[0] == errors[1]
+        assert errors[0].startswith("config error: grid_side 40000 needs")
+        assert "1,024 MiB of physical memory" in errors[0]
         assert not (tmp_path / "out").exists()
 
     def test_memory_check_counts_the_object_limbs(self, tmp_path, monkeypatch, capsys):
