@@ -7,6 +7,10 @@ values of a noiseless reference (filtered images are signed, and edges of
 both polarities are signal), so the sweep scores the magnitude of each
 reconstruction against masks fixed once per sweep.
 
+``sweep_cells`` hands each cell's image to a caller's sink as soon as the
+cell is scored and keeps only the score, so a sweep holds one image at a
+time however many cells it has.
+
 ``noise_autocorrelation`` measures whether reconstruction noise is white or
 carries the filter's correlation structure; ``predicted_amplification`` is
 the matching model prediction from the kernel alone.
@@ -92,12 +96,12 @@ class SNRReport:
 
 @dataclass(frozen=True, eq=False)
 class SweepCell:
-    """One sweep cell: the reconstructed image and its score."""
+    """One sweep cell's coordinates and score.  Its image went to the
+    sweep's sink and is not kept."""
 
     method: str
     integration_time_ms: float
     repeat: int
-    image: np.ndarray
     report: SNRReport
 
     @property
@@ -259,11 +263,17 @@ def _sweep_masks(obj: np.ndarray, kernel: Kernel, peak_fraction: float,
 
 
 def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
-                *, parent: PatternBasis | None = None, repeats_per_pattern: int = 2,
-                peak_fraction: float = 0.1, background_fraction: float = 0.3,
-                mask_border: int = 1, background_rect=None) -> list[SweepCell]:
+                *, sink, parent: PatternBasis | None = None,
+                repeats_per_pattern: int = 2, peak_fraction: float = 0.1,
+                background_fraction: float = 0.3, mask_border: int = 1,
+                background_rect=None) -> list[SweepCell]:
     """Run both routes over every (method, integration time, repeat) cell,
-    in that order.
+    in that order, and return each cell's score.
+
+    ``sink(cell, image)`` is called once per cell, in cell order, as soon
+    as the cell is scored, with its signed reconstructed image.  The sweep
+    keeps no image, so it holds one at a time: a caller that needs the
+    images writes or collects them in the sink.
 
     Masks are fixed once, from the noiseless filtered object: the peak from
     its top absolute values, the background from its flattest region (or from
@@ -316,8 +326,10 @@ def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
                                          times[ti])
         else:
             image = basis_processed_image(plans[method], parent, cell_noise, times[ti])
-        report = compute_snr(np.abs(image), peak, background)
-        return SweepCell(method, times[ti], rep, image, report)
+        cell = SweepCell(method, times[ti], rep,
+                         compute_snr(np.abs(image), peak, background))
+        sink(cell, image)
+        return cell
 
     return [run_cell(s) for s in specs]
 

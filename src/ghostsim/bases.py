@@ -112,9 +112,6 @@ class PatternBasis:
         stack.setflags(write=False)
         return stack
 
-    def __iter__(self):
-        return iter(self.stack)
-
     def pattern(self, index: int) -> np.ndarray:
         j = range(len(self))[index]
         return self._rows(j, j + 1)[0]

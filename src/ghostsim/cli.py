@@ -4,7 +4,9 @@ Verbs:
 
 * ``run``      -- full comparison experiment: reconstructed images per
   (method, integration time, repeat) as graymaps, the sweep and summary CSVs,
-  and a re-parseable run manifest.
+  and a re-parseable run manifest.  Each graymap is written as its cell is
+  scored, into a staging directory whose files are renamed into the output
+  directory only once all of them are written.
 * ``gallery``  -- export selected basis patterns, original and
   filter-modified, as graymaps.
 * ``validate`` -- parse and validate a config, check that its measurement
@@ -18,7 +20,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -64,21 +68,29 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _require_memory(config: ExperimentConfig, obj=None):
-    """Fail before any basis is built when what a run holds exceeds
-    physical memory: its two measurement plans, at 24 B (owner, weight and
-    overlap) per frame, and the window-form sums, one float64 per level
-    and pattern and one int64 more per limb of ``obj`` (one limb if None).
+def _run_bytes(config: ExperimentConfig, obj=None) -> tuple[int, int, int, int]:
+    """``(frames, plans, accumulator, cell)``: bounds on what a run holds.
+    ``frames`` bounds the frames of its two measurement plans and ``plans``
+    their bytes, at 24 B (owner, weight and overlap) a frame;
+    ``accumulator`` the window-form sums, one float64 per level and pattern
+    and one int64 more per limb of ``obj`` (one limb if None); and ``cell``
+    the working set of one cell.
+
     A canonical parent projects ``repeats_per_pattern`` frames a pattern
     and a Hadamard parent at most two; the filter-modified set one per
     level.  A canonical pattern has at most one level per pixel and
     distinct tap value.  A Hadamard pattern's value at a pixel is set by a
     pair of +/-1 factor windows under the kernel's distinct offsets, and a
     pair and its negation give the same level, so it has at most one level
-    per pixel, per sign vector of the taps and per window pair up to sign."""
-    memory = _physical_memory()
-    if memory is None:
-        return
+    per pixel, per sign vector of the taps and per window pair up to sign.
+
+    A cell of the larger route holds five float64 arrays a frame (its
+    draws, its reads, the lamp gather and its product, the weighted copy),
+    four a pattern (the normalization draws, the lamp, the coefficient
+    sums and their quotient) and one image with its temporaries: the image,
+    its magnitude and its graymap text, some 64 B a pixel.  The stages of a
+    cell do not overlap, so their sum leaves room for the object and masks
+    held beside them."""
     m = config.grid_side ** 2
     offsets = list(config.kernel.offsets())
     if config.basis == HADAMARD:
@@ -88,16 +100,27 @@ def _require_memory(config: ExperimentConfig, obj=None):
         parent, levels = config.repeats_per_pattern, min(len({v for _, _, v in offsets}), m)
     limbs = 1 if obj is None else _limb_layout(obj)[1]
     frames = m * (parent + levels)
-    plans, accumulator = 24 * frames, 8 * limbs * (levels + 1) * m
-    if plans + accumulator > memory:
+    route = m * max(parent, levels)
+    cell = 8 * (5 * route + 4 * m) + 80 * m
+    return frames, 24 * frames, 8 * limbs * (levels + 1) * m, cell
+
+
+def _require_memory(config: ExperimentConfig, obj=None):
+    """Fail before any basis is built when what a run holds at once
+    (:func:`_run_bytes`) exceeds physical memory."""
+    memory = _physical_memory()
+    if memory is None:
+        return
+    frames, plans, accumulator, cell = _run_bytes(config, obj)
+    if plans + accumulator + cell > memory:
         def mib(size):
             return f"{size / 2**20:,.0f} MiB"
 
         raise ConfigError(
-            f"grid_side {config.grid_side} needs {mib(plans + accumulator)} for its "
-            f"measurement plans ({frames:,} frames at 24 B, and a "
-            f"{mib(accumulator)} level accumulator), more than the {mib(memory)} "
-            f"of physical memory"
+            f"grid_side {config.grid_side} needs {mib(plans + accumulator + cell)} "
+            f"for its measurement plans ({frames:,} frames at 24 B), a "
+            f"{mib(accumulator)} level accumulator and {mib(cell)} for one cell, "
+            f"more than the {mib(memory)} of physical memory"
         )
 
 
@@ -114,11 +137,17 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[Path]:
     """Run the full sweep and write every output file; returns the path of
     each file written, every graymap's ``.meta`` sidecar included.
 
-    All computation happens before any file is written, so a failure in
-    the sweep writes nothing.  Each file goes through a temp-name-then-rename
-    step, so no file is ever left truncated; the set is not atomic, though: a
-    write that fails part way leaves the files written before it, next to
-    any older files in the directory.  A given (config, seed) always gives
+    Each cell's graymap is written as soon as the cell is scored, so the
+    run holds one image at a time.  Every file is written into a staging
+    directory inside the output directory; once all are written, each is
+    renamed into place, the manifest last, and the staging directory is
+    removed.  A failure before then removes the staging directory (and any
+    directory the run made), so the output directory is left as it was:
+    older files in it are neither replaced nor deleted.  Only the renames,
+    which copy nothing, run after the last write; one that fails leaves the
+    files renamed before it in place.  A rerun replaces the files it writes
+    and leaves any other file, such as a ``recon_*.pgm`` of a time the new
+    config no longer sweeps.  A given (config, seed) always gives
     byte-identical outputs: each cell draws from its own sub-seed, so the
     result does not depend on the order the cells run in.
     """
@@ -126,37 +155,43 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[Path]:
     _require_memory(config)  # on one limb, before the scene is built
     obj = build_scene(config)
     _require_memory(config, obj)
-    cells = sweep_cells(
-        obj,
-        config.kernel,
-        config.to_noise_model(),
-        config.integration_times_ms,
-        config.repeats,
-        parent=_parent_basis(config),
-        repeats_per_pattern=config.repeats_per_pattern,
-        peak_fraction=config.peak_fraction,
-        background_fraction=config.background_fraction,
-        mask_border=config.mask_border,
-        background_rect=config.background_rect,
-    )
-
+    made = [p for p in (out, *out.parents) if not p.is_dir()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for cell in cells:
+    stage = Path(tempfile.mkdtemp(prefix=".ghostsim-", suffix=".tmp", dir=out))
+    names: list[str] = []
+
+    def sink(cell, image):
         name = f"recon_{cell.method}_t{cell.integration_time_ms:g}ms_rep{cell.repeat}.pgm"
-        written += write_pgm(out / name, cell.image)
+        names.extend(p.name for p in write_pgm(stage / name, image))
 
-    sweep_path = out / "snr_sweep.csv"
-    write_sweep_csv(cells, sweep_path)
-    written.append(sweep_path)
-    summary_path = out / "snr_summary.csv"
-    write_summary_csv(summarize_sweep(cells), summary_path)
-    written.append(summary_path)
-
-    manifest_path = out / "manifest.txt"
-    atomic_write_text(manifest_path, _manifest_text(config))
-    written.append(manifest_path)
-    return written
+    try:
+        cells = sweep_cells(
+            obj,
+            config.kernel,
+            config.to_noise_model(),
+            config.integration_times_ms,
+            config.repeats,
+            sink=sink,
+            parent=_parent_basis(config),
+            repeats_per_pattern=config.repeats_per_pattern,
+            peak_fraction=config.peak_fraction,
+            background_fraction=config.background_fraction,
+            mask_border=config.mask_border,
+            background_rect=config.background_rect,
+        )
+        write_sweep_csv(cells, stage / "snr_sweep.csv")
+        write_summary_csv(summarize_sweep(cells), stage / "snr_summary.csv")
+        atomic_write_text(stage / "manifest.txt", _manifest_text(config))
+        names += ["snr_sweep.csv", "snr_summary.csv", "manifest.txt"]
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        for path in made:
+            path.rmdir()
+        raise
+    for name in names:
+        os.replace(stage / name, out / name)
+    stage.rmdir()
+    return [out / name for name in names]
 
 
 def _gallery_indices(config: ExperimentConfig) -> list[int]:

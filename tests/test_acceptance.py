@@ -42,6 +42,10 @@ EDGE = edge_detect_kernel()
 TIMES = (20.0, 100.0, 220.0)
 
 
+def drop(cell, image):
+    """A sweep sink that keeps no image."""
+
+
 def report(label: str, passed: bool) -> bool:
     print(f"\n[{'PASS' if passed else 'FAIL'}] {label}")
     return passed
@@ -54,7 +58,7 @@ def default_sweep():
     obj = synth_bar_target(GridSpec(cfg.grid_side), cfg.bar_groups)
     start = time.perf_counter()
     cells = sweep_cells(obj, cfg.kernel, cfg.to_noise_model(),
-                        cfg.integration_times_ms, cfg.repeats,
+                        cfg.integration_times_ms, cfg.repeats, sink=drop,
                         repeats_per_pattern=cfg.repeats_per_pattern,
                         peak_fraction=cfg.peak_fraction,
                         background_fraction=cfg.background_fraction,
@@ -166,7 +170,7 @@ def test_criterion_5_snr_comparison(default_sweep):
     # (a) detector noise only: the two routes are statistically equivalent
     start = time.perf_counter()
     sigma_only = NoiseModel(lamp_base=1.0, detector_sigma=2.0, seed=99)
-    cells = sweep_cells(obj, EDGE, sigma_only, TIMES, 3)
+    cells = sweep_cells(obj, EDGE, sigma_only, TIMES, 3, sink=drop)
     elapsed = elapsed_default + (time.perf_counter() - start)
     means_sigma = {(s.method, s.integration_time_ms): s.mean_snr
                    for s in summarize_sweep(cells)}

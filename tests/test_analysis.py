@@ -41,6 +41,10 @@ from ghostsim import (
 )
 
 
+def drop(cell, image):
+    """A sweep sink that keeps no image."""
+
+
 class TestSelectPeakMask:
     def test_single_dominant_pixel(self):
         image = np.zeros((4, 4))
@@ -249,7 +253,7 @@ class TestSnrSweep:
     def test_row_count_and_grouping(self, rng, edge_kernel):
         obj = rng.uniform(0.0, 1.0, size=(16, 16))
         noise = NoiseModel(detector_sigma=0.5, seed=2)
-        cells = sweep_cells(obj, edge_kernel, noise, (1.0, 2.0, 3.0), 3)
+        cells = sweep_cells(obj, edge_kernel, noise, (1.0, 2.0, 3.0), 3, sink=drop)
         assert len(cells) == 18
         summaries = summarize_sweep(cells)
         assert len(summaries) == 6
@@ -263,7 +267,7 @@ class TestSnrSweep:
 
     def test_noiseless_rows_match_across_methods(self, rng, edge_kernel):
         obj = rng.uniform(0.0, 1.0, size=(8, 8))
-        cells = sweep_cells(obj, edge_kernel, NoiseModel(), (1.0, 2.0), 2)
+        cells = sweep_cells(obj, edge_kernel, NoiseModel(), (1.0, 2.0), 2, sink=drop)
         post = {(c.integration_time_ms, c.repeat): c.snr
                 for c in cells if c.method == POST_PROCESSED}
         basis = {(c.integration_time_ms, c.repeat): c.snr
@@ -276,21 +280,24 @@ class TestSnrSweep:
         noise = NoiseModel(detector_sigma=0.5, normalization_sigma=0.2,
                            background_measure=1.0, seed=77)
         times = (2.0, 5.0)
-        cells = sweep_cells(obj, edge_kernel, noise, times, 2)
-        again = sweep_cells(obj, edge_kernel, noise, times, 2)
+        images, images_again = [], []
+        cells = sweep_cells(obj, edge_kernel, noise, times, 2,
+                            sink=lambda cell, image: images.append(image))
+        again = sweep_cells(obj, edge_kernel, noise, times, 2,
+                            sink=lambda cell, image: images_again.append(image))
 
         def table(sweep):
             return [(c.method, c.integration_time_ms, c.repeat, c.snr) for c in sweep]
 
         assert table(cells) == table(again)
-        assert all(np.array_equal(a.image, b.image) for a, b in zip(cells, again))
+        assert all(np.array_equal(a, b) for a, b in zip(images, images_again))
         # each cell depends only on its own sub-seed and the sweep's plan, so
         # the sweep's result does not depend on the order its cells run in
         parent = canonical_basis(GridSpec(16))
         post = plan_acquisition(obj, parent, 2)
         basis = plan_acquisition(obj, modify_basis(parent, edge_kernel), 2)
         assert len(cells) == 8
-        for cell in cells:
+        for cell, image in zip(cells, images):
             seed = derive_seed(noise.seed, METHODS.index(cell.method),
                                times.index(cell.integration_time_ms), cell.repeat)
             cell_noise = replace(noise, seed=seed)
@@ -300,12 +307,26 @@ class TestSnrSweep:
             else:
                 alone = basis_processed_image(basis, parent, cell_noise,
                                               cell.integration_time_ms)
-            assert np.array_equal(cell.image, alone)
+            assert np.array_equal(image, alone)
+
+    def test_sink_gets_each_cell_once_in_order(self, edge_kernel):
+        obj = synth_bar_target(GridSpec(16), 2)
+        noise = NoiseModel(detector_sigma=0.5, seed=3)
+        seen = []
+        cells = sweep_cells(obj, edge_kernel, noise, (2.0, 5.0), 2,
+                            sink=lambda cell, image: seen.append((cell, image.shape)))
+        assert [cell for cell, _ in seen] == cells  # the very cells returned
+        assert [(c.method, c.integration_time_ms, c.repeat) for c in cells] == [
+            (m, t, r) for m in METHODS for t in (2.0, 5.0) for r in (0, 1)]
+        assert all(shape == (16, 16) for _, shape in seen)
+        assert not hasattr(cells[0], "image")
+        with pytest.raises(TypeError, match="sink"):
+            sweep_cells(obj, edge_kernel, noise, (2.0,), 1)
 
     def test_background_rect_is_used(self, edge_kernel):
         obj = synth_bar_target(GridSpec(16), 2)
         noise = NoiseModel(detector_sigma=0.5, seed=5)
-        cells = sweep_cells(obj, edge_kernel, noise, (2.0,), 1,
+        cells = sweep_cells(obj, edge_kernel, noise, (2.0,), 1, sink=drop,
                             background_rect=(2, 11, 12, 3))
         assert len(cells) == 2
         for cell in cells:
@@ -318,7 +339,7 @@ class TestSnrSweep:
                             lambda *args: built.append(args))
         obj = synth_bar_target(GridSpec(16), 2)
         with pytest.raises(MaskError, match="overlap"):
-            sweep_cells(obj, edge_kernel, NoiseModel(), (2.0,), 1,
+            sweep_cells(obj, edge_kernel, NoiseModel(), (2.0,), 1, sink=drop,
                         background_rect=(0, 0, 16, 16))
         assert built == []
 
@@ -329,7 +350,7 @@ class TestSnrSweep:
         obj = synth_bar_target(GridSpec(32), 2)
         noise = NoiseModel(detector_sigma=0.75, normalization_sigma=1.5,
                            background_measure=30.0, seed=31)
-        cells = sweep_cells(obj, edge_kernel, noise, (10.0, 30.0), 3)
+        cells = sweep_cells(obj, edge_kernel, noise, (10.0, 30.0), 3, sink=drop)
         summaries = {(s.method, s.integration_time_ms): s.mean_snr
                      for s in summarize_sweep(cells)}
         for t in (10.0, 30.0):

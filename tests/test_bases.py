@@ -473,7 +473,8 @@ def assert_split_arrays(got, want):
 
 def split_overlaps(obj, basis):
     """Overlaps of the frames of :func:`binary_decompose`, pattern by pattern."""
-    return part_overlaps(obj, basis, [binary_decompose(p, j) for j, p in enumerate(basis)])
+    return part_overlaps(obj, basis,
+                         [binary_decompose(p, j) for j, p in enumerate(basis.stack)])
 
 
 @st.composite
@@ -500,7 +501,7 @@ class TestDecomposeBasis:
     @given(basis=factor_sets())
     def test_matches_pattern_by_pattern(self, basis):
         # any factor with entries in {-1, 0, 1}, dark patterns included
-        want = [binary_decompose(p, j) for j, p in enumerate(basis)]
+        want = [binary_decompose(p, j) for j, p in enumerate(basis.stack)]
         got = decompose_basis(basis)
         assert_same_decomposition(got, want, basis)
         assert_split_arrays(got, want)
@@ -521,7 +522,7 @@ class TestDecomposeBasis:
     @pytest.mark.parametrize("build", [canonical_basis, hadamard_basis])
     def test_modified_bases(self, build, taps):
         modified = modify_basis(build(GridSpec(8)), Kernel(taps))
-        want = [binary_decompose(p, j) for j, p in enumerate(modified)]
+        want = [binary_decompose(p, j) for j, p in enumerate(modified.stack)]
         assert_same_decomposition(decompose_basis(modified), want, modified)
 
     @pytest.mark.parametrize("dtype", [float, np.int32])
@@ -531,7 +532,7 @@ class TestDecomposeBasis:
         taps = (rng.normal(size=(5, 5)) * 1e4).astype(dtype)
         basis = modify_basis(hadamard_basis(GridSpec(8)), Kernel(taps))
         assert basis.stack.dtype == (np.float64 if dtype is float else np.int32)
-        want = [binary_decompose(p, j) for j, p in enumerate(basis)]
+        want = [binary_decompose(p, j) for j, p in enumerate(basis.stack)]
         assert max(sub.part_count for sub in want) > 20
         assert_same_decomposition(decompose_basis(basis), want, basis)
         assert projection_count(basis, 1) == sum(sub.part_count for sub in want)
@@ -548,7 +549,7 @@ class TestDecomposeBasis:
                     for dr, dc, v in kernel.offsets())
         assert any(len(set(zip(f.ravel().tolist(), e.ravel().tolist())))
                    > len(set(f.ravel().tolist())) for f, e in zip(basis.stack, exact))
-        want = [binary_decompose(p, j) for j, p in enumerate(basis)]
+        want = [binary_decompose(p, j) for j, p in enumerate(basis.stack)]
         assert_split_arrays(decompose_basis(basis), want)
         obj = np.arange(64.0).reshape(8, 8) / 64
         assert np.array_equal(plan_acquisition(obj, basis, 1).overlap,
@@ -630,6 +631,13 @@ class TestFactorOnlySets:
             PatternBasis(GridSpec(2), "custom", 2 * np.eye(2, dtype=np.int8))
         with pytest.raises(DimensionError, match="does not fit"):
             modify_basis(build(GridSpec(2)), edge_kernel)
+
+    @pytest.mark.parametrize("build", [canonical_basis, hadamard_basis])
+    def test_a_set_is_not_iterable(self, build, edge_kernel):
+        # iterating would build the side**4 stack: at side 1024, 1 TiB
+        for basis in (build(GridSpec(8)), modify_basis(build(GridSpec(8)), edge_kernel)):
+            with pytest.raises(TypeError):
+                iter(basis)
 
     @pytest.mark.parametrize("taps", [[[0, -0.5, 0], [-0.5, 0, 0.5], [0, 0.5, 0]],
                                       [[0, -1, 0], [-1, 0, 1], [0, 1, 0]]])

@@ -122,7 +122,8 @@ def test_non_positive_integration_time_rejected(time_ms, edge_kernel):
     with pytest.raises(ConfigError, match="integration_time_ms"):
         run_basis_protocol(plan, QUIET, time_ms)
     with pytest.raises(ConfigError, match="integration_time_ms"):
-        sweep_cells(obj, edge_kernel, QUIET, (1.0, time_ms), 1)
+        sweep_cells(obj, edge_kernel, QUIET, (1.0, time_ms), 1,
+                    sink=lambda cell, image: None)
 
 
 def plan_noise_samples(plan, noise, seeds, time_ms=1.0):
@@ -758,7 +759,7 @@ def test_plan_frames_follow_projection_count_and_binary_decompose(case, repeats)
         owner = np.repeat(np.arange(len(basis)), repeats).tolist()
         weight = [1.0 / repeats] * plan.bucket_reads
     else:
-        subs = [binary_decompose(p, j) for j, p in enumerate(basis)]
+        subs = [binary_decompose(p, j) for j, p in enumerate(basis.stack)]
         owner = [sub.parent_index for sub in subs for _ in sub.weights]
         weight = [w for sub in subs for w in sub.weights]
     assert plan.owner.tolist() == owner
@@ -788,7 +789,7 @@ class TestNormalizationSusceptibility:
         routes = (
             (plan_acquisition(obj, canonical_basis(grid), 2), obj.ravel()),
             (plan_acquisition(obj, modified, 1),
-             np.array([float(np.sum(np.asarray(p) * obj)) for p in modified])),
+             np.array([float(np.sum(np.asarray(p) * obj)) for p in modified.stack])),
         )
         for plan, clean in routes:
             got = coefficients_from_draws(plan, lamp, noise,

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ghostsim import (
     synth_bar_target,
     write_pgm,
 )
+import ghostsim.analysis as analysis_module
 import ghostsim.bench as bench_module
 import ghostsim.cli as cli_module
 from ghostsim.cli import emit_pattern_gallery, main, run_experiment
@@ -146,9 +148,9 @@ class TestValidate:
 
     def test_grid_too_large_for_memory_fails_early(self, tmp_path, monkeypatch, capsys):
         # side 1024 has 4 frames a pattern (two repeats, two edge levels):
-        # 96 MiB of plans and a 24 MiB accumulator for the one-limb bar
-        # target, past a 64 MiB machine; all three verbs refuse it before
-        # any basis is built
+        # 96 MiB of plans, a 24 MiB accumulator for the one-limb bar target
+        # and 192 MiB for one cell, past a 64 MiB machine; all three verbs
+        # refuse it before any basis is built
         def refuse(*args, **kwargs):
             raise AssertionError("built a basis")
 
@@ -162,8 +164,9 @@ class TestValidate:
             assert main([verb, "--config", str(path), "--out", "out"]) == 1
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 3 and len(set(errors)) == 1
-        assert errors[0].startswith("config error: grid_side 1024 needs 120 MiB")
-        assert "(4,194,304 frames at 24 B, and a 24 MiB level accumulator)" in errors[0]
+        assert errors[0].startswith("config error: grid_side 1024 needs 312 MiB")
+        assert ("(4,194,304 frames at 24 B), a 24 MiB level accumulator and "
+                "192 MiB for one cell") in errors[0]
         assert "64 MiB of physical memory" in errors[0]
         assert not (tmp_path / "out").exists()
 
@@ -187,14 +190,15 @@ class TestValidate:
         assert not (tmp_path / "out").exists()
 
     def test_memory_check_counts_the_object_limbs(self, tmp_path, monkeypatch, capsys):
-        # at side 64 the bar target is one limb: 0.4 MiB of canonical plans
-        # and a 0.1 MiB accumulator.  Values spread down to 1e-300 are some
-        # 26 limbs of 41 bits, a 2.4 MiB accumulator, past a 1 MiB machine
+        # at side 64 the bar target is one limb: 0.4 MiB of canonical plans,
+        # a 0.1 MiB accumulator and 0.75 MiB for one cell.  Values spread
+        # down to 1e-300 are some 26 limbs of 41 bits, a 2.4 MiB
+        # accumulator, past a 2 MiB machine
         grid = GridSpec(64)
         tiny = np.random.default_rng(5).uniform(0.0, 1.0, size=(64, 64))
         tiny[::10] *= 1e-300
         assert 24 <= bench_module._limb_layout(tiny)[1] <= 31
-        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 2**20)
+        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 2 * 2**20)
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "side64.cfg"
         path.write_text("grid_side = 64\n")
@@ -205,19 +209,19 @@ class TestValidate:
             assert main([verb, "--config", str(path), "--out", "out"]) == 1
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 2 and errors[0] == errors[1]
-        assert "level accumulator" in errors[0] and "1 MiB of physical memory" in errors[0]
+        assert "level accumulator" in errors[0] and "2 MiB of physical memory" in errors[0]
         assert not (tmp_path / "out").exists()
         cli_module._require_memory(parse_config("grid_side = 64\n"),
                                    synth_bar_target(grid))
 
     def test_memory_check_counts_the_kernel_levels(self, monkeypatch):
         # three taps bound a pattern to 3 levels on a canonical parent and
-        # to 8 sign vectors on a Hadamard one: at side 128, 2.4 MiB against
-        # 4.9 MiB
-        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 4 * 2**20)
+        # to 8 sign vectors on a Hadamard one: at side 128, 6.0 MiB against
+        # 11.6 MiB, plans, accumulator and one cell of the larger route
+        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 8 * 2**20)
         text = "grid_side = 128\nkernel = 0.5 1 0.25\n"
         cli_module._require_memory(parse_config(text))
-        with pytest.raises(ConfigError, match=r"needs 5 MiB .*\(163,840 frames"):
+        with pytest.raises(ConfigError, match=r"needs 12 MiB .*\(163,840 frames"):
             cli_module._require_memory(parse_config(text + "basis = hadamard\n"))
         # 25 taps have 2**25 sign vectors, but a pixel's value is set by a
         # pair of windows of 5 +/-1 entries, up to sign: 2**9 levels
@@ -229,16 +233,16 @@ class TestValidate:
 
     def test_many_tap_hadamard_kernel_fits(self, tmp_path, monkeypatch, capsys):
         # a 5x5 kernel bounds a Hadamard pattern to 2**9 levels, so side
-        # 128 needs 257 MiB (its plan holds 153,631 frames), not the 8 GiB
-        # of one level per pixel; side 256 stays past a 512 MiB machine
-        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 512 * 2**20)
+        # 128 needs 579 MiB (its plan holds 153,631 frames), not the 18 GiB
+        # of one level per pixel; side 256 stays past a 1 GiB machine
+        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 2**30)
         text = ("basis = hadamard\n"
                 "kernel = 1 2 3 2 1; 2 4 6 4 2; 3 6 9 6 3; 2 4 6 4 2; 1 2 3 2 1\n")
         path = tmp_path / "binomial128.cfg"
         path.write_text("grid_side = 128\n" + text)
         assert main(["validate", "--config", str(path)]) == 0
         assert "grid_side = 128" in capsys.readouterr().out
-        with pytest.raises(ConfigError, match=r"^grid_side 256 needs 1,028 MiB .*"
+        with pytest.raises(ConfigError, match=r"^grid_side 256 needs 2,314 MiB .*"
                                               r"\(33,685,504 frames"):
             cli_module._require_memory(parse_config("grid_side = 256\n" + text))
 
@@ -305,10 +309,15 @@ class TestRun:
         assert not list(out.glob("*tmp*"))
 
     def test_returns_every_file_written(self, small_config, tmp_path):
+        # and leaves no staging directory, beside an older file it keeps
         out = tmp_path / "out"
+        out.mkdir()
+        (out / "unrelated.txt").write_text("keep me")
         paths = run_experiment(parse_config(small_config.read_text()), out)
         assert len(paths) == len(set(paths)) == 2 * 8 + 3
-        assert set(paths) == set(out.iterdir())
+        assert set(out.iterdir()) == {*paths, out / "unrelated.txt"}
+        assert all(path.is_file() for path in out.iterdir())
+        assert (out / "unrelated.txt").read_text() == "keep me"
 
     def test_manifest_round_trip(self, small_config, tmp_path):
         out = tmp_path / "out"
@@ -343,6 +352,81 @@ class TestRun:
         main(["run", "--config", str(small_config), "--out", str(out2),
               "--seed", "124"])
         assert (out1 / "snr_sweep.csv").read_text() != (out2 / "snr_sweep.csv").read_text()
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["filled-out", "no-out"])
+    def test_failed_sweep_leaves_out_untouched(self, existing, small_config, tmp_path,
+                                               monkeypatch):
+        # the last cell raises after every other graymap is written: the
+        # older files stay, no new file appears and no staging is left
+        out = tmp_path / "deep" / "out"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "unrelated.txt").write_text("keep me")
+            (out / "snr_sweep.csv").write_text("method,integration_time_ms,repeat,snr\n")
+
+        def files():
+            return {p.relative_to(tmp_path): p.read_bytes()
+                    for p in tmp_path.rglob("*") if p.is_file()}
+
+        before = files()
+        dirs = sorted(p for p in tmp_path.rglob("*") if p.is_dir())
+        cfg = parse_config(small_config.read_text())
+        cells = len(cfg.integration_times_ms) * cfg.repeats
+        calls, image = [], analysis_module.basis_processed_image
+
+        def last_cell_fails(*args):
+            calls.append(args)
+            if len(calls) == cells:
+                raise RuntimeError("injected failure in the last cell")
+            return image(*args)
+
+        monkeypatch.setattr(analysis_module, "basis_processed_image", last_cell_fails)
+        with pytest.raises(RuntimeError, match="injected"):
+            run_experiment(cfg, out)
+        assert len(calls) == cells
+        assert files() == before
+        assert sorted(p for p in tmp_path.rglob("*") if p.is_dir()) == dirs
+
+
+def _traced_peak(config, out) -> int:
+    """Bytes that ``run_experiment`` allocates at its peak, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run_experiment(config, out)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestRunMemory:
+    """The memory check bounds what a run holds, and a run holds one image
+    however many cells it has.  (``numpy.random``, which a first run
+    imports, is already loaded: the test session's ``rng`` fixture uses it.)"""
+
+    @pytest.mark.parametrize("scene", ["bar-target", "gray-255"])
+    @pytest.mark.parametrize("basis", ["canonical", "hadamard"])
+    def test_estimate_bounds_the_peak(self, basis, scene, tmp_path):
+        # the peak is one cell's: two cells show it
+        text = (f"grid_side = 128\nbasis = {basis}\n"
+                "integration_times_ms = 100\nrepeats = 1\n")
+        if scene == "gray-255":
+            # gray / 255 is not dyadic: two limbs
+            gray = np.random.default_rng(3).integers(0, 256, size=(128, 128))
+            lines = [" ".join(map(str, row)) for row in gray.tolist()]
+            (tmp_path / "obj.pgm").write_text("P2\n128 128\n255\n" + "\n".join(lines))
+            text += f"object_path = {tmp_path / 'obj.pgm'}\n"
+        cfg = parse_config(text)
+        obj = cli_module.build_scene(cfg)
+        _, plans, accumulator, cell = cli_module._run_bytes(cfg, obj)
+        assert _traced_peak(cfg, tmp_path / "out") <= plans + accumulator + cell
+
+    def test_peak_does_not_grow_with_the_cells(self, tmp_path):
+        # 6 cells against 48: at most two images apart, not 42
+        peaks = [_traced_peak(parse_config(f"grid_side = 64\nrepeats = {repeats}\n"),
+                              tmp_path / f"r{repeats}") for repeats in (1, 8)]
+        assert abs(peaks[1] - peaks[0]) < 2 * 64 * 64 * 8
 
 
 class TestNoStackOnTheRunPath:

@@ -72,7 +72,7 @@ def loop_post_protocol(obj, basis, noise, time_ms, repeats) -> np.ndarray:
     """Repeat protocol: ``repeats`` reads per pattern, averaged, divided by
     one normalization read."""
     out = np.zeros(len(basis))
-    for j, pattern in enumerate(basis):
+    for j, pattern in enumerate(basis.stack):
         a = lamp_intensity(j, noise, time_ms)
         reads = [bucket_read(pattern, obj, a, noise, read_stream(noise.seed, j, i))
                  for i in range(repeats)]

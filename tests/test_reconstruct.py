@@ -51,7 +51,7 @@ class TestReconstruct:
         grid = GridSpec(4)
         basis = canonical_basis(grid)
         obj = rng.normal(size=(4, 4))
-        coeffs = np.array([float(np.sum(np.asarray(p) * obj)) for p in basis])
+        coeffs = np.array([float(np.sum(np.asarray(p) * obj)) for p in basis.stack])
         assert np.array_equal(reconstruct(coeffs, basis), obj)
 
     def test_hadamard_completeness_factor(self, rng):
