@@ -10,9 +10,10 @@ A pattern's value at a pixel depends only on two short windows of the
 factor, one in its row and one in its column.  A set has few distinct
 windows, and its window form (:class:`_WindowForm`), made once with the
 set, holds the level of each pair of them: the one definition of its
-patterns.  A pattern is read off the form where one is asked for, and the
-levels, each level's pixel counts and each frame's overlap with an object
-come from it and a few ``side x side`` products, with no scan over
+patterns.  A pattern is read off the form where one is asked for.  The
+form's census, by classes of factor rows, gives the levels of every
+pattern, and so every frame count; each frame's overlap with an object
+comes from the form and a few ``side x side`` products.  Neither scans the
 patterns.  A split is described by its levels alone: part ``k`` of pattern
 ``P`` is the frame ``P == level_k``, so no part image is stored.  The split
 of a whole set is two flat arrays, the owner and the level of each part
@@ -170,30 +171,37 @@ def modify_basis(basis: PatternBasis, kernel: Kernel) -> PatternBasis:
     return PatternBasis(basis.grid, label, basis.factor, kernel)
 
 
-def _windows(f: np.ndarray, offsets: list[int]):
-    """``(ids, windows)``: ``ids[r, i]`` numbers the window ``f[r, i -
-    offsets]`` (indices wrap) among the distinct ones, which are the rows
-    of ``windows``.  Each offset extends the windows by one entry, which is
-    -1, 0 or 1, so the code of a window is below ``3 * side**2``; the
-    codes are numbered by sorting, not by ``np.unique``, which loads
-    ``numpy.ma``."""
-    n = len(f)
-    ids = np.zeros((n, n), dtype=np.intp)
-    for d in offsets:
-        code = 3 * ids + np.roll(f, d, axis=1) + 1
+def _fold(columns, base: int, shape):
+    """``(ids, first)``: ``ids`` numbers the distinct sequences that
+    ``columns`` (arrays of ``shape``, entries in ``range(base)``) hold at
+    each position, and ``first[k]`` is a flat position of sequence ``k``;
+    by sorting, not by ``np.unique``, which loads ``numpy.ma``."""
+    ids = np.zeros(shape, dtype=np.intp)
+    for column in columns:
+        code = base * ids + column
         ids = np.searchsorted(_sorted_unique(code), code)
     first = np.zeros(int(ids.max()) + 1, dtype=np.intp)
-    first[ids.ravel()] = np.arange(n * n)  # some (r, i) of each window
-    r, i = np.divmod(first, n)
-    return ids, f[r[:, None], (i[:, None] - np.array(offsets, dtype=int)) % n]
+    first[ids.ravel()] = np.arange(ids.size)
+    return ids, first
 
 
-def _tally(ids: np.ndarray, count: int) -> np.ndarray:
-    """``t[r, a]``: how many entries of row ``r`` of ``ids`` are ``a``, in
-    float64 (exact: at most ``side``)."""
-    n = len(ids)
-    flat = (np.arange(n)[:, None] * count + ids).ravel()
-    return np.bincount(flat, minlength=n * count).reshape(n, count).astype(float)
+def _windows(f: np.ndarray, offsets: list[int]):
+    """``(ids, windows)``: ``ids[r, i]`` numbers the window ``f[r, i -
+    offsets]`` (indices wrap; entries -1, 0 or 1) among the distinct ones,
+    which are the rows of ``windows``."""
+    ids, first = _fold((np.roll(f, d, axis=1) + 1 for d in offsets), 3, f.shape)
+    r, i = np.divmod(first, len(f))
+    return ids, f[r[:, None], (i[:, None] - np.array(offsets, dtype=int)) % len(f)]
+
+
+def _classes(ids: np.ndarray, count: int):
+    """``(cls, sets)``: ``cls[r]`` numbers the set of windows that row ``r``
+    of ``ids`` holds, and ``sets[k, a]`` is 1.0 where set ``k`` holds
+    window ``a`` (of ``count``)."""
+    held = np.zeros((count, len(ids)), dtype=bool)
+    held[ids, np.arange(len(ids))[:, None]] = True
+    cls, first = _fold(held, 2, len(ids))
+    return cls, held[:, first].T.astype(float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,12 +222,11 @@ class _WindowForm:
 
     Let ``U_a[r, i] = [rows[r, i] = a]`` and let ``M_al[c, j]`` be 1 where
     ``pairs[a, cols[c, j]] = l``.  The frame of level ``l`` in pattern ``(r,
-    c)`` is then ``sum_a outer(U_a[r], M_al[c])``: it lights ``sum_a
-    rowsum(U_a)[r] * rowsum(M_al)[c]`` pixels (:meth:`counts`) and overlaps
-    an object ``O`` by ``sum_a (U_a O M_al^T)[r, c]`` (:meth:`overlaps`).
-    Every entry of ``U_a`` and ``M_al`` is 0 or 1, and the frames of one
-    pattern light distinct pixels, so each partial sum of an overlap is a
-    sum of distinct object values.
+    c)`` is then ``sum_a outer(U_a[r], M_al[c])``, and it overlaps an object
+    ``O`` by ``sum_a (U_a O M_al^T)[r, c]`` (:meth:`overlaps`).  Every entry
+    of ``U_a`` and ``M_al`` is 0 or 1, and the frames of one pattern light
+    distinct pixels, so each partial sum of an overlap is a sum of distinct
+    object values.
     """
 
     rows: np.ndarray
@@ -232,12 +239,18 @@ class _WindowForm:
         """``E[l, a, b] = [pairs[a, b] = l]``, in float64."""
         return (self.pairs == np.arange(len(self.values))[:, None, None]).astype(float)
 
-    def counts(self) -> np.ndarray:
-        """Pixels of each level (a row) in each pattern (a column), as
-        exact integers in float64: ``tally(rows) E_l tally(cols)^T``."""
-        a, b = self.pairs.shape
-        rows, cols = _tally(self.rows, a), _tally(self.cols, b)
-        return (rows @ (self._levels() @ cols.T)).reshape(len(self.values), self.rows.size)
+    def census(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, parts)``.  Pattern ``(r, c)`` holds the level of
+        each pair of a window in row ``r`` of ``self.rows`` and one in row
+        ``c`` of ``self.cols``, so rows holding the same windows form a
+        class, ``rows[r]``, as do columns, ``cols[c]``.  ``parts[k, m, l]``
+        is True where the patterns of classes ``(k, m)`` project part ``l``:
+        the nonzero levels, descending, then an all-zero pattern's dark part."""
+        rows, row_sets = _classes(self.rows, self.pairs.shape[0])
+        cols, col_sets = _classes(self.cols, self.pairs.shape[1])
+        # exact: each sum counts at most every window pair once
+        lit = np.moveaxis(row_sets @ self._levels()[::-1] @ col_sets.T > 0, 0, -1)
+        return rows, cols, np.concatenate([lit, ~lit.any(axis=2, keepdims=True)], axis=2)
 
     def overlaps(self, o: np.ndarray) -> np.ndarray:
         """Overlap of each level's frame (a row) in each pattern (a
@@ -384,33 +397,20 @@ def binary_decompose(pattern, parent_index: int = 0) -> SubPatternSet:
     return SubPatternSet(parent_index, tuple(levels.tolist()) or (0.0,))
 
 
-def _split(held: np.ndarray, levels: np.ndarray):
-    """``(owner, level)`` of the parts of every pattern: row ``j`` of the
-    boolean ``held`` flags which of ``levels`` pattern ``j`` holds, listed
-    in the order they are projected.  A pattern that holds none gets one
-    dark part, of level 0.0."""
-    full = np.column_stack([held, ~held.any(axis=1)])
-    owner, k = np.divmod(np.flatnonzero(full), full.shape[1])
-    lit = k < held.shape[1]
-    level = np.zeros(owner.size)
-    level[lit] = levels[k[lit]]
-    return owner, level
-
-
 def decompose_basis(basis: PatternBasis) -> Decomposition:
     """Decompose every pattern of a basis, preserving order.
 
     The weights and their order are exactly those of
-    :func:`binary_decompose` for each pattern, and they are held as flat
-    arrays (:class:`Decomposition`), with no object per pattern.  They come
-    from the set's window form (:class:`_WindowForm`), with no scan over
-    patterns: a pattern holds every nonzero level whose pixel count in it
-    is positive.  No part image is built; a frame is ``pattern == weight``
-    wherever it is needed.
+    :func:`binary_decompose` for each pattern, held as flat arrays
+    (:class:`Decomposition`) and read off the census of the set's window
+    form (:meth:`_WindowForm.census`), with no object per pattern and no
+    scan over patterns.  No part image is built; a frame is ``pattern ==
+    weight`` wherever it is needed.
     """
     form = basis._form
-    held = form.counts()[::-1].T > 0  # nonzero levels descending
-    return Decomposition(*_split(held, form.values[::-1]))
+    rows, cols, parts = form.census()
+    owner, k = np.divmod(np.flatnonzero(parts[rows[:, None], cols]), parts.shape[2])
+    return Decomposition(owner, np.append(form.values[::-1], 0.0)[k])
 
 
 def projection_count(basis: PatternBasis, repeats_per_pattern: int) -> int:
@@ -418,9 +418,10 @@ def projection_count(basis: PatternBasis, repeats_per_pattern: int) -> int:
     the measurement plans project them: one per binary part (one per
     distinct nonzero level of a pattern, one for an all-zero pattern), each
     repeated ``repeats_per_pattern`` times for a canonical basis.  The
-    parts are counted off the flat arrays of :func:`decompose_basis`.
+    parts are counted off the census (:meth:`_WindowForm.census`), unsplit.
     """
     if repeats_per_pattern < 1:
         raise ValueError("repeats_per_pattern must be >= 1")
-    frames = decompose_basis(basis).owner.size
+    rows, cols, parts = basis._form.census()
+    frames = int(np.bincount(rows) @ parts.sum(axis=2) @ np.bincount(cols))
     return frames * repeats_per_pattern if basis.label == CANONICAL else frames

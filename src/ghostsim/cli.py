@@ -9,9 +9,9 @@ Verbs:
   directory only once all of them are written.
 * ``gallery``  -- export selected basis patterns, original and
   filter-modified, as graymaps.
-* ``validate`` -- parse and validate a config, check that its measurement
-  plans fit in physical memory, build its scene and its masks (so it fails
-  as ``run`` would before the sweep), and echo the resolved values.
+* ``validate`` -- parse and validate a config, build its scene and its
+  masks once its measurement plans fit in physical memory (so it fails as
+  ``run`` would before the sweep), and echo the resolved values.
 
 Exit codes: 0 success, 1 config error, 2 runtime error.
 """
@@ -30,7 +30,8 @@ import numpy as np
 from . import __version__
 from .analysis import (_sweep_masks, summarize_sweep, sweep_cells, write_summary_csv,
                        write_sweep_csv)
-from .bases import HADAMARD, canonical_basis, hadamard_basis, modify_basis
+from .bases import (CANONICAL, HADAMARD, canonical_basis, hadamard_basis, modify_basis,
+                    projection_count)
 from .bench import _limb_layout, load_object, synth_bar_target
 from .config import ExperimentConfig, load_config
 from .core import GridSpec
@@ -68,21 +69,17 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _run_bytes(config: ExperimentConfig, obj=None) -> tuple[int, int, int, int]:
-    """``(frames, plans, accumulator, cell)``: bounds on what a run holds.
-    ``frames`` bounds the frames of its two measurement plans and ``plans``
-    their bytes, at 24 B (owner, weight and overlap) a frame;
-    ``accumulator`` the window-form sums, one float64 per level and pattern
-    and one int64 more per limb of ``obj`` (one limb if None); and ``cell``
-    the working set of one cell.
-
-    A canonical parent projects ``repeats_per_pattern`` frames a pattern
-    and a Hadamard parent at most two; the filter-modified set one per
-    level.  A canonical pattern has at most one level per pixel and
-    distinct tap value.  A Hadamard pattern's value at a pixel is set by a
-    pair of +/-1 factor windows under the kernel's distinct offsets, and a
-    pair and its negation give the same level, so it has at most one level
-    per pixel, per sign vector of the taps and per window pair up to sign.
+def _run_bytes(config: ExperimentConfig, obj=None, parent=None) -> tuple[int, int, int, int]:
+    """``(frames, plans, accumulator, cell)``: what a run holds.  ``frames``
+    counts the frames of its two measurement plans and ``plans`` their
+    bytes, at 24 B (owner, weight and overlap) a frame; ``accumulator`` the
+    window-form sums, one float64 per level of a set and pattern and one
+    int64 more per limb of ``obj``; and ``cell`` the working set of one
+    cell.  Given the scene ``obj``, the frames and levels are those of the
+    census of ``parent`` (by default the config's) and its filter-modified
+    set.  Before the scene they are bounded below, on one limb: one frame a
+    pattern on each route (``repeats_per_pattern`` on a canonical parent)
+    and one level.
 
     A cell of the larger route holds five float64 arrays a frame (its
     draws, its reads, the lamp gather and its product, the weighted copy),
@@ -92,26 +89,26 @@ def _run_bytes(config: ExperimentConfig, obj=None) -> tuple[int, int, int, int]:
     cell do not overlap, so their sum leaves room for the object and masks
     held beside them."""
     m = config.grid_side ** 2
-    offsets = list(config.kernel.offsets())
-    if config.basis == HADAMARD:
-        span = len({dr for dr, _, _ in offsets}) + len({dc for _, dc, _ in offsets})
-        parent, levels = 2, min(2 ** len(offsets), 2 ** max(span - 1, 0), m)
+    if obj is None:
+        repeats = config.repeats_per_pattern if config.basis == CANONICAL else 1
+        routes, levels, limbs = [repeats * m, m], 1, 1
     else:
-        parent, levels = config.repeats_per_pattern, min(len({v for _, _, v in offsets}), m)
-    limbs = 1 if obj is None else _limb_layout(obj)[1]
-    frames = m * (parent + levels)
-    route = m * max(parent, levels)
-    cell = 8 * (5 * route + 4 * m) + 80 * m
+        parent = _parent_basis(config) if parent is None else parent
+        sets = (parent, modify_basis(parent, config.kernel))
+        routes = [projection_count(s, config.repeats_per_pattern) for s in sets]
+        levels = max(s._form.values.size for s in sets)
+        limbs = _limb_layout(obj)[1]
+    frames = sum(routes)
+    cell = 8 * (5 * max(routes) + 4 * m) + 80 * m
     return frames, 24 * frames, 8 * limbs * (levels + 1) * m, cell
 
 
-def _require_memory(config: ExperimentConfig, obj=None):
-    """Fail before any basis is built when what a run holds at once
-    (:func:`_run_bytes`) exceeds physical memory."""
+def _require_memory(config: ExperimentConfig, obj=None, parent=None):
+    """Fail when what a run holds (:func:`_run_bytes`) exceeds physical memory."""
     memory = _physical_memory()
     if memory is None:
         return
-    frames, plans, accumulator, cell = _run_bytes(config, obj)
+    frames, plans, accumulator, cell = _run_bytes(config, obj, parent)
     if plans + accumulator + cell > memory:
         def mib(size):
             return f"{size / 2**20:,.0f} MiB"
@@ -122,6 +119,16 @@ def _require_memory(config: ExperimentConfig, obj=None):
             f"{mib(accumulator)} level accumulator and {mib(cell)} for one cell, "
             f"more than the {mib(memory)} of physical memory"
         )
+
+
+def _checked_scene(config: ExperimentConfig):
+    """``(obj, parent)``: the scene and parent set of a run, built once its
+    lower bound fits in physical memory and returned once its census does."""
+    _require_memory(config)
+    obj = build_scene(config)
+    parent = _parent_basis(config)
+    _require_memory(config, obj, parent)
+    return obj, parent
 
 
 def _manifest_text(config: ExperimentConfig) -> str:
@@ -152,9 +159,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[Path]:
     result does not depend on the order the cells run in.
     """
     out = Path(out_dir if out_dir is not None else config.output_dir)
-    _require_memory(config)  # on one limb, before the scene is built
-    obj = build_scene(config)
-    _require_memory(config, obj)
+    obj, parent = _checked_scene(config)
     made = [p for p in (out, *out.parents) if not p.is_dir()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=".ghostsim-", suffix=".tmp", dir=out))
@@ -172,7 +177,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[Path]:
             config.integration_times_ms,
             config.repeats,
             sink=sink,
-            parent=_parent_basis(config),
+            parent=parent,
             repeats_per_pattern=config.repeats_per_pattern,
             peak_fraction=config.peak_fraction,
             background_fraction=config.background_fraction,
@@ -262,9 +267,7 @@ def main(argv=None) -> int:
         if args.verb == "validate":
             # the plans' size, the scene and the masks fail here as they
             # would before a run's sweep
-            _require_memory(cfg)
-            obj = build_scene(cfg)
-            _require_memory(cfg, obj)
+            obj, _ = _checked_scene(cfg)
             _sweep_masks(obj, cfg.kernel, cfg.peak_fraction, cfg.background_fraction,
                          cfg.mask_border, cfg.background_rect)
             sys.stdout.write(cfg.to_text())

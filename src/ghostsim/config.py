@@ -32,7 +32,6 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "load_config",
-    "default_config",
 ]
 
 ENV_PREFIX = "GHOSTSIM_"
@@ -298,10 +297,6 @@ def _build(items: dict[str, tuple[str, int | None]]) -> ExperimentConfig:
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate config text; defaults fill every missing key."""
     return _build(_parse_items(text))
-
-
-def default_config() -> ExperimentConfig:
-    return parse_config("")
 
 
 def load_config(path=None, environ=None, overrides=None) -> ExperimentConfig:

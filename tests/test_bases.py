@@ -700,6 +700,23 @@ class TestFactorOnlySets:
         assert peak < modified.stack.nbytes / 4
 
 
+class TestCensus:
+    @settings(max_examples=150, deadline=None)
+    @given(basis=factor_sets())
+    def test_each_pattern_projects_the_parts_its_classes_reach(self, basis):
+        # the oracle scans every pattern; the census reads class pairs
+        side, form = basis.grid.side, basis._form
+        rows, cols, parts = form.census()
+        levels = np.append(form.values[::-1], 0.0)
+        count = 0
+        for j, pattern in enumerate(basis.stack):
+            r, c = divmod(j, side)
+            want = binary_decompose(pattern, j)
+            assert tuple(levels[parts[rows[r], cols[c]]].tolist()) == want.weights
+            count += want.part_count
+        assert projection_count(basis, 1) == count
+
+
 class TestProjectionCount:
     def test_canonical_with_repeats(self):
         assert projection_count(canonical_basis(GridSpec(8)), 2) == 128

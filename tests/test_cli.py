@@ -147,10 +147,10 @@ class TestValidate:
         assert not (tmp_path / "out").exists()
 
     def test_grid_too_large_for_memory_fails_early(self, tmp_path, monkeypatch, capsys):
-        # side 1024 has 4 frames a pattern (two repeats, two edge levels):
-        # 96 MiB of plans, a 24 MiB accumulator for the one-limb bar target
-        # and 192 MiB for one cell, past a 64 MiB machine; all three verbs
-        # refuse it before any basis is built
+        # side 1024 has at least 3 frames a pattern (two repeats, one
+        # level): 72 MiB of plans, a 16 MiB accumulator for one limb and one
+        # level, and 192 MiB for one cell, past a 64 MiB machine; all three
+        # verbs refuse it on that bound, before any basis is built
         def refuse(*args, **kwargs):
             raise AssertionError("built a basis")
 
@@ -164,8 +164,8 @@ class TestValidate:
             assert main([verb, "--config", str(path), "--out", "out"]) == 1
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 3 and len(set(errors)) == 1
-        assert errors[0].startswith("config error: grid_side 1024 needs 312 MiB")
-        assert ("(4,194,304 frames at 24 B), a 24 MiB level accumulator and "
+        assert errors[0].startswith("config error: grid_side 1024 needs 280 MiB")
+        assert ("(3,145,728 frames at 24 B), a 16 MiB level accumulator and "
                 "192 MiB for one cell") in errors[0]
         assert "64 MiB of physical memory" in errors[0]
         assert not (tmp_path / "out").exists()
@@ -215,36 +215,50 @@ class TestValidate:
                                    synth_bar_target(grid))
 
     def test_memory_check_counts_the_kernel_levels(self, monkeypatch):
-        # three taps bound a pattern to 3 levels on a canonical parent and
-        # to 8 sign vectors on a Hadamard one: at side 128, 6.0 MiB against
-        # 11.6 MiB, plans, accumulator and one cell of the larger route
+        # once the scene is built the frames are the census of both sets:
+        # three taps give a canonical pattern 3 levels and a Hadamard one
+        # 5.9 on average, so at side 128 the run holds 6.0 MiB against
+        # 9.5 MiB, plans, accumulator and one cell of the larger route
         monkeypatch.setattr(cli_module, "_physical_memory", lambda: 8 * 2**20)
         text = "grid_side = 128\nkernel = 0.5 1 0.25\n"
-        cli_module._require_memory(parse_config(text))
-        with pytest.raises(ConfigError, match=r"needs 12 MiB .*\(163,840 frames"):
-            cli_module._require_memory(parse_config(text + "basis = hadamard\n"))
-        # 25 taps have 2**25 sign vectors, but a pixel's value is set by a
-        # pair of windows of 5 +/-1 entries, up to sign: 2**9 levels
+        cli_module._checked_scene(parse_config(text))
+        with pytest.raises(ConfigError, match=r"needs 10 MiB .*\(129,534 frames"):
+            cli_module._checked_scene(parse_config(text + "basis = hadamard\n"))
+        # 25 taps of distinct powers of two give a Hadamard pattern 53
+        # levels on average, where its windows of 5 +/-1 entries allow 2**9
         wide = "; ".join(" ".join(str(2 ** (5 * i + j)) for j in range(5))
                          for i in range(5))
         cfg = parse_config(f"grid_side = 64\nbasis = hadamard\nkernel = {wide}\n")
-        with pytest.raises(ConfigError, match=r"\(2,105,344 frames"):
-            cli_module._require_memory(cfg)
+        with pytest.raises(ConfigError, match=r"\(225,990 frames"):
+            cli_module._checked_scene(cfg)
 
     def test_many_tap_hadamard_kernel_fits(self, tmp_path, monkeypatch, capsys):
-        # a 5x5 kernel bounds a Hadamard pattern to 2**9 levels, so side
-        # 128 needs 579 MiB (its plan holds 153,631 frames), not the 18 GiB
-        # of one level per pixel; side 256 stays past a 1 GiB machine
-        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 2**30)
+        # a 5x5 kernel gives a Hadamard pattern 9.4 levels on average, so
+        # side 128 needs 14 MiB (186,398 frames), not the 579 MiB of 2**9
+        # levels a pattern; side 256 stays past a 32 MiB machine
+        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 32 * 2**20)
         text = ("basis = hadamard\n"
                 "kernel = 1 2 3 2 1; 2 4 6 4 2; 3 6 9 6 3; 2 4 6 4 2; 1 2 3 2 1\n")
         path = tmp_path / "binomial128.cfg"
         path.write_text("grid_side = 128\n" + text)
         assert main(["validate", "--config", str(path)]) == 0
         assert "grid_side = 128" in capsys.readouterr().out
-        with pytest.raises(ConfigError, match=r"^grid_side 256 needs 2,314 MiB .*"
-                                              r"\(33,685,504 frames"):
-            cli_module._require_memory(parse_config("grid_side = 256\n" + text))
+        with pytest.raises(ConfigError, match=r"^grid_side 256 needs 58 MiB .*"
+                                              r"\(757,790 frames"):
+            cli_module._checked_scene(parse_config("grid_side = 256\n" + text))
+
+    def test_hadamard_run_fits_its_exact_count(self, tmp_path, monkeypatch, capsys):
+        # side-128 Hadamard edge-eq3 projects 97,275 frames, 7 MiB with one
+        # cell: it fits a 12 MiB machine, which a bound of 16 levels a
+        # pattern (294,912 frames, 21 MiB) refused
+        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 12 * 2**20)
+        text = "grid_side = 128\nbasis = hadamard\n"
+        cfg = parse_config(text)
+        assert cli_module._run_bytes(cfg, cli_module.build_scene(cfg))[0] == 97_275
+        path = tmp_path / "hadamard128.cfg"
+        path.write_text(text)
+        assert main(["validate", "--config", str(path)]) == 0
+        assert "grid_side = 128" in capsys.readouterr().out
 
     def test_side_256_fits(self, tmp_path, monkeypatch, capsys):
         # the plans of a side-256 run take a few MiB: no stack is built

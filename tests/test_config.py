@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghostsim import ConfigError, default_config, load_config, parse_config
+from ghostsim import ConfigError, load_config, parse_config
 from ghostsim.config import ENV_PREFIX, ExperimentConfig
 
 
@@ -24,7 +24,7 @@ class TestParseConfig:
 
     def test_empty_text_is_all_defaults(self):
         cfg = parse_config("")
-        assert cfg == default_config()
+        assert cfg == parse_config("# comments and blank lines set nothing\n\n")
         assert cfg.grid_side == 64
 
     # threads: a key that older manifests still carry; it must fail loudly
@@ -113,7 +113,7 @@ class TestParseConfig:
 
 class TestEcho:
     def test_round_trip_defaults(self):
-        cfg = default_config()
+        cfg = parse_config("")
         assert parse_config(cfg.to_text()) == cfg
 
     def test_round_trip_custom(self):
@@ -131,7 +131,7 @@ class TestEcho:
         assert parse_config(cfg.to_text()) == cfg
 
     def test_echo_parses_with_comments_prepended(self):
-        cfg = default_config()
+        cfg = parse_config("")
         manifest_like = "# version = 0.0.0\n" + cfg.to_text()
         assert parse_config(manifest_like) == cfg
 
@@ -162,7 +162,7 @@ class TestLoadConfig:
         assert err.value.line is None
 
     def test_defaults_without_file(self):
-        assert load_config(None, environ={}) == default_config()
+        assert load_config(None, environ={}) == parse_config("")
 
 
 @pytest.mark.parametrize("key, value", [
