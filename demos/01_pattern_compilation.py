@@ -15,8 +15,8 @@ from pathlib import Path
 
 from ghostsim import (
     GridSpec,
-    binary_decompose,
     canonical_basis,
+    decompose_basis,
     edge_detect_kernel,
     hadamard_basis,
     modify_basis,
@@ -41,7 +41,7 @@ def main(out_dir="demo_out/patterns"):
 
         plain_frames = projection_count(parent, 2)
         modified_frames = projection_count(modified, 1)
-        parts_85 = binary_decompose(modified.pattern(85), 85).part_count
+        parts_85 = decompose_basis(modified)[85].part_count
         print(f"{parent.label:>9} basis: {len(parent)} patterns, "
               f"{plain_frames} frames on the plain route "
               f"(a canonical pattern is repeated twice, a +/-1 one split in two)")

@@ -41,7 +41,6 @@ __all__ = [
     "canonical_basis",
     "hadamard_basis",
     "modify_basis",
-    "binary_decompose",
     "decompose_basis",
     "projection_count",
 ]
@@ -319,9 +318,8 @@ class SubPatternSet:
     ``weights`` lists the pattern's distinct nonzero values, descending, or
     ``(0.0,)`` for an all-zero pattern.  Part ``k`` is the binary frame
     ``pattern == weights[k]`` (all dark for weight 0), so the weighted sum of
-    the parts reproduces the pattern exactly, one part per weight.  It is
-    what :func:`binary_decompose` returns and what an item of a
-    :class:`Decomposition` is made into when it is read.
+    the parts reproduces the pattern exactly, one part per weight.  An item
+    of a :class:`Decomposition` is made into one when it is read.
     """
 
     parent_index: int
@@ -380,28 +378,11 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return v[keep]
 
 
-def binary_decompose(pattern, parent_index: int = 0) -> SubPatternSet:
-    """Split a pattern into weighted binary parts, one per distinct nonzero
-    value (descending), so each part is projectable by a binary modulator.
-
-    Values are compared in float64.  An all-zero pattern yields a single
-    all-dark part with weight 0.
-    """
-    img = np.asarray(pattern, dtype=float)
-    if img.ndim != 2:
-        raise DimensionError(f"pattern must be 2-D, got shape {img.shape}")
-    if not np.all(np.isfinite(img)):
-        raise DimensionError("pattern values must be finite")
-    levels = _sorted_unique(img)
-    levels = levels[levels != 0.0][::-1]  # descending: positive parts first
-    return SubPatternSet(parent_index, tuple(levels.tolist()) or (0.0,))
-
-
 def decompose_basis(basis: PatternBasis) -> Decomposition:
     """Decompose every pattern of a basis, preserving order.
 
-    The weights and their order are exactly those of
-    :func:`binary_decompose` for each pattern, held as flat arrays
+    Each pattern's weights are its distinct nonzero values, descending (one
+    dark part for an all-zero pattern), held as flat arrays
     (:class:`Decomposition`) and read off the census of the set's window
     form (:meth:`_WindowForm.census`), with no object per pattern and no
     scan over patterns.  No part image is built; a frame is ``pattern ==

@@ -164,6 +164,9 @@ def _kernel(text: str, side: int) -> Kernel:
         if len(widths) != 1 or 0 in widths:
             raise ValueError("inline taps must form a rectangular grid")
         kernel = Kernel(taps)
+        if not kernel.taps.any():
+            # a run would filter every image to zero and find no SNR to score
+            raise ValueError("taps must not all be zero")
     _require_fits(kernel, side)
     return kernel
 

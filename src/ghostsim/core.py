@@ -1,10 +1,9 @@
-"""Square-grid images, cyclic stencil filtering, and the dense operator form.
+"""Square-grid images and cyclic stencil filtering.
 
-An image is a square 2-D float array; its flattened form is the row-major
-vector of length ``side**2``.  All filtering wraps indices at the grid edges,
-so a stencil and its dense matrix form agree exactly everywhere with no
-boundary special cases, and the matrix is block-circulant with circulant
-blocks.
+An image is a square 2-D float array.  All filtering wraps indices at the
+grid edges, so there are no boundary special cases: convolving a pattern
+with a kernel and correlating an object with it are adjoint, pixel for
+pixel, which is the identity the filtered-basis measurement rests on.
 
 The stencil filters images only, in float64: masks and post-processing.  A
 filter-modified set's patterns are read off its window form (see
@@ -26,11 +25,8 @@ __all__ = [
     "edge_detect_kernel",
     "identity_kernel",
     "KERNEL_PRESETS",
-    "flatten",
-    "unflatten",
     "cyclic_convolve",
     "cyclic_correlate",
-    "build_operator_matrix",
     "filter_energy",
     "kernel_autocorrelation",
 ]
@@ -146,22 +142,6 @@ def _stencil(image: np.ndarray, kernel: Kernel, sign: int) -> np.ndarray:
     return out
 
 
-def flatten(image) -> np.ndarray:
-    """Row-major vector of a square image."""
-    return _as_square(image).reshape(-1)
-
-
-def unflatten(vector, grid: GridSpec) -> np.ndarray:
-    """Inverse of :func:`flatten`; exact round-trip."""
-    vec = np.asarray(vector, dtype=float)
-    if vec.ndim != 1 or vec.size != grid.pixel_count:
-        raise DimensionError(
-            f"expected {grid.pixel_count} values for a {grid.side}x{grid.side} grid, "
-            f"got shape {vec.shape}"
-        )
-    return vec.reshape(grid.side, grid.side)
-
-
 def cyclic_convolve(image, kernel: Kernel) -> np.ndarray:
     """Convolve an image with a stencil, wrapping indices at the grid edges.
 
@@ -175,32 +155,12 @@ def cyclic_convolve(image, kernel: Kernel) -> np.ndarray:
 def cyclic_correlate(image, kernel: Kernel) -> np.ndarray:
     """Cyclic correlation: ``out[p] = sum_q K[q] * image[(p + q) mod side]``.
 
-    Equals :func:`cyclic_convolve` with the 180-degree-rotated kernel; both
-    orientations are needed because the dense operator and its transpose
-    differ by exactly this rotation.
+    Equals :func:`cyclic_convolve` with the 180-degree-rotated kernel, and
+    is its adjoint: ``<cyclic_convolve(P, K), O> == <P, cyclic_correlate(O,
+    K)>``.  A basis convolved with ``K`` therefore measures the object
+    correlated with ``K``, the image the post-processing route computes.
     """
     return _stencil(_as_square(image), kernel, -1)
-
-
-def build_operator_matrix(kernel: Kernel, grid: GridSpec) -> np.ndarray:
-    """Dense ``side**2 x side**2`` matrix applying :func:`cyclic_convolve`.
-
-    For every image ``x``: ``unflatten(B @ flatten(x)) == cyclic_convolve(x,
-    kernel)``.  Intended as an equivalence oracle; the stencil path is the
-    one to use in pipelines (dense storage is only reasonable up to side 64).
-    """
-    n = grid.side
-    _require_fits(kernel, n)
-    m = grid.pixel_count
-    op = np.zeros((m, m))
-    src = np.arange(m)
-    rows = src // n
-    cols = src % n
-    for dr, dc, v in kernel.offsets():
-        dest = ((rows + dr) % n) * n + (cols + dc) % n
-        # column j holds the flattened convolution of the one-hot image at j
-        op[dest, src] += v
-    return op
 
 
 def filter_energy(kernel: Kernel) -> float:

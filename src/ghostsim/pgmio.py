@@ -97,7 +97,7 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
         vals = np.array([int(t) for t in toks[4:]], dtype=np.int64)
     except (IndexError, ValueError) as exc:
         raise FormatError(f"{path}: malformed graymap header or pixels") from exc
-    if w < 1 or h < 1 or maxval < 1:
+    if w < 1 or h < 1 or not 0 < maxval < 65536:  # Netpbm's maxval bound
         raise FormatError(f"{path}: bad graymap dimensions {w}x{h}, maxval {maxval}")
     if vals.size != w * h:
         raise FormatError(f"{path}: expected {w * h} pixels, found {vals.size}")

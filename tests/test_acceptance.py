@@ -14,14 +14,12 @@ from ghostsim import (
     GridSpec,
     NoiseModel,
     basis_processed_image,
-    build_operator_matrix,
     canonical_basis,
     cyclic_convolve,
     decompose_basis,
     derive_seed,
     edge_detect_kernel,
     filter_energy,
-    flatten,
     hadamard_basis,
     kernel_autocorrelation,
     modify_basis,
@@ -33,10 +31,9 @@ from ghostsim import (
     summarize_sweep,
     sweep_cells,
     synth_bar_target,
-    unflatten,
 )
 from ghostsim.cli import main as cli_main
-from part_images import recombine
+from oracles import build_operator_matrix, flatten, recombine, unflatten
 
 EDGE = edge_detect_kernel()
 TIMES = (20.0, 100.0, 220.0)

@@ -16,13 +16,10 @@ from ghostsim import (
     GridSpec,
     Kernel,
     UnsupportedSizeError,
-    binary_decompose,
-    build_operator_matrix,
     canonical_basis,
     cyclic_convolve,
     cyclic_correlate,
     decompose_basis,
-    flatten,
     hadamard_basis,
     identity_kernel,
     modify_basis,
@@ -31,9 +28,16 @@ from ghostsim import (
     ProtocolError,
     projection_count,
     synth_bar_target,
+)
+from oracles import (
+    binary_decompose,
+    build_operator_matrix,
+    flatten,
+    part_images,
+    part_overlaps,
+    recombine,
     unflatten,
 )
-from part_images import part_images, part_overlaps, recombine
 
 
 class TestCanonicalBasis:

@@ -24,7 +24,6 @@ from ghostsim import (
     NoiseModel,
     PatternBasis,
     ProtocolError,
-    binary_decompose,
     canonical_basis,
     coefficients_from_draws,
     decompose_basis,
@@ -38,7 +37,7 @@ from ghostsim import (
     sweep_cells,
     synth_bar_target,
 )
-from part_images import part_overlaps
+from oracles import binary_decompose, part_overlaps
 
 QUIET = NoiseModel()  # all noise and backgrounds off, lamp base 1
 

@@ -128,6 +128,19 @@ class TestValidate:
     def test_missing_config_file_is_config_error(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 1
 
+    def test_all_zero_kernel_fails_both_verbs_as_config(self, tmp_path, monkeypatch,
+                                                        capsys):
+        # a zero kernel blanks every filtered image; it is refused as it is
+        # parsed, before any plan, so run writes nothing
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "zero.cfg"
+        path.write_text("grid_side = 16\nkernel = 0 0 0; 0 0 0; 0 0 0\n")
+        for verb in ("validate", "run"):
+            assert main([verb, "--config", str(path), "--out", "out"]) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert errors == ["config error: line 2: kernel: taps must not all be zero"] * 2
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("config", [
         "grid_side = 64\nbackground_rect = 0 0 64 64\n",
         "object_path = missing.pgm\n",

@@ -60,6 +60,14 @@ class TestParseConfig:
         assert "kernel" in str(err.value)
         assert "odd" in str(err.value)
 
+    @pytest.mark.parametrize("taps", ["0 0 0; 0 0 0; 0 0 0", "0", "-0.0 0.0 0"])
+    def test_all_zero_kernel_rejected(self, taps):
+        # every filtered image would be zero, so a run could score no SNR
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"seed = 1\nkernel = {taps}\n")
+        assert str(err.value) == "line 2: kernel: taps must not all be zero"
+        assert parse_config("kernel = 0 0 0; 0 1e-300 0; 0 0 0\n").kernel.taps.any()
+
     def test_kernel_must_fit_grid(self):
         with pytest.raises(ConfigError):
             parse_config("grid_side = 1\nkernel = edge-eq3\n")
@@ -204,7 +212,9 @@ def config_texts(draw):
     pixels = side * side
     odd = st.sampled_from([k for k in (1, 3, 5) if k <= side])
     height, width = draw(odd), draw(odd)
-    taps = draw(st.lists(_FLOATS, min_size=height * width, max_size=height * width))
+    # an all-zero kernel is refused, so one tap at least is nonzero
+    taps = draw(st.lists(_FLOATS, min_size=height * width, max_size=height * width)
+                .filter(any))
     inline = "; ".join(" ".join(repr(t) for t in taps[r * width:(r + 1) * width])
                        for r in range(height))
     r0, c0 = draw(st.integers(0, side - 1)), draw(st.integers(0, side - 1))

@@ -1,7 +1,9 @@
-"""Grid arithmetic, cyclic filtering, and the dense operator form.
+"""Grid arithmetic, cyclic filtering, and the dense operator oracle.
 
 The independent oracles here are brute-force index-arithmetic loops; the
-library paths must agree with them, not with each other.
+library paths must agree with them, not with each other.  The dense
+operator and ``flatten``/``unflatten`` live in ``tests/oracles.py``; they
+are checked here against the stencil before other tests lean on them.
 """
 
 import numpy as np
@@ -13,14 +15,12 @@ from ghostsim import (
     GridSpec,
     Kernel,
     NormalizationError,
-    build_operator_matrix,
     cyclic_convolve,
     cyclic_correlate,
     filter_energy,
-    flatten,
     kernel_autocorrelation,
-    unflatten,
 )
+from oracles import build_operator_matrix, flatten, unflatten
 
 
 def brute_convolve(image: np.ndarray, kernel: Kernel) -> np.ndarray:

@@ -1,11 +1,13 @@
-"""What ``import ghostsim`` loads."""
+"""What ``import ghostsim`` loads, and what it makes public."""
 
+import ast
 import importlib
 import inspect
 import json
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,21 @@ from ghostsim import cli
 
 _PACKAGE_MODULES = ("analysis", "bases", "bench", "config", "core", "errors",
                     "pgmio", "reconstruct")
+
+# public functions that nothing in the package calls, each kept for a reason
+_PUBLIC_WITHOUT_CALLER = {
+    # defines the filter-modified set (``kernel * pattern``); the benchmark's
+    # core.stencil_s span names it
+    "cyclic_convolve",
+    # the paper's noise predictions: acceptance criteria 2-3 and demo 03
+    "kernel_autocorrelation",
+    "noise_autocorrelation",
+    "predicted_amplification",
+    # configs from text; benchmarks/run.py calls it
+    "parse_config",
+    # reads a written graymap back in value units: public on purpose
+    "read_pgm_values",
+}
 
 
 def test_import_loads_neither_scipy_nor_a_thread_pool():
@@ -66,3 +83,32 @@ def test_package_all_names_public_objects_not_submodules():
                 assert value.__module__ == f"ghostsim.{module}", name
     for name in cli.__all__:
         assert name not in ghostsim.__all__ and not hasattr(ghostsim, name), name
+
+
+def _referenced_names(node, inside=frozenset(), found=None) -> set[str]:
+    """Every name, attribute and imported name under ``node``, except a
+    def's or class's own name used inside it.  Strings (docstrings, the
+    ``__all__`` lists) are not references."""
+    found = set() if found is None else found
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside = inside | {node.name}
+    name = (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, ast.alias) else None)
+    if name is not None and name not in inside:
+        found.add(name)
+    for child in ast.iter_child_nodes(node):
+        _referenced_names(child, inside, found)
+    return found
+
+
+def test_every_public_function_has_a_caller_or_a_reason():
+    # a public function that only tests or demos call belongs in
+    # tests/oracles.py; the few kept without a caller are listed above
+    referenced = set()
+    for path in Path(ghostsim.__file__).parent.glob("*.py"):
+        referenced |= _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    functions = {name for name in ghostsim.__all__
+                 if inspect.isfunction(getattr(ghostsim, name))}
+    assert _PUBLIC_WITHOUT_CALLER <= functions
+    assert functions - referenced == _PUBLIC_WITHOUT_CALLER

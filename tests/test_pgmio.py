@@ -81,6 +81,16 @@ class TestPgm:
         with pytest.raises(FormatError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("maxval", [0, 65536, 70000])
+    def test_rejects_maxval_outside_netpbm_bounds(self, tmp_path, maxval):
+        # Netpbm allows 0 < maxval < 65536
+        path = tmp_path / "wide.pgm"
+        path.write_text(f"P2\n2 1\n{maxval}\n0 0\n")
+        with pytest.raises(FormatError, match=f"maxval {maxval}"):
+            read_pgm(path)
+        path.write_text("P2\n2 1\n65535\n0 65535\n")
+        assert read_pgm(path)[1] == 65535
+
     def test_comments_are_skipped(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_text("P2 # comment\n# another\n2 1\n255\n7 9\n")

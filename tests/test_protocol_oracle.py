@@ -18,7 +18,6 @@ from hypothesis.extra.numpy import arrays
 from ghostsim import (
     GridSpec,
     NoiseModel,
-    build_operator_matrix,
     canonical_basis,
     coefficients_from_draws,
     decompose_basis,
@@ -29,7 +28,7 @@ from ghostsim import (
     plan_acquisition,
     run_basis_protocol,
 )
-from part_images import part_images
+from oracles import build_operator_matrix, part_images
 
 EDGE = edge_detect_kernel()
 ALL_NOISE = NoiseModel(lamp_base=1.3, lamp_drift_amplitude=0.2, lamp_drift_period=37.0,

@@ -16,11 +16,9 @@ from ghostsim import (
     NoiseModel,
     ProtocolError,
     basis_processed_image,
-    build_operator_matrix,
     canonical_basis,
     cyclic_correlate,
     derive_seed,
-    flatten,
     hadamard_basis,
     identity_kernel,
     kernel_autocorrelation,
@@ -30,8 +28,8 @@ from ghostsim import (
     post_process,
     post_processed_image,
     reconstruct,
-    unflatten,
 )
+from oracles import build_operator_matrix, flatten, unflatten
 
 QUIET = NoiseModel()
 
