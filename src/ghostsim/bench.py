@@ -35,13 +35,16 @@ and the integration time the signal scale.  It draws all of its noise from
 one counter-based Philox stream keyed by the cell seed, and
 :func:`coefficients_from_draws` turns the draws into coefficients.  Signal
 scales linearly with the integration time while per-read noise stays fixed
-(a read-noise-dominated detector).
+(a read-noise-dominated detector).  The lamp drift depends on a cell only
+through that scale, so its profile over the patterns is computed once per
+sweep and each cell multiplies it by its integration time and lamp base.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -360,16 +363,38 @@ def coefficients_from_draws(plan: MeasurementPlan, lamp: np.ndarray,
     return combined / norm
 
 
+@lru_cache(maxsize=1)
+def _drift_profile(pattern_count: int, amplitude: float, period: float) -> np.ndarray:
+    """``1 + amplitude * sin(2*pi*j/period)`` at every step ``j`` of an
+    acquisition: :func:`lamp_intensity` at unit time and lamp base.  It is
+    the same for every cell of a sweep, so the last one is kept, read-only."""
+    unit = NoiseModel(lamp_drift_amplitude=amplitude, lamp_drift_period=period)
+    profile = lamp_intensity(np.arange(pattern_count), unit, 1.0)
+    profile.setflags(write=False)
+    return profile
+
+
 def run_basis_protocol(plan: MeasurementPlan, noise: NoiseModel,
                        integration_time_ms: float) -> np.ndarray:
     """Acquire one cell: the coefficient of every pattern of the plan, each
     read integrated for ``integration_time_ms``.
 
-    All draws come from one Philox stream keyed by ``noise.seed``: one per
-    bucket read in plan order, then one per normalization read in pattern
-    order.  The cell is therefore reproducible on its own, in any order.
+    The lamp power is ``lamp_intensity`` at every pattern: the sweep's one
+    drift profile (computed for its first cell, then reused) scaled by
+    ``integration_time_ms * noise.lamp_base``, the same bits as the formula
+    evaluated in full.  All draws come from one Philox stream keyed by
+    ``noise.seed``: one per bucket read in plan order, then one per
+    normalization read in pattern order.  The cell is therefore
+    reproducible on its own, in any order.
     """
-    lamp = lamp_intensity(np.arange(plan.pattern_count), noise, integration_time_ms)
+    profile = _drift_profile(plan.pattern_count, noise.lamp_drift_amplitude,
+                             noise.lamp_drift_period)
+    # lamp_intensity's ``t * base * (1 + ...)`` multiplies left to right
+    lamp = (integration_time_ms * noise.lamp_base) * profile
+    if not lamp.min() > 0:
+        # a bad integration time, or a scale that underflows: the formula in
+        # full gives the same bits, and raises its ConfigError for them
+        lamp = lamp_intensity(np.arange(plan.pattern_count), noise, integration_time_ms)
     rng = np.random.Generator(np.random.Philox(noise.seed))
     bucket_draws = rng.standard_normal(plan.bucket_reads)
     norm_draws = rng.standard_normal(plan.pattern_count)

@@ -36,7 +36,7 @@ from .bench import _limb_layout, load_object, synth_bar_target
 from .config import ExperimentConfig, load_config
 from .core import GridSpec
 from .errors import ConfigError, GhostSimError
-from .pgmio import atomic_write_text, write_pgm
+from .pgmio import _sidecar_path, atomic_write_text, write_pgm
 
 __all__ = ["main", "run_experiment", "emit_pattern_gallery", "build_scene"]
 
@@ -84,10 +84,12 @@ def _run_bytes(config: ExperimentConfig, obj=None, parent=None) -> tuple[int, in
     A cell of the larger route holds five float64 arrays a frame (its
     draws, its reads, the lamp gather and its product, the weighted copy),
     four a pattern (the normalization draws, the lamp, the coefficient
-    sums and their quotient) and one image with its temporaries: the image,
-    its magnitude and its graymap text, some 64 B a pixel.  The stages of a
-    cell do not overlap, so their sum leaves room for the object and masks
-    held beside them."""
+    sums and their quotient) and one image with its temporaries: the image
+    and its graymap encoder, which peaks at 30 B a pixel from side 64 up
+    and is counted at the 40 B its test allows.  The sweep keeps the lamp's
+    drift profile beside it, one float64 a pattern.  The stages of a cell
+    do not overlap, so their sum leaves room for the object and masks held
+    beside them."""
     m = config.grid_side ** 2
     if obj is None:
         repeats = config.repeats_per_pattern if config.basis == CANONICAL else 1
@@ -99,7 +101,7 @@ def _run_bytes(config: ExperimentConfig, obj=None, parent=None) -> tuple[int, in
         levels = max(s._form.values.size for s in sets)
         limbs = _limb_layout(obj)[1]
     frames = sum(routes)
-    cell = 8 * (5 * max(routes) + 4 * m) + 80 * m
+    cell = 8 * (5 * max(routes) + 4 * m) + (8 + 40) * m + 8 * m
     return frames, 24 * frames, 8 * limbs * (levels + 1) * m, cell
 
 
@@ -162,12 +164,14 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[Path]:
     obj, parent = _checked_scene(config)
     made = [p for p in (out, *out.parents) if not p.is_dir()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(prefix=".ghostsim-", suffix=".tmp", dir=out))
+    # str paths: the sink and the renames run once a file
+    stage = tempfile.mkdtemp(prefix=".ghostsim-", suffix=".tmp", dir=out)
     names: list[str] = []
 
     def sink(cell, image):
         name = f"recon_{cell.method}_t{cell.integration_time_ms:g}ms_rep{cell.repeat}.pgm"
-        names.extend(p.name for p in write_pgm(stage / name, image))
+        write_pgm(os.path.join(stage, name), image)
+        names.extend((name, _sidecar_path(name)))
 
     try:
         cells = sweep_cells(
@@ -184,9 +188,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[Path]:
             mask_border=config.mask_border,
             background_rect=config.background_rect,
         )
-        write_sweep_csv(cells, stage / "snr_sweep.csv")
-        write_summary_csv(summarize_sweep(cells), stage / "snr_summary.csv")
-        atomic_write_text(stage / "manifest.txt", _manifest_text(config))
+        write_sweep_csv(cells, os.path.join(stage, "snr_sweep.csv"))
+        write_summary_csv(summarize_sweep(cells), os.path.join(stage, "snr_summary.csv"))
+        atomic_write_text(os.path.join(stage, "manifest.txt"), _manifest_text(config))
         names += ["snr_sweep.csv", "snr_summary.csv", "manifest.txt"]
     except BaseException:
         shutil.rmtree(stage, ignore_errors=True)
@@ -194,8 +198,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[Path]:
             path.rmdir()
         raise
     for name in names:
-        os.replace(stage / name, out / name)
-    stage.rmdir()
+        os.replace(os.path.join(stage, name), os.path.join(out, name))
+    os.rmdir(stage)
     return [out / name for name in names]
 
 

@@ -1,8 +1,9 @@
 """Rebuilding images from coefficient vectors, and the two filter routes.
 
 The measured weight of each pattern multiplies that pattern in the
-reconstruction sum; for both parent bases the sum is a product of
-``side x side`` matrices.  Reconstruction always uses the *parent*
+reconstruction sum: for a canonical parent the sum is the coefficients
+reshaped to ``side x side``, for a Hadamard parent a product of ``side x
+side`` matrices.  Reconstruction always uses the *parent*
 (unmodified) basis, also when the coefficients were acquired with a
 filter-modified illumination set: that is exactly what makes the
 modified-basis route return the filtered image directly.
@@ -43,8 +44,11 @@ def reconstruct(coefficients, recon_basis: PatternBasis) -> np.ndarray:
     f_c^T`` of rows of its ``factor`` ``F`` (the identity for canonical;
     ``H_side`` for Hadamard, as ``H_{side^2} = H_side (x) H_side``), so the
     sum is ``F^T C F`` with ``C`` the coefficients reshaped to ``side x
-    side``.  Reconstruction is always in the parent: a filter-modified
-    basis raises :class:`~ghostsim.errors.ProtocolError`.
+    side``.  Where ``F = I`` (a canonical parent) that is ``C`` itself, so
+    a copy of ``C`` is returned with no product, and a ``-0.0`` keeps its
+    sign; a Hadamard parent takes the two matrix products.
+    Reconstruction is always in the parent: a filter-modified basis raises
+    :class:`~ghostsim.errors.ProtocolError`.
     """
     m = len(recon_basis)
     vec = np.asarray(coefficients, dtype=float)
@@ -53,8 +57,12 @@ def reconstruct(coefficients, recon_basis: PatternBasis) -> np.ndarray:
     if recon_basis.kernel is not None:
         raise ProtocolError(f"reconstruct in the parent basis, not in {recon_basis.label}")
     side = recon_basis.grid.side
-    f = recon_basis.factor.astype(float)
-    return f.T @ vec.reshape(side, side) @ f
+    c = vec.reshape(side, side)
+    f = recon_basis.factor
+    if np.count_nonzero(f) == side and np.all(f.diagonal() == 1):  # F = I
+        return c.copy()
+    f = f.astype(float)
+    return f.T @ c @ f
 
 
 def post_process(image, kernel: Kernel) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 None of these is on a run path.  The dense ``side**2 x side**2`` operator
 applies a stencil as one matrix product on the row-major vector of an
-image; the per-pattern split reads a pattern's levels off its values; and
-the part images are the binary frames ``pattern == level`` that a
-``SubPatternSet`` describes by its levels alone.  The tests that compare
+image; the per-pattern split reads a pattern's levels off its values; the
+part images are the binary frames ``pattern == level`` that a
+``SubPatternSet`` describes by its levels alone; and the ``P2`` body is
+one ``%``-format over the gray values as Python ints.  The tests that compare
 frames, recombine a pattern or run the per-read reference build them here,
 the same way for every test.
 """
@@ -99,3 +100,12 @@ def part_overlaps(obj, basis, decomposed) -> list[float]:
     return [math.fsum(flat[part.ravel() != 0])
             for sub in decomposed
             for part in part_images(basis.pattern(sub.parent_index), sub)]
+
+
+def p2_body(gray) -> str:
+    """The ``P2`` body of a 2-D array of integer gray values: one
+    ``%``-format over the flat list, a line of ``w`` decimal numbers per
+    row."""
+    h, w = np.shape(gray)
+    row = " ".join(["%d"] * w) + "\n"
+    return (row * h) % tuple(np.ravel(gray).tolist())

@@ -114,6 +114,74 @@ class TestLampIntensity:
         assert lamp_intensity(steps, noise, time_ms).tolist() == expected
 
 
+class TestLampInCells:
+    """A sweep computes the drift profile once; each cell scales it."""
+
+    @staticmethod
+    def plan():
+        obj = np.linspace(0.0, 1.0, 64).reshape(8, 8)
+        return plan_acquisition(obj, canonical_basis(GridSpec(8)), 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(amplitude=st.floats(0.0, 0.9), period=st.floats(0.5, 1e5),
+           times=st.lists(st.floats(1e-3, 1e4), min_size=2, max_size=3),
+           lamp_base=st.floats(1e-3, 1e3), seed=st.integers(0, 2**64 - 1))
+    def test_cells_match_the_formula_bit_for_bit(self, amplitude, period, times,
+                                                lamp_base, seed):
+        # cells of one sweep share the cached profile: the first computes it
+        plan = self.plan()
+        noise = NoiseModel(lamp_base=lamp_base, lamp_drift_amplitude=amplitude,
+                           lamp_drift_period=period, detector_sigma=0.3,
+                           normalization_sigma=0.1, background_measure=0.2,
+                           background_norm=0.4, seed=seed)
+        for time_ms in times:
+            rng = np.random.Generator(np.random.Philox(seed))
+            bucket = rng.standard_normal(plan.bucket_reads)
+            norm = rng.standard_normal(plan.pattern_count)
+            lamp = lamp_intensity(np.arange(plan.pattern_count), noise, time_ms)
+            want = coefficients_from_draws(plan, lamp, noise, bucket, norm)
+            assert run_basis_protocol(plan, noise, time_ms).tobytes() == want.tobytes()
+
+    def test_drift_trough_rejected(self):
+        noise = NoiseModel(lamp_drift_amplitude=2.0, lamp_drift_period=4.0)
+        for _ in range(2):  # a failed profile is not kept
+            with pytest.raises(ConfigError, match="non-positive"):
+                run_basis_protocol(self.plan(), noise, 1.0)
+
+    def test_underflowing_scale_rejected(self):
+        # 1e-200 * 1e-200 is 0 in float64, although each factor is positive
+        run_basis_protocol(self.plan(), QUIET, 1.0)  # the next cell reuses this profile
+        with pytest.raises(ConfigError, match="non-positive"):
+            run_basis_protocol(self.plan(), NoiseModel(lamp_base=1e-200), 1e-200)
+
+    def test_sweeps_in_one_process_match_fresh_processes(self, tmp_path):
+        # the profile is keyed by its amplitude: a second sweep with another
+        # drift must not reuse the first one's
+        code = ("import sys; from ghostsim.cli import run_experiment; "
+                "from ghostsim.config import load_config; "
+                "[run_experiment(load_config(None, environ={}, overrides={"
+                "'grid_side': '16', 'bar_groups': '2', 'repeats': '1', "
+                "'lamp_drift_period': '40', 'lamp_drift_amplitude': a}), "
+                "sys.argv[1] + '/' + a) for a in sys.argv[2:]]")
+        amplitudes = ["0.05", "0.5"]
+        for where, runs in (("one", [amplitudes]),
+                            ("fresh", [[a] for a in amplitudes])):
+            for args in runs:
+                result = subprocess.run([sys.executable, "-c", code,
+                                         str(tmp_path / where), *args],
+                                        capture_output=True, text=True)
+                assert result.returncode == 0, result.stderr
+        for a in amplitudes:
+            one, fresh = tmp_path / "one" / a, tmp_path / "fresh" / a
+            names = sorted(p.name for p in fresh.iterdir())
+            assert sorted(p.name for p in one.iterdir()) == names
+            assert len(names) == 15  # 6 graymaps, their sidecars and 3 files
+            for name in names:
+                assert (one / name).read_bytes() == (fresh / name).read_bytes(), (a, name)
+        first = tmp_path / "one" / amplitudes[0] / "snr_sweep.csv"
+        assert first.read_bytes() != (tmp_path / "one" / amplitudes[1] / "snr_sweep.csv").read_bytes()
+
+
 @pytest.mark.parametrize("time_ms", [0.0, -1.0, float("nan")])
 def test_non_positive_integration_time_rejected(time_ms, edge_kernel):
     obj = np.linspace(0.0, 1.0, 64).reshape(8, 8)

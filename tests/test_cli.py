@@ -162,7 +162,7 @@ class TestValidate:
     def test_grid_too_large_for_memory_fails_early(self, tmp_path, monkeypatch, capsys):
         # side 1024 has at least 3 frames a pattern (two repeats, one
         # level): 72 MiB of plans, a 16 MiB accumulator for one limb and one
-        # level, and 192 MiB for one cell, past a 64 MiB machine; all three
+        # level, and 168 MiB for one cell, past a 64 MiB machine; all three
         # verbs refuse it on that bound, before any basis is built
         def refuse(*args, **kwargs):
             raise AssertionError("built a basis")
@@ -177,9 +177,9 @@ class TestValidate:
             assert main([verb, "--config", str(path), "--out", "out"]) == 1
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 3 and len(set(errors)) == 1
-        assert errors[0].startswith("config error: grid_side 1024 needs 280 MiB")
+        assert errors[0].startswith("config error: grid_side 1024 needs 256 MiB")
         assert ("(3,145,728 frames at 24 B), a 16 MiB level accumulator and "
-                "192 MiB for one cell") in errors[0]
+                "168 MiB for one cell") in errors[0]
         assert "64 MiB of physical memory" in errors[0]
         assert not (tmp_path / "out").exists()
 
@@ -204,7 +204,7 @@ class TestValidate:
 
     def test_memory_check_counts_the_object_limbs(self, tmp_path, monkeypatch, capsys):
         # at side 64 the bar target is one limb: 0.4 MiB of canonical plans,
-        # a 0.1 MiB accumulator and 0.75 MiB for one cell.  Values spread
+        # a 0.1 MiB accumulator and 0.66 MiB for one cell.  Values spread
         # down to 1e-300 are some 26 limbs of 41 bits, a 2.4 MiB
         # accumulator, past a 2 MiB machine
         grid = GridSpec(64)
@@ -230,12 +230,12 @@ class TestValidate:
     def test_memory_check_counts_the_kernel_levels(self, monkeypatch):
         # once the scene is built the frames are the census of both sets:
         # three taps give a canonical pattern 3 levels and a Hadamard one
-        # 5.9 on average, so at side 128 the run holds 6.0 MiB against
-        # 9.5 MiB, plans, accumulator and one cell of the larger route
+        # 5.9 on average, so at side 128 the run holds 5.6 MiB against
+        # 9.2 MiB, plans, accumulator and one cell of the larger route
         monkeypatch.setattr(cli_module, "_physical_memory", lambda: 8 * 2**20)
         text = "grid_side = 128\nkernel = 0.5 1 0.25\n"
         cli_module._checked_scene(parse_config(text))
-        with pytest.raises(ConfigError, match=r"needs 10 MiB .*\(129,534 frames"):
+        with pytest.raises(ConfigError, match=r"needs 9 MiB .*\(129,534 frames"):
             cli_module._checked_scene(parse_config(text + "basis = hadamard\n"))
         # 25 taps of distinct powers of two give a Hadamard pattern 53
         # levels on average, where its windows of 5 +/-1 entries allow 2**9
@@ -256,7 +256,7 @@ class TestValidate:
         path.write_text("grid_side = 128\n" + text)
         assert main(["validate", "--config", str(path)]) == 0
         assert "grid_side = 128" in capsys.readouterr().out
-        with pytest.raises(ConfigError, match=r"^grid_side 256 needs 58 MiB .*"
+        with pytest.raises(ConfigError, match=r"^grid_side 256 needs 56 MiB .*"
                                               r"\(757,790 frames"):
             cli_module._checked_scene(parse_config("grid_side = 256\n" + text))
 

@@ -1,7 +1,11 @@
 """Graymap round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ghostsim import (
     FormatError,
@@ -10,6 +14,27 @@ from ghostsim import (
     write_pgm,
 )
 from ghostsim.pgmio import PGM_MAXVAL
+from oracles import p2_body
+
+# gray values on either side of each change in the number of digits
+DIGIT_EDGES = (0, 9, 10, 99, 100, 999, 1000, 9999, 10000, PGM_MAXVAL)
+
+
+@st.composite
+def gray_arrays(draw):
+    """Gray values of a 1x1 to 40x40 image, square or not, drawn from the
+    digit edges, the whole range or both, with 0 and 65535 at its two ends
+    when it has two pixels: ``write_pgm`` then maps each value to itself."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    from_edges = rng.random(h * w) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    gray = np.where(from_edges, rng.choice(DIGIT_EDGES, size=h * w),
+                    rng.integers(0, PGM_MAXVAL + 1, size=h * w))
+    if gray.size > 1:
+        gray[0], gray[-1] = 0, PGM_MAXVAL
+    else:
+        gray[:] = 0  # a constant image is all 0
+    return gray.reshape(h, w)
 
 
 class TestPgm:
@@ -64,6 +89,30 @@ class TestPgm:
         write_pgm(path, image)
         assert path.read_bytes() == pgm
         assert (tmp_path / "img.meta").read_bytes() == meta
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(gray=gray_arrays())
+    def test_bytes_match_the_format_oracle(self, tmp_path, gray):
+        # the body is built from arrays; the oracle formats Python ints
+        path = tmp_path / "img.pgm"
+        write_pgm(path, gray.astype(float))
+        h, w = gray.shape
+        assert path.read_bytes() == f"P2\n{w} {h}\n{PGM_MAXVAL}\n{p2_body(gray)}".encode()
+
+    def test_encoding_holds_at_most_40_bytes_a_pixel(self, tmp_path, rng):
+        # a %-format over a tuple of Python ints held 59 B a pixel; the array
+        # encoder about 30 (cli._run_bytes counts 40)
+        image = rng.normal(size=(512, 512))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write_pgm(tmp_path / "big.pgm", image)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * image.size
 
     def test_rejects_non_pgm(self, tmp_path):
         path = tmp_path / "bad.pgm"

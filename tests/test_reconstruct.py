@@ -41,9 +41,12 @@ def relative_error(got, want):
 
 class TestReconstruct:
     def test_canonical_is_reshape(self):
-        basis = canonical_basis(GridSpec(2))
-        image = reconstruct(np.array([1.0, 2.0, 3.0, 4.0]), basis)
-        assert image.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        # the reshape keeps a -0.0, which a product by the identity would
+        # sum with 0 * x terms into +0.0
+        vec = np.array([1.5, -0.0, 0.0, -2.0])
+        image = reconstruct(vec, canonical_basis(GridSpec(2)))
+        assert image.tolist() == [[1.5, 0.0], [0.0, -2.0]]
+        assert np.signbit(image).tolist() == [[False, True], [False, True]]
 
     def test_orthonormal_completeness(self, rng):
         grid = GridSpec(4)
