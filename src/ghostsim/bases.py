@@ -59,9 +59,7 @@ class PatternBasis:
     ``kernel`` is None.  The parents have ``F = I`` (canonical) or ``F =
     H_side`` (Hadamard) and no kernel; their filter-modified sets keep ``F``
     and record the kernel.  ``F`` must be integer with entries in ``{-1, 0,
-    1}``.  The patterns are integer for a parent (in the factor's dtype,
-    int8) and for integral taps whose sum is exact (int8 for the edge
-    stencil), float64 for any other kernel.
+    1}``.  The patterns of every set are float64.
 
     The set makes its window form (:class:`_WindowForm`) when it is built
     and holds no pattern.  ``pattern(j)`` reads one off the form, and
@@ -98,7 +96,7 @@ class PatternBasis:
         return self.grid.pixel_count
 
     def _rows(self, start: int, stop: int) -> np.ndarray:
-        """Patterns ``start:stop`` in the set's dtype: each pattern's levels
+        """Patterns ``start:stop``, float64: each pattern's levels
         across its column windows, copied into its pixel rows by their row
         windows."""
         form = self._form
@@ -154,14 +152,12 @@ def modify_basis(basis: PatternBasis, kernel: Kernel) -> PatternBasis:
     """Cyclically convolve every pattern of a parent with ``kernel``.
 
     The parent's factor is kept and ``kernel`` recorded beside it; no
-    pattern is made.  Integral taps with an exact integer sum keep the
-    patterns integer, in the parent's dtype widened only where the sum
-    could overflow it (int8 for the edge stencil on either parent); the
-    values equal the float64 sum's.  Any other kernel gives float64.
-    Pattern order is preserved and the label records parentage, so a
-    modified basis can always be traced back to the set used for
-    reconstruction.  Only a parent can be modified: a set modified twice
-    is its parent modified once, by the convolution of the two kernels.
+    pattern is made.  The patterns are float64, with the values of a
+    float64 roll sum over the parent's patterns.  Pattern order is
+    preserved and the label records parentage, so a modified basis can
+    always be traced back to the set used for reconstruction.  Only a
+    parent can be modified: a set modified twice is its parent modified
+    once, by the convolution of the two kernels.
     """
     if basis.kernel is not None:
         raise ProtocolError(f"{basis.label} is already filter-modified; modify "
@@ -214,10 +210,10 @@ class _WindowForm:
     where ``D_r`` and ``D_c`` are the kernel's distinct row and column
     offsets.  ``rows[r, i]`` numbers the row window at ``(r, i)`` and
     ``cols[c, j]`` the column window at ``(c, j)``.  ``level[a, b]`` is the
-    level of the window pair ``(a, b)``, in the set's dtype, so pattern
+    level of the window pair ``(a, b)``, in float64, so pattern
     ``(r, c)`` is ``level[rows[r], :][:, cols[c]]``.  ``pairs[a, b]`` is the
-    index in ``values`` (the distinct nonzero levels, ascending, in
-    float64) of that level, or ``len(values)`` for level 0.
+    index in ``values`` (the distinct nonzero levels, ascending) of that
+    level, or ``len(values)`` for level 0.
 
     Let ``U_a[r, i] = [rows[r, i] = a]`` and let ``M_al[c, j]`` be 1 where
     ``pairs[a, cols[c, j]] = l``.  The frame of level ``l`` in pattern ``(r,
@@ -265,49 +261,26 @@ class _WindowForm:
         return acc.reshape(len(self.values), n * n)
 
 
-def _stencil_dtype(factor: np.ndarray, taps: list[float]) -> np.dtype:
-    """Integer dtype of an exact stencil sum over a factor's outer
-    products, or float64.
-
-    The sum stays integer when every tap is integral and the bound
-    ``sum(|taps|)`` (a factor entry is at most 1 in size) is at most 2**53,
-    so the float64 sum would hold the same integers exactly.  The dtype is
-    the factor's, promoted until it holds both ``-bound`` and ``+bound``:
-    int8 for the edge stencil on either parent.
-    """
-    if any(v != int(v) for v in taps):
-        return np.dtype(float)
-    bound = sum(abs(int(v)) for v in taps)
-    if bound > 2**53:  # past float64's exact integers
-        return np.dtype(float)
-    # -bound - 1 so the type also holds +bound: int8 stops at 127, not 128
-    return np.promote_types(factor.dtype, np.min_scalar_type(-bound - 1))
-
-
 def _window_form(f: np.ndarray, kernel: Kernel | None) -> _WindowForm:
     """The window form of the set of factor ``f`` and ``kernel``.  The level
-    of each window pair is the stencil sum of the pair's outer product:
-    one term per tap, in tap order and in the set's dtype, so a float
-    kernel's levels have the bits of a float64 roll sum of the patterns."""
+    of each window pair is the stencil sum of the pair's outer product, one
+    float64 term per tap in tap order, so it has the bits of a float64 roll
+    sum of the patterns.  Integral taps give integer levels, exact in
+    float64 below 2**53."""
     taps = [(0, 0, 1.0)] if kernel is None else list(kernel.offsets())
     row_offsets = sorted({dr for dr, _, _ in taps})
     col_offsets = sorted({dc for _, dc, _ in taps})
     rows, row_windows = _windows(f, row_offsets)
     cols, col_windows = _windows(f, col_offsets)
-    # a parent keeps its factor's dtype, even an unsigned one
-    dtype = f.dtype if kernel is None else _stencil_dtype(f, [v for _, _, v in taps])
-    level = np.zeros((len(row_windows), len(col_windows)), dtype=dtype)
+    level = np.zeros((len(row_windows), len(col_windows)))
     for dr, dc, v in taps:
         term = np.multiply.outer(row_windows[:, row_offsets.index(dr)],
                                  col_windows[:, col_offsets.index(dc)])
-        term = term.astype(dtype, copy=False)
-        term *= v if dtype.kind == "f" else int(v)
-        level += term
-    exact = level.astype(float)  # exact: an integer level is below 2**53
-    values = _sorted_unique(exact)
+        level += term.astype(float) * v
+    values = _sorted_unique(level)
     values = values[values != 0.0]
-    pairs = np.searchsorted(values, exact)
-    pairs[exact == 0.0] = len(values)
+    pairs = np.searchsorted(values, level)
+    pairs[level == 0.0] = len(values)
     return _WindowForm(rows, cols, level, pairs, values)
 
 

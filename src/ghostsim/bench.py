@@ -96,18 +96,13 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lamp_base > 0:
-            raise ConfigError(f"lamp_base must be positive, got {self.lamp_base}")
-        if self.lamp_drift_amplitude < 0:
-            raise ConfigError(
-                f"lamp_drift_amplitude must be >= 0, got {self.lamp_drift_amplitude}")
-        if not self.lamp_drift_period > 0:
-            raise ConfigError(
-                f"lamp_drift_period must be positive, got {self.lamp_drift_period}")
-        for field in ("detector_sigma", "normalization_sigma",
-                      "background_measure", "background_norm"):
-            if getattr(self, field) < 0:
-                raise ConfigError(f"{field} must be >= 0, got {getattr(self, field)}")
+        for field in ("lamp_base", "lamp_drift_amplitude", "lamp_drift_period",
+                      "detector_sigma", "normalization_sigma", "background_measure",
+                      "background_norm"):
+            value, positive = getattr(self, field), field in ("lamp_base", "lamp_drift_period")
+            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+                raise ConfigError(f"{field} must be finite and "
+                                  f"{'positive' if positive else '>= 0'}, got {value}")
         if not (0 <= int(self.seed) < _MAX_SEED):
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
@@ -162,22 +157,22 @@ def lamp_intensity(step, noise: NoiseModel, integration_time_ms: float):
     ``A(step) = integration_time * lamp_base * (1 + amplitude *
     sin(2*pi*step/period))``; the drift is a deterministic slow sinusoid so
     runs stay reproducible.  A scalar step gives a float, an array of steps
-    an array.  The integration time (ms) must be positive.
+    an array.  The integration time (ms) must be finite and positive.
     """
-    if not integration_time_ms > 0:
+    if not (math.isfinite(integration_time_ms) and integration_time_ms > 0):
         raise ConfigError(
-            f"integration_time_ms must be positive, got {integration_time_ms}")
+            f"integration_time_ms must be finite and positive, got {integration_time_ms}")
     steps = np.asarray(step)
     if np.any(steps < 0):
         raise ValueError(f"step must be >= 0, got {step}")
     phase = 2.0 * math.pi * steps / noise.lamp_drift_period
-    a = (integration_time_ms * noise.lamp_base
-         * (1.0 + noise.lamp_drift_amplitude * np.sin(phase)))
-    if np.any(a <= 0):
-        raise ConfigError(
-            "lamp intensity is non-positive at some step; "
-            "lamp_drift_amplitude must stay below 1"
-        )
+    scale = integration_time_ms * noise.lamp_base
+    a = scale * (1.0 + noise.lamp_drift_amplitude * np.sin(phase))
+    if not np.all((a > 0) & (a < math.inf)):
+        cause = ("lamp_drift_amplitude must stay below 1"
+                 if noise.lamp_drift_amplitude >= 1 and np.min(a) <= 0 else
+                 f"integration_time_ms * lamp_base = {scale!r} under- or overflows float64")
+        raise ConfigError(f"lamp intensity is non-positive or infinite at some step; {cause}")
     return float(a) if steps.ndim == 0 else a
 
 
@@ -391,9 +386,9 @@ def run_basis_protocol(plan: MeasurementPlan, noise: NoiseModel,
                              noise.lamp_drift_period)
     # lamp_intensity's ``t * base * (1 + ...)`` multiplies left to right
     lamp = (integration_time_ms * noise.lamp_base) * profile
-    if not lamp.min() > 0:
-        # a bad integration time, or a scale that underflows: the formula in
-        # full gives the same bits, and raises its ConfigError for them
+    if not (lamp.min() > 0 and lamp.max() < math.inf):
+        # a bad integration time, or a scale that under- or overflows: the
+        # formula in full gives the same bits, and raises its ConfigError
         lamp = lamp_intensity(np.arange(plan.pattern_count), noise, integration_time_ms)
     rng = np.random.Generator(np.random.Philox(noise.seed))
     bucket_draws = rng.standard_normal(plan.bucket_reads)

@@ -150,15 +150,16 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[Path]:
     run holds one image at a time.  Every file is written into a staging
     directory inside the output directory; once all are written, each is
     renamed into place, the manifest last, and the staging directory is
-    removed.  A failure before then removes the staging directory (and any
-    directory the run made), so the output directory is left as it was:
-    older files in it are neither replaced nor deleted.  Only the renames,
-    which copy nothing, run after the last write; one that fails leaves the
-    files renamed before it in place.  A rerun replaces the files it writes
-    and leaves any other file, such as a ``recon_*.pgm`` of a time the new
-    config no longer sweeps.  A given (config, seed) always gives
-    byte-identical outputs: each cell draws from its own sub-seed, so the
-    result does not depend on the order the cells run in.
+    removed.  Then every ``recon_*.pgm`` and ``recon_*.meta`` in the output
+    directory that the run did not write, such as an image of a time the
+    config no longer sweeps, is deleted; other files stay.  A failure before
+    the renames removes the staging directory (and any directory the run
+    made), so the output directory is left as it was: older files in it
+    are neither replaced nor deleted.  Only the renames, which copy nothing,
+    run after the last write; one that fails leaves the files renamed
+    before it in place and deletes nothing.  A given (config, seed) always
+    gives byte-identical outputs: each cell draws from its own sub-seed, so
+    the result does not depend on the order the cells run in.
     """
     out = Path(out_dir if out_dir is not None else config.output_dir)
     obj, parent = _checked_scene(config)
@@ -200,6 +201,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[Path]:
     for name in names:
         os.replace(os.path.join(stage, name), os.path.join(out, name))
     os.rmdir(stage)
+    written = set(names)
+    for name in os.listdir(out):
+        image = name.startswith("recon_") and name.endswith((".pgm", ".meta"))
+        if image and name not in written:
+            os.remove(os.path.join(out, name))
     return [out / name for name in names]
 
 

@@ -75,6 +75,17 @@ class TestSynthBarTarget:
         assert set(np.unique(target)) == {0.0, 1.0}
 
 
+class TestNoiseModel:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", [
+        "lamp_base", "lamp_drift_amplitude", "lamp_drift_period", "detector_sigma",
+        "normalization_sigma", "background_measure", "background_norm"])
+    def test_non_finite_values_rejected(self, field, value):
+        # NaN once passed every check but two, and inf every one
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            NoiseModel(**{field: value})
+
+
 class TestLampIntensity:
     def test_no_drift_is_constant(self):
         noise = NoiseModel(lamp_base=2.0)
@@ -104,6 +115,11 @@ class TestLampIntensity:
             lamp_intensity(3, noise, 1.0)  # trough: 1 + 2*sin(3pi/2) < 0
         with pytest.raises(ConfigError):
             lamp_intensity(np.arange(4), noise, 1.0)
+
+    @pytest.mark.parametrize("time_ms", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, time_ms):
+        with pytest.raises(ConfigError, match="integration_time_ms must be finite"):
+            lamp_intensity(0, QUIET, time_ms)
 
     def test_array_matches_scalar_steps(self):
         noise = NoiseModel(lamp_base=1.5, lamp_drift_amplitude=0.4,
@@ -149,10 +165,18 @@ class TestLampInCells:
                 run_basis_protocol(self.plan(), noise, 1.0)
 
     def test_underflowing_scale_rejected(self):
-        # 1e-200 * 1e-200 is 0 in float64, although each factor is positive
+        # 1e-200 * 1e-200 is 0 in float64, although each factor is positive,
+        # and 1e200 * 1e200 is inf; the message names the scale, not the drift
         run_basis_protocol(self.plan(), QUIET, 1.0)  # the next cell reuses this profile
-        with pytest.raises(ConfigError, match="non-positive"):
-            run_basis_protocol(self.plan(), NoiseModel(lamp_base=1e-200), 1e-200)
+        for scale in (1e-200, 1e200):
+            with pytest.raises(ConfigError, match="lamp_base = .* under- or overflows"):
+                run_basis_protocol(self.plan(), NoiseModel(lamp_base=scale), scale)
+
+    @pytest.mark.parametrize("time_ms", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, time_ms):
+        # an infinite time once gave all-NaN coefficients and a numpy warning
+        with pytest.raises(ConfigError, match="integration_time_ms must be finite"):
+            run_basis_protocol(self.plan(), QUIET, time_ms)
 
     def test_sweeps_in_one_process_match_fresh_processes(self, tmp_path):
         # the profile is keyed by its amplitude: a second sweep with another

@@ -415,6 +415,37 @@ class TestRun:
         assert sorted(p for p in tmp_path.rglob("*") if p.is_dir()) == dirs
 
 
+    def test_rerun_removes_the_images_it_does_not_write(self, small_config, tmp_path,
+                                                         monkeypatch):
+        # a rerun with one time and one repeat leaves only its own two
+        # images and sidecars; a failed one deletes nothing
+        out = tmp_path / "out"
+        run_experiment(parse_config(small_config.read_text()), out)
+        (out / "unrelated.txt").write_text("keep me")
+        (out / "recon_notes.txt").write_text("keep me too")
+        fewer = parse_config(SMALL.replace("5 20", "20").replace("repeats = 2", "repeats = 1"))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        calls, write = [], cli_module.write_pgm
+
+        def last_sink_fails(path, image):
+            calls.append(path)
+            if len(calls) == 2:  # 2 methods x 1 time x 1 repeat
+                raise RuntimeError("injected failure in the last cell's sink")
+            return write(path, image)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_module, "write_pgm", last_sink_fails)
+            with pytest.raises(RuntimeError, match="injected"):
+                run_experiment(fewer, out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        paths = run_experiment(fewer, out)
+        assert sorted(p.name for p in out.glob("recon_*")) == sorted([
+            "recon_basis-processed_t20ms_rep0.meta", "recon_basis-processed_t20ms_rep0.pgm",
+            "recon_notes.txt",
+            "recon_post-processed_t20ms_rep0.meta", "recon_post-processed_t20ms_rep0.pgm"])
+        assert set(out.iterdir()) == {*paths, out / "unrelated.txt", out / "recon_notes.txt"}
+
+
 def _traced_peak(config, out) -> int:
     """Bytes that ``run_experiment`` allocates at its peak, under tracemalloc."""
     tracemalloc.start()
