@@ -44,7 +44,7 @@ def main(out_dir="demo_out/patterns"):
         parts_85 = decompose_basis(modified)[85].part_count
         print(f"{parent.label:>9} basis: {len(parent)} patterns, "
               f"{plain_frames} frames on the plain route "
-              f"(a canonical pattern is repeated twice, a +/-1 one split in two)")
+              f"(a 0/1 pattern is read twice, a +/-1 one split in two)")
         print(f"{'':>9} edge-modified: {modified_frames} binary frames "
               f"(pattern 85 splits into {parts_85} parts)")
 

@@ -282,7 +282,8 @@ def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
     each route is also built once, by :func:`~ghostsim.bench.plan_acquisition`
     of the filter-modified parent (basis route) and of ``parent`` itself
     (post route); ``parent`` defaults to the canonical basis, and
-    ``repeats_per_pattern`` sets the frames of a canonical post plan.  A
+    ``repeats_per_pattern`` sets the reads of each frame of a parent of 0/1
+    patterns (:func:`~ghostsim.bases._repeats`).  A
     cell then only draws noise and rebuilds.  Each cell runs with its own
     sub-seed ``derive_seed(noise.seed, method index, time index, repeat)``,
     so the sweep is reproducible and order-independent; SNR is computed on

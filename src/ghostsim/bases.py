@@ -59,7 +59,8 @@ class PatternBasis:
     ``kernel`` is None.  The parents have ``F = I`` (canonical) or ``F =
     H_side`` (Hadamard) and no kernel; their filter-modified sets keep ``F``
     and record the kernel.  ``F`` must be integer with entries in ``{-1, 0,
-    1}``.  The patterns of every set are float64.
+    1}``.  The patterns of every set are float64.  ``label`` is a name, for
+    messages and file names; no rule of acquisition reads it.
 
     The set makes its window form (:class:`_WindowForm`) when it is built
     and holds no pattern.  ``pattern(j)`` reads one off the form, and
@@ -116,8 +117,8 @@ class PatternBasis:
 
 
 def canonical_basis(grid: GridSpec) -> PatternBasis:
-    """One-hot pattern per pixel, ordered by flattened index."""
-    return PatternBasis(grid, CANONICAL, _parent_factor(CANONICAL, grid.side))
+    """One-hot pattern per pixel, ordered by flattened index: factor ``I``."""
+    return PatternBasis(grid, CANONICAL, np.eye(grid.side, dtype=np.int8))
 
 
 def _require_power_of_two(side: int):
@@ -127,25 +128,16 @@ def _require_power_of_two(side: int):
         )
 
 
-def _parent_factor(label: str, side: int) -> np.ndarray:
-    """The int8 ``side x side`` factor of a parent set: the identity for
-    ``canonical``, the Sylvester-ordered Hadamard matrix for ``hadamard``
-    (which needs a power-of-two side).  Pattern ``r * side + c`` of the
-    parent is ``outer(F[r], F[c])``, so one pattern needs no stack."""
-    if label != HADAMARD:
-        return np.eye(side, dtype=np.int8)
-    _require_power_of_two(side)
-    f = np.ones((1, 1), dtype=np.int8)
-    while f.shape[0] < side:  # Sylvester doubling: [[H, H], [H, -H]]
-        f = np.block([[f, f], [f, -f]])
-    return f
-
-
 def hadamard_basis(grid: GridSpec) -> PatternBasis:
     """Rows of the Sylvester-ordered Hadamard matrix of side ``side**2``,
     reshaped row-major; entries are exactly +/-1.  That matrix is
-    ``H_side (x) H_side``, so the set is held as the factor ``H_side``."""
-    return PatternBasis(grid, HADAMARD, _parent_factor(HADAMARD, grid.side))
+    ``H_side (x) H_side``, so the set is held as the factor ``H_side``
+    (which needs a power-of-two side)."""
+    _require_power_of_two(grid.side)
+    f = np.ones((1, 1), dtype=np.int8)
+    while f.shape[0] < grid.side:  # Sylvester doubling: [[H, H], [H, -H]]
+        f = np.block([[f, f], [f, -f]])
+    return PatternBasis(grid, HADAMARD, f)
 
 
 def modify_basis(basis: PatternBasis, kernel: Kernel) -> PatternBasis:
@@ -367,15 +359,24 @@ def decompose_basis(basis: PatternBasis) -> Decomposition:
     return Decomposition(owner, np.append(form.values[::-1], 0.0)[k])
 
 
-def projection_count(basis: PatternBasis, repeats_per_pattern: int) -> int:
-    """Total binary frames projected to acquire the whole basis once, as
-    the measurement plans project them: one per binary part (one per
-    distinct nonzero level of a pattern, one for an all-zero pattern), each
-    repeated ``repeats_per_pattern`` times for a canonical basis.  The
-    parts are counted off the census (:meth:`_WindowForm.census`), unsplit.
-    """
+def _repeats(basis: PatternBasis, repeats_per_pattern: int) -> int:
+    """How many times each part of ``basis`` is read, the one budget rule:
+    ``repeats_per_pattern`` for a parent of 0/1 patterns (no kernel, and no
+    level but 1), whose binary frames a repeat averages, and 1 for any
+    other set, whose parts are read at their levels."""
     if repeats_per_pattern < 1:
         raise ValueError("repeats_per_pattern must be >= 1")
+    binary = basis.kernel is None and np.all(basis._form.values == 1.0)
+    return repeats_per_pattern if binary else 1
+
+
+def projection_count(basis: PatternBasis, repeats_per_pattern: int) -> int:
+    """Total binary frames projected to acquire the whole basis once, as
+    the measurement plans project them: each binary part (one per distinct
+    nonzero level of a pattern, one for an all-zero pattern) read
+    :func:`_repeats` times.  The parts are counted off the census
+    (:meth:`_WindowForm.census`), unsplit.
+    """
+    r = _repeats(basis, repeats_per_pattern)
     rows, cols, parts = basis._form.census()
-    frames = int(np.bincount(rows) @ parts.sum(axis=2) @ np.bincount(cols))
-    return frames * repeats_per_pattern if basis.label == CANONICAL else frames
+    return int(np.bincount(rows) @ parts.sum(axis=2) @ np.bincount(cols)) * r

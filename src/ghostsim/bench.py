@@ -7,16 +7,18 @@ read noise plus a constant background, and the bucket signal is divided by
 the normalization sample to cancel lamp fluctuations.
 
 There is one acquisition protocol, the weighted one.  Each pattern ``j`` is
-projected as a list of binary parts, each part is read once by the bucket
+projected as a list of binary parts, each part is read by the bucket
 detector, and the reads are combined with the part weights and divided by
 one normalization read:
 
     coef_j = sum_p w_p * (a_j * S_p + bg + sigma * z_p) / (a_j + bg_n + sigma_n * z_j)
 
 with ``S_p = <part_p, object>`` and ``a_j`` the lamp power at step ``j``.
-Repeating a binary pattern ``R`` times is the same formula with ``R``
-identical parts of weight ``1/R``; a multi-level pattern has one part per
-distinct level.
+Every set is planned by one formula: a pattern has one part per distinct
+level, and each part is read ``R`` times at weight ``level / R``.  The set
+sets ``R`` (:func:`~ghostsim.bases._repeats`, the one budget rule): a
+parent of 0/1 patterns averages ``repeats_per_pattern`` reads of each
+frame, and any other set reads each part once.
 
 The overlaps do not depend on the integration time, the repeat or the
 seed, so :func:`plan_acquisition` computes them once per sweep and basis
@@ -48,8 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bases import (CANONICAL, Decomposition, PatternBasis, _WindowForm,
-                    decompose_basis)
+from .bases import Decomposition, PatternBasis, _WindowForm, _repeats, decompose_basis
 from .core import GridSpec
 from .errors import ConfigError, DimensionError, ProtocolError
 from .pgmio import read_pgm
@@ -163,7 +164,7 @@ def lamp_intensity(step, noise: NoiseModel, integration_time_ms: float):
         raise ConfigError(
             f"integration_time_ms must be finite and positive, got {integration_time_ms}")
     steps = np.asarray(step)
-    if np.any(steps < 0):
+    if not np.all(steps >= 0):  # NaN fails too
         raise ValueError(f"step must be >= 0, got {step}")
     phase = 2.0 * math.pi * steps / noise.lamp_drift_period
     scale = integration_time_ms * noise.lamp_base
@@ -306,12 +307,10 @@ def plan_acquisition(obj, basis: PatternBasis,
 
     The basis is split by :func:`~ghostsim.bases.decompose_basis` into the
     flat ``owner`` and ``level`` arrays of a
-    :class:`~ghostsim.bases.Decomposition`, from its window form.  A
-    canonical basis must split into weight-1 parts (an all-zero pattern's
-    dark part allowed): each part is projected ``repeats_per_pattern``
-    times and the reads averaged (that many identical parts of weight
-    ``1/repeats_per_pattern``).  Any other basis projects each part once,
-    weighted by its level; ``repeats_per_pattern`` is not used.
+    :class:`~ghostsim.bases.Decomposition`, from its window form.  Each
+    part is projected ``R`` times and weighted ``level / R``, with ``R``
+    from :func:`~ghostsim.bases._repeats`: ``repeats_per_pattern`` for a
+    parent of 0/1 patterns, 1 for any other set.
     :func:`~ghostsim.bases.projection_count` counts frames by the same rule.
 
     Frame ``p`` is ``pattern[owner[p]] == level[p]``, and its overlap is
@@ -323,20 +322,11 @@ def plan_acquisition(obj, basis: PatternBasis,
     side = basis.grid.side
     if o.shape != (side, side):
         raise DimensionError("object grid does not match basis grid")
-    if repeats_per_pattern < 1:
-        raise ValueError("repeats_per_pattern must be >= 1")
+    r = _repeats(basis, repeats_per_pattern)
     split = decompose_basis(basis)
-    owner, level = split.owner, split.level
-    canonical = basis.label == CANONICAL
-    if canonical and not np.all((level == 1.0) | (level == 0.0)):
-        raise ProtocolError("a canonical basis must be binary; a multi-level "
-                            "basis is split into binary parts under another label")
     overlap = _window_overlaps(o, basis._form, split)
-    if canonical:
-        r = repeats_per_pattern
-        return MeasurementPlan(basis.grid, np.repeat(owner, r),
-                               np.full(owner.size * r, 1.0 / r), np.repeat(overlap, r))
-    return MeasurementPlan(basis.grid, owner, level, overlap)
+    return MeasurementPlan(basis.grid, np.repeat(split.owner, r),
+                           np.repeat(split.level, r) / r, np.repeat(overlap, r))
 
 
 def coefficients_from_draws(plan: MeasurementPlan, lamp: np.ndarray,

@@ -32,7 +32,7 @@ from .analysis import (_sweep_masks, summarize_sweep, sweep_cells, write_summary
                        write_sweep_csv)
 from .bases import (CANONICAL, HADAMARD, canonical_basis, hadamard_basis, modify_basis,
                     projection_count)
-from .bench import _limb_layout, load_object, synth_bar_target
+from .bench import _limb_layout, lamp_intensity, load_object, synth_bar_target
 from .config import ExperimentConfig, load_config
 from .core import GridSpec
 from .errors import ConfigError, GhostSimError
@@ -125,8 +125,13 @@ def _require_memory(config: ExperimentConfig, obj=None, parent=None):
 
 def _checked_scene(config: ExperimentConfig):
     """``(obj, parent)``: the scene and parent set of a run, built once its
-    lower bound fits in physical memory and returned once its census does."""
+    lower bound fits in physical memory and the lamp is finite and positive
+    at every step of every configured time, and returned once its census
+    fits."""
     _require_memory(config)
+    noise, steps = config.to_noise_model(), np.arange(config.grid_side ** 2)
+    for time_ms in config.integration_times_ms:
+        lamp_intensity(steps, noise, time_ms)
     obj = build_scene(config)
     parent = _parent_basis(config)
     _require_memory(config, obj, parent)

@@ -545,6 +545,25 @@ class TestDecomposeBasis:
         assert projection_count(basis, 1) == sum(sub.part_count for sub in want)
 
     @settings(max_examples=100, deadline=None)
+    @given(basis=factor_sets(), repeats=st.sampled_from([1, 2, 3]))
+    def test_repeated_frames_sum_back_to_each_pattern(self, basis, repeats):
+        # one plan formula: each part read R times at weight level / R, with
+        # R = repeats for a parent of 0/1 patterns and 1 for any other set
+        side = basis.grid.side
+        plan = plan_acquisition(np.zeros((side, side)), basis, repeats)
+        assert plan.bucket_reads == projection_count(basis, repeats)
+        binary = basis.kernel is None and np.isin(basis.stack, (0.0, 1.0)).all()
+        r = repeats if binary else 1
+        split = decompose_basis(basis)
+        assert np.array_equal(plan.owner, np.repeat(split.owner, r))
+        levels = np.repeat(split.level, r)
+        for j in range(len(basis)):
+            pattern, total = basis.pattern(j), np.zeros((side, side))
+            for p in np.flatnonzero(plan.owner == j):
+                total += plan.weight[p] * (pattern == levels[p])
+            assert np.array_equal(total, pattern)
+
+    @settings(max_examples=100, deadline=None)
     @given(basis=factor_sets(), seed=st.integers(0, 2**32 - 1))
     def test_plan_frames_match_binary_decompose(self, basis, seed):
         # any factor, dark rows included, on a uniform object: each overlap

@@ -109,6 +109,12 @@ class TestLampIntensity:
         with pytest.raises(ValueError):
             lamp_intensity(-1, QUIET, 1.0)
 
+    def test_nan_step_rejected(self):
+        # NaN compares False both ways, so it is refused by name, not
+        # blamed on the scale
+        with pytest.raises(ValueError, match=r"step must be >= 0, got \[nan\]"):
+            lamp_intensity(np.array([np.nan]), NoiseModel(), 1.0)
+
     def test_non_positive_intensity_rejected(self):
         noise = NoiseModel(lamp_drift_amplitude=2.0, lamp_drift_period=4.0)
         with pytest.raises(ConfigError):
@@ -322,37 +328,54 @@ class TestPostProtocol:
                                     noise, time_ms)
         assert np.array_equal(first, second)
 
-    def test_rejects_non_binary_basis(self):
-        # a basis labelled canonical is repeated, never split: the +/-1
-        # Hadamard factor, or the identity under a half-weight kernel
-        grid = GridSpec(4)
-        for factor, kernel in ((hadamard_basis(grid).factor, None),
-                               (np.eye(4, dtype=np.int8), Kernel([[0.5]]))):
-            with pytest.raises(ProtocolError):
-                plan_acquisition(np.zeros((4, 4)), PatternBasis(grid, CANONICAL, factor, kernel),
-                                 2)
+    @pytest.mark.parametrize("side", [1, 4])
+    def test_the_set_not_its_label_sets_the_repeats(self, side):
+        # a set of 0/1 patterns is read R times at weight level / R whatever
+        # its label, and any other set once at its levels; at side 1 the
+        # Hadamard factor H_1 = I_1 is the canonical set, so it is read R
+        # times too
+        grid, obj = GridSpec(side), np.linspace(0.0, 1.0, side * side).reshape(side, side)
+        hadamard, canonical = hadamard_basis(grid), canonical_basis(grid)
+        half = Kernel([[0.5]])
+        for relabelled, like in (
+                (PatternBasis(grid, CANONICAL, hadamard.factor), hadamard),
+                (PatternBasis(grid, "custom", canonical.factor), canonical),
+                (PatternBasis(grid, CANONICAL, canonical.factor, half),
+                 modify_basis(canonical, half))):
+            assert_same_plan(plan_acquisition(obj, relabelled, 2), plan_acquisition(obj, like, 2))
+            assert projection_count(relabelled, 2) == projection_count(like, 2)
+        frames = (2 if side == 1 else 1) * projection_count(hadamard, 1)
+        assert plan_acquisition(obj, hadamard, 2).bucket_reads == frames
+        assert projection_count(hadamard, 2) == frames
 
     @pytest.mark.parametrize("levels", [16, 1 << 16])
     def test_non_binary_pattern_in_any_block(self, levels):
-        # only the patterns of the last factor row or column hold a -1; the
-        # check reads the split before any overlap is formed, whatever the
-        # object's gray levels
+        # only the patterns of the last factor row or column hold a -1: the
+        # set, labelled canonical, is not a set of 0/1 patterns, so each part
+        # is read once at its level, whatever the object's gray levels
         factor = np.eye(4, dtype=np.int8)
         factor[3, 3] = -1
+        basis = PatternBasis(GridSpec(4), CANONICAL, factor)
         obj = np.random.default_rng(5).integers(0, levels, size=(4, 4)) / (levels - 1)
-        with pytest.raises(ProtocolError):
-            plan_acquisition(obj, PatternBasis(GridSpec(4), CANONICAL, factor), 1)
+        plan = plan_acquisition(obj, basis, 2)
+        assert plan.owner.tolist() == list(range(16))
+        lit = [basis.pattern(j)[np.nonzero(basis.pattern(j))] for j in range(16)]
+        assert plan.weight.tolist() == [float(v[0]) for v in lit]
+        assert plan.weight.tolist().count(-1.0) == 6  # (3, c) and (r, 3) for r, c < 3
+        assert projection_count(basis, 2) == plan.bucket_reads == 16
+        assert np.array_equal(run_basis_protocol(plan, QUIET, 1.0),
+                              [float(np.sum(basis.pattern(j) * obj)) for j in range(16)])
 
     def test_all_zero_pattern_keeps_its_repeats(self):
         # a factor row of zeros darkens every pattern of that row and
-        # column; a dark pattern of a canonical basis is still read R
-        # times, at weight 1/R, each read overlapping the object by 0
+        # column; a dark pattern of a 0/1 set is still read R times, each
+        # read at weight level / R = 0 and overlapping the object by 0
         factor = np.array([[1, 0], [0, 0]], dtype=np.int8)
-        basis = PatternBasis(GridSpec(2), CANONICAL, factor)
+        basis = PatternBasis(GridSpec(2), "custom", factor)
         obj = np.array([[0.25, 0.5], [0.75, 1.0]])
         plan = plan_acquisition(obj, basis, 2)
         assert plan.owner.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
-        assert np.all(plan.weight == 0.5)
+        assert plan.weight.tolist() == [0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         assert plan.overlap.tolist() == [0.25, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         assert projection_count(basis, 2) == plan.bucket_reads
         assert run_basis_protocol(plan, QUIET, 1.0).tolist() == [0.25, 0.0, 0.0, 0.0]
@@ -846,13 +869,12 @@ def test_plan_frames_follow_projection_count_and_binary_decompose(case, repeats)
     basis, obj = case
     plan = plan_acquisition(obj, basis, repeats)
     assert projection_count(basis, repeats) == plan.bucket_reads
-    if basis.label == CANONICAL:
-        owner = np.repeat(np.arange(len(basis)), repeats).tolist()
-        weight = [1.0 / repeats] * plan.bucket_reads
-    else:
-        subs = [binary_decompose(p, j) for j, p in enumerate(basis.stack)]
-        owner = [sub.parent_index for sub in subs for _ in sub.weights]
-        weight = [w for sub in subs for w in sub.weights]
+    # a parent of 0/1 patterns reads each part R times at weight level / R
+    stack = basis.stack
+    r = repeats if basis.kernel is None and np.isin(stack, (0.0, 1.0)).all() else 1
+    subs = [binary_decompose(p, j) for j, p in enumerate(stack)]
+    owner = [sub.parent_index for sub in subs for _ in sub.weights for _ in range(r)]
+    weight = [w / r for sub in subs for w in sub.weights for _ in range(r)]
     assert plan.owner.tolist() == owner
     assert plan.weight.tolist() == weight
 

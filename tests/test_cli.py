@@ -141,6 +141,21 @@ class TestValidate:
         assert errors == ["config error: line 2: kernel: taps must not all be zero"] * 2
         assert not (tmp_path / "out").exists()
 
+    def test_lamp_overflow_fails_both_verbs_as_config(self, tmp_path, monkeypatch, capsys):
+        # each value parses on its own, but their product overflows: the lamp
+        # is evaluated at every configured time before the scene, so run
+        # fails as validate does and writes nothing
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "overflow.cfg"
+        path.write_text("grid_side = 16\nbar_groups = 2\nintegration_times_ms = 5 1e300\n"
+                        "lamp_base = 1e10\n")
+        for verb in ("validate", "run"):
+            assert main([verb, "--config", str(path), "--out", "out"]) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2 and errors[0] == errors[1]
+        assert "integration_time_ms * lamp_base = inf under- or overflows" in errors[0]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("config", [
         "grid_side = 64\nbackground_rect = 0 0 64 64\n",
         "object_path = missing.pgm\n",
