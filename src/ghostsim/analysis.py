@@ -19,20 +19,24 @@ the matching model prediction from the kernel alone.
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bases import PatternBasis, _sorted_unique, canonical_basis, modify_basis
+from .bases import (PatternBasis, _sorted_unique, canonical_basis, modify_basis,
+                    projection_count)
 from .bench import (
     BASIS_PROCESSED,
     METHODS,
     POST_PROCESSED,
     NoiseModel,
+    _limb_layout,
     plan_acquisition,
 )
 from .core import GridSpec, Kernel, cyclic_correlate, filter_energy
 from .errors import (
+    ConfigError,
     DegenerateBackgroundError,
     DimensionError,
     MaskError,
@@ -244,22 +248,74 @@ def derive_seed(base_seed: int, *components: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _sweep_masks(obj: np.ndarray, kernel: Kernel, peak_fraction: float,
-                 background_fraction: float, mask_border: int,
-                 background_rect) -> tuple[RegionMask, RegionMask]:
-    """The sweep's fixed peak and background masks, from the noiseless
-    filtered object; raises :class:`MaskError` if they overlap."""
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _run_bytes(side: int, obj=None, sets=(), repeats_per_pattern: int = 1):
+    """``(frames, plans, accumulator, cell)``: what a run holds.  ``frames``
+    counts the frames of its two plans and ``plans`` their bytes, at 24 B
+    (owner, weight, overlap) a frame; ``accumulator`` the window-form sums,
+    one float64 per level of a set and pattern and one int64 more per limb
+    of ``obj``; ``cell`` five float64 arrays a frame of the larger route,
+    four a pattern, the lamp's drift profile and one image with its graymap
+    encoder (40 B a pixel), whose stages do not overlap.  Given the scene
+    ``obj``, the frames and levels are the census of its two ``sets``;
+    before it, a lower bound that reads no budget rule: one frame a pattern
+    on each route, one level and one limb."""
+    m = side ** 2
+    routes, levels, limbs = [m, m], 1, 1
+    if obj is not None:
+        routes = [projection_count(s, repeats_per_pattern) for s in sets]
+        levels = max(s._form.values.size for s in sets)
+        limbs = _limb_layout(obj)[1]
+    frames = sum(routes)
+    cell = 8 * (5 * max(routes) + 4 * m) + (8 + 40) * m + 8 * m
+    return frames, 24 * frames, 8 * limbs * (levels + 1) * m, cell
+
+
+def _require_memory(side: int, obj=None, sets=(), repeats_per_pattern: int = 1):
+    """Fail when what a run holds (:func:`_run_bytes`) exceeds physical memory."""
+    memory = _physical_memory()
+    frames, plans, accumulator, cell = _run_bytes(side, obj, sets, repeats_per_pattern)
+    if memory is not None and plans + accumulator + cell > memory:
+        def mib(size):
+            return f"{size / 2**20:,.0f} MiB"
+
+        raise ConfigError(
+            f"grid_side {side} needs {mib(plans + accumulator + cell)} "
+            f"for its measurement plans ({frames:,} frames at 24 B), a "
+            f"{mib(accumulator)} level accumulator and {mib(cell)} for one cell, "
+            f"more than the {mib(memory)} of physical memory"
+        )
+
+
+def _sweep_setup(obj, parent: PatternBasis, kernel: Kernel, repeats_per_pattern: int,
+                 peak_fraction: float, background_fraction: float, mask_border: int,
+                 background_rect) -> tuple[PatternBasis, RegionMask, RegionMask]:
+    """``(modified, peak, background)``: the filter-modified set, built
+    once, and the sweep's fixed masks.  Raises :class:`ConfigError` when
+    the plans of ``parent`` and ``modified`` exceed physical memory, then
+    :class:`MaskError` if the masks, from the noiseless filtered object,
+    overlap, or if the background is one pixel, whose spread is 0."""
+    modified = modify_basis(parent, kernel)
+    _require_memory(len(obj), obj, (parent, modified), repeats_per_pattern)
     reference = cyclic_correlate(obj, kernel)
     peak = select_peak_mask(reference, peak_fraction, mask_border)
     if background_rect is not None:
-        background = mask_from_rect(GridSpec(obj.shape[0]), background_rect,
-                                    BACKGROUND)
+        background = mask_from_rect(GridSpec(len(obj)), background_rect, BACKGROUND)
     else:
         background = select_background_mask(
             reference, background_fraction, mask_border, exclude=peak.indices
         )
     _check_disjoint(peak, background)
-    return peak, background
+    if len(background) == 1:
+        raise MaskError("background mask is one pixel; SNR is undefined")
+    return modified, peak, background
 
 
 def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
@@ -277,14 +333,15 @@ def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
 
     Masks are fixed once, from the noiseless filtered object: the peak from
     its top absolute values, the background from its flattest region (or from
-    ``background_rect`` when configured).  Masks that overlap raise
-    :class:`MaskError` before any plan is built.  The measurement plan of
-    each route is also built once, by :func:`~ghostsim.bench.plan_acquisition`
+    ``background_rect`` when configured).  The measurement plan of each
+    route is also built once, by :func:`~ghostsim.bench.plan_acquisition`
     of the filter-modified parent (basis route) and of ``parent`` itself
     (post route); ``parent`` defaults to the canonical basis, and
     ``repeats_per_pattern`` sets the reads of each frame of a parent of 0/1
-    patterns (:func:`~ghostsim.bases._repeats`).  A
-    cell then only draws noise and rebuilds.  Each cell runs with its own
+    patterns (:func:`~ghostsim.bases._repeats`).  Before any plan is built,
+    plans that exceed physical memory by the census of both sets raise
+    :class:`ConfigError`, and masks that overlap raise :class:`MaskError`.
+    A cell then only draws noise and rebuilds.  Each cell runs with its own
     sub-seed ``derive_seed(noise.seed, method index, time index, repeat)``,
     so the sweep is reproducible and order-independent; SNR is computed on
     the magnitude image because the filtered signal is signed.
@@ -300,14 +357,14 @@ def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
     if parent is None:
         parent = canonical_basis(GridSpec(o.shape[0]))
     # before the plans, the costly part
-    peak, background = _sweep_masks(o, kernel, peak_fraction, background_fraction,
-                                    mask_border, background_rect)
+    modified, peak, background = _sweep_setup(
+        o, parent, kernel, repeats_per_pattern, peak_fraction, background_fraction,
+        mask_border, background_rect)
 
     # neither basis holds a pattern stack, and neither plan keeps a frame
     # image
     plans = {
-        BASIS_PROCESSED: plan_acquisition(o, modify_basis(parent, kernel),
-                                          repeats_per_pattern),
+        BASIS_PROCESSED: plan_acquisition(o, modified, repeats_per_pattern),
         POST_PROCESSED: plan_acquisition(o, parent, repeats_per_pattern),
     }
     specs = [

@@ -11,12 +11,13 @@ factor, one in its row and one in its column.  A set has few distinct
 windows, and its window form (:class:`_WindowForm`), made once with the
 set, holds the level of each pair of them: the one definition of its
 patterns.  A pattern is read off the form where one is asked for.  The
-form's census, by classes of factor rows, gives the levels of every
-pattern, and so every frame count; each frame's overlap with an object
-comes from the form and a few ``side x side`` products.  Neither scans the
-patterns.  A split is described by its levels alone: part ``k`` of pattern
-``P`` is the frame ``P == level_k``, so no part image is stored.  The split
-of a whole set is two flat arrays, the owner and the level of each part
+form's census, by classes of factor rows, is taken once per set, when it
+is first read, and gives the levels of every pattern, and so every frame
+count.  Each frame's overlap with an object comes from the form and a few
+``side x side`` products.  Neither scans the patterns.  A split is
+described by its levels alone: part ``k`` of pattern ``P`` is the frame
+``P == level_k``, so no part image is stored.  The split of a whole set is
+two flat arrays, the owner and the level of each part
 (:class:`Decomposition`); no object is made per pattern unless one is asked
 for.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -226,6 +228,7 @@ class _WindowForm:
         """``E[l, a, b] = [pairs[a, b] = l]``, in float64."""
         return (self.pairs == np.arange(len(self.values))[:, None, None]).astype(float)
 
+    @cached_property
     def census(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(rows, cols, parts)``.  Pattern ``(r, c)`` holds the level of
         each pair of a window in row ``r`` of ``self.rows`` and one in row
@@ -349,12 +352,12 @@ def decompose_basis(basis: PatternBasis) -> Decomposition:
     Each pattern's weights are its distinct nonzero values, descending (one
     dark part for an all-zero pattern), held as flat arrays
     (:class:`Decomposition`) and read off the census of the set's window
-    form (:meth:`_WindowForm.census`), with no object per pattern and no
+    form (:attr:`_WindowForm.census`), with no object per pattern and no
     scan over patterns.  No part image is built; a frame is ``pattern ==
     weight`` wherever it is needed.
     """
     form = basis._form
-    rows, cols, parts = form.census()
+    rows, cols, parts = form.census
     owner, k = np.divmod(np.flatnonzero(parts[rows[:, None], cols]), parts.shape[2])
     return Decomposition(owner, np.append(form.values[::-1], 0.0)[k])
 
@@ -375,8 +378,8 @@ def projection_count(basis: PatternBasis, repeats_per_pattern: int) -> int:
     the measurement plans project them: each binary part (one per distinct
     nonzero level of a pattern, one for an all-zero pattern) read
     :func:`_repeats` times.  The parts are counted off the census
-    (:meth:`_WindowForm.census`), unsplit.
+    (:attr:`_WindowForm.census`), unsplit.
     """
     r = _repeats(basis, repeats_per_pattern)
-    rows, cols, parts = basis._form.census()
+    rows, cols, parts = basis._form.census
     return int(np.bincount(rows) @ parts.sum(axis=2) @ np.bincount(cols)) * r

@@ -9,9 +9,11 @@ Verbs:
   directory only once all of them are written.
 * ``gallery``  -- export selected basis patterns, original and
   filter-modified, as graymaps.
-* ``validate`` -- parse and validate a config, build its scene and its
-  masks once its measurement plans fit in physical memory (so it fails as
-  ``run`` would before the sweep), and echo the resolved values.
+* ``validate`` -- parse and validate a config, build its scene, its two
+  sets and its masks once its measurement plans fit in physical memory,
+  and echo the resolved values.  Without bucket read noise, where a flat
+  background fails every seed or none, it also scores one repeat of each
+  cell.  So it fails where ``run`` would, before any file is written.
 
 Exit codes: 0 success, 1 config error, 2 runtime error.
 """
@@ -28,11 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (_sweep_masks, summarize_sweep, sweep_cells, write_summary_csv,
-                       write_sweep_csv)
-from .bases import (CANONICAL, HADAMARD, canonical_basis, hadamard_basis, modify_basis,
-                    projection_count)
-from .bench import _limb_layout, lamp_intensity, load_object, synth_bar_target
+from .analysis import (_require_memory, _sweep_setup, summarize_sweep, sweep_cells,
+                       write_summary_csv, write_sweep_csv)
+from .bases import HADAMARD, canonical_basis, hadamard_basis, modify_basis
+from .bench import lamp_intensity, load_object, synth_bar_target
 from .config import ExperimentConfig, load_config
 from .core import GridSpec
 from .errors import ConfigError, GhostSimError
@@ -61,81 +62,24 @@ def _parent_basis(config: ExperimentConfig):
     return canonical_basis(grid)
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where sysconf cannot tell."""
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
-def _run_bytes(config: ExperimentConfig, obj=None, parent=None) -> tuple[int, int, int, int]:
-    """``(frames, plans, accumulator, cell)``: what a run holds.  ``frames``
-    counts the frames of its two measurement plans and ``plans`` their
-    bytes, at 24 B (owner, weight and overlap) a frame; ``accumulator`` the
-    window-form sums, one float64 per level of a set and pattern and one
-    int64 more per limb of ``obj``; and ``cell`` the working set of one
-    cell.  Given the scene ``obj``, the frames and levels are those of the
-    census of ``parent`` (by default the config's) and its filter-modified
-    set.  Before the scene they are bounded below, on one limb: one frame a
-    pattern on each route (``repeats_per_pattern`` on a canonical parent)
-    and one level.
-
-    A cell of the larger route holds five float64 arrays a frame (its
-    draws, its reads, the lamp gather and its product, the weighted copy),
-    four a pattern (the normalization draws, the lamp, the coefficient
-    sums and their quotient) and one image with its temporaries: the image
-    and its graymap encoder, which peaks at 30 B a pixel from side 64 up
-    and is counted at the 40 B its test allows.  The sweep keeps the lamp's
-    drift profile beside it, one float64 a pattern.  The stages of a cell
-    do not overlap, so their sum leaves room for the object and masks held
-    beside them."""
-    m = config.grid_side ** 2
-    if obj is None:
-        repeats = config.repeats_per_pattern if config.basis == CANONICAL else 1
-        routes, levels, limbs = [repeats * m, m], 1, 1
-    else:
-        parent = _parent_basis(config) if parent is None else parent
-        sets = (parent, modify_basis(parent, config.kernel))
-        routes = [projection_count(s, config.repeats_per_pattern) for s in sets]
-        levels = max(s._form.values.size for s in sets)
-        limbs = _limb_layout(obj)[1]
-    frames = sum(routes)
-    cell = 8 * (5 * max(routes) + 4 * m) + (8 + 40) * m + 8 * m
-    return frames, 24 * frames, 8 * limbs * (levels + 1) * m, cell
-
-
-def _require_memory(config: ExperimentConfig, obj=None, parent=None):
-    """Fail when what a run holds (:func:`_run_bytes`) exceeds physical memory."""
-    memory = _physical_memory()
-    if memory is None:
-        return
-    frames, plans, accumulator, cell = _run_bytes(config, obj, parent)
-    if plans + accumulator + cell > memory:
-        def mib(size):
-            return f"{size / 2**20:,.0f} MiB"
-
-        raise ConfigError(
-            f"grid_side {config.grid_side} needs {mib(plans + accumulator + cell)} "
-            f"for its measurement plans ({frames:,} frames at 24 B), a "
-            f"{mib(accumulator)} level accumulator and {mib(cell)} for one cell, "
-            f"more than the {mib(memory)} of physical memory"
-        )
-
-
 def _checked_scene(config: ExperimentConfig):
-    """``(obj, parent)``: the scene and parent set of a run, built once its
-    lower bound fits in physical memory and the lamp is finite and positive
-    at every step of every configured time, and returned once its census
-    fits."""
-    _require_memory(config)
+    """``(obj, parent)``: the scene and parent set of a run, built once a
+    lower bound of its plans fits in physical memory and the lamp is
+    finite and positive at every step of every configured time."""
+    _require_memory(config.grid_side)
     noise, steps = config.to_noise_model(), np.arange(config.grid_side ** 2)
     for time_ms in config.integration_times_ms:
         lamp_intensity(steps, noise, time_ms)
-    obj = build_scene(config)
-    parent = _parent_basis(config)
-    _require_memory(config, obj, parent)
-    return obj, parent
+    return build_scene(config), _parent_basis(config)
+
+
+def _sweep(config: ExperimentConfig, obj, parent, repeats: int, sink):
+    """:func:`~ghostsim.analysis.sweep_cells` of the config's scene."""
+    return sweep_cells(
+        obj, config.kernel, config.to_noise_model(), config.integration_times_ms, repeats,
+        sink=sink, parent=parent, repeats_per_pattern=config.repeats_per_pattern,
+        peak_fraction=config.peak_fraction, background_fraction=config.background_fraction,
+        mask_border=config.mask_border, background_rect=config.background_rect)
 
 
 def _manifest_text(config: ExperimentConfig) -> str:
@@ -180,20 +124,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[Path]:
         names.extend((name, _sidecar_path(name)))
 
     try:
-        cells = sweep_cells(
-            obj,
-            config.kernel,
-            config.to_noise_model(),
-            config.integration_times_ms,
-            config.repeats,
-            sink=sink,
-            parent=parent,
-            repeats_per_pattern=config.repeats_per_pattern,
-            peak_fraction=config.peak_fraction,
-            background_fraction=config.background_fraction,
-            mask_border=config.mask_border,
-            background_rect=config.background_rect,
-        )
+        cells = _sweep(config, obj, parent, config.repeats, sink)
         write_sweep_csv(cells, os.path.join(stage, "snr_sweep.csv"))
         write_summary_csv(summarize_sweep(cells), os.path.join(stage, "snr_summary.csv"))
         atomic_write_text(os.path.join(stage, "manifest.txt"), _manifest_text(config))
@@ -230,7 +161,7 @@ def emit_pattern_gallery(config: ExperimentConfig, out_dir=None) -> list[Path]:
     written, sidecars included.  Like ``run`` and ``validate``, it first
     refuses a grid whose measurement plans exceed physical memory."""
     out = Path(out_dir if out_dir is not None else config.output_dir)
-    _require_memory(config)
+    _require_memory(config.grid_side)
     # neither set holds a stack: each pattern is made alone from the factor
     parent = _parent_basis(config)
     modified = modify_basis(parent, config.kernel)
@@ -282,9 +213,14 @@ def main(argv=None) -> int:
         if args.verb == "validate":
             # the plans' size, the scene and the masks fail here as they
             # would before a run's sweep
-            obj, _ = _checked_scene(cfg)
-            _sweep_masks(obj, cfg.kernel, cfg.peak_fraction, cfg.background_fraction,
-                         cfg.mask_border, cfg.background_rect)
+            obj, parent = _checked_scene(cfg)
+            if cfg.detector_sigma == 0:
+                # no bucket noise: a flat background is flat for every seed
+                _sweep(cfg, obj, parent, 1, lambda cell, image: None)
+            else:
+                _sweep_setup(obj, parent, cfg.kernel, cfg.repeats_per_pattern,
+                             cfg.peak_fraction, cfg.background_fraction,
+                             cfg.mask_border, cfg.background_rect)
             sys.stdout.write(cfg.to_text())
         elif args.verb == "run":
             paths = run_experiment(cfg)

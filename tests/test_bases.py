@@ -760,7 +760,7 @@ class TestCensus:
     def test_each_pattern_projects_the_parts_its_classes_reach(self, basis):
         # the oracle scans every pattern; the census reads class pairs
         side, form = basis.grid.side, basis._form
-        rows, cols, parts = form.census()
+        rows, cols, parts = form.census
         levels = np.append(form.values[::-1], 0.0)
         count = 0
         for j, pattern in enumerate(basis.stack):

@@ -1,12 +1,19 @@
 """Command-line verbs, output files, exit codes, and full-run determinism."""
 
+import contextlib
+import functools
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghostsim import (
     ConfigError,
@@ -24,6 +31,7 @@ from ghostsim import (
     write_pgm,
 )
 import ghostsim.analysis as analysis_module
+import ghostsim.bases as bases_module
 import ghostsim.bench as bench_module
 import ghostsim.cli as cli_module
 from ghostsim.cli import emit_pattern_gallery, main, run_experiment
@@ -104,6 +112,25 @@ output_dir = runs
 """
 
 
+def _run_bytes(cfg):
+    """What a run of ``cfg`` holds once its scene is built
+    (:func:`ghostsim.analysis._run_bytes`)."""
+    parent = cli_module._parent_basis(cfg)
+    sets = (parent, modify_basis(parent, cfg.kernel))
+    return analysis_module._run_bytes(cfg.grid_side, cli_module.build_scene(cfg), sets,
+                                      cfg.repeats_per_pattern)
+
+
+def _check_plans(text):
+    """The checks ``validate`` makes of a config with read noise: the scene,
+    then the census memory check and the masks of the sweep's set-up."""
+    cfg = parse_config(text)
+    obj, parent = cli_module._checked_scene(cfg)
+    analysis_module._sweep_setup(obj, parent, cfg.kernel, cfg.repeats_per_pattern,
+                                 cfg.peak_fraction, cfg.background_fraction,
+                                 cfg.mask_border, cfg.background_rect)
+
+
 @pytest.fixture
 def small_config(tmp_path):
     path = tmp_path / "small.cfg"
@@ -160,10 +187,20 @@ class TestValidate:
         "grid_side = 64\nbackground_rect = 0 0 64 64\n",
         "object_path = missing.pgm\n",
         "grid_side = 16\nobject_path = binary.pgm\n",
-    ], ids=["overlapping-masks", "missing-object", "binary-object"])
+        "grid_side = 16\nbar_groups = 2\nbackground_rect = 5 5 1 1\n",
+        "grid_side = 16\nbar_groups = 2\ndetector_sigma = 0\nnormalization_sigma = 0\n",
+        "grid_side = 16\nbar_groups = 2\ndetector_sigma = 0\nnormalization_sigma = 0\n"
+        "background_measure = 0\nbackground_norm = 0\nlamp_drift_amplitude = 0\n",
+        "grid_side = 16\nbar_groups = 2\ndetector_sigma = 0\n",
+    ], ids=["overlapping-masks", "missing-object", "binary-object",
+            "one-pixel-background", "noiseless", "noiseless-no-background",
+            "no-bucket-noise"])
     def test_fails_as_run_does(self, config, tmp_path, monkeypatch, capsys):
         # validate builds the scene and the masks, so a config that run
-        # rejects before any work is rejected by validate too, with exit 2
+        # rejects before any work is rejected by validate too, with exit 2.
+        # Without bucket read noise the bar target's flattest region
+        # reconstructs to exact zeros for every seed: validate scores the
+        # cells a run would, and fails as the run does
         monkeypatch.chdir(tmp_path)
         (tmp_path / "binary.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(range(256)))
         path = tmp_path / "bad.cfg"
@@ -174,17 +211,32 @@ class TestValidate:
         assert len(errors) == 2 and errors[0] == errors[1]
         assert not (tmp_path / "out").exists()
 
+    def test_noiseless_object_with_texture_validates(self, tmp_path, monkeypatch, capsys):
+        # a noiseless config is not refused as such: a random-valued object
+        # has no flat region, so it validates and runs
+        monkeypatch.chdir(tmp_path)
+        gray = np.random.default_rng(11).integers(0, 256, size=(16, 16))
+        lines = [" ".join(map(str, row)) for row in gray.tolist()]
+        (tmp_path / "obj.pgm").write_text("P2\n16 16\n255\n" + "\n".join(lines))
+        path = tmp_path / "textured.cfg"
+        path.write_text("grid_side = 16\nobject_path = obj.pgm\ndetector_sigma = 0\n"
+                        "normalization_sigma = 0\n")
+        assert main(["validate", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path), "--out", "out"]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "out" / "snr_sweep.csv").is_file()
+
     def test_grid_too_large_for_memory_fails_early(self, tmp_path, monkeypatch, capsys):
-        # side 1024 has at least 3 frames a pattern (two repeats, one
-        # level): 72 MiB of plans, a 16 MiB accumulator for one limb and one
-        # level, and 168 MiB for one cell, past a 64 MiB machine; all three
-        # verbs refuse it on that bound, before any basis is built
+        # side 1024 has at least one frame a pattern on each route: 48 MiB
+        # of plans, a 16 MiB accumulator for one limb and one level, and
+        # 128 MiB for one cell, past a 64 MiB machine; all three verbs
+        # refuse it on that bound, before any basis is built
         def refuse(*args, **kwargs):
             raise AssertionError("built a basis")
 
         for name in ("canonical_basis", "hadamard_basis"):
             monkeypatch.setattr(cli_module, name, refuse)
-        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 64 * 2**20)
+        monkeypatch.setattr(analysis_module, "_physical_memory", lambda: 64 * 2**20)
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "big.cfg"
         path.write_text("grid_side = 1024\n")
@@ -192,9 +244,9 @@ class TestValidate:
             assert main([verb, "--config", str(path), "--out", "out"]) == 1
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 3 and len(set(errors)) == 1
-        assert errors[0].startswith("config error: grid_side 1024 needs 256 MiB")
-        assert ("(3,145,728 frames at 24 B), a 16 MiB level accumulator and "
-                "168 MiB for one cell") in errors[0]
+        assert errors[0].startswith("config error: grid_side 1024 needs 192 MiB")
+        assert ("(2,097,152 frames at 24 B), a 16 MiB level accumulator and "
+                "128 MiB for one cell") in errors[0]
         assert "64 MiB of physical memory" in errors[0]
         assert not (tmp_path / "out").exists()
 
@@ -205,7 +257,7 @@ class TestValidate:
             raise AssertionError("built the scene")
 
         monkeypatch.setattr(cli_module, "build_scene", refuse)
-        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 2**30)
+        monkeypatch.setattr(analysis_module, "_physical_memory", lambda: 2**30)
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "huge.cfg"
         path.write_text("grid_side = 40000\n")
@@ -217,7 +269,8 @@ class TestValidate:
         assert "1,024 MiB of physical memory" in errors[0]
         assert not (tmp_path / "out").exists()
 
-    def test_memory_check_counts_the_object_limbs(self, tmp_path, monkeypatch, capsys):
+    def test_memory_check_counts_the_object_limbs(self, tmp_path, monkeypatch, capsys,
+                                                  edge_kernel):
         # at side 64 the bar target is one limb: 0.4 MiB of canonical plans,
         # a 0.1 MiB accumulator and 0.66 MiB for one cell.  Values spread
         # down to 1e-300 are some 26 limbs of 41 bits, a 2.4 MiB
@@ -226,7 +279,7 @@ class TestValidate:
         tiny = np.random.default_rng(5).uniform(0.0, 1.0, size=(64, 64))
         tiny[::10] *= 1e-300
         assert 24 <= bench_module._limb_layout(tiny)[1] <= 31
-        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 2 * 2**20)
+        monkeypatch.setattr(analysis_module, "_physical_memory", lambda: 2 * 2**20)
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "side64.cfg"
         path.write_text("grid_side = 64\n")
@@ -239,32 +292,32 @@ class TestValidate:
         assert len(errors) == 2 and errors[0] == errors[1]
         assert "level accumulator" in errors[0] and "2 MiB of physical memory" in errors[0]
         assert not (tmp_path / "out").exists()
-        cli_module._require_memory(parse_config("grid_side = 64\n"),
-                                   synth_bar_target(grid))
+        parent = cli_module._parent_basis(parse_config("grid_side = 64\n"))
+        analysis_module._require_memory(64, synth_bar_target(grid),
+                                        (parent, modify_basis(parent, edge_kernel)), 2)
 
     def test_memory_check_counts_the_kernel_levels(self, monkeypatch):
         # once the scene is built the frames are the census of both sets:
         # three taps give a canonical pattern 3 levels and a Hadamard one
         # 5.9 on average, so at side 128 the run holds 5.6 MiB against
         # 9.2 MiB, plans, accumulator and one cell of the larger route
-        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 8 * 2**20)
+        monkeypatch.setattr(analysis_module, "_physical_memory", lambda: 8 * 2**20)
         text = "grid_side = 128\nkernel = 0.5 1 0.25\n"
-        cli_module._checked_scene(parse_config(text))
+        _check_plans(text)
         with pytest.raises(ConfigError, match=r"needs 9 MiB .*\(129,534 frames"):
-            cli_module._checked_scene(parse_config(text + "basis = hadamard\n"))
+            _check_plans(text + "basis = hadamard\n")
         # 25 taps of distinct powers of two give a Hadamard pattern 53
         # levels on average, where its windows of 5 +/-1 entries allow 2**9
         wide = "; ".join(" ".join(str(2 ** (5 * i + j)) for j in range(5))
                          for i in range(5))
-        cfg = parse_config(f"grid_side = 64\nbasis = hadamard\nkernel = {wide}\n")
         with pytest.raises(ConfigError, match=r"\(225,990 frames"):
-            cli_module._checked_scene(cfg)
+            _check_plans(f"grid_side = 64\nbasis = hadamard\nkernel = {wide}\n")
 
     def test_many_tap_hadamard_kernel_fits(self, tmp_path, monkeypatch, capsys):
         # a 5x5 kernel gives a Hadamard pattern 9.4 levels on average, so
         # side 128 needs 14 MiB (186,398 frames), not the 579 MiB of 2**9
         # levels a pattern; side 256 stays past a 32 MiB machine
-        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 32 * 2**20)
+        monkeypatch.setattr(analysis_module, "_physical_memory", lambda: 32 * 2**20)
         text = ("basis = hadamard\n"
                 "kernel = 1 2 3 2 1; 2 4 6 4 2; 3 6 9 6 3; 2 4 6 4 2; 1 2 3 2 1\n")
         path = tmp_path / "binomial128.cfg"
@@ -273,16 +326,15 @@ class TestValidate:
         assert "grid_side = 128" in capsys.readouterr().out
         with pytest.raises(ConfigError, match=r"^grid_side 256 needs 56 MiB .*"
                                               r"\(757,790 frames"):
-            cli_module._checked_scene(parse_config("grid_side = 256\n" + text))
+            _check_plans("grid_side = 256\n" + text)
 
     def test_hadamard_run_fits_its_exact_count(self, tmp_path, monkeypatch, capsys):
         # side-128 Hadamard edge-eq3 projects 97,275 frames, 7 MiB with one
         # cell: it fits a 12 MiB machine, which a bound of 16 levels a
         # pattern (294,912 frames, 21 MiB) refused
-        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 12 * 2**20)
+        monkeypatch.setattr(analysis_module, "_physical_memory", lambda: 12 * 2**20)
         text = "grid_side = 128\nbasis = hadamard\n"
-        cfg = parse_config(text)
-        assert cli_module._run_bytes(cfg, cli_module.build_scene(cfg))[0] == 97_275
+        assert _run_bytes(parse_config(text))[0] == 97_275
         path = tmp_path / "hadamard128.cfg"
         path.write_text(text)
         assert main(["validate", "--config", str(path)]) == 0
@@ -290,7 +342,7 @@ class TestValidate:
 
     def test_side_256_fits(self, tmp_path, monkeypatch, capsys):
         # the plans of a side-256 run take a few MiB: no stack is built
-        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 256 * 2**20)
+        monkeypatch.setattr(analysis_module, "_physical_memory", lambda: 256 * 2**20)
         for basis in ("canonical", "hadamard"):
             path = tmp_path / f"{basis}.cfg"
             path.write_text(f"grid_side = 256\nbasis = {basis}\n")
@@ -299,12 +351,12 @@ class TestValidate:
 
     def test_memory_check_is_skipped_without_sysconf(self, monkeypatch):
         monkeypatch.delattr(os, "sysconf", raising=False)
-        assert cli_module._physical_memory() is None
-        cli_module._require_memory(parse_config("grid_side = 1024\n"))
+        assert analysis_module._physical_memory() is None
+        analysis_module._require_memory(1024)
 
     @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="needs os.sysconf")
     def test_physical_memory_is_read_from_sysconf(self):
-        memory = cli_module._physical_memory()
+        memory = analysis_module._physical_memory()
         assert memory is None or memory > 0
 
     @pytest.mark.parametrize("config, expected", [
@@ -330,6 +382,87 @@ class TestValidate:
             write_pgm(tmp_path / "some" / "object.pgm", obj)
         assert main(argv) == 0
         assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
+@pytest.mark.parametrize("basis", ["canonical", "hadamard"])
+def test_each_verb_builds_each_set_and_its_census_once(basis, verb, tmp_path,
+                                                        monkeypatch):
+    # the parent and its filter-modified set: each makes its window form
+    # once, and its census is taken once, for the memory check and the plan
+    forms, censuses = [], []
+    build, census = bases_module._window_form, bases_module._WindowForm.census
+
+    def form_spy(factor, kernel):
+        forms.append(kernel)
+        return build(factor, kernel)
+
+    def census_spy(form):
+        censuses.append(form)
+        return census.func(form)
+
+    counted = functools.cached_property(census_spy)
+    counted.__set_name__(bases_module._WindowForm, "census")
+    monkeypatch.setattr(bases_module, "_window_form", form_spy)
+    monkeypatch.setattr(bases_module._WindowForm, "census", counted)
+    monkeypatch.setattr(analysis_module, "_physical_memory", lambda: 2**40)
+    text, path = SMALL + f"basis = {basis}\n", tmp_path / "small.cfg"
+    path.write_text(text)
+    if verb == "validate":
+        assert main(["validate", "--config", str(path)]) == 0
+    else:
+        run_experiment(parse_config(text), tmp_path / "out")
+    assert forms == [None, parse_config(text).kernel]
+    assert len(censuses) == len({id(form) for form in censuses}) == 2
+
+
+def _verb(argv) -> tuple[int, str]:
+    """Exit code and standard error of ``main(argv)``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@st.composite
+def small_configs(draw):
+    """Configs of sides 16 and 32 whose runs take tens of ms: both parents,
+    both presets and a float kernel, read noise and backgrounds that may be
+    0, and a background rectangle that may overlap the peak."""
+    side = draw(st.sampled_from([16, 32]))
+    kernel = draw(st.sampled_from(["edge-eq3", "identity",
+                                   "0 -0.5 0; -0.5 0 0.5; 0 0.5 0"]))
+    lines = [f"grid_side = {side}", "bar_groups = 2",
+             "basis = " + draw(st.sampled_from(["canonical", "hadamard"])),
+             f"kernel = {kernel}", "integration_times_ms = 5 20",
+             f"repeats = {draw(st.integers(1, 2))}",
+             f"repeats_per_pattern = {draw(st.integers(1, 3))}",
+             f"seed = {draw(st.integers(0, 2**64 - 1))}",
+             f"lamp_drift_amplitude = {draw(st.sampled_from([0.0, 0.05]))}"]
+    for name in ("detector_sigma", "normalization_sigma"):
+        lines.append(f"{name} = {draw(st.sampled_from([0.0, 0.25, 1.5]))}")
+    for name in ("background_measure", "background_norm"):
+        lines.append(f"{name} = {draw(st.sampled_from([0.0, 4.0, 60.0]))}")
+    if draw(st.booleans()):
+        h, w = (draw(st.sampled_from([1, 2, side // 4, side // 2])) for _ in "hw")
+        r0, c0 = draw(st.integers(0, side - h)), draw(st.integers(0, side - w))
+        lines.append(f"background_rect = {r0} {c0} {h} {w}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=small_configs())
+def test_validate_passes_exactly_the_configs_run_completes(text):
+    # bucket noise is drawn well above the reads' rounding: noise far below
+    # half an ulp of every read leaves a cell as noiseless as sigma 0 does
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "small.cfg"
+        path.write_text(text)
+        validate = _verb(["validate", "--config", str(path)])
+        run = _verb(["run", "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert (validate[0] == 0) == (run[0] == 0)
+    if run[0]:
+        assert validate == run
 
 
 class TestRun:
@@ -491,8 +624,7 @@ class TestRunMemory:
             (tmp_path / "obj.pgm").write_text("P2\n128 128\n255\n" + "\n".join(lines))
             text += f"object_path = {tmp_path / 'obj.pgm'}\n"
         cfg = parse_config(text)
-        obj = cli_module.build_scene(cfg)
-        _, plans, accumulator, cell = cli_module._run_bytes(cfg, obj)
+        _, plans, accumulator, cell = _run_bytes(cfg)
         assert _traced_peak(cfg, tmp_path / "out") <= plans + accumulator + cell
 
     def test_peak_does_not_grow_with_the_cells(self, tmp_path):

@@ -102,7 +102,7 @@ class TestPgm:
 
     def test_encoding_holds_at_most_40_bytes_a_pixel(self, tmp_path, rng):
         # a %-format over a tuple of Python ints held 59 B a pixel; the array
-        # encoder about 30 (cli._run_bytes counts 40)
+        # encoder about 30 (analysis._run_bytes counts 40)
         image = rng.normal(size=(512, 512))
         tracemalloc.start()
         try:
