@@ -62,7 +62,7 @@ class PatternBasis:
     H_side`` (Hadamard) and no kernel; their filter-modified sets keep ``F``
     and record the kernel.  ``F`` must be integer with entries in ``{-1, 0,
     1}``.  The patterns of every set are float64.  ``label`` is a name, for
-    messages and file names; no rule of acquisition reads it.
+    messages and file names; no rule reads it.
 
     The set makes its window form (:class:`_WindowForm`) when it is built
     and holds no pattern.  ``pattern(j)`` reads one off the form, and

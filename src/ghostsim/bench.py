@@ -40,6 +40,8 @@ scales linearly with the integration time while per-read noise stays fixed
 (a read-noise-dominated detector).  The lamp drift depends on a cell only
 through that scale, so its profile over the patterns is computed once per
 sweep and each cell multiplies it by its integration time and lamp base.
+:class:`NoiseModel` keeps the drift amplitude below 1, and one check,
+:func:`_lamp_scale`, keeps that product finite and positive at every step.
 """
 
 from __future__ import annotations
@@ -104,6 +106,9 @@ class NoiseModel:
             if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
                 raise ConfigError(f"{field} must be finite and "
                                   f"{'positive' if positive else '>= 0'}, got {value}")
+        if self.lamp_drift_amplitude >= 1:
+            raise ConfigError("lamp_drift_amplitude must be < 1 so the lamp intensity "
+                              f"stays positive, got {self.lamp_drift_amplitude}")
         if not (0 <= int(self.seed) < _MAX_SEED):
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
@@ -152,28 +157,36 @@ def load_object(path) -> np.ndarray:
     return gray / maxval
 
 
+def _lamp_scale(noise: NoiseModel, integration_time_ms: float) -> float:
+    """``integration_time_ms * lamp_base``, once the time is finite and
+    positive and the scale times ``1 - a`` and ``1 + a``, the ends of the
+    drift profile, are too: rounding is monotone, so every step's lamp is."""
+    if not (math.isfinite(integration_time_ms) and integration_time_ms > 0):
+        raise ConfigError(
+            f"integration_time_ms must be finite and positive, got {integration_time_ms}")
+    scale = integration_time_ms * noise.lamp_base
+    a = noise.lamp_drift_amplitude
+    if not (scale * (1.0 - a) > 0 and scale * (1.0 + a) < math.inf):
+        raise ConfigError("lamp intensity is non-positive or infinite at some step; "
+                          f"integration_time_ms * lamp_base = {scale!r} under- or "
+                          "overflows float64")
+    return scale
+
+
 def lamp_intensity(step, noise: NoiseModel, integration_time_ms: float):
     """Integrated lamp power at a measurement step, or at an array of steps.
 
     ``A(step) = integration_time * lamp_base * (1 + amplitude *
     sin(2*pi*step/period))``; the drift is a deterministic slow sinusoid so
     runs stay reproducible.  A scalar step gives a float, an array of steps
-    an array.  The integration time (ms) must be finite and positive.
+    an array.  :func:`_lamp_scale` checks the time and the scale, once.
     """
-    if not (math.isfinite(integration_time_ms) and integration_time_ms > 0):
-        raise ConfigError(
-            f"integration_time_ms must be finite and positive, got {integration_time_ms}")
     steps = np.asarray(step)
     if not np.all(steps >= 0):  # NaN fails too
         raise ValueError(f"step must be >= 0, got {step}")
     phase = 2.0 * math.pi * steps / noise.lamp_drift_period
-    scale = integration_time_ms * noise.lamp_base
-    a = scale * (1.0 + noise.lamp_drift_amplitude * np.sin(phase))
-    if not np.all((a > 0) & (a < math.inf)):
-        cause = ("lamp_drift_amplitude must stay below 1"
-                 if noise.lamp_drift_amplitude >= 1 and np.min(a) <= 0 else
-                 f"integration_time_ms * lamp_base = {scale!r} under- or overflows float64")
-        raise ConfigError(f"lamp intensity is non-positive or infinite at some step; {cause}")
+    a = _lamp_scale(noise, integration_time_ms) * (
+        1.0 + noise.lamp_drift_amplitude * np.sin(phase))
     return float(a) if steps.ndim == 0 else a
 
 
@@ -364,22 +377,15 @@ def run_basis_protocol(plan: MeasurementPlan, noise: NoiseModel,
     """Acquire one cell: the coefficient of every pattern of the plan, each
     read integrated for ``integration_time_ms``.
 
-    The lamp power is ``lamp_intensity`` at every pattern: the sweep's one
-    drift profile (computed for its first cell, then reused) scaled by
-    ``integration_time_ms * noise.lamp_base``, the same bits as the formula
-    evaluated in full.  All draws come from one Philox stream keyed by
-    ``noise.seed``: one per bucket read in plan order, then one per
-    normalization read in pattern order.  The cell is therefore
-    reproducible on its own, in any order.
+    The lamp power is ``lamp_intensity`` at every pattern, the same bits:
+    the cell's :func:`_lamp_scale`, its one check, times the sweep's one
+    drift profile (computed for its first cell, then reused).  All draws
+    come from one Philox stream keyed by ``noise.seed``: one per bucket
+    read in plan order, then one per normalization read in pattern order.
+    The cell is therefore reproducible on its own, in any order.
     """
-    profile = _drift_profile(plan.pattern_count, noise.lamp_drift_amplitude,
-                             noise.lamp_drift_period)
-    # lamp_intensity's ``t * base * (1 + ...)`` multiplies left to right
-    lamp = (integration_time_ms * noise.lamp_base) * profile
-    if not (lamp.min() > 0 and lamp.max() < math.inf):
-        # a bad integration time, or a scale that under- or overflows: the
-        # formula in full gives the same bits, and raises its ConfigError
-        lamp = lamp_intensity(np.arange(plan.pattern_count), noise, integration_time_ms)
+    lamp = _lamp_scale(noise, integration_time_ms) * _drift_profile(
+        plan.pattern_count, noise.lamp_drift_amplitude, noise.lamp_drift_period)
     rng = np.random.Generator(np.random.Philox(noise.seed))
     bucket_draws = rng.standard_normal(plan.bucket_reads)
     norm_draws = rng.standard_normal(plan.pattern_count)

@@ -33,11 +33,11 @@ from . import __version__
 from .analysis import (_require_memory, _sweep_setup, summarize_sweep, sweep_cells,
                        write_summary_csv, write_sweep_csv)
 from .bases import HADAMARD, canonical_basis, hadamard_basis, modify_basis
-from .bench import lamp_intensity, load_object, synth_bar_target
+from .bench import _lamp_scale, load_object, synth_bar_target
 from .config import ExperimentConfig, load_config
 from .core import GridSpec
 from .errors import ConfigError, GhostSimError
-from .pgmio import _sidecar_path, atomic_write_text, write_pgm
+from .pgmio import atomic_write_text, write_pgm
 
 __all__ = ["main", "run_experiment", "emit_pattern_gallery", "build_scene"]
 
@@ -64,12 +64,12 @@ def _parent_basis(config: ExperimentConfig):
 
 def _checked_scene(config: ExperimentConfig):
     """``(obj, parent)``: the scene and parent set of a run, built once a
-    lower bound of its plans fits in physical memory and the lamp is
-    finite and positive at every step of every configured time."""
+    lower bound of its plans fits in physical memory and the lamp scale of
+    every configured time passes :func:`~ghostsim.bench._lamp_scale`."""
     _require_memory(config.grid_side)
-    noise, steps = config.to_noise_model(), np.arange(config.grid_side ** 2)
+    noise = config.to_noise_model()
     for time_ms in config.integration_times_ms:
-        lamp_intensity(steps, noise, time_ms)
+        _lamp_scale(noise, time_ms)
     return build_scene(config), _parent_basis(config)
 
 
@@ -120,8 +120,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[Path]:
 
     def sink(cell, image):
         name = f"recon_{cell.method}_t{cell.integration_time_ms:g}ms_rep{cell.repeat}.pgm"
-        write_pgm(os.path.join(stage, name), image)
-        names.extend((name, _sidecar_path(name)))
+        names.extend(path.name for path in write_pgm(os.path.join(stage, name), image))
 
     try:
         cells = _sweep(config, obj, parent, config.repeats, sink)

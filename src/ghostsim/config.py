@@ -10,8 +10,9 @@ to an equal object.
 Each key is one row of ``_FIELDS``: its default text, its parser and its
 echo format.  A value from a file, the environment or an override goes
 through the same row.  Rules the domain types already own (the noise
-bounds, the Hadamard side, the kernel and rectangle fits) are checked by
-calling them; a row's parser keeps only the rules that config alone owns.
+bounds, the drift amplitude's bound below 1 among them, the Hadamard side,
+the kernel and rectangle fits) are checked by calling them; a row's parser
+keeps only the rules that config alone owns.
 """
 
 from __future__ import annotations
@@ -109,13 +110,6 @@ def _real(text: str, side=None) -> float:
         raise ValueError(f"expected a number, got {text!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {text!r}")
-    return value
-
-
-def _drift_amplitude(text: str, side=None) -> float:
-    value = _real(text)
-    if value >= 1.0:
-        raise ValueError("must be < 1 so the lamp intensity stays positive")
     return value
 
 
@@ -220,7 +214,7 @@ _FIELDS = (
     _Field("basis", CANONICAL, _basis),
     _Field("kernel", "edge-eq3", _kernel, _kernel_text),
     _Field("lamp_base", "1.0", _real),
-    _Field("lamp_drift_amplitude", "0.05", _drift_amplitude),
+    _Field("lamp_drift_amplitude", "0.05", _real),
     _Field("lamp_drift_period", "auto", _drift_period),
     _Field("detector_sigma", "1.5", _real),
     _Field("normalization_sigma", "1.5", _real),

@@ -52,6 +52,18 @@ def _sidecar_path(path) -> str:
     return os.path.splitext(path)[0] + ".meta"
 
 
+def _unit(vmin: float, vmax: float) -> float:
+    """The power of two ``s`` that the affine map scales its ends and values
+    by, so that no step of a write or a read overflows: 1/4 where an end
+    exceeds a quarter of float64's largest value, ``2**1000`` where
+    ``PGM_MAXVAL / (vmax - vmin)`` overflows (every value is then below
+    ``2**-954``), and 1 otherwise.  The scaling is exact but for subnormal
+    values, which lie far below a gray step, so it changes no gray value."""
+    if max(-vmin, vmax) > np.finfo(float).max / 4:
+        return 0.25
+    return 2.0**1000 if vmax > vmin and PGM_MAXVAL / (vmax - vmin) == np.inf else 1.0
+
+
 def _p2_body(gray: np.ndarray) -> np.ndarray:
     """The ASCII bytes of a ``P2`` body, as ``uint8``: the values of
     ``gray`` (integers in ``[0, 65535]``) in decimal, one space between
@@ -77,7 +89,9 @@ def write_pgm(path, image) -> list[Path]:
 
     Returns the paths written, the graymap then its sidecar.  The sidecar
     records the ``vmin`` and ``vmax`` of the affine map; a pixel's value is
-    recovered as ``vmin + gray * (vmax - vmin) / 65535``.
+    recovered as ``vmin + gray * (vmax - vmin) / 65535``.  Both directions
+    compute the map on ends scaled by :func:`_unit`, so any finite image
+    maps, one whose range overflows float64 or is subnormal too.
     """
     img = np.asarray(image, dtype=float)
     if img.ndim != 2:
@@ -87,7 +101,9 @@ def write_pgm(path, image) -> list[Path]:
     vmin = float(img.min())
     vmax = float(img.max())
     if vmax > vmin:
-        gray = np.rint((img - vmin) * (PGM_MAXVAL / (vmax - vmin))).astype(np.int64)
+        s = _unit(vmin, vmax)
+        x, lo = (img, vmin) if s == 1 else (img * s, vmin * s)
+        gray = np.rint((x - lo) * (PGM_MAXVAL / (vmax * s - lo))).astype(np.int64)
         gray = np.clip(gray, 0, PGM_MAXVAL)
     else:
         gray = np.zeros(img.shape, dtype=np.int64)
@@ -133,7 +149,8 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
 def read_pgm_values(path) -> np.ndarray:
     """Read a graymap back into original value units using its sidecar.
 
-    Without a sidecar the gray levels are returned normalized to [0, 1].
+    Without a sidecar the gray levels are returned normalized to [0, 1];
+    with one, every value lies in ``[vmin, vmax]``.
     """
     gray, maxval = read_pgm(path)
     sidecar = _sidecar_path(path)
@@ -153,5 +170,7 @@ def read_pgm_values(path) -> np.ndarray:
         side_max = int(fields["maxval"])
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{sidecar}: malformed sidecar") from exc
-    return vmin + gray * ((vmax - vmin) / side_max)
+    s = _unit(vmin, vmax)
+    lo, hi = vmin * s, vmax * s
+    return np.clip(lo + gray * ((hi - lo) / side_max), lo, hi) / s
 

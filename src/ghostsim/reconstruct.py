@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bases import HADAMARD, PatternBasis
+from .bases import PatternBasis
 from .bench import MeasurementPlan, NoiseModel, run_basis_protocol
 from .core import Kernel, cyclic_correlate
 from .errors import DimensionError, ProtocolError
@@ -77,12 +77,12 @@ def post_process(image, kernel: Kernel) -> np.ndarray:
 
 
 def _rebuild(coefficients: np.ndarray, parent: PatternBasis) -> np.ndarray:
+    """The image in object units: the factor's rows are orthogonal, each of
+    squared norm ``d = |F[0]|_1`` (1 for ``I``, ``side`` for ``H_side``), so
+    the sum is ``d**2`` times the object; ``d = 1`` keeps a ``-0.0``."""
     raw = reconstruct(coefficients, parent)
-    if parent.label == HADAMARD:
-        # undo the Hadamard completeness factor H^T H = side**2 I, so Hadamard
-        # reconstructions compare directly with canonical ones
-        raw = raw / parent.grid.pixel_count
-    return raw
+    d = np.count_nonzero(parent.factor[0])  # entries are -1, 0 or 1
+    return raw if d == 1 else raw / d**2
 
 
 def _check_plan(plan: MeasurementPlan, parent: PatternBasis):

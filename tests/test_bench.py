@@ -1,5 +1,6 @@
 """Virtual bench: target synthesis, lamp model, measurement plans, the protocol."""
 
+import math
 import os
 import platform
 import subprocess
@@ -10,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ghostsim.bench as bench_module
@@ -85,6 +86,14 @@ class TestNoiseModel:
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             NoiseModel(**{field: value})
 
+    @pytest.mark.parametrize("amplitude", [1.0, 2.0])
+    def test_drift_amplitude_of_one_or_more_rejected(self, amplitude):
+        # the drift 1 + a*sin(...) reaches 1 - a <= 0: refused as the model
+        # is made, before any lamp is evaluated
+        with pytest.raises(ConfigError, match="lamp_drift_amplitude must be < 1"):
+            NoiseModel(lamp_drift_amplitude=amplitude)
+        NoiseModel(lamp_drift_amplitude=math.nextafter(1.0, 0.0))
+
 
 class TestLampIntensity:
     def test_no_drift_is_constant(self):
@@ -116,11 +125,15 @@ class TestLampIntensity:
             lamp_intensity(np.array([np.nan]), NoiseModel(), 1.0)
 
     def test_non_positive_intensity_rejected(self):
-        noise = NoiseModel(lamp_drift_amplitude=2.0, lamp_drift_period=4.0)
-        with pytest.raises(ConfigError):
-            lamp_intensity(3, noise, 1.0)  # trough: 1 + 2*sin(3pi/2) < 0
-        with pytest.raises(ConfigError):
-            lamp_intensity(np.arange(4), noise, 1.0)
+        # a drift deeper than the lamp cannot be made; a scale whose trough
+        # 5e-324 * (1 - 0.5) rounds to 0 is refused at every step, its peak
+        # too
+        with pytest.raises(ConfigError, match="lamp_drift_amplitude must be < 1"):
+            NoiseModel(lamp_drift_amplitude=2.0, lamp_drift_period=4.0)
+        noise = NoiseModel(lamp_base=5e-324, lamp_drift_amplitude=0.5, lamp_drift_period=4.0)
+        for step in (1, 3, np.arange(4)):
+            with pytest.raises(ConfigError, match="non-positive"):
+                lamp_intensity(step, noise, 1.0)
 
     @pytest.mark.parametrize("time_ms", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_rejected(self, time_ms):
@@ -165,10 +178,13 @@ class TestLampInCells:
             assert run_basis_protocol(plan, noise, time_ms).tobytes() == want.tobytes()
 
     def test_drift_trough_rejected(self):
-        noise = NoiseModel(lamp_drift_amplitude=2.0, lamp_drift_period=4.0)
-        for _ in range(2):  # a failed profile is not kept
-            with pytest.raises(ConfigError, match="non-positive"):
-                run_basis_protocol(self.plan(), noise, 1.0)
+        # a drift deeper than the lamp cannot be made, and a scale whose
+        # trough underflows is refused before the cell draws
+        with pytest.raises(ConfigError, match="lamp_drift_amplitude must be < 1"):
+            NoiseModel(lamp_drift_amplitude=2.0, lamp_drift_period=4.0)
+        noise = NoiseModel(lamp_base=5e-324, lamp_drift_amplitude=0.5, lamp_drift_period=4.0)
+        with pytest.raises(ConfigError, match="non-positive"):
+            run_basis_protocol(self.plan(), noise, 1.0)
 
     def test_underflowing_scale_rejected(self):
         # 1e-200 * 1e-200 is 0 in float64, although each factor is positive,
@@ -210,6 +226,30 @@ class TestLampInCells:
                 assert (one / name).read_bytes() == (fresh / name).read_bytes(), (a, name)
         first = tmp_path / "one" / amplitudes[0] / "snr_sweep.csv"
         assert first.read_bytes() != (tmp_path / "one" / amplitudes[1] / "snr_sweep.csv").read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(amplitude=st.floats(0.0, 1.0, exclude_max=True), period=st.floats(0.5, 1e5),
+       lamp_base=st.floats(5e-324, sys.float_info.max),
+       time_ms=st.floats(5e-324, sys.float_info.max), count=st.integers(1, 64))
+@example(amplitude=0.5, period=4.0, lamp_base=5e-324, time_ms=1.0, count=4)
+@example(amplitude=0.1, period=40.0, lamp_base=1e307, time_ms=17.0, count=64)
+def test_lamp_scale_passes_only_where_every_step_is_finite_and_positive(
+        amplitude, period, lamp_base, time_ms, count):
+    # the one check reads the scale and the drift's ends 1 -/+ a, never a step
+    noise = NoiseModel(lamp_base=lamp_base, lamp_drift_amplitude=amplitude,
+                       lamp_drift_period=period)
+    steps = np.arange(count)
+    with np.errstate(over="ignore", under="ignore"):
+        full = (time_ms * lamp_base) * (1.0 + amplitude * np.sin(2.0 * math.pi * steps / period))
+    try:
+        scale = bench_module._lamp_scale(noise, time_ms)
+    except ConfigError:
+        return  # refused at the scale, where the formula may still pass
+    assert np.all((full > 0) & (full < math.inf))
+    lamp = lamp_intensity(steps, noise, time_ms)
+    profile = bench_module._drift_profile(count, amplitude, period)
+    assert lamp.tobytes() == (scale * profile).tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("time_ms", [0.0, -1.0, float("nan")])

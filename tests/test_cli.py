@@ -168,9 +168,22 @@ class TestValidate:
         assert errors == ["config error: line 2: kernel: taps must not all be zero"] * 2
         assert not (tmp_path / "out").exists()
 
+    def test_drift_amplitude_of_one_fails_both_verbs_as_config(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # the noise model owns the bound, and config builds one per noise key
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "drift.cfg"
+        path.write_text("grid_side = 16\nlamp_drift_amplitude = 1\n")
+        for verb in ("validate", "run"):
+            assert main([verb, "--config", str(path), "--out", "out"]) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert errors == ["config error: line 2: lamp_drift_amplitude must be < 1 so the "
+                          "lamp intensity stays positive, got 1.0"] * 2
+        assert not (tmp_path / "out").exists()
+
     def test_lamp_overflow_fails_both_verbs_as_config(self, tmp_path, monkeypatch, capsys):
         # each value parses on its own, but their product overflows: the lamp
-        # is evaluated at every configured time before the scene, so run
+        # scale of every configured time is checked before the scene, so run
         # fails as validate does and writes nothing
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "overflow.cfg"
@@ -428,7 +441,8 @@ def _verb(argv) -> tuple[int, str]:
 def small_configs(draw):
     """Configs of sides 16 and 32 whose runs take tens of ms: both parents,
     both presets and a float kernel, read noise and backgrounds that may be
-    0, and a background rectangle that may overlap the peak."""
+    0, a lamp drift and base up to and past their bounds, and a background
+    rectangle that may overlap the peak."""
     side = draw(st.sampled_from([16, 32]))
     kernel = draw(st.sampled_from(["edge-eq3", "identity",
                                    "0 -0.5 0; -0.5 0 0.5; 0 0.5 0"]))
@@ -438,7 +452,9 @@ def small_configs(draw):
              f"repeats = {draw(st.integers(1, 2))}",
              f"repeats_per_pattern = {draw(st.integers(1, 3))}",
              f"seed = {draw(st.integers(0, 2**64 - 1))}",
-             f"lamp_drift_amplitude = {draw(st.sampled_from([0.0, 0.05]))}"]
+             # a drift of 1 is refused as parsed; lamp_base 1e307 overflows at 20 ms
+             f"lamp_drift_amplitude = {draw(st.sampled_from([0.0, 0.05, 0.999, 1.0]))}",
+             f"lamp_base = {draw(st.sampled_from([1.0, 1e307]))}"]
     for name in ("detector_sigma", "normalization_sigma"):
         lines.append(f"{name} = {draw(st.sampled_from([0.0, 0.25, 1.5]))}")
     for name in ("background_measure", "background_norm"):

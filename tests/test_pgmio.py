@@ -1,6 +1,8 @@
 """Graymap round-trips."""
 
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from ghostsim import (
 from ghostsim.pgmio import PGM_MAXVAL
 from oracles import p2_body
 
+FLOAT_MAX = sys.float_info.max
 # gray values on either side of each change in the number of digits
 DIGIT_EDGES = (0, 9, 10, 99, 100, 999, 1000, 9999, 10000, PGM_MAXVAL)
 
@@ -75,6 +78,33 @@ class TestPgm:
         gray, _ = read_pgm(path)
         assert sorted(set(gray.ravel().tolist())) == [0, PGM_MAXVAL // 2 + 1, PGM_MAXVAL]
         assert read_pgm_values(path) == pytest.approx(image, abs=1e-4)
+
+    @pytest.mark.parametrize("image", [
+        [[-1e308, 0.0], [1e308, 5e307]],  # vmax - vmin overflows
+        [[-FLOAT_MAX, 0.0], [FLOAT_MAX, 1.0]],
+        [[0.0, FLOAT_MAX]],  # the span is finite, its top gray's product is not
+        [[0.0, 5e-324], [1e-310, 2e-310]],  # PGM_MAXVAL / (vmax - vmin) overflows
+        [[-5e-324, 1e-323]],
+        [[1e-300, 1e-300 + 1e-315]],
+        [[FLOAT_MAX, FLOAT_MAX]],  # vmin == vmax
+        [[5e-324, 5e-324]],
+    ], ids=["1e308", "float-max", "zero-to-float-max", "subnormal", "signed-subnormal",
+            "narrow", "flat-float-max", "flat-subnormal"])
+    def test_extreme_ranges_round_trip(self, tmp_path, image):
+        # mapped on ends scaled by a power of two: no warning, the true ends
+        # in the sidecar, every value within a gray step and inside them
+        path = tmp_path / "x.pgm"
+        image = np.array(image)
+        vmin, vmax = float(image.min()), float(image.max())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_pgm(path, image)
+            back = read_pgm_values(path)
+        assert (tmp_path / "x.meta").read_text().splitlines()[:2] == [f"vmin = {vmin!r}",
+                                                                     f"vmax = {vmax!r}"]
+        step = (vmax / 2 - vmin / 2) / PGM_MAXVAL * 2
+        assert np.all(np.abs(back / 2 - image / 2) <= step / 2)
+        assert back.min() == vmin and back.max() == vmax
 
     @pytest.mark.parametrize("image, pgm, meta", [
         (np.array([[-1.5, 0.0, 0.1 + 0.2], [0.1, 0.25, -0.2]]),

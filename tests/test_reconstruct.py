@@ -14,6 +14,7 @@ from ghostsim import (
     GridSpec,
     MeasurementPlan,
     NoiseModel,
+    PatternBasis,
     ProtocolError,
     basis_processed_image,
     canonical_basis,
@@ -83,6 +84,19 @@ class TestReconstruct:
             ones = np.ones(len(owner))
             with pytest.raises(DimensionError):
                 MeasurementPlan(grid, owner, ones, ones)
+
+    @pytest.mark.parametrize("make", [hadamard_basis, canonical_basis])
+    def test_factor_not_label_sets_the_image_units(self, make, rng):
+        # a parent relabelled "custom" plans as the shipped one does, so it
+        # rebuilds the object in the same units (a Hadamard one once came
+        # back 64 times the object)
+        grid = GridSpec(8)
+        parent = PatternBasis(grid, "custom", make(grid).factor)
+        obj = rng.random((8, 8))
+        for measured in (parent, modify_basis(parent, identity_kernel())):
+            plan = plan_acquisition(obj, measured, 2)
+            image = basis_processed_image(plan, parent, NoiseModel(), 1.0)
+            assert np.abs(image - obj).max() <= 1e-12
 
     def test_canonical_reconstruction_is_a_copy(self):
         vec = np.arange(4.0)
