@@ -294,30 +294,6 @@ def _require_memory(side: int, obj=None, sets=(), repeats_per_pattern: int = 1):
         )
 
 
-def _sweep_setup(obj, parent: PatternBasis, kernel: Kernel, repeats_per_pattern: int,
-                 peak_fraction: float, background_fraction: float, mask_border: int,
-                 background_rect) -> tuple[PatternBasis, RegionMask, RegionMask]:
-    """``(modified, peak, background)``: the filter-modified set, built
-    once, and the sweep's fixed masks.  Raises :class:`ConfigError` when
-    the plans of ``parent`` and ``modified`` exceed physical memory, then
-    :class:`MaskError` if the masks, from the noiseless filtered object,
-    overlap, or if the background is one pixel, whose spread is 0."""
-    modified = modify_basis(parent, kernel)
-    _require_memory(len(obj), obj, (parent, modified), repeats_per_pattern)
-    reference = cyclic_correlate(obj, kernel)
-    peak = select_peak_mask(reference, peak_fraction, mask_border)
-    if background_rect is not None:
-        background = mask_from_rect(GridSpec(len(obj)), background_rect, BACKGROUND)
-    else:
-        background = select_background_mask(
-            reference, background_fraction, mask_border, exclude=peak.indices
-        )
-    _check_disjoint(peak, background)
-    if len(background) == 1:
-        raise MaskError("background mask is one pixel; SNR is undefined")
-    return modified, peak, background
-
-
 def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
                 *, sink, parent: PatternBasis | None = None,
                 repeats_per_pattern: int = 2, peak_fraction: float = 0.1,
@@ -331,20 +307,22 @@ def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
     keeps no image, so it holds one at a time: a caller that needs the
     images writes or collects them in the sink.
 
-    Masks are fixed once, from the noiseless filtered object: the peak from
-    its top absolute values, the background from its flattest region (or from
-    ``background_rect`` when configured).  The measurement plan of each
-    route is also built once, by :func:`~ghostsim.bench.plan_acquisition`
-    of the filter-modified parent (basis route) and of ``parent`` itself
-    (post route); ``parent`` defaults to the canonical basis, and
+    The sweep does its own set-up, once: it builds the filter-modified set
+    of ``parent`` (the canonical basis by default), and fixes the masks from
+    the noiseless filtered object: the peak from its top absolute values,
+    the background from its flattest region (or from ``background_rect``
+    when configured).  Before any plan is built, plans that exceed physical
+    memory by the census of both sets raise :class:`ConfigError`, and masks
+    that overlap, or a background of one pixel, whose spread is 0, raise
+    :class:`MaskError`.  Then the measurement plan of each route is built
+    once, by :func:`~ghostsim.bench.plan_acquisition` of the modified set
+    (basis route) and of ``parent`` itself (post route);
     ``repeats_per_pattern`` sets the reads of each frame of a parent of 0/1
-    patterns (:func:`~ghostsim.bases._repeats`).  Before any plan is built,
-    plans that exceed physical memory by the census of both sets raise
-    :class:`ConfigError`, and masks that overlap raise :class:`MaskError`.
-    A cell then only draws noise and rebuilds.  Each cell runs with its own
-    sub-seed ``derive_seed(noise.seed, method index, time index, repeat)``,
-    so the sweep is reproducible and order-independent; SNR is computed on
-    the magnitude image because the filtered signal is signed.
+    patterns (:func:`~ghostsim.bases._repeats`).  A cell then only draws
+    noise and rebuilds.  Each cell runs with its own sub-seed
+    ``derive_seed(noise.seed, method index, time index, repeat)``, so the
+    sweep is reproducible and order-independent; SNR is computed on the
+    magnitude image because the filtered signal is signed.
     """
     o = np.asarray(obj, dtype=float)
     if o.ndim != 2 or o.shape[0] != o.shape[1]:
@@ -354,12 +332,23 @@ def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
     times = [float(t) for t in times_ms]
     if not times:
         raise ValueError("times_ms must not be empty")
+    grid = GridSpec(o.shape[0])
     if parent is None:
-        parent = canonical_basis(GridSpec(o.shape[0]))
+        parent = canonical_basis(grid)
     # before the plans, the costly part
-    modified, peak, background = _sweep_setup(
-        o, parent, kernel, repeats_per_pattern, peak_fraction, background_fraction,
-        mask_border, background_rect)
+    modified = modify_basis(parent, kernel)
+    _require_memory(grid.side, o, (parent, modified), repeats_per_pattern)
+    reference = cyclic_correlate(o, kernel)
+    peak = select_peak_mask(reference, peak_fraction, mask_border)
+    if background_rect is not None:
+        background = mask_from_rect(grid, background_rect, BACKGROUND)
+    else:
+        background = select_background_mask(
+            reference, background_fraction, mask_border, exclude=peak.indices
+        )
+    _check_disjoint(peak, background)
+    if len(background) == 1:
+        raise MaskError("background mask is one pixel; SNR is undefined")
 
     # neither basis holds a pattern stack, and neither plan keeps a frame
     # image

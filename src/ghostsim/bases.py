@@ -62,7 +62,10 @@ class PatternBasis:
     H_side`` (Hadamard) and no kernel; their filter-modified sets keep ``F``
     and record the kernel.  ``F`` must be integer with entries in ``{-1, 0,
     1}``.  The patterns of every set are float64.  ``label`` is a name, for
-    messages and file names; no rule reads it.
+    messages and file names; no rule reads it.  A set with no kernel
+    records ``d`` where ``F F^T = d I`` (1 for ``I``, ``side`` for
+    ``H_side``), computed once and exactly, or None for any other factor:
+    only such a parent can rebuild an image.
 
     The set makes its window form (:class:`_WindowForm`) when it is built
     and holds no pattern.  ``pattern(j)`` reads one off the form, and
@@ -71,7 +74,7 @@ class PatternBasis:
     The set is read-only, so it serves every cell of a sweep, in any order.
     """
 
-    __slots__ = ("grid", "label", "factor", "kernel", "_form")
+    __slots__ = ("grid", "label", "factor", "kernel", "_form", "_norm")
 
     def __init__(self, grid: GridSpec, label: str, factor, kernel: Kernel | None = None):
         n = grid.side
@@ -88,8 +91,17 @@ class PatternBasis:
             # each entry sums at most every tap once
             if not np.isfinite(np.abs(kernel.taps).sum()):
                 raise DimensionError("basis patterns must be finite")
+        norm = None
+        if kernel is None:
+            # integer sums of at most n entries of -1, 0 or 1: exact in float64
+            f = factor.astype(float)
+            gram = f @ f.T
+            d = gram[0, 0]
+            if np.count_nonzero(gram) == n and np.all(gram.diagonal() == d):
+                norm = int(d)
         for name, value in (("grid", grid), ("label", label), ("factor", factor),
-                            ("kernel", kernel), ("_form", _window_form(factor, kernel))):
+                            ("kernel", kernel), ("_form", _window_form(factor, kernel)),
+                            ("_norm", norm)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):

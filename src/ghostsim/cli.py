@@ -9,11 +9,10 @@ Verbs:
   directory only once all of them are written.
 * ``gallery``  -- export selected basis patterns, original and
   filter-modified, as graymaps.
-* ``validate`` -- parse and validate a config, build its scene, its two
-  sets and its masks once its measurement plans fit in physical memory,
-  and echo the resolved values.  Without bucket read noise, where a flat
-  background fails every seed or none, it also scores one repeat of each
-  cell.  So it fails where ``run`` would, before any file is written.
+* ``validate`` -- parse and validate a config, run its sweep at one
+  repeat, scoring every cell and writing nothing, and echo the resolved
+  values.  Each cell is the run's repeat-0 cell, drawn from the same
+  sub-seed, so it fails where a run's first repeat would.
 
 Exit codes: 0 success, 1 config error, 2 runtime error.
 """
@@ -30,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (_require_memory, _sweep_setup, summarize_sweep, sweep_cells,
-                       write_summary_csv, write_sweep_csv)
+from .analysis import (_require_memory, summarize_sweep, sweep_cells, write_summary_csv,
+                       write_sweep_csv)
 from .bases import HADAMARD, canonical_basis, hadamard_basis, modify_basis
 from .bench import _lamp_scale, load_object, synth_bar_target
 from .config import ExperimentConfig, load_config
@@ -210,16 +209,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides=_overrides(args))
         if args.verb == "validate":
-            # the plans' size, the scene and the masks fail here as they
-            # would before a run's sweep
+            # a run's repeat-0 cells, so validate fails where a run's first
+            # repeat does
             obj, parent = _checked_scene(cfg)
-            if cfg.detector_sigma == 0:
-                # no bucket noise: a flat background is flat for every seed
-                _sweep(cfg, obj, parent, 1, lambda cell, image: None)
-            else:
-                _sweep_setup(obj, parent, cfg.kernel, cfg.repeats_per_pattern,
-                             cfg.peak_fraction, cfg.background_fraction,
-                             cfg.mask_border, cfg.background_rect)
+            _sweep(cfg, obj, parent, 1, lambda cell, image: None)
             sys.stdout.write(cfg.to_text())
         elif args.verb == "run":
             paths = run_experiment(cfg)

@@ -7,12 +7,13 @@ variable named ``GHOSTSIM_<KEY>`` (e.g. ``GHOSTSIM_GRID_SIDE``), and
 ``ExperimentConfig.to_text`` echoes a fully resolved config that parses back
 to an equal object.
 
-Each key is one row of ``_FIELDS``: its default text, its parser and its
-echo format.  A value from a file, the environment or an override goes
-through the same row.  Rules the domain types already own (the noise
-bounds, the drift amplitude's bound below 1 among them, the Hadamard side,
-the kernel and rectangle fits) are checked by calling them; a row's parser
-keeps only the rules that config alone owns.
+Each key is one field of ``ExperimentConfig``, whose metadata hold its
+default text, its parser and its echo format.  A value from a file, the
+environment or an override goes through the same field.  Rules the domain
+types already own (the noise bounds, the drift amplitude's bound below 1
+among them, the Hadamard side, the kernel and rectangle fits) are checked
+by calling them; a field's parser keeps only the rules that config alone
+owns.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import dataclasses
 import math
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 from .analysis import mask_from_rect
 from .bases import CANONICAL, HADAMARD, _require_power_of_two
@@ -36,50 +37,6 @@ __all__ = [
 ]
 
 ENV_PREFIX = "GHOSTSIM_"
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully resolved and validated experiment settings."""
-
-    grid_side: int
-    basis: str
-    kernel: Kernel
-    lamp_base: float
-    lamp_drift_amplitude: float
-    lamp_drift_period: float
-    detector_sigma: float
-    normalization_sigma: float
-    background_measure: float
-    background_norm: float
-    seed: int
-    integration_times_ms: tuple[float, ...]
-    repeats: int
-    repeats_per_pattern: int
-    bar_groups: int
-    object_path: str | None
-    peak_fraction: float
-    background_fraction: float
-    mask_border: int
-    background_rect: tuple[int, int, int, int] | None
-    gallery_indices: tuple[int, ...] | None
-    output_dir: str
-
-    def to_noise_model(self) -> NoiseModel:
-        return NoiseModel(**{f.name: getattr(self, f.name)
-                             for f in dataclasses.fields(NoiseModel)})
-
-    def to_text(self) -> str:
-        """Canonical config echo; parsing it reproduces this object.
-
-        A value of ``None`` echoes as its field's default text (``auto`` or
-        ``synthetic``)."""
-        lines = []
-        for field in _FIELDS:
-            value = getattr(self, field.name)
-            text = field.default if value is None else field.format(value)
-            lines.append(f"{field.name} = {text}\n")
-        return "".join(lines)
 
 
 # ---------------------------------------------------------------- parsers
@@ -200,47 +157,68 @@ def _words(values) -> str:
     return " ".join(str(v) for v in values)
 
 
-class _Field(NamedTuple):
-    name: str
-    default: str
-    parse: Callable[[str, Any], Any]
-    format: Callable[[Any], str] = str
+def _key(default: str, parse: Callable[[str, Any], Any],
+         format: Callable[[Any], str] = str):
+    """A field that is a config key: the text of its default, its parser
+    and its echo format."""
+    return dataclasses.field(metadata={"default": default, "parse": parse,
+                                       "format": format})
 
 
-# One row per key, in echo order.  grid_side comes first: later parsers
-# check their value against it.
-_FIELDS = (
-    _Field("grid_side", "64", _count(1)),
-    _Field("basis", CANONICAL, _basis),
-    _Field("kernel", "edge-eq3", _kernel, _kernel_text),
-    _Field("lamp_base", "1.0", _real),
-    _Field("lamp_drift_amplitude", "0.05", _real),
-    _Field("lamp_drift_period", "auto", _drift_period),
-    _Field("detector_sigma", "1.5", _real),
-    _Field("normalization_sigma", "1.5", _real),
-    _Field("background_measure", "60.0", _real),
-    _Field("background_norm", "5.0", _real),
-    _Field("seed", "7321", _integer),
-    _Field("integration_times_ms", "20 100 220", _times, _words),
-    _Field("repeats", "3", _count(1)),
-    _Field("repeats_per_pattern", "2", _count(1)),
-    _Field("bar_groups", "3", _count(1)),
-    _Field("object_path", "synthetic",
-           lambda text, side: None if text == "synthetic" else text),
-    _Field("peak_fraction", "0.1", _fraction),
-    _Field("background_fraction", "0.3", _fraction),
-    _Field("mask_border", "1", _count(0)),
-    _Field("background_rect", "auto", _rect, _words),
-    _Field("gallery_indices", "auto", _gallery, _words),
-    _Field("output_dir", "runs", lambda text, side: text),
-)
-_KEYS = frozenset(field.name for field in _FIELDS)
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Fully resolved and validated experiment settings.
+
+    One field per key, in echo order.  ``grid_side`` comes first: later
+    parsers check their value against it."""
+
+    grid_side: int = _key("64", _count(1))
+    basis: str = _key(CANONICAL, _basis)
+    kernel: Kernel = _key("edge-eq3", _kernel, _kernel_text)
+    lamp_base: float = _key("1.0", _real)
+    lamp_drift_amplitude: float = _key("0.05", _real)
+    lamp_drift_period: float = _key("auto", _drift_period)
+    detector_sigma: float = _key("1.5", _real)
+    normalization_sigma: float = _key("1.5", _real)
+    background_measure: float = _key("60.0", _real)
+    background_norm: float = _key("5.0", _real)
+    seed: int = _key("7321", _integer)
+    integration_times_ms: tuple[float, ...] = _key("20 100 220", _times, _words)
+    repeats: int = _key("3", _count(1))
+    repeats_per_pattern: int = _key("2", _count(1))
+    bar_groups: int = _key("3", _count(1))
+    object_path: str | None = _key("synthetic",
+                                   lambda text, side: None if text == "synthetic" else text)
+    peak_fraction: float = _key("0.1", _fraction)
+    background_fraction: float = _key("0.3", _fraction)
+    mask_border: int = _key("1", _count(0))
+    background_rect: tuple[int, int, int, int] | None = _key("auto", _rect, _words)
+    gallery_indices: tuple[int, ...] | None = _key("auto", _gallery, _words)
+    output_dir: str = _key("runs", lambda text, side: text)
+
+    def to_noise_model(self) -> NoiseModel:
+        return NoiseModel(**{f.name: getattr(self, f.name)
+                             for f in dataclasses.fields(NoiseModel)})
+
+    def to_text(self) -> str:
+        """Canonical config echo; parsing it reproduces this object.
+
+        A value of ``None`` echoes as its field's default text (``auto`` or
+        ``synthetic``)."""
+        lines = []
+        for field in dataclasses.fields(self):
+            value, key = getattr(self, field.name), field.metadata
+            text = key["default"] if value is None else key["format"](value)
+            lines.append(f"{field.name} = {text}\n")
+        return "".join(lines)
+
+
 # fields whose bounds NoiseModel owns; each is checked there as it is parsed
 _NOISE_KEYS = frozenset(f.name for f in dataclasses.fields(NoiseModel))
 
 
 def _known(key: str, what: str, line: int | None = None) -> str:
-    if key not in _KEYS:
+    if key not in {field.name for field in dataclasses.fields(ExperimentConfig)}:
         raise ConfigError(f"unknown {what}", line=line)
     return key
 
@@ -268,26 +246,27 @@ def _build(items: dict[str, tuple[str, int | None]]) -> ExperimentConfig:
     filling the gaps; a failure names the field and, for a file value, its
     line.  A defaulted field that fails is charged to ``grid_side``."""
     values: dict[str, Any] = {}
-    for field in _FIELDS:
-        text, line = items.get(field.name, (field.default, None))
+    for field in dataclasses.fields(ExperimentConfig):
+        name, key = field.name, field.metadata
+        text, line = items.get(name, (key["default"], None))
         text = text.strip()
         try:
             if not text:
                 raise ValueError("empty value")
-            value = field.parse(text, values.get("grid_side"))
-            if field.name in _NOISE_KEYS:
-                NoiseModel(**{field.name: value})
+            value = key["parse"](text, values.get("grid_side"))
+            if name in _NOISE_KEYS:
+                NoiseModel(**{name: value})
         except ValueError as exc:  # the domain errors are ValueErrors too
             message = str(exc)
-            if not message.startswith(field.name):
-                message = f"{field.name}: {message}"
-            if field.name not in items:
+            if not message.startswith(name):
+                message = f"{name}: {message}"
+            if name not in items:
                 # every default is valid on its own, so grid_side made it fail
                 message = (f"grid_side: {message} "
-                           f"(with the default {field.name} = {field.default})")
+                           f"(with the default {name} = {key['default']})")
                 line = items["grid_side"][1]
             raise ConfigError(message, line=line) from None
-        values[field.name] = value
+        values[name] = value
     return ExperimentConfig(**values)
 
 

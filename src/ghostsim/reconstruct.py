@@ -47,7 +47,8 @@ def reconstruct(coefficients, recon_basis: PatternBasis) -> np.ndarray:
     side``.  Where ``F = I`` (a canonical parent) that is ``C`` itself, so
     a copy of ``C`` is returned with no product, and a ``-0.0`` keeps its
     sign; a Hadamard parent takes the two matrix products.
-    Reconstruction is always in the parent: a filter-modified basis raises
+    Reconstruction is always in an orthogonal parent: a filter-modified
+    basis, or a parent whose factor is not ``F F^T = d I``, raises
     :class:`~ghostsim.errors.ProtocolError`.
     """
     m = len(recon_basis)
@@ -56,6 +57,9 @@ def reconstruct(coefficients, recon_basis: PatternBasis) -> np.ndarray:
         raise DimensionError(f"expected {m} coefficients, got shape {vec.shape}")
     if recon_basis.kernel is not None:
         raise ProtocolError(f"reconstruct in the parent basis, not in {recon_basis.label}")
+    if recon_basis._norm is None:
+        raise ProtocolError(f"cannot reconstruct in {recon_basis.label}: the rows of its "
+                            "factor are not orthogonal with equal norms")
     side = recon_basis.grid.side
     c = vec.reshape(side, side)
     f = recon_basis.factor
@@ -78,10 +82,10 @@ def post_process(image, kernel: Kernel) -> np.ndarray:
 
 def _rebuild(coefficients: np.ndarray, parent: PatternBasis) -> np.ndarray:
     """The image in object units: the factor's rows are orthogonal, each of
-    squared norm ``d = |F[0]|_1`` (1 for ``I``, ``side`` for ``H_side``), so
-    the sum is ``d**2`` times the object; ``d = 1`` keeps a ``-0.0``."""
+    squared norm ``d`` (``F F^T = d I``, recorded by the parent), so the sum
+    is ``d**2`` times the object; ``d = 1`` keeps a ``-0.0``."""
     raw = reconstruct(coefficients, parent)
-    d = np.count_nonzero(parent.factor[0])  # entries are -1, 0 or 1
+    d = parent._norm
     return raw if d == 1 else raw / d**2
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghostsim import (
@@ -122,13 +122,13 @@ def _run_bytes(cfg):
 
 
 def _check_plans(text):
-    """The checks ``validate`` makes of a config with read noise: the scene,
-    then the census memory check and the masks of the sweep's set-up."""
+    """The memory checks a sweep makes of a config before its plans: the
+    lower bound before the scene, then the census of both sets."""
     cfg = parse_config(text)
     obj, parent = cli_module._checked_scene(cfg)
-    analysis_module._sweep_setup(obj, parent, cfg.kernel, cfg.repeats_per_pattern,
-                                 cfg.peak_fraction, cfg.background_fraction,
-                                 cfg.mask_border, cfg.background_rect)
+    analysis_module._require_memory(cfg.grid_side, obj,
+                                    (parent, modify_basis(parent, cfg.kernel)),
+                                    cfg.repeats_per_pattern)
 
 
 @pytest.fixture
@@ -205,15 +205,16 @@ class TestValidate:
         "grid_side = 16\nbar_groups = 2\ndetector_sigma = 0\nnormalization_sigma = 0\n"
         "background_measure = 0\nbackground_norm = 0\nlamp_drift_amplitude = 0\n",
         "grid_side = 16\nbar_groups = 2\ndetector_sigma = 0\n",
+        "grid_side = 16\nbar_groups = 2\ndetector_sigma = 1e-20\n",
     ], ids=["overlapping-masks", "missing-object", "binary-object",
             "one-pixel-background", "noiseless", "noiseless-no-background",
-            "no-bucket-noise"])
+            "no-bucket-noise", "sub-ulp-bucket-noise"])
     def test_fails_as_run_does(self, config, tmp_path, monkeypatch, capsys):
-        # validate builds the scene and the masks, so a config that run
-        # rejects before any work is rejected by validate too, with exit 2.
-        # Without bucket read noise the bar target's flattest region
-        # reconstructs to exact zeros for every seed: validate scores the
-        # cells a run would, and fails as the run does
+        # validate runs the sweep at one repeat, so a config that run
+        # rejects is rejected by validate too, with exit 2 and the same line.
+        # Without bucket read noise, or with noise far below half an ulp of
+        # every read (60 + 1e-20 z rounds to 60), the bar target's flattest
+        # region reconstructs to exact zeros: the cells fail as the run's do
         monkeypatch.chdir(tmp_path)
         (tmp_path / "binary.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(range(256)))
         path = tmp_path / "bad.cfg"
@@ -441,8 +442,9 @@ def _verb(argv) -> tuple[int, str]:
 def small_configs(draw):
     """Configs of sides 16 and 32 whose runs take tens of ms: both parents,
     both presets and a float kernel, read noise and backgrounds that may be
-    0, a lamp drift and base up to and past their bounds, and a background
-    rectangle that may overlap the peak."""
+    0, bucket noise that may lie far below the reads' rounding, a lamp
+    drift and base up to and past their bounds, and a background rectangle
+    that may overlap the peak."""
     side = draw(st.sampled_from([16, 32]))
     kernel = draw(st.sampled_from(["edge-eq3", "identity",
                                    "0 -0.5 0; -0.5 0 0.5; 0 0.5 0"]))
@@ -455,8 +457,8 @@ def small_configs(draw):
              # a drift of 1 is refused as parsed; lamp_base 1e307 overflows at 20 ms
              f"lamp_drift_amplitude = {draw(st.sampled_from([0.0, 0.05, 0.999, 1.0]))}",
              f"lamp_base = {draw(st.sampled_from([1.0, 1e307]))}"]
-    for name in ("detector_sigma", "normalization_sigma"):
-        lines.append(f"{name} = {draw(st.sampled_from([0.0, 0.25, 1.5]))}")
+    lines.append(f"detector_sigma = {draw(st.sampled_from([0.0, 1e-20, 0.25, 1.5]))}")
+    lines.append(f"normalization_sigma = {draw(st.sampled_from([0.0, 0.25, 1.5]))}")
     for name in ("background_measure", "background_norm"):
         lines.append(f"{name} = {draw(st.sampled_from([0.0, 4.0, 60.0]))}")
     if draw(st.booleans()):
@@ -468,9 +470,12 @@ def small_configs(draw):
 
 @settings(max_examples=50, deadline=None)
 @given(text=small_configs())
+@example(text="grid_side = 16\nbar_groups = 2\nkernel = 0 -0.5 0; -0.5 0 0.5; 0 0.5 0\n"
+              "detector_sigma = 1e-20\nnormalization_sigma = 0.25\n")
 def test_validate_passes_exactly_the_configs_run_completes(text):
-    # bucket noise is drawn well above the reads' rounding: noise far below
-    # half an ulp of every read leaves a cell as noiseless as sigma 0 does
+    # bucket noise far below half an ulp of every read (1e-20) leaves a cell
+    # as noiseless as sigma 0 does; validate scores the cells, so it fails
+    # there as run does
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "small.cfg"
         path.write_text(text)

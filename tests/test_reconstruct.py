@@ -98,6 +98,21 @@ class TestReconstruct:
             image = basis_processed_image(plan, parent, NoiseModel(), 1.0)
             assert np.abs(image - obj).max() <= 1e-12
 
+    def test_non_orthogonal_parent_is_refused(self, rng):
+        # a lower-triangular all-ones factor plans like any other, but its
+        # rows are not orthogonal: its noiseless image came back 54 off this
+        # object, so reconstruct refuses the set by name.  A signed
+        # permutation factor has F F^T = I and rebuilds exactly
+        grid = GridSpec(4)
+        obj = rng.random((4, 4))
+        parent = PatternBasis(grid, "lower", np.tril(np.ones((4, 4), dtype=np.int8)))
+        plan = plan_acquisition(obj, parent, 1)
+        with pytest.raises(ProtocolError, match="lower.*not orthogonal"):
+            basis_processed_image(plan, parent, QUIET, 1.0)
+        signed = PatternBasis(grid, "signed", -np.eye(4, dtype=np.int8)[[2, 0, 3, 1]])
+        image = basis_processed_image(plan_acquisition(obj, signed, 1), signed, QUIET, 1.0)
+        assert np.abs(image - obj).max() <= 1e-12
+
     def test_canonical_reconstruction_is_a_copy(self):
         vec = np.arange(4.0)
         image = reconstruct(vec, canonical_basis(GridSpec(2)))
