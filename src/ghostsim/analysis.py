@@ -257,40 +257,53 @@ def _physical_memory() -> int | None:
 
 
 def _run_bytes(side: int, obj=None, sets=(), repeats_per_pattern: int = 1):
-    """``(frames, plans, accumulator, cell)``: what a run holds.  ``frames``
-    counts the frames of its two plans and ``plans`` their bytes, at 24 B
-    (owner, weight, overlap) a frame; ``accumulator`` the window-form sums,
-    one float64 per level of a set and pattern and one int64 more per limb
-    of ``obj``; ``cell`` five float64 arrays a frame of the larger route,
-    four a pattern, the lamp's drift profile and one image with its graymap
+    """``(frames, held, planning, accumulator, cell)``: what a run holds.
+    It holds ``held`` throughout, and at any time either ``planning``,
+    while it plans a route, or ``cell``, while it runs one.  ``frames``
+    counts the frames of its two plans.  ``held`` is their sums, three
+    float64 a pattern each, and the scene, 48 B a pixel: the object, its
+    filtered reference and the row and column window maps of both sets.
+    ``planning`` is the level ``accumulator``, the window-form sums (one
+    float64 per level of a set and pattern and one int64 more per limb of
+    ``obj``), and 72 B a part of the larger route: its split, frame
+    indices, overlaps and their rounding, which the ``R`` reads of a part
+    share (tracemalloc measures 49 to 66 B).  ``cell`` is eight float64
+    arrays a pattern (one cell's draws and sums, or its coefficients and
+    rebuild), the lamp's drift profile and one image with its graymap
     encoder (40 B a pixel), whose stages do not overlap.  Given the scene
-    ``obj``, the frames and levels are the census of its two ``sets``;
-    before it, a lower bound that reads no budget rule: one frame a pattern
-    on each route, one level and one limb."""
+    ``obj``, the frames, parts and levels are the census of its two
+    ``sets``; before it, a lower bound that reads no budget rule: one frame
+    a pattern on each route, one level and one limb."""
     m = side ** 2
-    routes, levels, limbs = [m, m], 1, 1
+    frames, parts, levels, limbs = 2 * m, m, 1, 1
     if obj is not None:
-        routes = [projection_count(s, repeats_per_pattern) for s in sets]
+        frames = sum(projection_count(s, repeats_per_pattern) for s in sets)
+        parts = max(projection_count(s, 1) for s in sets)
         levels = max(s._form.values.size for s in sets)
         limbs = _limb_layout(obj)[1]
-    frames = sum(routes)
-    cell = 8 * (5 * max(routes) + 4 * m) + (8 + 40) * m + 8 * m
-    return frames, 24 * frames, 8 * limbs * (levels + 1) * m, cell
+    accumulator = 8 * limbs * (levels + 1) * m
+    cell = 8 * 8 * m + 8 * m + (8 + 40) * m
+    return frames, (2 * 24 + 48) * m, accumulator + 72 * parts, accumulator, cell
 
 
 def _require_memory(side: int, obj=None, sets=(), repeats_per_pattern: int = 1):
-    """Fail when what a run holds (:func:`_run_bytes`) exceeds physical memory."""
+    """Fail when what a run holds at its peak (:func:`_run_bytes`), its
+    plans and scene and the larger of planning a route and one cell,
+    exceeds physical memory."""
     memory = _physical_memory()
-    frames, plans, accumulator, cell = _run_bytes(side, obj, sets, repeats_per_pattern)
-    if memory is not None and plans + accumulator + cell > memory:
+    frames, held, planning, accumulator, cell = _run_bytes(side, obj, sets,
+                                                           repeats_per_pattern)
+    need = held + max(planning, cell)
+    if memory is not None and need > memory:
         def mib(size):
             return f"{size / 2**20:,.0f} MiB"
 
         raise ConfigError(
-            f"grid_side {side} needs {mib(plans + accumulator + cell)} "
-            f"for its measurement plans ({frames:,} frames at 24 B), a "
-            f"{mib(accumulator)} level accumulator and {mib(cell)} for one cell, "
-            f"more than the {mib(memory)} of physical memory"
+            f"grid_side {side} needs {mib(need)}: {mib(held)} for its measurement "
+            f"plans ({frames:,} frames) and scene, and the larger of "
+            f"{mib(planning)} to plan a route, a {mib(accumulator)} level "
+            f"accumulator among it, and {mib(cell)} for one cell; more than the "
+            f"{mib(memory)} of physical memory"
         )
 
 
@@ -318,11 +331,13 @@ def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
     once, by :func:`~ghostsim.bench.plan_acquisition` of the modified set
     (basis route) and of ``parent`` itself (post route);
     ``repeats_per_pattern`` sets the reads of each frame of a parent of 0/1
-    patterns (:func:`~ghostsim.bases._repeats`).  A cell then only draws
-    noise and rebuilds.  Each cell runs with its own sub-seed
-    ``derive_seed(noise.seed, method index, time index, repeat)``, so the
-    sweep is reproducible and order-independent; SNR is computed on the
-    magnitude image because the filtered signal is signed.
+    patterns (:func:`~ghostsim.bases._repeats`).  A plan keeps three sums a
+    pattern and no frame, so a cell then only draws two normals a pattern
+    (:func:`~ghostsim.bench.run_basis_protocol`) and rebuilds.  Each cell
+    runs with its own sub-seed ``derive_seed(noise.seed, method index, time
+    index, repeat)``, so the sweep is reproducible and order-independent;
+    SNR is computed on the magnitude image because the filtered signal is
+    signed.
     """
     o = np.asarray(obj, dtype=float)
     if o.ndim != 2 or o.shape[0] != o.shape[1]:
@@ -351,7 +366,6 @@ def sweep_cells(obj, kernel: Kernel, noise: NoiseModel, times_ms, repeats: int,
         raise MaskError("background mask is one pixel; SNR is undefined")
 
     # neither basis holds a pattern stack, and neither plan keeps a frame
-    # image
     plans = {
         BASIS_PROCESSED: plan_acquisition(o, modified, repeats_per_pattern),
         POST_PROCESSED: plan_acquisition(o, parent, repeats_per_pattern),

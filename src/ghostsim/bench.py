@@ -7,24 +7,36 @@ read noise plus a constant background, and the bucket signal is divided by
 the normalization sample to cancel lamp fluctuations.
 
 There is one acquisition protocol, the weighted one.  Each pattern ``j`` is
-projected as a list of binary parts, each part is read by the bucket
-detector, and the reads are combined with the part weights and divided by
-one normalization read:
+projected as a list of binary frames, each frame ``p`` is read by the bucket
+detector, and the reads are combined with the frame weights ``w_p`` and
+divided by one normalization read:
 
     coef_j = sum_p w_p * (a_j * S_p + bg + sigma * z_p) / (a_j + bg_n + sigma_n * z_j)
 
-with ``S_p = <part_p, object>`` and ``a_j`` the lamp power at step ``j``.
-Every set is planned by one formula: a pattern has one part per distinct
-level, and each part is read ``R`` times at weight ``level / R``.  The set
-sets ``R`` (:func:`~ghostsim.bases._repeats`, the one budget rule): a
-parent of 0/1 patterns averages ``repeats_per_pattern`` reads of each
-frame, and any other set reads each part once.
+with ``S_p = <frame_p, object>`` and ``a_j`` the lamp power at step ``j``.
+Every read of pattern ``j`` shares ``a_j``, and the read noises ``z_p``
+are independent standard normals, so the numerator is, exactly in
+distribution,
+
+    a_j * s_j + bg * u_j + sigma * q_j * zeta_j
+
+with ``s_j = sum_p w_p S_p``, ``u_j = sum_p w_p``, ``q_j = sqrt(sum_p
+w_p**2)`` and one standard normal ``zeta_j``: the sufficient statistic of a
+linear Gaussian model (Kay, *Fundamentals of Statistical Signal
+Processing: Estimation Theory*, 1993, ch. 5).  A plan holds these three
+sums a pattern, so a cell draws two normals a pattern, however many frames
+the bench projects.  Every set is planned by one frame formula: a pattern
+has one part per distinct level, and each part is read ``R`` times at
+weight ``level / R``.  The set sets ``R``
+(:func:`~ghostsim.bases._repeats`, the one budget rule): a parent of 0/1
+patterns averages ``repeats_per_pattern`` reads of each frame, and any
+other set reads each part once.
 
 The overlaps do not depend on the integration time, the repeat or the
-seed, so :func:`plan_acquisition` computes them once per sweep and basis
-into a :class:`MeasurementPlan`, and checks the object there.  Each overlap
-is the correctly rounded sum of the object values its frame lights, what
-``math.fsum`` gives, on every CPU and BLAS kernel.  Every set is a parent
+seed, so :func:`plan_acquisition` computes them once per sweep and basis,
+checks the object there and sums them into a :class:`MeasurementPlan`.
+Each overlap is the correctly rounded sum of the object values its frame
+lights, what ``math.fsum`` gives, on every CPU and BLAS kernel.  Every set is a parent
 or its modification by one kernel, so its split and its overlaps come from
 its window form (see :class:`~ghostsim.bases._WindowForm`): the object is
 cut into integer limbs whose sums over any frame are exact in float64, a
@@ -32,7 +44,7 @@ few products of ``side x side`` matrices sum each limb, and one rounding
 to odd followed by one to nearest gives each overlap.
 
 A cell is then ``run_basis_protocol(plan, noise, integration_time_ms)``:
-the plan fixes the frames, the noise model the noise levels and the seed,
+the plan fixes the sums, the noise model the noise levels and the seed,
 and the integration time the signal scale.  It draws all of its noise from
 one counter-based Philox stream keyed by the cell seed, and
 :func:`coefficients_from_draws` turns the draws into coefficients.  Signal
@@ -192,43 +204,40 @@ def lamp_intensity(step, noise: NoiseModel, integration_time_ms: float):
 
 @dataclass(frozen=True, eq=False)
 class MeasurementPlan:
-    """The noiseless part of one route's acquisition, as flat arrays.
+    """The noiseless part of one route's acquisition: three sums a pattern.
 
-    Part ``p`` belongs to pattern ``owner[p]``, enters its coefficient with
-    weight ``weight[p]`` and overlaps the object by ``overlap[p]``.  Parts
-    of one pattern are listed in projection order.  Every pattern of the
-    grid owns at least one part.  The arrays are read-only, so one plan
-    serves every cell of a sweep, in any order.
+    With frame ``p`` of pattern ``j`` read at weight ``w_p`` and
+    overlapping the object by ``S_p``, ``s[j] = sum_p w_p S_p``, ``u[j] =
+    sum_p w_p`` and ``q[j] = sqrt(sum_p w_p**2)``: all that a coefficient
+    needs of its frames (see the module formula).  ``bucket_reads`` counts
+    the frames, and so the bucket reads, of one acquisition; every pattern
+    projects at least one.  The arrays are read-only, so one plan serves
+    every cell of a sweep, in any order.
     """
 
     grid: GridSpec
-    owner: np.ndarray
-    weight: np.ndarray
-    overlap: np.ndarray
+    s: np.ndarray
+    u: np.ndarray
+    q: np.ndarray
+    bucket_reads: int
 
     def __post_init__(self):
-        owner = np.asarray(self.owner, dtype=np.intp)
-        weight = np.asarray(self.weight, dtype=float)
-        overlap = np.asarray(self.overlap, dtype=float)
-        if owner.ndim != 1 or weight.shape != owner.shape or overlap.shape != owner.shape:
-            raise DimensionError("plan arrays must be 1-D and of equal length")
         m = self.pattern_count
-        if (owner.size == 0 or owner.min() < 0 or owner.max() >= m
-                or not np.all(np.bincount(owner, minlength=m))):
-            raise DimensionError(f"plan parts must cover each of the {m} patterns")
-        for name, arr in (("owner", owner), ("weight", weight), ("overlap", overlap)):
+        for name in ("s", "u", "q"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != (m,):
+                raise DimensionError(
+                    f"plan sums must be 1-D, one for each of the {m} patterns")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if int(self.bucket_reads) < m:
+            raise DimensionError(f"plan frames must cover each of the {m} patterns")
+        object.__setattr__(self, "bucket_reads", int(self.bucket_reads))
 
     @property
     def pattern_count(self) -> int:
         """Patterns, and so normalization reads, per acquisition."""
         return self.grid.pixel_count
-
-    @property
-    def bucket_reads(self) -> int:
-        """Binary frames, and so bucket reads, per acquisition."""
-        return int(self.owner.size)
 
 
 def _check_object(obj) -> np.ndarray:
@@ -329,7 +338,11 @@ def plan_acquisition(obj, basis: PatternBasis,
     Frame ``p`` is ``pattern[owner[p]] == level[p]``, and its overlap is
     the correctly rounded sum of the object values it lights
     (:func:`_window_overlaps`).  The split and the overlaps come from the
-    set's one window form, and no frame is made.
+    set's one window form, and no frame is made.  They are then summed per
+    pattern, in part order, into the plan's ``s``, ``u`` and ``q``: the
+    ``R`` reads of a part add up to one read at its level, so ``R`` enters
+    only as ``q / sqrt(R)`` and as ``R`` frames a part, and the frame
+    arrays are not kept.
     """
     o = _check_object(obj)
     side = basis.grid.side
@@ -338,27 +351,39 @@ def plan_acquisition(obj, basis: PatternBasis,
     r = _repeats(basis, repeats_per_pattern)
     split = decompose_basis(basis)
     overlap = _window_overlaps(o, basis._form, split)
-    return MeasurementPlan(basis.grid, np.repeat(split.owner, r),
-                           np.repeat(split.level, r) / r, np.repeat(overlap, r))
+    m, owner, level = len(basis), split.owner, split.level
+    q = np.sqrt(np.bincount(owner, level * level, m))
+    q /= math.sqrt(r)
+    return MeasurementPlan(basis.grid, np.bincount(owner, level * overlap, m),
+                           np.bincount(owner, level, m), q, r * level.size)
 
 
 def coefficients_from_draws(plan: MeasurementPlan, lamp: np.ndarray,
                             noise: NoiseModel, bucket_draws: np.ndarray,
                             norm_draws: np.ndarray) -> np.ndarray:
     """Coefficient vector of one acquisition, given its standard-normal
-    draws: ``bucket_draws[p]`` for the read of part ``p`` and
-    ``norm_draws[j]`` for the normalization read of pattern ``j``;
-    ``lamp[j]`` is the lamp power while pattern ``j`` is projected.
+    draws, one of each a pattern: ``bucket_draws[j]`` is the ``zeta_j`` of
+    the weighted sum of pattern ``j``'s bucket reads and ``norm_draws[j]``
+    the noise of its normalization read; ``lamp[j]`` is the lamp power
+    while pattern ``j`` is projected.  Each coefficient is
 
-    Reads may go negative when the noise is large, by design of the
-    additive model.
+        (lamp * s + bg * u + sigma * q * zeta) / (lamp + bg_n + sigma_n * z)
+
+    with the plan's sums, which has the distribution of the weighted sum
+    of the reads of every frame (see the module formula).  Reads may go
+    negative when the noise is large, by design of the additive model.
     """
-    reads = lamp[plan.owner] * plan.overlap + noise.background_measure
-    reads += noise.detector_sigma * bucket_draws
+    coef = lamp * plan.s
+    term = noise.background_measure * plan.u
+    coef += term
+    np.multiply(noise.detector_sigma, plan.q, out=term)
+    term *= bucket_draws
+    coef += term
     norm = lamp + noise.background_norm
-    norm += noise.normalization_sigma * norm_draws
-    combined = np.bincount(plan.owner, plan.weight * reads, plan.pattern_count)
-    return combined / norm
+    np.multiply(noise.normalization_sigma, norm_draws, out=term)
+    norm += term
+    coef /= norm
+    return coef
 
 
 @lru_cache(maxsize=1)
@@ -380,13 +405,16 @@ def run_basis_protocol(plan: MeasurementPlan, noise: NoiseModel,
     The lamp power is ``lamp_intensity`` at every pattern, the same bits:
     the cell's :func:`_lamp_scale`, its one check, times the sweep's one
     drift profile (computed for its first cell, then reused).  All draws
-    come from one Philox stream keyed by ``noise.seed``: one per bucket
-    read in plan order, then one per normalization read in pattern order.
-    The cell is therefore reproducible on its own, in any order.
+    come from one Philox stream keyed by ``noise.seed``: ``2N`` standard
+    normals for the ``N`` patterns, the first ``N`` for the weighted sums
+    of the bucket reads and the next ``N`` for the normalization reads,
+    both in pattern order (:func:`coefficients_from_draws`).  The cell is
+    therefore reproducible on its own, in any order, and its cost does not
+    grow with the frame count.
     """
     lamp = _lamp_scale(noise, integration_time_ms) * _drift_profile(
         plan.pattern_count, noise.lamp_drift_amplitude, noise.lamp_drift_period)
     rng = np.random.Generator(np.random.Philox(noise.seed))
-    bucket_draws = rng.standard_normal(plan.bucket_reads)
-    norm_draws = rng.standard_normal(plan.pattern_count)
-    return coefficients_from_draws(plan, lamp, noise, bucket_draws, norm_draws)
+    m = plan.pattern_count
+    draws = rng.standard_normal(2 * m)
+    return coefficients_from_draws(plan, lamp, noise, draws[:m], draws[m:])

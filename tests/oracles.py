@@ -5,16 +5,23 @@ applies a stencil as one matrix product on the row-major vector of an
 image; the per-pattern split reads a pattern's levels off its values; the
 part images are the binary frames ``pattern == level`` that a
 ``SubPatternSet`` describes by its levels alone; and the ``P2`` body is
-one ``%``-format over the gray values as Python ints.  The tests that compare
-frames, recombine a pattern or run the per-read reference build them here,
-the same way for every test.
+one ``%``-format over the gray values as Python ints.  The per-read
+protocol reads every frame of a plan once, as the bench projects it, where
+a plan keeps only three sums a pattern.  The tests that compare frames,
+recombine a pattern or run the per-read reference build them here, the
+same way for every test.
 """
 
+import functools
 import math
+import operator
 
 import numpy as np
 
-from ghostsim import DimensionError, GridSpec, Kernel, SubPatternSet
+import ghostsim.bench as bench_module
+from ghostsim import (DimensionError, GridSpec, Kernel, SubPatternSet, decompose_basis,
+                      lamp_intensity)
+from ghostsim.bases import _repeats
 
 
 def flatten(image) -> np.ndarray:
@@ -109,3 +116,83 @@ def p2_body(gray) -> str:
     h, w = np.shape(gray)
     row = " ".join(["%d"] * w) + "\n"
     return (row * h) % tuple(np.ravel(gray).tolist())
+
+
+def frame_overlaps(obj, basis) -> np.ndarray:
+    """The overlap of each part of ``decompose_basis(basis)`` with ``obj``,
+    as ``plan_acquisition`` computes it from the set's window form."""
+    return bench_module._window_overlaps(np.asarray(obj, dtype=float), basis._form,
+                                         decompose_basis(basis))
+
+
+def plan_frames(obj, basis, repeats_per_pattern: int):
+    """``(owner, weight, overlap)`` of every frame a plan of ``basis``
+    projects, in projection order: each part of the split read ``R`` times
+    (:func:`ghostsim.bases._repeats`) at weight ``level / R``."""
+    r = _repeats(basis, repeats_per_pattern)
+    split = decompose_basis(basis)
+    return (np.repeat(split.owner, r), np.repeat(split.level, r) / r,
+            np.repeat(frame_overlaps(obj, basis), r))
+
+
+def per_read_coefficients(frames, lamp, noise, bucket_draws, norm_draws) -> np.ndarray:
+    """The per-read protocol: frame ``p`` of pattern ``owner[p]`` is read
+    once, ``lamp * overlap + background + sigma * bucket_draws[p]``, and
+    the reads of a pattern are summed at their weights and divided by its
+    one normalization read."""
+    owner, weight, overlap = frames
+    reads = lamp[owner] * overlap + noise.background_measure
+    reads += noise.detector_sigma * bucket_draws
+    norm = lamp + noise.background_norm
+    norm += noise.normalization_sigma * norm_draws
+    return np.bincount(owner, weight * reads, lamp.size) / norm
+
+
+def per_read_cell(frames, noise, integration_time_ms) -> np.ndarray:
+    """One cell by the per-read protocol: from a Philox stream keyed by the
+    cell seed, one normal per frame in projection order, then one per
+    normalization read."""
+    m = int(frames[0][-1]) + 1
+    lamp = lamp_intensity(np.arange(m), noise, integration_time_ms)
+    rng = np.random.Generator(np.random.Philox(noise.seed))
+    bucket = rng.standard_normal(frames[0].size)
+    return per_read_coefficients(frames, lamp, noise, bucket, rng.standard_normal(m))
+
+
+def pattern_draws(frames, bucket_draws) -> np.ndarray:
+    """The one bucket draw a pattern that per-read draws amount to:
+    ``zeta_j = sum_p w_p z_p / q_j``, with ``q_j = sqrt(sum_p w_p**2)``, or 0
+    where ``q_j = 0``, so that ``sigma * q_j * zeta_j`` is the weighted sum
+    of pattern ``j``'s read noise."""
+    owner, weight, _ = frames
+    m = int(owner[-1]) + 1
+    q = np.sqrt(np.bincount(owner, weight * weight, m))
+    total = np.bincount(owner, weight * bucket_draws, m)
+    return np.divide(total, q, out=np.zeros(m), where=q != 0)
+
+
+def pattern_sums(obj, basis, repeats_per_pattern: int):
+    """``(s, u, q, frames)`` of a plan of ``basis``, from the held stack:
+    each pattern split by :func:`binary_decompose`, each part's overlap
+    by ``math.fsum``, and, pattern by pattern in part order, ``s = sum
+    level * overlap``, ``u = sum level`` and ``q = sqrt(sum level**2) /
+    sqrt(R)``.  A parent of 0/1 patterns reads each part ``R =
+    repeats_per_pattern`` times at weight ``level / R``, which sum to one
+    read at its level; any other set reads each part once."""
+    stack = basis.stack
+    binary = basis.kernel is None and np.isin(stack, (0.0, 1.0)).all()
+    r = repeats_per_pattern if binary else 1
+    subs = [binary_decompose(p, j) for j, p in enumerate(stack)]
+    overlaps = iter(part_overlaps(obj, basis, subs))
+    s, u, q = [], [], []
+    for sub in subs:
+        s.append(_added(w * next(overlaps) for w in sub.weights))
+        u.append(_added(sub.weights))
+        q.append(math.sqrt(_added(w * w for w in sub.weights)) / math.sqrt(r))
+    return np.array(s), np.array(u), np.array(q), r * sum(sub.part_count for sub in subs)
+
+
+def _added(values) -> float:
+    """The floats added left to right, each sum rounded, as ``np.bincount``
+    adds them (``sum`` compensates its rounding since Python 3.12)."""
+    return functools.reduce(operator.add, values, 0.0)

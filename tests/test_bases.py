@@ -35,8 +35,10 @@ from oracles import (
     binary_decompose,
     build_operator_matrix,
     flatten,
+    frame_overlaps,
     part_images,
     part_overlaps,
+    pattern_sums,
     recombine,
     unflatten,
 )
@@ -551,20 +553,24 @@ class TestDecomposeBasis:
     @given(basis=factor_sets(), repeats=st.sampled_from([1, 2, 3]))
     def test_repeated_frames_sum_back_to_each_pattern(self, basis, repeats):
         # one plan formula: each part read R times at weight level / R, with
-        # R = repeats for a parent of 0/1 patterns and 1 for any other set
+        # R = repeats for a parent of 0/1 patterns and 1 for any other set;
+        # the R reads of a part sum to its level, so the parts sum back to
+        # the pattern, and the plan's sums are the held stack's
         side = basis.grid.side
-        plan = plan_acquisition(np.zeros((side, side)), basis, repeats)
-        assert plan.bucket_reads == projection_count(basis, repeats)
+        obj = np.zeros((side, side))
+        plan = plan_acquisition(obj, basis, repeats)
         binary = basis.kernel is None and np.isin(basis.stack, (0.0, 1.0)).all()
         r = repeats if binary else 1
         split = decompose_basis(basis)
-        assert np.array_equal(plan.owner, np.repeat(split.owner, r))
-        levels = np.repeat(split.level, r)
+        assert plan.bucket_reads == projection_count(basis, repeats) == r * split.level.size
         for j in range(len(basis)):
             pattern, total = basis.pattern(j), np.zeros((side, side))
-            for p in np.flatnonzero(plan.owner == j):
-                total += plan.weight[p] * (pattern == levels[p])
+            for p in np.flatnonzero(split.owner == j):
+                for _ in range(r):
+                    total += split.level[p] / r * (pattern == split.level[p])
             assert np.array_equal(total, pattern)
+        _, u, q, _ = pattern_sums(obj, basis, repeats)
+        assert np.array_equal(plan.u, u) and np.array_equal(plan.q, q)
 
     @settings(max_examples=100, deadline=None)
     @given(basis=factor_sets(), seed=st.integers(0, 2**32 - 1))
@@ -573,8 +579,9 @@ class TestDecomposeBasis:
         # is the fsum of the frame binary_decompose gives
         side = basis.grid.side
         obj = np.random.default_rng(seed).uniform(0.0, 1.0, size=(side, side))
-        plan = plan_acquisition(obj, basis, 1)
-        assert np.array_equal(plan.overlap, split_overlaps(obj, basis))
+        assert np.array_equal(frame_overlaps(obj, basis), split_overlaps(obj, basis))
+        s = pattern_sums(obj, basis, 1)[0]
+        assert np.array_equal(plan_acquisition(obj, basis, 1).s, s)
 
     @pytest.mark.parametrize("taps", [[[0, -1, 0], [-1, 0, 1], [0, 1, 0]],
                                       [[0.5, -1.0, 0.25]], [[64, 0, 64]]])
@@ -607,8 +614,7 @@ class TestDecomposeBasis:
         want = [binary_decompose(p, j) for j, p in enumerate(basis.stack)]
         assert_split_arrays(decompose_basis(basis), want)
         obj = np.arange(64.0).reshape(8, 8) / 64
-        assert np.array_equal(plan_acquisition(obj, basis, 1).overlap,
-                              split_overlaps(obj, basis))
+        assert np.array_equal(frame_overlaps(obj, basis), split_overlaps(obj, basis))
 
     def test_plan_peaks_under_two_mib(self, edge_kernel):
         # no part image is built: the plan's working memory is one float
@@ -669,8 +675,7 @@ class TestFactorOnlySets:
         if gray is not None:
             obj = np.rint(gray * obj) / gray
         want = [binary_decompose(p, j) for j, p in enumerate(basis.stack)]
-        assert np.array_equal(plan_acquisition(obj, basis, 1).overlap,
-                              part_overlaps(obj, basis, want))
+        assert np.array_equal(frame_overlaps(obj, basis), part_overlaps(obj, basis, want))
 
     @pytest.mark.parametrize("build", [canonical_basis, hadamard_basis])
     def test_sets_hold_no_stack(self, build, edge_kernel):
@@ -717,9 +722,9 @@ class TestFactorOnlySets:
         want = split_overlaps(obj, basis)
         monkeypatch.setattr(PatternBasis, "_rows", refuse)
         plan = plan_acquisition(obj, basis, 1)
-        assert np.array_equal(plan.overlap, want)
+        assert np.array_equal(frame_overlaps(obj, basis), want)
         assert projection_count(basis, 1) == plan.bucket_reads
-        assert np.array_equal(plan_acquisition(obj, basis, 1).overlap, want)
+        assert np.array_equal(plan_acquisition(obj, basis, 1).s, plan.s)
         assert forms == [None, basis.kernel]
 
     def test_decomposition_arrays_are_checked(self):

@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
@@ -38,7 +39,7 @@ from ghostsim import (
     sweep_cells,
     synth_bar_target,
 )
-from oracles import binary_decompose, part_overlaps
+from oracles import binary_decompose, frame_overlaps, part_overlaps, pattern_sums
 
 QUIET = NoiseModel()  # all noise and backgrounds off, lamp base 1
 
@@ -163,16 +164,18 @@ class TestLampInCells:
            lamp_base=st.floats(1e-3, 1e3), seed=st.integers(0, 2**64 - 1))
     def test_cells_match_the_formula_bit_for_bit(self, amplitude, period, times,
                                                 lamp_base, seed):
-        # cells of one sweep share the cached profile: the first computes it
+        # cells of one sweep share the cached profile: the first computes
+        # it; a cell draws 2N normals, the bucket sums' then the
+        # normalization reads'
         plan = self.plan()
         noise = NoiseModel(lamp_base=lamp_base, lamp_drift_amplitude=amplitude,
                            lamp_drift_period=period, detector_sigma=0.3,
                            normalization_sigma=0.1, background_measure=0.2,
                            background_norm=0.4, seed=seed)
+        m = plan.pattern_count
         for time_ms in times:
-            rng = np.random.Generator(np.random.Philox(seed))
-            bucket = rng.standard_normal(plan.bucket_reads)
-            norm = rng.standard_normal(plan.pattern_count)
+            draws = np.random.Generator(np.random.Philox(seed)).standard_normal(2 * m)
+            bucket, norm = draws[:m], draws[m:]
             lamp = lamp_intensity(np.arange(plan.pattern_count), noise, time_ms)
             want = coefficients_from_draws(plan, lamp, noise, bucket, norm)
             assert run_basis_protocol(plan, noise, time_ms).tobytes() == want.tobytes()
@@ -276,14 +279,16 @@ class TestBucketRead:
 
     def test_noiseless_overlap(self):
         obj = np.full((2, 2), 0.5)
-        plan = plan_acquisition(obj, canonical_basis(GridSpec(2)), 1)
-        assert plan.overlap.tolist() == [0.5] * 4
+        assert frame_overlaps(obj, canonical_basis(GridSpec(2))).tolist() == [0.5] * 4
+        assert plan_acquisition(obj, canonical_basis(GridSpec(2)), 1).s.tolist() == [0.5] * 4
         # the first Hadamard pattern lights every pixel
-        assert plan_acquisition(obj, hadamard_basis(GridSpec(2)), 1).overlap[0] == 2.0
+        assert frame_overlaps(obj, hadamard_basis(GridSpec(2)))[0] == 2.0
+        assert plan_acquisition(obj, hadamard_basis(GridSpec(2)), 1).s[0] == 2.0
 
     def test_zero_pattern_gives_background(self):
+        # one unit-weight frame a pattern, overlapping the object by 0
         noise = NoiseModel(background_measure=3.25)
-        plan = MeasurementPlan(GridSpec(2), np.arange(4), np.ones(4), np.zeros(4))
+        plan = MeasurementPlan(GridSpec(2), np.zeros(4), np.ones(4), np.ones(4), 4)
         coefficients = run_basis_protocol(plan, noise, 5.0)
         assert coefficients.tolist() == [3.25 / 5.0] * 4
 
@@ -352,10 +357,13 @@ class TestPostProtocol:
 
     def test_read_counts(self):
         plan = plan_acquisition(np.zeros((8, 8)), canonical_basis(GridSpec(8)), 2)
+        # one part a pattern, read twice at weight 1 / 2
         assert plan.bucket_reads == 2 * 64
         assert plan.pattern_count == 64  # one normalization read per pattern
-        assert np.array_equal(np.bincount(plan.owner), np.full(64, 2))
-        assert np.all(plan.weight == 0.5)
+        split = decompose_basis(canonical_basis(GridSpec(8)))
+        assert split.owner.tolist() == list(range(64)) and np.all(split.level == 1.0)
+        assert np.all(plan.u == 1.0)
+        assert np.all(plan.q == 1.0 / math.sqrt(2.0))  # sqrt(2 * (1 / 2)**2)
 
     def test_deterministic_for_fixed_seed(self):
         grid = GridSpec(4)
@@ -398,10 +406,12 @@ class TestPostProtocol:
         basis = PatternBasis(GridSpec(4), CANONICAL, factor)
         obj = np.random.default_rng(5).integers(0, levels, size=(4, 4)) / (levels - 1)
         plan = plan_acquisition(obj, basis, 2)
-        assert plan.owner.tolist() == list(range(16))
+        split = decompose_basis(basis)
+        assert split.owner.tolist() == list(range(16))
         lit = [basis.pattern(j)[np.nonzero(basis.pattern(j))] for j in range(16)]
-        assert plan.weight.tolist() == [float(v[0]) for v in lit]
-        assert plan.weight.tolist().count(-1.0) == 6  # (3, c) and (r, 3) for r, c < 3
+        assert split.level.tolist() == [float(v[0]) for v in lit]
+        assert split.level.tolist().count(-1.0) == 6  # (3, c) and (r, 3) for r, c < 3
+        assert plan.u.tolist() == split.level.tolist() and np.all(plan.q == 1.0)
         assert projection_count(basis, 2) == plan.bucket_reads == 16
         assert np.array_equal(run_basis_protocol(plan, QUIET, 1.0),
                               [float(np.sum(basis.pattern(j) * obj)) for j in range(16)])
@@ -414,10 +424,14 @@ class TestPostProtocol:
         basis = PatternBasis(GridSpec(2), "custom", factor)
         obj = np.array([[0.25, 0.5], [0.75, 1.0]])
         plan = plan_acquisition(obj, basis, 2)
-        assert plan.owner.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
-        assert plan.weight.tolist() == [0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-        assert plan.overlap.tolist() == [0.25, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-        assert projection_count(basis, 2) == plan.bucket_reads
+        split = decompose_basis(basis)
+        assert split.owner.tolist() == [0, 1, 2, 3]
+        assert split.level.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert frame_overlaps(obj, basis).tolist() == [0.25, 0.0, 0.0, 0.0]
+        assert projection_count(basis, 2) == plan.bucket_reads == 8
+        assert plan.s.tolist() == [0.25, 0.0, 0.0, 0.0]
+        assert plan.u.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert plan.q.tolist() == [1.0 / math.sqrt(2.0), 0.0, 0.0, 0.0]
         assert run_basis_protocol(plan, QUIET, 1.0).tolist() == [0.25, 0.0, 0.0, 0.0]
 
     def test_rejects_out_of_range_object(self):
@@ -463,7 +477,9 @@ class TestBasisProtocol:
         noise = NoiseModel(detector_sigma=sigma)
         obj = np.full((32, 32), 0.5)
         plan = self.setup_plan(32, edge_kernel, obj)
-        assert np.array_equal(np.abs(plan.weight), np.ones(2 * 1024))
+        levels = decompose_basis(modify_basis(canonical_basis(GridSpec(32)), edge_kernel)).level
+        assert np.array_equal(np.abs(levels), np.ones(2 * 1024))
+        assert np.all(plan.q == math.sqrt(2.0))
         combos = plan_noise_samples(plan, noise, range(100))
         clean = run_basis_protocol(plan, QUIET, 1.0)
         assert np.std(combos - clean) == pytest.approx(np.sqrt(2) * sigma, rel=0.02)
@@ -477,6 +493,29 @@ class TestBasisProtocol:
         assert np.array_equal(first, second)
 
 
+@pytest.mark.parametrize("route", ["post", "basis"])
+def test_a_warm_cell_peaks_at_eight_arrays_a_pattern(route, edge_kernel):
+    # a cell holds a few float64 arrays a pattern, never one a frame: the
+    # side-64 Hadamard basis route projects 15,868 frames for 4,096
+    # patterns, the post route 8,191 read twice
+    grid = GridSpec(64)
+    basis = hadamard_basis(grid)
+    if route == "basis":
+        basis = modify_basis(basis, edge_kernel)
+    plan = plan_acquisition(synth_bar_target(grid), basis, 2)
+    noise = NoiseModel(lamp_drift_amplitude=0.1, detector_sigma=0.5,
+                       normalization_sigma=0.1, background_measure=1.0,
+                       background_norm=0.5, seed=5)
+    run_basis_protocol(plan, noise, 1.0)  # the sweep's drift profile is cached
+    tracemalloc.start()
+    try:
+        run_basis_protocol(plan, replace(noise, seed=6), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * plan.pattern_count * np.dtype(float).itemsize  # 256 KiB
+
+
 class TestPlanOverlaps:
     """Every plan overlap is the correctly rounded sum of its frame."""
 
@@ -484,28 +523,24 @@ class TestPlanOverlaps:
     @given(side=st.integers(1, 12), repeats=st.integers(1, 3),
            seed=st.integers(0, 2**32 - 1))
     def test_random_objects(self, side, repeats, seed):
+        # and each plan sums them, pattern by pattern in part order, as the
+        # held stack's split does
         rng = np.random.default_rng(seed)
         obj = rng.uniform(0.0, 1.0, size=(side, side))
         parent = canonical_basis(GridSpec(side))
         taps = rng.integers(-2, 3, size=(1, 3 if side >= 3 else 1))
-        modified = modify_basis(parent, Kernel(taps))
-        decomposed = decompose_basis(modified)
-        repeated = plan_acquisition(obj, parent, repeats)
-        parts = plan_acquisition(obj, modified, repeats)
-        want = part_overlaps(obj, parent, decompose_basis(parent))
-        assert np.array_equal(repeated.overlap, np.repeat(want, repeats))
-        assert np.array_equal(parts.overlap, part_overlaps(obj, modified, decomposed))
-        assert parts.weight.tolist() == [w for sub in decomposed for w in sub.weights]
-        assert parts.owner.tolist() == [sub.parent_index for sub in decomposed
-                                        for _ in sub.weights]
+        for basis in (parent, modify_basis(parent, Kernel(taps))):
+            want = part_overlaps(obj, basis, decompose_basis(basis))
+            assert np.array_equal(frame_overlaps(obj, basis), want)
+            assert_same_plan(plan_acquisition(obj, basis, repeats),
+                             pattern_sums(obj, basis, repeats))
 
     @pytest.mark.parametrize("build", [canonical_basis, hadamard_basis])
     def test_side_64(self, build, rng):
         grid = GridSpec(64)
         obj = rng.uniform(0.0, 1.0, size=(64, 64))
         for basis in (build(grid), modify_basis(build(grid), edge_detect_kernel())):
-            plan = plan_acquisition(obj, basis, 1)
-            assert np.array_equal(plan.overlap,
+            assert np.array_equal(frame_overlaps(obj, basis),
                                   part_overlaps(obj, basis, decompose_basis(basis)))
 
 
@@ -559,8 +594,7 @@ class TestCorrectlyRoundedOverlaps:
     def test_every_overlap_is_the_fsum_of_its_frame(self, case):
         basis, obj = case
         split = decompose_basis(basis)
-        plan = plan_acquisition(obj, basis, 1)
-        assert np.array_equal(plan.overlap, part_overlaps(obj, basis, split))
+        assert np.array_equal(frame_overlaps(obj, basis), part_overlaps(obj, basis, split))
 
     def test_limb_counts(self, rng):
         # a frame of the side-64 grid lights at most 2**12 pixels, so each
@@ -577,9 +611,14 @@ BLAS_PROBE = """
 import hashlib, sys
 import numpy as np
 from ghostsim import GridSpec, edge_detect_kernel, hadamard_basis, modify_basis, plan_acquisition
+from ghostsim.bench import _window_overlaps
+from ghostsim.bases import decompose_basis
 obj = np.random.default_rng(3).integers(0, 256, size=(32, 32)) / 255
 basis = modify_basis(hadamard_basis(GridSpec(32)), edge_detect_kernel())
-sys.stdout.write(hashlib.sha256(plan_acquisition(obj, basis, 1).overlap.tobytes()).hexdigest())
+plan = plan_acquisition(obj, basis, 1)
+overlaps = _window_overlaps(obj, basis._form, decompose_basis(basis))
+sys.stdout.write(hashlib.sha256(b"".join(
+    a.tobytes() for a in (overlaps, plan.s, plan.u, plan.q))).hexdigest())
 """
 
 
@@ -598,7 +637,8 @@ def openblas_dynamic_arch() -> bool:
                     reason="needs an x86-64 OpenBLAS built with DYNAMIC_ARCH")
 def test_plan_bytes_do_not_depend_on_the_blas_kernel():
     # the side-32 edge-modified Hadamard set on a gray / 255 object: a
-    # per-frame dot gave a different plan under each of these kernels
+    # per-frame dot gave different overlaps under each of these kernels;
+    # the overlaps and the plan's sums made from them keep their bytes
     cores, digests = set(), set()
     for core in (None, "Nehalem", "Prescott"):
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
@@ -664,8 +704,8 @@ class TestOverlapPaths:
         basis, obj = case
         want = part_overlaps(obj, basis, decompose_basis(basis))
         with no_frames():
-            plan = plan_acquisition(obj, basis, 1)
-        assert np.array_equal(plan.overlap, want)
+            plan_acquisition(obj, basis, 1)
+            assert np.array_equal(frame_overlaps(obj, basis), want)
 
     @pytest.mark.parametrize("side", [4, 8])
     def test_wide_frames_take_the_window_path(self, side, rng):
@@ -677,8 +717,8 @@ class TestOverlapPaths:
         for basis in bases:
             want = part_overlaps(obj, basis, decompose_basis(basis))
             with no_frames():
-                plan = plan_acquisition(obj, basis, 1)
-            assert np.array_equal(plan.overlap, want)
+                plan_acquisition(obj, basis, 1)
+                assert np.array_equal(frame_overlaps(obj, basis), want)
 
     def test_every_hadamard_basis_is_dense(self, rng):
         # each frame of a Hadamard parent lights half the grid or all of
@@ -690,8 +730,7 @@ class TestOverlapPaths:
             rows = basis.stack.reshape(len(basis), -1)
             lit = np.count_nonzero(rows[split.owner] == split.level[:, None], axis=1)
             assert lit.min() == side * side // 2
-            plan = plan_acquisition(obj, basis, 1)
-            assert np.array_equal(plan.overlap, part_overlaps(obj, basis, split))
+            assert np.array_equal(frame_overlaps(obj, basis), part_overlaps(obj, basis, split))
 
     @pytest.mark.parametrize("taps", [None, [[0, -1, 0], [-1, 0, 1], [0, 1, 0]],
                                       [[0, 1, 0], [1, -4, 1], [0, 1, 0]]],
@@ -708,8 +747,9 @@ class TestOverlapPaths:
                 basis = modify_basis(basis, Kernel(taps))
             for obj in (synth_bar_target(grid), rng.integers(0, 257, size=(64, 64)) / 256):
                 with no_frames():
-                    plan = plan_acquisition(obj, basis, 1)
-                assert np.array_equal(plan.overlap, dense_overlaps(obj, basis))
+                    plan_acquisition(obj, basis, 1)
+                    overlaps = frame_overlaps(obj, basis)
+                assert np.array_equal(overlaps, dense_overlaps(obj, basis))
 
     @pytest.mark.parametrize("taps", [[[1, 0, 0]], [[0, 1, 0], [1, -4, 1], [0, 1, 0]]],
                              ids=["narrow", "dense"])
@@ -720,13 +760,16 @@ class TestOverlapPaths:
         factor[1, 1] = 0
         basis = modify_basis(PatternBasis(GridSpec(4), "custom", factor), Kernel(taps))
         obj = rng.uniform(0.5, 1.0, size=(4, 4))
-        plan = plan_acquisition(obj, basis, 1)
-        dark = np.isin(plan.owner, [1, 4, 5, 6, 7, 9, 13])
-        assert plan.weight[dark].tolist() == [0.0] * 7
-        assert plan.overlap[dark].tolist() == [0.0] * 7
-        assert np.count_nonzero(plan.overlap) == plan.bucket_reads - 7
-        assert np.array_equal(plan.overlap,
-                              part_overlaps(obj, basis, decompose_basis(basis)))
+        plan, split = plan_acquisition(obj, basis, 1), decompose_basis(basis)
+        overlaps = frame_overlaps(obj, basis)
+        patterns = [1, 4, 5, 6, 7, 9, 13]
+        dark = np.isin(split.owner, patterns)
+        assert split.level[dark].tolist() == [0.0] * 7
+        assert overlaps[dark].tolist() == [0.0] * 7
+        assert np.count_nonzero(overlaps) == plan.bucket_reads - 7
+        assert np.array_equal(overlaps, part_overlaps(obj, basis, split))
+        for sums in (plan.s, plan.u, plan.q):
+            assert sums[patterns].tolist() == [0.0] * 7
 
     @pytest.mark.parametrize("taps", [[[0, -1, 0], [-1, 0, 1], [0, 1, 0]],
                                       [[0, 1, 0], [1, -4, 1], [0, 1, 0]]],
@@ -739,8 +782,8 @@ class TestOverlapPaths:
         basis = modify_basis(canonical_basis(GridSpec(16)), Kernel(taps))
         want = part_overlaps(obj, basis, decompose_basis(basis))
         with no_frames():
-            plan = plan_acquisition(obj, basis, 1)
-        assert np.array_equal(plan.overlap, want)
+            plan_acquisition(obj, basis, 1)
+            assert np.array_equal(frame_overlaps(obj, basis), want)
 
 
 def dense_overlaps(obj, basis):
@@ -757,18 +800,13 @@ def dense_overlaps(obj, basis):
     return np.concatenate(overlaps)
 
 
-def unstructured_plan(obj, basis):
-    """The plan made from the held stack: each pattern split by
-    ``binary_decompose``, each frame's overlap by ``math.fsum``."""
-    subs = [binary_decompose(p, j) for j, p in enumerate(basis.stack)]
-    owner = [sub.parent_index for sub in subs for _ in sub.weights]
-    weight = [w for sub in subs for w in sub.weights]
-    return MeasurementPlan(basis.grid, owner, weight, part_overlaps(obj, basis, subs))
-
-
 def assert_same_plan(got, want):
-    for name in ("owner", "weight", "overlap"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    """``got``, a plan, has the sums and frame count of ``want``: a plan or
+    the ``(s, u, q, frames)`` of :func:`~oracles.pattern_sums`."""
+    if isinstance(want, MeasurementPlan):
+        want = (want.s, want.u, want.q, want.bucket_reads)
+    for name, value in zip(("s", "u", "q", "bucket_reads"), want):
+        assert np.array_equal(getattr(got, name), value), name
 
 
 TINY = 3.175e-305  # near 2**-1011: an object far below 1
@@ -809,7 +847,10 @@ class TestSignOverlaps:
         basis, obj = case
         with no_frames():
             plan = plan_acquisition(obj, basis, 1)
-        assert_same_plan(plan, unstructured_plan(obj, basis))
+            overlaps = frame_overlaps(obj, basis)
+        subs = [binary_decompose(p, j) for j, p in enumerate(basis.stack)]
+        assert np.array_equal(overlaps, part_overlaps(obj, basis, subs))
+        assert_same_plan(plan, pattern_sums(obj, basis, 1))
 
     @pytest.mark.parametrize("make", [
         lambda rng: rng.uniform(0.0, 1.0, size=(16, 16)),
@@ -821,8 +862,8 @@ class TestSignOverlaps:
         for basis in (parent, modify_basis(parent, edge_kernel)):
             want = part_overlaps(obj, basis, decompose_basis(basis))
             with no_frames():
-                plan = plan_acquisition(obj, basis, 1)
-            assert np.array_equal(plan.overlap, want)
+                plan_acquisition(obj, basis, 1)
+                assert np.array_equal(frame_overlaps(obj, basis), want)
 
     def test_sums_past_two_pow_53_round_to_nearest_even(self):
         # in units of 2**-53 the first object sums to 2**53 and the second
@@ -832,10 +873,9 @@ class TestSignOverlaps:
         basis = hadamard_basis(GridSpec(2))
         for obj in (np.array([[0.5, 0.25], [0.25 - unit, unit]]),
                     np.array([[0.5, 0.25], [0.25, unit]])):
-            plan = plan_acquisition(obj, basis, 1)
-            assert plan.overlap[0] == 1.0
-            assert np.array_equal(plan.overlap,
-                                  part_overlaps(obj, basis, decompose_basis(basis)))
+            overlaps = frame_overlaps(obj, basis)
+            assert overlaps[0] == 1.0 == plan_acquisition(obj, basis, 1).s[0]
+            assert np.array_equal(overlaps, part_overlaps(obj, basis, decompose_basis(basis)))
 
     def test_subnormal_sums_round_once(self):
         # multiples of the finest float sum exactly, subnormal or not;
@@ -850,8 +890,7 @@ class TestSignOverlaps:
         assert bench_module._limb_layout(mixed)[:2] == (49, 22)
         for obj in (np.full((4, 4), finest), np.full((4, 4), 2 * finest), mixed, edge,
                     np.zeros((4, 4))):
-            plan = plan_acquisition(obj, basis, 1)
-            assert np.array_equal(plan.overlap,
+            assert np.array_equal(frame_overlaps(obj, basis),
                                   part_overlaps(obj, basis, decompose_basis(basis)))
 
     def test_many_tap_kernels_take_the_window_path(self):
@@ -867,7 +906,8 @@ class TestSignOverlaps:
         wants = [part_overlaps(obj, basis, decompose_basis(basis)) for basis in bases]
         for basis, want in zip(bases, wants):
             with no_frames():
-                assert np.array_equal(plan_acquisition(obj, basis, 1).overlap, want)
+                plan_acquisition(obj, basis, 1)
+                assert np.array_equal(frame_overlaps(obj, basis), want)
 
     def test_all_zero_pattern_reads_zero(self):
         # rows 0 and 1 of H_4 repeat with period 2, so a difference across
@@ -876,11 +916,11 @@ class TestSignOverlaps:
         dark = [j for j, pattern in enumerate(basis.stack) if not pattern.any()]
         assert dark == [0, 1, 4, 5, 8, 9, 12, 13]
         obj = np.arange(16.0).reshape(4, 4) / 16
-        plan = plan_acquisition(obj, basis, 1)
-        parts = np.isin(plan.owner, dark)
-        assert plan.weight[parts].tolist() == [0.0] * 8
-        assert plan.overlap[parts].tolist() == [0.0] * 8
-        assert_same_plan(plan, unstructured_plan(obj, basis))
+        plan, split = plan_acquisition(obj, basis, 1), decompose_basis(basis)
+        parts = np.isin(split.owner, dark)
+        assert split.level[parts].tolist() == [0.0] * 8
+        assert frame_overlaps(obj, basis)[parts].tolist() == [0.0] * 8
+        assert_same_plan(plan, pattern_sums(obj, basis, 1))
 
 
 @st.composite
@@ -910,13 +950,11 @@ def test_plan_frames_follow_projection_count_and_binary_decompose(case, repeats)
     plan = plan_acquisition(obj, basis, repeats)
     assert projection_count(basis, repeats) == plan.bucket_reads
     # a parent of 0/1 patterns reads each part R times at weight level / R
-    stack = basis.stack
-    r = repeats if basis.kernel is None and np.isin(stack, (0.0, 1.0)).all() else 1
-    subs = [binary_decompose(p, j) for j, p in enumerate(stack)]
-    owner = [sub.parent_index for sub in subs for _ in sub.weights for _ in range(r)]
-    weight = [w / r for sub in subs for w in sub.weights for _ in range(r)]
-    assert plan.owner.tolist() == owner
-    assert plan.weight.tolist() == weight
+    subs = [binary_decompose(p, j) for j, p in enumerate(basis.stack)]
+    split = decompose_basis(basis)
+    assert split.owner.tolist() == [sub.parent_index for sub in subs for _ in sub.weights]
+    assert split.level.tolist() == [w for sub in subs for w in sub.weights]
+    assert_same_plan(plan, pattern_sums(obj, basis, repeats))
 
 
 class TestNormalizationSusceptibility:
@@ -946,7 +984,7 @@ class TestNormalizationSusceptibility:
         )
         for plan, clean in routes:
             got = coefficients_from_draws(plan, lamp, noise,
-                                          np.zeros(plan.bucket_reads), z_norm)
+                                          np.zeros(plan.pattern_count), z_norm)
             keep = np.abs(clean) >= 1e-6
             predicted = -clean * eps3 / a
             assert (got - clean)[keep] == pytest.approx(predicted[keep], rel=0.1)

@@ -78,12 +78,17 @@ class TestReconstruct:
             reconstruct(np.zeros(16), modified)
 
     def test_records_must_cover_all_patterns(self):
-        # coverage is checked once, when the plan is built
+        # coverage is checked once, when the plan is built: one sum of each
+        # kind a pattern, and at least one frame a pattern
         grid = GridSpec(2)
-        for owner in ([0, 1, 2], [0, 1, 2, 2], [0, 1, 2, 4], [-1, 0, 1, 2, 3]):
-            ones = np.ones(len(owner))
-            with pytest.raises(DimensionError):
-                MeasurementPlan(grid, owner, ones, ones)
+        ones = np.ones(4)
+        for bad in (np.ones(3), np.ones(5), np.ones((2, 2))):
+            for sums in ((bad, ones, ones), (ones, bad, ones), (ones, ones, bad)):
+                with pytest.raises(DimensionError, match="one for each of the 4"):
+                    MeasurementPlan(grid, *sums, 4)
+        with pytest.raises(DimensionError, match="cover each of the 4"):
+            MeasurementPlan(grid, ones, ones, ones, 3)
+        assert MeasurementPlan(grid, ones, ones, ones, 4).bucket_reads == 4
 
     @pytest.mark.parametrize("make", [hadamard_basis, canonical_basis])
     def test_factor_not_label_sets_the_image_units(self, make, rng):
